@@ -14,7 +14,7 @@ for n in (1, 4, 16):
     mesh = dgsl.build_structured(n)
     print(f"structured n={n:2d}: {mesh.num_vertices:4d} vertices, "
           f"{mesh.num_triangles:4d} triangles, "
-          f"{len(mesh.interior_edges()):4d} interior edges, "
+          f"{int((~mesh.edges.boundary).sum()):4d} interior edges, "
           f"h_max = {mesh.h_max:.4f}, reported size = {mesh.nominal_h:g}")
 
 # Perturbed meshes displace interior vertices by a seeded uniform offset;
@@ -34,16 +34,20 @@ print("round-trip exact:", np.array_equal(back.vertices, mesh.vertices))
 print("\nfile format preview:")
 print("\n".join(text.splitlines()[:4]), "\n...")
 
-# Every edge record carries its adjacency and a unit normal pointing out
-# of the lower-indexed ("plus") triangle.
-edge = mesh.interior_edges()[0]
-print(f"\nfirst interior edge: endpoints {edge.endpoints}, "
-      f"length {edge.length:.4f}, normal {np.round(edge.normal, 4)}")
-print(f"plus side (triangle, local edge) = {edge.plus_side}, "
-      f"minus side = {edge.minus_side}")
+# The edge set holds one array per attribute: endpoints, the (plus, minus)
+# triangles and local edge indices, flip flags, and a unit normal pointing
+# out of the lower-indexed ("plus") triangle. Boundary edges have no minus
+# side (-1).
+edges = mesh.edges
+e = int(np.flatnonzero(~edges.boundary)[0])
+print(f"\nfirst interior edge: endpoints {tuple(edges.endpoints[e].tolist())}, "
+      f"length {edges.length[e]:.4f}, normal {np.round(edges.normal[e], 4)}")
+print(f"(plus, minus) triangles = {tuple(edges.tri[e].tolist())}, "
+      f"local edges = {tuple(edges.local[e].tolist())}")
 
 # Conservation check: triangle sides partition into interior + boundary.
-interior, boundary = len(mesh.interior_edges()), len(mesh.boundary_edges())
+boundary = int(edges.boundary.sum())
+interior = len(edges) - boundary
 print(f"\nside partition: 3*{mesh.num_triangles} = "
       f"2*{interior} + {boundary} -> "
       f"{3 * mesh.num_triangles == 2 * interior + boundary}")

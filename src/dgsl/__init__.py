@@ -13,22 +13,20 @@ from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
                        estimate_trace_constant, l2_error, l2_norm_discrete,
                        laplacian_pairing, observed_orders)
 from .assembly import (AssemblyConfig, SparseSymMatrix, assemble_bilinear,
-                       assemble_jacobian, assemble_load, assemble_penalty,
-                       assemble_residual, assemble_weighted_mass)
-from .basis import (AffineMap, ReferenceBasis, make_basis, physical_gradients,
-                    trace_table)
+                       assemble_jacobian, assemble_load, assemble_residual,
+                       assemble_weighted_mass)
+from .basis import ReferenceBasis, make_basis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,
                           run_convergence, run_lambda_sweep)
 from .linear_solver import LinearSolveReport, block_jacobi_preconditioner, \
     solve_spd
-from .mesh import (Edge, TriMesh, build_perturbed, build_structured,
-                   edge_topology, export_mesh, import_mesh)
+from .mesh import (EdgeSet, TriMesh, build_perturbed, build_structured,
+                   export_mesh, import_mesh)
 from .newton import NewtonConfig, NewtonReport, solve_semilinear
 from .problems import (ExactSolution, Problem, get_problem, problem_names,
                        register_problem, verify_manufactured)
 from .properties import CheckResult, run_property_suite
 from .quadrature import QuadRule, edge_rule, triangle_rule
-from .space import (DGSpace, DGVector, edge_jump_average, evaluate,
-                    interpolate)
+from .space import DGSpace, DGVector, edge_traces, evaluate, interpolate
 
 __version__ = "0.1.0"

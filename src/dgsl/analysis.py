@@ -16,17 +16,14 @@ far below discretization error at every refinement level.
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
-from .assembly import (AssemblyConfig, SparseSymMatrix, _tables,
-                       _volume_stiffness_blocks, assemble_bilinear)
-from .basis import edge_reference_points
+from .assembly import (AssemblyConfig, SparseSymMatrix, _volume_stiffness_blocks,
+                       _volume_tables, assemble_bilinear)
 from .errors import InsufficientLevels
 from .linear_solver import solve_spd
 from .problems import ExactSolution
 from .quadrature import edge_rule, triangle_rule
-from .space import (DGSpace, DGVector, _side_trace, edge_jump_average,
-                    edge_physical_points)
+from .space import DGSpace, DGVector, edge_traces
 
 
 def _analysis_degree(space):
@@ -64,29 +61,39 @@ def l2_norm_discrete(space: DGSpace, v: DGVector,
                                    rule.weights, vals ** 2)))
 
 
+def _edge_points(mesh, params):
+    """Physical edge points (m, Q, 2), from each low to each high endpoint."""
+    t = np.asarray(params, dtype=float)[None, :, None]
+    ends = mesh.vertices[mesh.edges.endpoints]
+    return ends[:, None, 0] * (1.0 - t) + ends[:, None, 1] * t
+
+
+def _side_fields(v, table):
+    """A field's traces on both sides of every edge from basis traces
+    (m, 2, Q, D, ...) of `edge_traces`."""
+    coeffs = v.by_element()[np.maximum(v.space.mesh.edges.tri, 0)]
+    return np.einsum("msqd...,msd->msq...", table, coeffs)
+
+
 def _edge_error_terms(space, v, exact, penalty, edge_degree):
     """Average-gradient and jump contributions of the error norm."""
     rule = edge_rule(edge_degree)
-    avg_term = 0.0
-    jump_term = 0.0
-    for edge in space.mesh.edges:
-        tr = edge_jump_average(space, v, edge, rule.points)
-        h_e = edge.length
-        if exact is not None:
-            pts = edge_physical_points(space.mesh, edge, rule.points)
-            gx, gy = exact.gradient(pts[:, 0], pts[:, 1])
-            avg = np.column_stack([gx, gy]) - tr["avg_grad"]
-            if edge.is_boundary:
-                jump = exact.value(pts[:, 0], pts[:, 1]) - tr["avg_v"]
-            else:
-                jump = -np.einsum("qa,a->q", tr["jump_v"], edge.normal)
-        else:
-            avg = tr["avg_grad"]
-            jump = np.einsum("qa,a->q", tr["jump_v"], edge.normal)
-        avg_term += (h_e ** 2 / penalty) * float(
-            rule.weights @ (avg ** 2).sum(axis=1))
-        jump_term += penalty * float(rule.weights @ jump ** 2)
-    return avg_term, jump_term
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, rule.points)
+    side_v = _side_fields(v, values)
+    weight = np.where(edges.boundary, 1.0, 0.5)
+    avg = weight[:, None, None] * _side_fields(v, grads).sum(axis=1)
+    jump = side_v[:, 0] - side_v[:, 1]
+    if exact is not None:
+        pts = _edge_points(space.mesh, rule.points)
+        gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
+        avg = np.stack([gx, gy], axis=-1) - avg
+        # interior jumps of u vanish; on the boundary [u - v] = (u - v) n
+        u = exact.value(pts[..., 0], pts[..., 1])
+        jump = np.where(edges.boundary[:, None], u - jump, -jump)
+    avg_term = (edges.length ** 2 / penalty) @ ((avg ** 2).sum(axis=2) @ rule.weights)
+    jump_term = penalty * float(((jump ** 2) @ rule.weights).sum())
+    return float(avg_term), jump_term
 
 
 def dg_error(space: DGSpace, v: DGVector, exact: ExactSolution, penalty: float,
@@ -143,33 +150,27 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
     out = out.ravel().copy()
 
     erule = edge_rule(degree if degree <= 20 else 20)
-    d = space.dofs_per_element
-    for edge in space.mesh.edges:
-        n = edge.normal
-        h_e = edge.length
-        epts = edge_physical_points(space.mesh, edge, erule.points)
-        egx, egy = grad_fn(epts[:, 0], epts[:, 1])
-        gw_n = np.broadcast_to(egx, erule.points.shape) * n[0] \
-            + np.broadcast_to(egy, erule.points.shape) * n[1]
-        sides = [(edge.plus_side, edge.plus_flipped, 1.0)]
-        if not edge.is_boundary:
-            sides.append((edge.minus_side, edge.minus_flipped, -1.0))
-        for (tri, local), flipped, sign in sides:
-            ref = edge_reference_points(local, erule.points, flipped)
-            vtab = space.basis.values(ref)
-            block = slice(tri * d, (tri + 1) * d)
-            out[block] -= sign * h_e * np.einsum(
-                "q,q,qi->i", erule.weights, gw_n, vtab)
-            if edge.is_boundary:
-                wvals = np.broadcast_to(
-                    np.asarray(value_fn(epts[:, 0], epts[:, 1]), dtype=float),
-                    erule.points.shape)
-                bn = space.inv_jacobians[tri] @ n
-                ntab = np.einsum("qia,a->qi", space.basis.gradients(ref), bn)
-                out[block] -= h_e * np.einsum("q,q,qi->i",
-                                              erule.weights, wvals, ntab)
-                out[block] += cfg.penalty * np.einsum(
-                    "q,q,qi->i", erule.weights, wvals, vtab)
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, erule.points)
+    epts = _edge_points(space.mesh, erule.points)
+    shape = epts.shape[:2]
+    egx, egy = grad_fn(epts[..., 0], epts[..., 1])
+    gw_n = np.broadcast_to(egx, shape) * edges.normal[:, 0, None] \
+        + np.broadcast_to(egy, shape) * edges.normal[:, 1, None]
+    jump = values * np.array([1.0, -1.0])[None, :, None, None]
+    side = -edges.length[:, None, None] * np.einsum(
+        "q,mq,msqi->msi", erule.weights, gw_n, jump)
+    # boundary edges add -int_e w grad phi . n + (penalty / h_e) int_e w phi
+    wvals = np.broadcast_to(
+        np.asarray(value_fn(epts[..., 0], epts[..., 1]), dtype=float), shape)
+    normal_grad = np.einsum("mqia,ma->mqi", grads[:, 0], edges.normal)
+    wall = np.einsum("q,mq,mqi->mi", erule.weights, wvals,
+                     cfg.penalty * values[:, 0]
+                     - edges.length[:, None, None] * normal_grad)
+    side[:, 0] += np.where(edges.boundary[:, None], wall, 0.0)
+    present = edges.tri >= 0
+    np.add.at(out.reshape(space.num_elements, -1), edges.tri[present],
+              side[present])
     return out
 
 
@@ -224,27 +225,23 @@ def estimate_trace_constant(space: DGSpace,
     r = space.degree
     edeg = edge_degree if edge_degree is not None else 2 * r + 2
     erule = edge_rule(edeg)
-    vrule = triangle_rule(2 * r + 2)
-    vtab = space.basis.values(vrule.points)
-    mass_ref = np.einsum("q,qi,qj->ij", vrule.weights, vtab, vtab)
-    vol = _tables(space.basis, 2 * r + 2, edeg)[0]
+    vol = _volume_tables(space.basis, 2 * r + 2)
+    mass_ref = np.einsum("q,qi,qj->ij", vol.rule.weights, vol.values, vol.values)
     stiff = _volume_stiffness_blocks(space, vol)
 
-    worst = 0.0
-    for edge in space.mesh.edges:
-        h_e = edge.length
-        sides = [(edge.plus_side, edge.plus_flipped)]
-        if not edge.is_boundary:
-            sides.append((edge.minus_side, edge.minus_flipped))
-        for (tri, local), flipped in sides:
-            ref = edge_reference_points(local, erule.points, flipped)
-            tv = space.basis.values(ref)
-            edge_mass = h_e * np.einsum("q,qi,qj->ij", erule.weights, tv, tv)
-            elem_mass = space.dets[tri] * mass_ref
-            denom = elem_mass / h_e + h_e * stiff[tri]
-            top = eigh(edge_mass, denom, eigvals_only=True)[-1]
-            worst = max(worst, float(top))
-    return worst
+    edges = space.mesh.edges
+    values, _ = edge_traces(space, erule.points)
+    present = edges.tri >= 0
+    tri = edges.tri[present]
+    h_e = np.broadcast_to(edges.length[:, None], present.shape)[present][:, None, None]
+    tv = values[present]
+    edge_mass = h_e * np.einsum("q,kqi,kqj->kij", erule.weights, tv, tv)
+    denom = space.dets[tri, None, None] * mass_ref / h_e + h_e * stiff[tri]
+    # the generalized eigenproblem reduces to a standard one through the
+    # Cholesky factor L of denom: L^-1 edge_mass L^-T
+    chol_inv = np.linalg.inv(np.linalg.cholesky(denom))
+    reduced = chol_inv @ edge_mass @ chol_inv.transpose(0, 2, 1)
+    return float(np.linalg.eigvalsh(reduced)[:, -1].max())
 
 
 def edge_identity_residual(space: DGSpace, v: DGVector, w1: DGVector,
@@ -257,35 +254,16 @@ def edge_identity_residual(space: DGSpace, v: DGVector, w1: DGVector,
     """
     edeg = edge_degree if edge_degree is not None else 2 * space.degree + 2
     rule = edge_rule(edeg)
-    by_v = v.by_element()
-    by_w1 = w1.by_element()
-    by_w2 = w2.by_element()
-    lhs = 0.0
-    rhs = 0.0
-    for edge in space.mesh.edges:
-        n = edge.normal
-        h_e = edge.length
-        vp, _ = _side_trace(space, by_v, edge, edge.plus_side,
-                            edge.plus_flipped, rule.points)
-        w1p, _ = _side_trace(space, by_w1, edge, edge.plus_side,
-                             edge.plus_flipped, rule.points)
-        w2p, _ = _side_trace(space, by_w2, edge, edge.plus_side,
-                             edge.plus_flipped, rule.points)
-        wp_n = w1p * n[0] + w2p * n[1]
-        if edge.is_boundary:
-            lhs += h_e * float(rule.weights @ (vp * wp_n))
-            rhs += h_e * float(rule.weights @ (wp_n * vp))
-            continue
-        vm, _ = _side_trace(space, by_v, edge, edge.minus_side,
-                            edge.minus_flipped, rule.points)
-        w1m, _ = _side_trace(space, by_w1, edge, edge.minus_side,
-                             edge.minus_flipped, rule.points)
-        w2m, _ = _side_trace(space, by_w2, edge, edge.minus_side,
-                             edge.minus_flipped, rule.points)
-        wm_n = w1m * n[0] + w2m * n[1]
-        lhs += h_e * float(rule.weights @ (vp * wp_n - vm * wm_n))
-        avg_w_jump_v = 0.5 * (wp_n + wm_n) * (vp - vm)
-        avg_v_jump_w = 0.5 * (vp + vm) * (wp_n - wm_n)
-        rhs += h_e * float(rule.weights @ (avg_w_jump_v + avg_v_jump_w))
+    edges = space.mesh.edges
+    values, _ = edge_traces(space, rule.points)
+    sv = _side_fields(v, values)
+    sw = _side_fields(w1, values) * edges.normal[:, None, None, 0] \
+        + _side_fields(w2, values) * edges.normal[:, None, None, 1]
+    ds = edges.length[:, None] * rule.weights[None, :]
+    # boundary minus sides are zero, which reduces both sums to v w.n there
+    lhs = float((ds * (sv[:, 0] * sw[:, 0] - sv[:, 1] * sw[:, 1])).sum())
+    avg_w_jump_v = 0.5 * (sw[:, 0] + sw[:, 1]) * (sv[:, 0] - sv[:, 1])
+    avg_v_jump_w = 0.5 * (sv[:, 0] + sv[:, 1]) * (sw[:, 0] - sw[:, 1])
+    rhs = float((ds * (avg_w_jump_v + avg_v_jump_w)).sum())
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale

@@ -12,9 +12,9 @@ summed over all edges, with boundary-edge jumps [v] = v n and averages
 pattern of their two adjacent elements, so no term is double counted.
 
 Element integrals reduce to combinations of reference-element tensors
-contracted with per-element Jacobian data, which keeps assembly loops
-short. Edge integrals use trace tables precomputed for the six
-(local edge, orientation) combinations.
+contracted with per-element Jacobian data. Edge integrals contract the
+basis traces of `edge_traces` for all edges at once, one (D, D) block per
+pair of sides.
 """
 
 from dataclasses import dataclass
@@ -23,9 +23,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .basis import edge_reference_points
 from .quadrature import edge_rule, triangle_rule
-from .space import DGSpace, DGVector
+from .space import DGSpace, DGVector, edge_traces
 
 
 @dataclass(frozen=True)
@@ -109,79 +108,24 @@ class _VolumeTables:
                                    self.gradients, self.gradients)
 
 
-class _EdgeTables:
-    """Trace tables and pair tensors for edge integrals.
-
-    For test side t and trial side s (each a (local_edge, flipped)
-    combination c):
-
-    - pen[ct][cs][i, j]     = sum_q w_q V_t[q,i] V_s[q,j]
-    - grad_pair[ct][cs][i, j, a] = sum_q w_q V_t[q,i] Ghat_s[q,j,a]
-
-    so that sum_q w_q V_t[q,i] (grad_s phi_j . n) is grad_pair
-    contracted with invJ_s @ n.
-    """
-
-    def __init__(self, basis, degree):
-        self.rule = edge_rule(degree)
-        t = self.rule.points
-        w = self.rule.weights
-        self.values = {}
-        self.grads = {}
-        for k in range(3):
-            for fl in (False, True):
-                pts = edge_reference_points(k, t, fl)
-                self.values[(k, fl)] = basis.values(pts)
-                self.grads[(k, fl)] = basis.gradients(pts)
-        combos = list(self.values)
-        self.pen = {
-            (ct, cs): np.einsum("q,qi,qj->ij", w, self.values[ct], self.values[cs])
-            for ct in combos for cs in combos
-        }
-        self.grad_pair = {
-            (ct, cs): np.einsum("q,qi,qja->ija", w, self.values[ct], self.grads[cs])
-            for ct in combos for cs in combos
-        }
-
-
 _TABLE_CACHE = {}
 
 
-def _tables(basis, volume_degree, edge_degree):
-    key = (basis.degree, volume_degree, edge_degree)
+def _volume_tables(basis, degree):
+    key = (basis.degree, degree)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = (_VolumeTables(basis, volume_degree),
-                             _EdgeTables(basis, edge_degree))
+        _TABLE_CACHE[key] = _VolumeTables(basis, degree)
     return _TABLE_CACHE[key]
 
 
-def _edge_sides(space, edge):
-    """Per-side data for one edge: (combo key, triangle, sign)."""
-    sides = [((edge.plus_side[1], edge.plus_flipped), edge.plus_side[0], 1.0)]
-    if not edge.is_boundary:
-        sides.append(((edge.minus_side[1], edge.minus_flipped),
-                      edge.minus_side[0], -1.0))
-    return sides
-
-
-def _scatter_blocks(space, blocks, rows0, cols0, extra=()):
-    """COO triplets from a list of dense (D, D) blocks plus extra arrays."""
+def _scatter_blocks(space, row_offsets, col_offsets, blocks):
+    """CSR matrix from dense (D, D) blocks placed at element offsets."""
     d = space.dofs_per_element
     ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    data = [np.asarray(blocks).reshape(-1, d, d)] if blocks else []
-    rows = [np.asarray(rows0, dtype=np.int64)[:, None, None] + ii[None]] if blocks else []
-    cols = [np.asarray(cols0, dtype=np.int64)[:, None, None] + jj[None]] if blocks else []
-    for r, c, v in extra:
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
+    rows = (row_offsets[:, None, None] + ii[None]).ravel()
+    cols = (col_offsets[:, None, None] + jj[None]).ravel()
     n = space.total_dofs
-    coo = sparse.coo_matrix(
-        (np.concatenate([d.ravel() for d in data]),
-         (np.concatenate([r.ravel() for r in rows]),
-          np.concatenate([c.ravel() for c in cols]))),
-        shape=(n, n),
-    )
+    coo = sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
     return SparseSymMatrix(sparse.csr_matrix(coo))
 
 
@@ -199,54 +143,30 @@ def _element_offsets(space):
 def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     """Assemble the full interior penalty operator."""
     r = space.degree
-    vol, etab = _tables(space.basis, cfg.resolved_volume_degree(r),
-                        cfg.resolved_edge_degree(r))
-    lam = cfg.penalty
+    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
+    rule = edge_rule(cfg.resolved_edge_degree(r))
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, rule.points)
 
+    # jump[m, s, q, i] = sign_s phi_i on side s; flux pairs test jumps
+    # with trial normal derivatives, whose averages weigh 1/2 inside
+    jump = values * np.array([1.0, -1.0])[None, :, None, None]
+    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal)
+    flux = np.einsum("q,mtqi,msqj->mtsij", rule.weights, jump, normal_grad)
+    half_h = np.where(edges.boundary, 1.0, 0.5) * edges.length
+    blocks = -half_h[:, None, None, None, None] * (flux + flux.transpose(0, 2, 1, 4, 3))
+    blocks += cfg.penalty * np.einsum("q,mtqi,msqj->mtsij", rule.weights, jump, jump)
+
+    present = edges.tri >= 0
+    pairs = present[:, :, None] & present[:, None, :]
     offs = _element_offsets(space)
-    d = space.dofs_per_element
-    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    vol_blocks = _volume_stiffness_blocks(space, vol)
-    vol_rows = offs[:, None, None] + ii[None]
-    vol_cols = offs[:, None, None] + jj[None]
-
-    blocks, rows0, cols0 = [], [], []
-    for edge in space.mesh.edges:
-        n = edge.normal
-        h_e = edge.length
-        sides = _edge_sides(space, edge)
-        bn = {combo: space.inv_jacobians[tri] @ n for combo, tri, _ in sides}
-        half = 0.5 if not edge.is_boundary else 1.0
-        for ct, tri_t, sig_t in sides:
-            for cs, tri_s, sig_s in sides:
-                flux_ts = np.einsum("ija,a->ij", etab.grad_pair[(ct, cs)], bn[cs])
-                flux_st = np.einsum("ija,a->ij", etab.grad_pair[(cs, ct)], bn[ct])
-                block = (-half * h_e * sig_t) * flux_ts \
-                    + (-half * h_e * sig_s) * flux_st.T \
-                    + (lam * sig_t * sig_s) * etab.pen[(ct, cs)]
-                blocks.append(block)
-                rows0.append(offs[tri_t])
-                cols0.append(offs[tri_s])
-
-    return _scatter_blocks(space, blocks, rows0, cols0,
-                           extra=[(vol_rows, vol_cols, vol_blocks)])
-
-
-def assemble_penalty(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
-    """Assemble only the (penalty / h_e) [w].[v] jump term."""
-    r = space.degree
-    _, etab = _tables(space.basis, cfg.resolved_volume_degree(r),
-                      cfg.resolved_edge_degree(r))
-    offs = _element_offsets(space)
-    blocks, rows0, cols0 = [], [], []
-    for edge in space.mesh.edges:
-        sides = _edge_sides(space, edge)
-        for ct, tri_t, sig_t in sides:
-            for cs, tri_s, sig_s in sides:
-                blocks.append((cfg.penalty * sig_t * sig_s) * etab.pen[(ct, cs)])
-                rows0.append(offs[tri_t])
-                cols0.append(offs[tri_s])
-    return _scatter_blocks(space, blocks, rows0, cols0)
+    side_offs = offs[np.where(present, edges.tri, 0)]
+    rows0 = np.broadcast_to(side_offs[:, :, None], pairs.shape)[pairs]
+    cols0 = np.broadcast_to(side_offs[:, None, :], pairs.shape)[pairs]
+    return _scatter_blocks(space, np.concatenate([rows0, offs]),
+                           np.concatenate([cols0, offs]),
+                           np.concatenate([blocks[pairs],
+                                           _volume_stiffness_blocks(space, vol)]))
 
 
 def element_point_values(space: DGSpace, v: DGVector, values_table):
@@ -262,8 +182,7 @@ def assemble_weighted_mass(space: DGSpace, weight, cfg: AssemblyConfig,
     weight(u(x, y)) evaluated at that field's quadrature-point values.
     """
     r = space.degree
-    vol, _ = _tables(space.basis, cfg.resolved_volume_degree(r),
-                     cfg.resolved_edge_degree(r))
+    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
     pts = space.physical_points(vol.rule.points)
     if at_field is not None:
         wvals = np.asarray(weight(element_point_values(space, at_field,
@@ -274,20 +193,13 @@ def assemble_weighted_mass(space: DGSpace, weight, cfg: AssemblyConfig,
     scaled = space.dets[:, None] * vol.rule.weights[None, :] * wvals
     blocks = np.einsum("eq,qi,qj->eij", scaled, vol.values, vol.values)
     offs = _element_offsets(space)
-    d = space.dofs_per_element
-    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return _scatter_blocks(space, [], [], [], extra=[(
-        offs[:, None, None] + ii[None],
-        offs[:, None, None] + jj[None],
-        blocks,
-    )])
+    return _scatter_blocks(space, offs, offs, blocks)
 
 
 def assemble_load(space: DGSpace, f, cfg: AssemblyConfig) -> np.ndarray:
     """Load vector int_K f phi_i for a broadcastable source f(x, y)."""
     r = space.degree
-    vol, _ = _tables(space.basis, cfg.resolved_volume_degree(r),
-                     cfg.resolved_edge_degree(r))
+    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
     pts = space.physical_points(vol.rule.points)
     fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float),
                             pts.shape[:2])
@@ -298,8 +210,7 @@ def assemble_load(space: DGSpace, f, cfg: AssemblyConfig) -> np.ndarray:
 def _nonlinear_load(space, u, problem, cfg):
     """int_K (g(x) - N(u_h)) phi_i, i.e. the f(x, u_h) pairing."""
     r = space.degree
-    vol, _ = _tables(space.basis, cfg.resolved_volume_degree(r),
-                     cfg.resolved_edge_degree(r))
+    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
     pts = space.physical_points(vol.rule.points)
     uvals = element_point_values(space, u, vol.values)
     fvals = np.broadcast_to(

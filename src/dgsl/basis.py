@@ -1,4 +1,4 @@
-"""Nodal Lagrange bases on the reference triangle and affine element maps.
+"""Nodal Lagrange bases on the reference triangle and edge reference points.
 
 The reference triangle has vertices (0,0), (1,0), (0,1). Basis functions
 are Lagrange polynomials on the principal lattice of degree r, built by
@@ -7,11 +7,9 @@ edge k is the edge opposite reference vertex k, directed from vertex
 (k+1) % 3 to vertex (k+2) % 3.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateElement, UnsupportedDegree
+from .errors import UnsupportedDegree
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -89,43 +87,6 @@ def make_basis(r: int) -> ReferenceBasis:
     return ReferenceBasis(r)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map x = jacobian @ xi + translation from the reference triangle.
-
-    ``det`` is twice the element area and must be positive (CCW vertices).
-    """
-
-    jacobian: np.ndarray
-    translation: np.ndarray
-    det: float
-    inv_transpose: np.ndarray
-
-    @classmethod
-    def from_vertices(cls, p0, p1, p2):
-        jac = np.column_stack([np.asarray(p1) - p0, np.asarray(p2) - p0])
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if det <= 0.0:
-            raise DegenerateElement(f"non-positive Jacobian determinant {det}")
-        inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-        return cls(jac, np.asarray(p0, dtype=float), det, inv.T.copy())
-
-    def apply(self, points):
-        """Map reference points (npts, 2) to physical coordinates."""
-        return np.atleast_2d(points) @ self.jacobian.T + self.translation
-
-
-def physical_gradients(basis: ReferenceBasis, amap: AffineMap, points):
-    """Gradients of all basis functions in physical coordinates.
-
-    Returns shape (npts, dim, 2); each gradient is J^{-T} times the
-    reference gradient.
-    """
-    if amap.det <= 0.0:
-        raise DegenerateElement("affine map has non-positive determinant")
-    return basis.gradients(points) @ amap.inv_transpose.T
-
-
 def edge_reference_points(local_edge: int, params, flipped: bool = False):
     """Reference coordinates of points on a local edge.
 
@@ -140,12 +101,3 @@ def edge_reference_points(local_edge: int, params, flipped: bool = False):
     a = REF_VERTICES[(local_edge + 1) % 3]
     b = REF_VERTICES[(local_edge + 2) % 3]
     return a[None, :] + t[:, None] * (b - a)[None, :]
-
-
-def trace_table(basis: ReferenceBasis, local_edge: int, edge_points, flipped=False):
-    """Values and reference gradients of the basis along one local edge.
-
-    Returns (values, gradients) with shapes (npts, dim) and (npts, dim, 2).
-    """
-    pts = edge_reference_points(local_edge, edge_points, flipped)
-    return basis.values(pts), basis.gradients(pts)

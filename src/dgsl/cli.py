@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .convergence import (RunConfig, _metadata, report_from_raw,
-                          run_convergence)
+                          run_convergence, sweep_summary)
 from .errors import ConfigError, DgslError
 from .mesh import build_perturbed, build_structured, export_mesh
 from .newton import NewtonConfig
@@ -183,17 +183,14 @@ def cmd_run(args):
         finest.append((lam, report.rows[-1]))
 
     if many:
-        dg = [row.dg_error for _, row in finest]
-        l2 = [row.l2_error for _, row in finest]
+        summary = sweep_summary(penalties, [row for _, row in finest])
         print("penalty sweep at finest level "
               f"(h = {finest[0][1].h:g}):")
         for lam, row in finest:
             print(f"  penalty {lam:g}: l2 {row.l2_error:.4e}, "
                   f"dg {row.dg_error:.4e}")
-        trend_dg = "decreases" if all(a > b for a, b in zip(dg, dg[1:])) \
-            else "is not monotone"
-        trend_l2 = "increases" if all(a < b for a, b in zip(l2, l2[1:])) \
-            else "is not monotone"
+        trend_dg = "decreases" if summary["dg_decreasing"] else "is not monotone"
+        trend_l2 = "increases" if summary["l2_increasing"] else "is not monotone"
         print(f"  energy-norm error {trend_dg} with the penalty; "
               f"L2 error {trend_l2}.")
     return EXIT_OK

@@ -196,13 +196,21 @@ def run_lambda_sweep(base: RunConfig, penalties: Sequence[float],
         reports[float(lam)] = run_convergence(cfg, progress=progress)
 
     lams = [float(l) for l in penalties]
-    finest_dg = [reports[l].rows[-1].dg_error for l in lams]
-    finest_l2 = [reports[l].rows[-1].l2_error for l in lams]
-    summary = {
-        "penalties": lams,
-        "dg_errors": finest_dg,
-        "l2_errors": finest_l2,
-        "dg_decreasing": all(a > b for a, b in zip(finest_dg, finest_dg[1:])),
-        "l2_increasing": all(a < b for a, b in zip(finest_l2, finest_l2[1:])),
-    }
+    summary = sweep_summary(lams, [reports[l].rows[-1] for l in lams])
     return {"reports": reports, "summary": summary}
+
+
+def sweep_summary(penalties: Sequence[float], finest_rows) -> dict:
+    """Cross-penalty trends of the finest-level errors of a sweep.
+
+    `finest_rows` holds one ReportRow per penalty, in sweep order.
+    """
+    dg = [row.dg_error for row in finest_rows]
+    l2 = [row.l2_error for row in finest_rows]
+    return {
+        "penalties": list(penalties),
+        "dg_errors": dg,
+        "l2_errors": l2,
+        "dg_decreasing": all(a > b for a, b in zip(dg, dg[1:])),
+        "l2_increasing": all(a < b for a, b in zip(l2, l2[1:])),
+    }

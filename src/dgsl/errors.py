@@ -38,6 +38,10 @@ class IndefiniteOperator(DgslError):
     """A direction of non-positive curvature was detected in a CG solve."""
 
 
+class SingularOperator(DgslError):
+    """The sparse LU factorization met an exactly singular matrix."""
+
+
 class NewtonDiverged(DgslError):
     """Backtracking could not find a residual-decreasing step."""
 

@@ -15,7 +15,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import SparseSymMatrix
-from .errors import IndefiniteOperator, NotConverged
+from .errors import IndefiniteOperator, NotConverged, SingularOperator
 
 
 @dataclass
@@ -70,8 +70,9 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
     deterministic: identical inputs give bit-identical results.
 
     Returns (x, LinearSolveReport). Raises NotConverged (with the report
-    attached) when the iteration budget runs out, and IndefiniteOperator
-    when CG detects non-positive curvature.
+    attached) when the iteration budget runs out, IndefiniteOperator
+    when CG detects non-positive curvature, and SingularOperator when
+    the LU factorization meets an exactly singular matrix.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.dim,):
@@ -92,7 +93,10 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
         return rel * norm_b <= 100.0 * np.finfo(float).eps * scale
 
     if method == "direct":
-        lu = splu(sparse.csc_matrix(a.csr))
+        try:
+            lu = splu(sparse.csc_matrix(a.csr))
+        except RuntimeError as exc:
+            raise SingularOperator(f"sparse LU failed: {exc}") from exc
         x = lu.solve(b)
         rel = float(np.linalg.norm(b - a @ x)) / norm_b
         # Iterative refinement recovers digits lost to conditioning.

@@ -1,11 +1,13 @@
 """Conforming triangulations with derived edge topology.
 
-A mesh stores vertices, CCW-oriented triangles, and a derived list of
-Edge records. Every edge is shared by one triangle (boundary) or two
+A mesh stores vertices, CCW-oriented triangles, and an EdgeSet: one
+array per edge attribute, edges sorted by their (low, high) vertex
+pair. Every edge is shared by one triangle (boundary) or two
 (interior); a third adjacency raises NonConformingMesh. The triangle
-with the lower index on an interior edge is the "plus" side and the
-stored unit normal points out of it; on boundary edges the normal
-points out of the domain.
+with the lower index on an interior edge is the "plus" side (column 0
+of the side arrays) and the stored unit normal points out of it; on
+boundary edges the normal points out of the domain and the minus
+column holds -1.
 
 Mesh file format (plain text, whitespace separated, `#` comments):
 
@@ -15,7 +17,6 @@ Mesh file format (plain text, whitespace separated, `#` comments):
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -23,84 +24,88 @@ from .errors import NonConformingMesh, ParseError, PerturbationFoldover
 
 
 @dataclass(frozen=True)
-class Edge:
-    """One mesh edge with its adjacency and geometry.
+class EdgeSet:
+    """All edges of a mesh as parallel read-only arrays (m edges).
 
-    ``endpoints`` is ordered (low, high) by vertex index, which fixes the
-    global direction used to parametrize edge quadrature points. The
-    ``*_flipped`` flags record whether each side's local edge direction
-    disagrees with the global one.
+    ``endpoints`` (m, 2) is ordered (low, high) by vertex index, which
+    fixes the global direction used to parametrize edge quadrature
+    points. ``tri`` and ``local`` (m, 2) give the (plus, minus)
+    triangles and their local edge indices, -1 on the minus side of a
+    boundary edge. ``flipped`` (m, 2) records whether each side's local
+    edge direction disagrees with the global one. ``normal`` (m, 2) is
+    the unit normal out of the plus triangle, ``length`` (m,) the edge
+    length and ``boundary`` (m,) the boundary mask.
     """
 
-    endpoints: tuple
-    length: float
-    plus_side: tuple            # (triangle index, local edge index)
-    minus_side: Optional[tuple]  # None on boundary edges
-    normal: np.ndarray          # unit, points out of the plus triangle
-    plus_flipped: bool
-    minus_flipped: Optional[bool]
+    endpoints: np.ndarray
+    tri: np.ndarray
+    local: np.ndarray
+    flipped: np.ndarray
+    normal: np.ndarray
+    length: np.ndarray
+    boundary: np.ndarray
 
-    @property
-    def is_boundary(self):
-        return self.minus_side is None
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.setflags(write=False)
 
-
-def _signed_area(vertices, tri):
-    p0, p1, p2 = vertices[tri[0]], vertices[tri[1]], vertices[tri[2]]
-    return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1]))
+    def __len__(self):
+        return len(self.length)
 
 
-def _local_edge_vertices(tri, local_edge):
-    # local edge k is opposite local vertex k, directed (k+1)%3 -> (k+2)%3
-    return tri[(local_edge + 1) % 3], tri[(local_edge + 2) % 3]
+def _signed_areas(vertices, triangles):
+    p = vertices[triangles]
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
 
 def _build_edges(vertices, triangles):
-    adjacency = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            a, b = _local_edge_vertices(tri, k)
-            key = (a, b) if a < b else (b, a)
-            adjacency.setdefault(key, []).append((t, k))
+    # local edge k is opposite local vertex k, directed (k+1)%3 -> (k+2)%3;
+    # side s = 3 t + k of the flattened arrays is local edge k of triangle t
+    start = triangles[:, [1, 2, 0]].ravel()
+    end = triangles[:, [2, 0, 1]].ravel()
+    lo = np.minimum(start, end)
+    hi = np.maximum(start, end)
+    # stable sort: sides of one edge stay in (triangle, local edge) order
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])])
+    counts = np.diff(np.r_[first, len(order)])
+    if np.any(counts > 2):
+        k = np.argmax(counts > 2)
+        raise NonConformingMesh(
+            f"edge {(int(lo[first[k]]), int(hi[first[k]]))} is shared by "
+            f"{counts[k]} triangles"
+        )
 
+    interior = counts == 2
+    sides = np.stack([first, np.where(interior, first + 1, -1)], axis=1)
+    present = sides >= 0
+    side_ids = order[np.where(present, sides, 0)]
+    tri = np.where(present, side_ids // 3, -1)
+    local = np.where(present, side_ids % 3, -1)
+    flipped = present & (start[side_ids] != lo[first][:, None])
+
+    endpoints = np.stack([lo[first], hi[first]], axis=1)
+    p_lo, p_hi = vertices[endpoints[:, 0]], vertices[endpoints[:, 1]]
+    tangent = p_hi - p_lo
+    length = np.hypot(tangent[:, 0], tangent[:, 1])
+    normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / length[:, None]
     centroids = vertices[triangles].mean(axis=1)
-    edges = []
-    for key in sorted(adjacency):
-        sides = adjacency[key]
-        if len(sides) > 2:
-            raise NonConformingMesh(
-                f"edge {key} is shared by {len(sides)} triangles"
-            )
-        lo, hi = key
-        tangent = vertices[hi] - vertices[lo]
-        length = float(np.hypot(*tangent))
-        normal = np.array([tangent[1], -tangent[0]]) / length
-        plus = sides[0]
-        minus = sides[1] if len(sides) == 2 else None
-        midpoint = 0.5 * (vertices[lo] + vertices[hi])
-        if np.dot(normal, midpoint - centroids[plus[0]]) < 0.0:
-            normal = -normal
-        normal.setflags(write=False)
-        if minus is not None and \
-                np.dot(normal, centroids[minus[0]] - centroids[plus[0]]) <= 0.0:
-            raise NonConformingMesh(
-                f"triangles {plus[0]} and {minus[0]} overlap across edge {key}"
-            )
-
-        def _is_flipped(side):
-            a, b = _local_edge_vertices(triangles[side[0]], side[1])
-            return a != lo
-
-        edges.append(Edge(
-            endpoints=key,
-            length=length,
-            plus_side=plus,
-            minus_side=minus,
-            normal=normal,
-            plus_flipped=_is_flipped(plus),
-            minus_flipped=_is_flipped(minus) if minus is not None else None,
-        ))
-    return tuple(edges)
+    midpoint = 0.5 * (p_lo + p_hi)
+    outward = ((midpoint - centroids[tri[:, 0]]) * normal).sum(axis=1)
+    normal[outward < 0.0] *= -1.0
+    # boundary rows read centroid -1 here; `interior` masks them out
+    gap = ((centroids[tri[:, 1]] - centroids[tri[:, 0]]) * normal).sum(axis=1)
+    overlap = np.flatnonzero(interior & (gap <= 0.0))
+    if len(overlap):
+        e = overlap[0]
+        raise NonConformingMesh(
+            f"triangles {tri[e, 0]} and {tri[e, 1]} overlap across edge "
+            f"{(int(endpoints[e, 0]), int(endpoints[e, 1]))}"
+        )
+    return EdgeSet(endpoints=endpoints, tri=tri, local=local, flipped=flipped,
+                   normal=normal, length=length, boundary=~interior)
 
 
 class TriMesh:
@@ -128,13 +133,12 @@ class TriMesh:
                 self.triangles.max(initial=-1) >= len(self.vertices):
             raise ParseError("triangle vertex index out of range")
 
-        for t in range(len(self.triangles)):
-            area = _signed_area(self.vertices, self.triangles[t])
-            if area < 0.0:
-                self.triangles[t, 1], self.triangles[t, 2] = \
-                    self.triangles[t, 2], self.triangles[t, 1]
-            elif area == 0.0:
-                raise ParseError(f"triangle {t} is degenerate (zero area)")
+        area = _signed_areas(self.vertices, self.triangles)
+        flat = np.flatnonzero(area == 0.0)
+        if len(flat):
+            raise ParseError(f"triangle {flat[0]} is degenerate (zero area)")
+        clockwise = area < 0.0
+        self.triangles[clockwise] = self.triangles[clockwise][:, [0, 2, 1]]
 
         self.edges = _build_edges(self.vertices, self.triangles)
 
@@ -160,25 +164,27 @@ class TriMesh:
     def num_triangles(self):
         return len(self.triangles)
 
-    def interior_edges(self):
-        return [e for e in self.edges if not e.is_boundary]
-
-    def boundary_edges(self):
-        return [e for e in self.edges if e.is_boundary]
-
     def areas(self):
         """Signed areas of all triangles (positive by construction)."""
-        p = self.vertices[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return _signed_areas(self.vertices, self.triangles)
 
     def total_area(self):
         return float(self.areas().sum())
 
 
-def edge_topology(mesh: TriMesh):
-    """Edge records of a mesh (derived at construction)."""
-    return list(mesh.edges)
+def _structured_grid(n):
+    """Vertices and triangles of the n x n unit-square grid."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    coords = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(coords, coords)
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    # cell (i, j), row-major in j, has lower-left vertex j (n+1) + i
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    triangles = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return vertices, triangles
 
 
 def build_structured(n: int) -> TriMesh:
@@ -187,24 +193,7 @@ def build_structured(n: int) -> TriMesh:
 
     (n+1)^2 vertices, 2*n^2 triangles, labeled with nominal size 1/n.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    coords = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords)
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    t = 0
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles[t] = (a, b, c)
-            triangles[t + 1] = (a, c, d)
-            t += 2
+    vertices, triangles = _structured_grid(n)
     return TriMesh(vertices, triangles, nominal_h=1.0 / n)
 
 
@@ -218,25 +207,20 @@ def build_perturbed(n: int, amplitude: float, seed: int) -> TriMesh:
     """
     if not 0.0 <= amplitude <= 0.3:
         raise ValueError(f"amplitude must be in [0, 0.3], got {amplitude}")
-    base = build_structured(n)
-    vertices = base.vertices.copy()
-    interior = np.array([
-        j * (n + 1) + i
-        for j in range(1, n)
-        for i in range(1, n)
-    ], dtype=np.int64)
+    vertices, triangles = _structured_grid(n)
+    inner = np.arange(1, n, dtype=np.int64)
+    interior = (inner[:, None] * (n + 1) + inner[None, :]).ravel()
     rng = np.random.default_rng(seed)
     if len(interior):
         offsets = rng.uniform(-amplitude / n, amplitude / n, size=(len(interior), 2))
         vertices[interior] += offsets
 
-    for t, tri in enumerate(base.triangles):
-        if _signed_area(vertices, tri) <= 0.0:
-            raise PerturbationFoldover(
-                f"triangle {t} folded at amplitude {amplitude} (seed {seed})"
-            )
-    mesh = TriMesh(vertices, base.triangles)
-    return mesh
+    folded = np.flatnonzero(_signed_areas(vertices, triangles) <= 0.0)
+    if len(folded):
+        raise PerturbationFoldover(
+            f"triangle {folded[0]} folded at amplitude {amplitude} (seed {seed})"
+        )
+    return TriMesh(vertices, triangles)
 
 
 def import_mesh(text: str) -> TriMesh:

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, _nonlinear_load, _tables,
+from .assembly import (AssemblyConfig, _nonlinear_load, _volume_tables,
                        assemble_bilinear, assemble_weighted_mass,
                        element_point_values)
 from .errors import NewtonDiverged, NotConverged
@@ -132,8 +132,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
             f"newton used {ncfg.max_iterations} iterations, residual "
             f"{res_norm:.3e} > {threshold:.3e}", report=report)
 
-    vol, _ = _tables(space.basis, cfg.resolved_volume_degree(space.degree),
-                     cfg.resolved_edge_degree(space.degree))
+    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(space.degree))
     solution = DGVector(space, u)
     _check_sign_assumption(space, solution, problem, vol.values)
     return solution, report

@@ -94,8 +94,8 @@ def check_mesh(overrides):
         mesh = build_structured(n)
         if abs(mesh.total_area() - 1.0) > 1e-12:
             issues.append(f"structured n={n} area {mesh.total_area()}")
-        interior = len(mesh.interior_edges())
-        boundary = len(mesh.boundary_edges())
+        boundary = int(mesh.edges.boundary.sum())
+        interior = len(mesh.edges) - boundary
         if 3 * mesh.num_triangles != 2 * interior + boundary:
             issues.append(f"structured n={n} edge partition broken")
     m1 = build_perturbed(10, 0.25, 42)

@@ -4,6 +4,10 @@ Degrees of freedom are nodal values on each element's principal lattice,
 stored in contiguous per-element blocks: element e owns coefficients
 [e*dpe, (e+1)*dpe). There is no inter-element coupling in the layout;
 discontinuity is structural.
+
+Every edge term (the bilinear form, the error norms, the trace and
+edge-identity checks) reads its traces from `edge_traces`, which
+evaluates the basis on both sides of all mesh edges at once.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,7 @@ import numpy as np
 
 from .basis import edge_reference_points, make_basis
 from .errors import DegenerateElement
-from .mesh import Edge, TriMesh
+from .mesh import TriMesh
 
 
 class DGSpace:
@@ -120,51 +124,26 @@ def evaluate(space: DGSpace, v: DGVector, element: int, points, gradients=False)
     return vals, grads
 
 
-def _side_trace(space, coeffs_by_elem, edge, side, flipped, params):
-    tri, local = side
-    ref_pts = edge_reference_points(local, params, flipped)
-    c = coeffs_by_elem[tri]
-    vals = space.basis.values(ref_pts) @ c
-    ref_g = np.einsum("pia,i->pa", space.basis.gradients(ref_pts), c)
-    grads = ref_g @ space.inv_jacobians[tri]
-    return vals, grads
+def edge_traces(space: DGSpace, params):
+    """Basis traces on both sides of every mesh edge.
 
-
-def edge_jump_average(space: DGSpace, v: DGVector, edge: Edge, edge_points):
-    """Jump/average traces of a field on one edge.
-
-    `edge_points` parametrize the edge from its low-index to its
-    high-index endpoint. Returns a dict with:
-
-    - ``jump_v``    (npts, 2): [v] = v_+ n_+ + v_- n_-  (v n on boundary)
-    - ``avg_v``     (npts,):   {v}                       (v on boundary)
-    - ``jump_grad`` (npts,):   [grad v] = (grad v_+ - grad v_-) . n_+
-    - ``avg_grad``  (npts, 2): {grad v}
+    `params` (Q,) parametrize each edge from its low-index to its
+    high-index endpoint. Returns (values, gradients) with shapes
+    (m, 2, Q, D) and (m, 2, Q, D, 2): side 0 is the plus triangle, side
+    1 the minus triangle, and gradients are physical. The minus side of
+    a boundary edge is all zeros, so the side difference is the jump
+    [v] . n_+ on interior edges and the trace v on boundary edges.
     """
-    params = np.asarray(edge_points, dtype=float)
-    by_elem = v.by_element()
-    n = edge.normal
-    vp, gp = _side_trace(space, by_elem, edge, edge.plus_side,
-                         edge.plus_flipped, params)
-    if edge.is_boundary:
-        return {
-            "jump_v": vp[:, None] * n[None, :],
-            "avg_v": vp,
-            "jump_grad": gp @ n,
-            "avg_grad": gp,
-        }
-    vm, gm = _side_trace(space, by_elem, edge, edge.minus_side,
-                         edge.minus_flipped, params)
-    return {
-        "jump_v": (vp - vm)[:, None] * n[None, :],
-        "avg_v": 0.5 * (vp + vm),
-        "jump_grad": (gp - gm) @ n,
-        "avg_grad": 0.5 * (gp + gm),
-    }
-
-
-def edge_physical_points(mesh: TriMesh, edge: Edge, params):
-    """Physical coordinates of edge points in the global direction."""
-    t = np.asarray(params, dtype=float)[:, None]
-    lo, hi = edge.endpoints
-    return mesh.vertices[lo][None, :] * (1.0 - t) + mesh.vertices[hi][None, :] * t
+    edges = space.mesh.edges
+    t = np.asarray(params, dtype=float)
+    # the six (local edge, flipped) reference tables, indexed 2 k + flipped
+    ref = [edge_reference_points(k, t, fl) for k in range(3) for fl in (False, True)]
+    ref_values = np.stack([space.basis.values(p) for p in ref])
+    ref_grads = np.stack([space.basis.gradients(p) for p in ref])
+    present = edges.tri >= 0
+    combo = np.where(present, 2 * edges.local + edges.flipped, 0)
+    tri = np.where(present, edges.tri, 0)
+    mask = present[:, :, None, None].astype(float)
+    values = ref_values[combo] * mask
+    grads = (ref_grads[combo] @ space.inv_jacobians[tri][:, :, None]) * mask[..., None]
+    return values, grads

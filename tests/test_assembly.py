@@ -2,8 +2,10 @@
 
 The dual-route oracle below evaluates the bilinear form directly from
 field traces (volume quadrature of gradients plus edge quadrature of
-jumps and averages through the trace helpers), sharing no code with the
-matrix assembly loops.
+jumps and averages). It finds each side's reference points by inverting
+the element map at physical edge points, so it shares neither the
+(local edge, flipped) bookkeeping nor the batched contractions of the
+matrix assembly.
 """
 
 import numpy as np
@@ -12,35 +14,68 @@ from numpy.testing import assert_allclose
 
 import dgsl
 from dgsl import (AssemblyConfig, DGVector, assemble_bilinear,
-                  assemble_jacobian, assemble_load, assemble_penalty,
-                  assemble_residual, assemble_weighted_mass, interpolate)
+                  assemble_jacobian, assemble_load, assemble_residual,
+                  assemble_weighted_mass, interpolate)
 from dgsl.analysis import apply_bilinear_to_field, laplacian_pairing
 
 from dgsl.problems import Problem
 from dgsl.quadrature import edge_rule, triangle_rule
-from dgsl.space import edge_jump_average
 
 from conftest import space_on
 
 
-def direct_form_value(space, w, v, penalty, volume_degree, edge_degree):
-    """Evaluate the interior penalty form by quadrature on traces."""
+def traces_by_inverse_map(space, v, params):
+    """Values (m, 2, Q) and physical gradients (m, 2, Q, 2) of a field on
+    both sides of every edge; zero on the missing side of boundary edges."""
+    edges = space.mesh.edges
+    t = np.asarray(params)[None, :, None]
+    ends = space.mesh.vertices[edges.endpoints]
+    x = ends[:, None, 0] * (1.0 - t) + ends[:, None, 1] * t
+    m, q, d = len(edges), len(params), space.dofs_per_element
+    vals, grads = np.zeros((m, 2, q)), np.zeros((m, 2, q, 2))
+    for s in (0, 1):
+        has = edges.tri[:, s] >= 0
+        tri = edges.tri[has, s]
+        inv = space.inv_jacobians[tri]
+        ref = np.einsum("mab,mqb->mqa", inv,
+                        x[has] - space.origins[tri][:, None]).reshape(-1, 2)
+        phi = space.basis.values(ref).reshape(len(tri), q, d)
+        gphi = space.basis.gradients(ref).reshape(len(tri), q, d, 2)
+        c = v.by_element()[tri]
+        vals[has, s] = np.einsum("mqd,md->mq", phi, c)
+        grads[has, s] = np.einsum("mqda,md,mab->mqb", gphi, c, inv)
+    return vals, grads
+
+
+def direct_form_terms(space, w, v, volume_degree, edge_degree):
+    """The three parts of a(w, v) by quadrature on traces: the volume
+    term, the two flux terms, and the jump term without its penalty."""
     vrule = triangle_rule(volume_degree)
     gtab = space.basis.gradients(vrule.points)
     gw = np.einsum("ed,qda,eab->eqb", w.by_element(), gtab, space.inv_jacobians)
     gv = np.einsum("ed,qda,eab->eqb", v.by_element(), gtab, space.inv_jacobians)
-    total = float(np.einsum("e,q,eqa,eqa->", space.dets, vrule.weights, gw, gv))
+    volume = float(np.einsum("e,q,eqa,eqa->", space.dets, vrule.weights, gw, gv))
 
     erule = edge_rule(edge_degree)
-    for edge in space.mesh.edges:
-        trw = edge_jump_average(space, w, edge, erule.points)
-        trv = edge_jump_average(space, v, edge, erule.points)
-        ds = edge.length * erule.weights
-        total -= float(ds @ np.einsum("qa,qa->q", trw["avg_grad"], trv["jump_v"]))
-        total -= float(ds @ np.einsum("qa,qa->q", trv["avg_grad"], trw["jump_v"]))
-        total += (penalty / edge.length) * float(
-            ds @ np.einsum("qa,qa->q", trw["jump_v"], trv["jump_v"]))
-    return total
+    edges = space.mesh.edges
+    ds = edges.length[:, None] * erule.weights[None, :]
+    half = np.where(edges.boundary, 1.0, 0.5)[:, None]
+    w_vals, w_grads = traces_by_inverse_map(space, w, erule.points)
+    v_vals, v_grads = traces_by_inverse_map(space, v, erule.points)
+    # [f] . n = f_+ - f_-  (f_+ on the boundary), {grad f} . n
+    jump_w, jump_v = w_vals[:, 0] - w_vals[:, 1], v_vals[:, 0] - v_vals[:, 1]
+    avg_w = half * np.einsum("msqa,ma->mq", w_grads, edges.normal)
+    avg_v = half * np.einsum("msqa,ma->mq", v_grads, edges.normal)
+    flux = float((ds * (avg_w * jump_v + avg_v * jump_w)).sum())
+    jumps = float((ds / edges.length[:, None] * jump_w * jump_v).sum())
+    return volume, flux, jumps
+
+
+def direct_form_value(space, w, v, penalty, volume_degree, edge_degree):
+    """Evaluate the interior penalty form by quadrature on traces."""
+    volume, flux, jumps = direct_form_terms(space, w, v, volume_degree,
+                                            edge_degree)
+    return volume - flux + penalty * jumps
 
 
 def test_single_cell_matrix_is_spd_sized(rng):
@@ -84,19 +119,25 @@ def test_volume_term_for_linear_field(rng):
     assert_allclose(float(v.coeffs @ (a @ w.coeffs)), direct, rtol=1e-11)
     # and the remaining (edge) part is what the full form adds
     edge_part = direct - volume
-    pen_only = assemble_penalty(space, cfg)
+    pen_only = assemble_bilinear(space, AssemblyConfig(penalty=100.0)) - a
     assert np.isfinite(edge_part)
     assert pen_only.max_asymmetry() <= 1e-12 * pen_only.max_abs()
 
 
-def test_doubling_penalty_adds_penalty_matrix():
+def test_doubling_penalty_adds_penalty_matrix(rng):
+    # a(2 lam) - a(lam) is the penalty term at lam alone
     space = space_on(2, 2)
-    a1 = assemble_bilinear(space, AssemblyConfig(penalty=80.0))
+    cfg = AssemblyConfig(penalty=80.0)
+    a1 = assemble_bilinear(space, cfg)
     a2 = assemble_bilinear(space, AssemblyConfig(penalty=160.0))
-    pen = assemble_penalty(space, AssemblyConfig(penalty=80.0))
-    diff = ((a2 - a1).csr - pen.csr).tocoo()
-    worst = np.abs(diff.data).max() if diff.nnz else 0.0
-    assert worst <= 1e-12 * pen.max_abs()
+    pen = a2 - a1
+    vdeg, edeg = cfg.resolved_volume_degree(2), cfg.resolved_edge_degree(2)
+    for _ in range(5):
+        w = DGVector(space, rng.standard_normal(space.total_dofs))
+        v = DGVector(space, rng.standard_normal(space.total_dofs))
+        _, _, jumps = direct_form_terms(space, w, v, vdeg, edeg)
+        assert_allclose(float(v.coeffs @ (pen @ w.coeffs)), 80.0 * jumps,
+                        rtol=1e-11)
 
 
 @pytest.mark.parametrize("n,r,lam", [(2, 1, 100.0), (4, 1, 10.0), (2, 3, 1000.0)])
@@ -218,10 +259,9 @@ def test_csr_fields_exposed():
     space2 = space_on(2, 1)
     a2 = assemble_bilinear(space2, AssemblyConfig(penalty=10.0))
     dense2 = a2.toarray()
-    neighbours = {(e.plus_side[0], e.plus_side[0]) for e in space2.mesh.edges}
-    for edge in space2.mesh.interior_edges():
-        neighbours.add((edge.plus_side[0], edge.minus_side[0]))
-        neighbours.add((edge.minus_side[0], edge.plus_side[0]))
+    edges = space2.mesh.edges
+    inner = edges.tri[~edges.boundary]
+    neighbours = set(map(tuple, np.concatenate([inner, inner[:, ::-1]]).tolist()))
     d = space2.dofs_per_element
     for i in range(space2.num_elements):
         for j in range(space2.num_elements):

@@ -1,13 +1,23 @@
-"""Reference bases, affine maps, and edge trace tables."""
+"""Reference bases, the element maps of a space, and edge reference points."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dgsl
-from dgsl import AffineMap, make_basis
-from dgsl.basis import edge_reference_points, physical_gradients, trace_table
-from dgsl.errors import DegenerateElement, UnsupportedDegree
+from dgsl import make_basis
+from dgsl.basis import edge_reference_points
+from dgsl.errors import UnsupportedDegree
+
+
+def one_element_space(p0, p1, p2, r=1):
+    """A space on the single triangle (p0, p1, p2), given CCW."""
+    return dgsl.DGSpace(dgsl.TriMesh([p0, p1, p2], [[0, 1, 2]]), r)
+
+
+def element_gradients(space, points):
+    """Basis gradients in physical coordinates on element 0, (npts, dim, 2)."""
+    return space.basis.gradients(points) @ space.inv_jacobians[0]
 
 
 def random_ref_points(rng, m=20):
@@ -62,44 +72,39 @@ def test_unsupported_basis_degree():
 
 
 def test_affine_map_identity_and_scaling(rng):
-    basis = make_basis(2)
     pts = random_ref_points(rng)
-    ident = AffineMap.from_vertices((0, 0), (1, 0), (0, 1))
-    assert_allclose(physical_gradients(basis, ident, pts),
-                    basis.gradients(pts), atol=1e-14)
+    ident = one_element_space((0, 0), (1, 0), (0, 1), r=2)
+    assert_allclose(element_gradients(ident, pts),
+                    ident.basis.gradients(pts), atol=1e-14)
+    assert_allclose(ident.dets, [1.0], rtol=1e-15)
     s = 2.5
-    scaled = AffineMap.from_vertices((0, 0), (s, 0), (0, s))
-    assert_allclose(physical_gradients(basis, scaled, pts),
-                    basis.gradients(pts) / s, atol=1e-14)
-
-
-def test_affine_map_rejects_clockwise():
-    with pytest.raises(DegenerateElement):
-        AffineMap.from_vertices((0, 0), (0, 1), (1, 0))
+    scaled = one_element_space((0, 0), (s, 0), (0, s), r=2)
+    assert_allclose(element_gradients(scaled, pts),
+                    scaled.basis.gradients(pts) / s, atol=1e-14)
+    assert_allclose(scaled.dets, [s * s], rtol=1e-15)
 
 
 def test_affine_map_hits_vertices():
-    amap = AffineMap.from_vertices((0.2, 0.1), (0.9, 0.3), (0.4, 1.1))
-    got = amap.apply([[0, 0], [1, 0], [0, 1]])
+    space = one_element_space((0.2, 0.1), (0.9, 0.3), (0.4, 1.1))
+    got = space.physical_points([[0, 0], [1, 0], [0, 1]])[0]
     assert_allclose(got, [(0.2, 0.1), (0.9, 0.3), (0.4, 1.1)], rtol=1e-15)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_linear_field_gradient_reproduction(r, rng):
     # nodal interpolation of 3x + 2y has gradient (3, 2) everywhere
-    basis = make_basis(r)
-    amap = AffineMap.from_vertices((0.1, 0.2), (0.7, 0.25), (0.3, 0.9))
-    nodal = np.array([3 * x + 2 * y for x, y in amap.apply(basis.nodes)])
+    space = one_element_space((0.1, 0.2), (0.7, 0.25), (0.3, 0.9), r)
+    x, y = space.node_coords[0].T
+    nodal = 3 * x + 2 * y
     pts = random_ref_points(rng)
-    grads = np.einsum("pia,i->pa", physical_gradients(basis, amap, pts), nodal)
+    grads = np.einsum("pia,i->pa", element_gradients(space, pts), nodal)
     assert_allclose(grads, np.tile([3.0, 2.0], (len(pts), 1)), atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_polynomial_reproduction(r, rng):
     # interpolate a degree-r polynomial, evaluate at random points
-    basis = make_basis(r)
-    amap = AffineMap.from_vertices((0.0, 0.0), (0.8, 0.1), (0.2, 0.7))
+    space = one_element_space((0.0, 0.0), (0.8, 0.1), (0.2, 0.7), r)
     coef = rng.standard_normal((r + 1, r + 1))
 
     def poly(x, y):
@@ -109,18 +114,18 @@ def test_polynomial_reproduction(r, rng):
                 out = out + coef[i, j] * x ** i * y ** j
         return out
 
-    xn, yn = amap.apply(basis.nodes).T
+    xn, yn = space.node_coords[0].T
     nodal = poly(xn, yn)
     pts = random_ref_points(rng)
-    xq, yq = amap.apply(pts).T
-    assert_allclose(basis.values(pts) @ nodal, poly(xq, yq), atol=1e-11)
+    xq, yq = space.physical_points(pts)[0].T
+    assert_allclose(space.basis.values(pts) @ nodal, poly(xq, yq), atol=1e-11)
 
 
 def test_trace_opposite_vertex_vanishes_on_edge():
     basis = make_basis(1)
     t = np.linspace(0, 1, 7)
     for k in range(3):
-        vals, _ = trace_table(basis, k, t)
+        vals = basis.values(edge_reference_points(k, t))
         assert_allclose(vals[:, k], 0.0, atol=1e-14)
         assert_allclose(vals.sum(axis=1), 1.0, atol=1e-14)
 
@@ -128,19 +133,20 @@ def test_trace_opposite_vertex_vanishes_on_edge():
 def test_trace_flip_reverses_parametrization():
     basis = make_basis(2)
     t = np.array([0.2, 0.7])
-    fwd, _ = trace_table(basis, 0, t)
-    bwd, _ = trace_table(basis, 0, 1.0 - t, flipped=True)
+    fwd = basis.values(edge_reference_points(0, t))
+    bwd = basis.values(edge_reference_points(0, 1.0 - t, flipped=True))
     assert_allclose(fwd, bwd, atol=1e-14)
 
 
 def test_shared_edge_sides_sample_identical_points():
     # both sides of every interior edge must land on the same physical points
     mesh = dgsl.build_perturbed(4, 0.2, seed=5)
+    edges = mesh.edges
     t = np.array([0.15, 0.5, 0.85])
-    for edge in mesh.interior_edges():
+    for e in np.flatnonzero(~edges.boundary):
         coords = []
-        for (tri, local), flipped in ((edge.plus_side, edge.plus_flipped),
-                                      (edge.minus_side, edge.minus_flipped)):
+        for tri, local, flipped in zip(edges.tri[e], edges.local[e],
+                                       edges.flipped[e]):
             ref = edge_reference_points(local, t, flipped)
             p0 = mesh.vertices[mesh.triangles[tri][0]]
             jac = np.column_stack([

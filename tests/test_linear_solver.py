@@ -10,7 +10,8 @@ from scipy.linalg import eigvalsh
 import dgsl
 from dgsl import AssemblyConfig, assemble_bilinear, solve_spd
 from dgsl.assembly import SparseSymMatrix
-from dgsl.errors import IndefiniteOperator, NotConverged
+from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
+    SingularOperator
 
 from conftest import space_on
 
@@ -104,3 +105,11 @@ def test_point_and_block_preconditioners_agree(rng):
     x_point, r_point = solve_spd(a, b, tol=1e-10, block_size=1)
     assert r_block.converged and r_point.converged
     assert np.linalg.norm(x_block - x_point) <= 1e-7 * np.linalg.norm(x_block)
+
+
+def test_singular_matrix_raises_named_error(rng):
+    dense = np.diag(rng.uniform(0.5, 4.0, 6))
+    dense[2, 2] = 0.0  # a zero row makes the matrix exactly singular
+    with pytest.raises(SingularOperator) as excinfo:
+        solve_spd(as_matrix(dense), rng.standard_normal(6), method="direct")
+    assert isinstance(excinfo.value, DgslError)

@@ -1,16 +1,17 @@
 """Mesh generators, file import/export, and edge topology.
 
-The edge-count oracle enumerates unordered vertex pairs of all triangle
-sides by brute force, independent of the Edge construction path.
+The edge oracle enumerates unordered vertex pairs of all triangle sides
+by brute force, independent of the EdgeSet construction path.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import dgsl
-from dgsl import build_perturbed, build_structured, edge_topology, \
-    export_mesh, import_mesh
+from dgsl import build_perturbed, build_structured, export_mesh, import_mesh
 from dgsl.errors import NonConformingMesh, ParseError, PerturbationFoldover
 
 UNIT_SQUARE_TWO_TRIANGLES = """\
@@ -25,16 +26,27 @@ UNIT_SQUARE_TWO_TRIANGLES = """\
 """
 
 
-def brute_force_edge_counts(mesh):
-    """Count interior/boundary edges by enumerating triangle sides."""
+def brute_force_edges(mesh):
+    """Map each unordered vertex pair to the triangles sharing it."""
     seen = {}
-    for tri in mesh.triangles:
+    for t, tri in enumerate(mesh.triangles):
         for k in range(3):
             a, b = int(tri[(k + 1) % 3]), int(tri[(k + 2) % 3])
-            seen[(min(a, b), max(a, b))] = seen.get((min(a, b), max(a, b)), 0) + 1
-    assert set(seen.values()) <= {1, 2}
-    boundary = sum(1 for c in seen.values() if c == 1)
+            seen.setdefault((min(a, b), max(a, b)), []).append(t)
+    return seen
+
+
+def brute_force_edge_counts(mesh):
+    """Count interior/boundary edges by enumerating triangle sides."""
+    seen = brute_force_edges(mesh)
+    assert {len(tris) for tris in seen.values()} <= {1, 2}
+    boundary = sum(1 for tris in seen.values() if len(tris) == 1)
     return len(seen) - boundary, boundary
+
+
+def edge_counts(mesh):
+    boundary = int(mesh.edges.boundary.sum())
+    return len(mesh.edges) - boundary, boundary
 
 
 def test_structured_n1_counts():
@@ -42,8 +54,7 @@ def test_structured_n1_counts():
     assert mesh.num_vertices == 4
     assert mesh.num_triangles == 2
     assert len(mesh.edges) == 5
-    assert len(mesh.boundary_edges()) == 4
-    assert len(mesh.interior_edges()) == 1
+    assert edge_counts(mesh) == (1, 4)
 
 
 def test_structured_n16_matches_table_setup():
@@ -57,8 +68,7 @@ def test_structured_n4_area_and_edges():
     assert mesh.total_area() == 1.0
     interior, boundary = brute_force_edge_counts(mesh)
     assert (interior, boundary) == (40, 16)
-    assert len(mesh.interior_edges()) == interior
-    assert len(mesh.boundary_edges()) == boundary
+    assert edge_counts(mesh) == (interior, boundary)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -71,8 +81,7 @@ def test_structured_invariants(n):
     # quasi-uniformity witness: all structured elements are congruent
     assert mesh.element_sizes.max() <= mesh.element_sizes.min() * (1 + 1e-13)
     # side partition: every triangle side lands in exactly one edge record
-    interior = len(mesh.interior_edges())
-    boundary = len(mesh.boundary_edges())
+    interior, boundary = edge_counts(mesh)
     assert 3 * mesh.num_triangles == 2 * interior + boundary
     assert boundary == 4 * n
 
@@ -130,7 +139,7 @@ def test_import_two_triangle_square():
     assert mesh.num_vertices == 4
     assert mesh.num_triangles == 2
     assert_allclose(mesh.h_max, np.sqrt(2.0), rtol=1e-15)
-    assert len(mesh.interior_edges()) == 1
+    assert edge_counts(mesh)[0] == 1
 
 
 def test_import_duplicate_triangle_nonconforming():
@@ -181,24 +190,26 @@ def test_perturbed_round_trip_exact():
 
 def test_single_interior_edge_normal_is_diagonal():
     mesh = build_structured(1)
-    (edge,) = mesh.interior_edges()
+    (edge,) = np.flatnonzero(~mesh.edges.boundary)
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert_allclose(np.abs(edge.normal), np.abs(expected), rtol=1e-14)
+    assert_allclose(np.abs(mesh.edges.normal[edge]), np.abs(expected), rtol=1e-14)
 
 
 def test_boundary_normals_point_outward():
     mesh = build_structured(3)
-    for edge in mesh.boundary_edges():
-        lo, hi = edge.endpoints
+    edges = mesh.edges
+    for e in np.flatnonzero(edges.boundary):
+        lo, hi = edges.endpoints[e]
         mid = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
+        normal = edges.normal[e]
         if np.isclose(mid[0], 0.0):
-            assert_allclose(edge.normal, [-1.0, 0.0], atol=1e-14)
+            assert_allclose(normal, [-1.0, 0.0], atol=1e-14)
         elif np.isclose(mid[0], 1.0):
-            assert_allclose(edge.normal, [1.0, 0.0], atol=1e-14)
+            assert_allclose(normal, [1.0, 0.0], atol=1e-14)
         elif np.isclose(mid[1], 0.0):
-            assert_allclose(edge.normal, [0.0, -1.0], atol=1e-14)
+            assert_allclose(normal, [0.0, -1.0], atol=1e-14)
         elif np.isclose(mid[1], 1.0):
-            assert_allclose(edge.normal, [0.0, 1.0], atol=1e-14)
+            assert_allclose(normal, [0.0, 1.0], atol=1e-14)
         else:
             raise AssertionError("boundary edge not on the unit-square boundary")
 
@@ -209,21 +220,86 @@ def test_boundary_normals_point_outward():
 ])
 def test_interior_normals_point_plus_to_minus(builder):
     mesh = builder()
+    edges = mesh.edges
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    for edge in mesh.interior_edges():
-        plus_tri, minus_tri = edge.plus_side[0], edge.minus_side[0]
-        assert plus_tri < minus_tri  # lower index is the plus side
-        gap = centroids[minus_tri] - centroids[plus_tri]
-        assert float(edge.normal @ gap) > 0
+    inner = ~edges.boundary
+    plus_tri, minus_tri = edges.tri[inner, 0], edges.tri[inner, 1]
+    assert np.all(plus_tri < minus_tri)  # lower index is the plus side
+    gap = centroids[minus_tri] - centroids[plus_tri]
+    assert np.all((edges.normal[inner] * gap).sum(axis=1) > 0)
 
 
 def test_edge_geometry_invariants():
     mesh = build_perturbed(5, 0.25, seed=8)
-    for edge in edge_topology(mesh):
-        assert abs(np.linalg.norm(edge.normal) - 1.0) <= 1e-14
-        assert edge.length > 0
-        lo, hi = edge.endpoints
-        assert lo < hi
-        assert_allclose(edge.length,
-                        np.linalg.norm(mesh.vertices[hi] - mesh.vertices[lo]),
-                        rtol=1e-14)
+    edges = mesh.edges
+    assert_allclose(np.linalg.norm(edges.normal, axis=1), 1.0, atol=1e-14)
+    assert np.all(edges.length > 0)
+    lo, hi = edges.endpoints.T
+    assert np.all(lo < hi)
+    assert_allclose(edges.length,
+                    np.linalg.norm(mesh.vertices[hi] - mesh.vertices[lo], axis=1),
+                    rtol=1e-14)
+
+
+def assert_edge_set_matches_oracle(mesh):
+    """The EdgeSet against brute-force side enumeration and geometry."""
+    edges = mesh.edges
+    oracle = brute_force_edges(mesh)
+    assert [tuple(pair) for pair in edges.endpoints.tolist()] == sorted(oracle)
+    interior, boundary = brute_force_edge_counts(mesh)
+    assert edge_counts(mesh) == (interior, boundary)
+    assert 3 * mesh.num_triangles == 2 * interior + boundary
+    for e, tris in enumerate(oracle[k] for k in sorted(oracle)):
+        assert sorted(t for t in edges.tri[e] if t >= 0) == tris
+    # the local edge of each side is the side between the two endpoints
+    for s in (0, 1):
+        has = edges.tri[:, s] >= 0
+        tri = mesh.triangles[edges.tri[has, s]]
+        k = edges.local[has, s]
+        rows = np.arange(len(k))
+        start, end = tri[rows, (k + 1) % 3], tri[rows, (k + 2) % 3]
+        assert_array_equal(np.minimum(start, end), edges.endpoints[has, 0])
+        assert_array_equal(np.maximum(start, end), edges.endpoints[has, 1])
+        assert_array_equal(edges.flipped[has, s], start != edges.endpoints[has, 0])
+    inner = ~edges.boundary
+    assert np.all(edges.tri[inner, 0] < edges.tri[inner, 1])
+    assert np.all(edges.tri[edges.boundary, 1] == -1)
+
+    lo, hi = mesh.vertices[edges.endpoints[:, 0]], mesh.vertices[edges.endpoints[:, 1]]
+    assert_allclose(edges.length, np.linalg.norm(hi - lo, axis=1), rtol=1e-14)
+    assert_allclose(np.linalg.norm(edges.normal, axis=1), 1.0, atol=1e-14)
+    assert_allclose((edges.normal * (hi - lo)).sum(axis=1), 0.0, atol=1e-14)
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    mid = 0.5 * (lo + hi)
+    out_of_plus = ((mid - centroids[edges.tri[:, 0]]) * edges.normal).sum(axis=1)
+    assert np.all(out_of_plus > 0)
+    gap = centroids[edges.tri[inner, 1]] - centroids[edges.tri[inner, 0]]
+    assert np.all((edges.normal[inner] * gap).sum(axis=1) > 0)
+    # on the unit square, boundary normals point out of the domain
+    assert_allclose(np.abs(edges.normal[edges.boundary]).max(axis=1), 1.0,
+                    atol=1e-14)
+    assert np.all((edges.normal[edges.boundary] * (mid[edges.boundary] - 0.5))
+                  .sum(axis=1) > 0)
+
+
+# amplitudes up to 0.15 cannot fold a structured triangle, so every draw
+# is a valid mesh
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 6), amplitude=st.sampled_from([0.0, 0.1, 0.15]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_edge_set_matches_oracle_on_shuffled_meshes(n, amplitude, seed, data):
+    base = build_perturbed(n, amplitude, seed)
+    nt = base.num_triangles
+    perm = data.draw(st.permutations(range(nt)))
+    clockwise = np.array(data.draw(st.lists(st.booleans(), min_size=nt,
+                                            max_size=nt)))
+    triangles = base.triangles[perm].copy()
+    triangles[clockwise] = triangles[clockwise][:, [0, 2, 1]]
+    mesh = dgsl.TriMesh(base.vertices, triangles)
+    assert mesh.areas().min() > 0
+    assert_edge_set_matches_oracle(mesh)
+
+    doubled = np.concatenate([triangles, triangles[data.draw(
+        st.integers(0, nt - 1))][None]])
+    with pytest.raises(NonConformingMesh):
+        dgsl.TriMesh(base.vertices, doubled)

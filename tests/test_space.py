@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dgsl
-from dgsl import DGVector, edge_jump_average, evaluate, interpolate
+from dgsl import DGVector, edge_traces, evaluate, interpolate
 from dgsl.analysis import l2_error, observed_orders
+from dgsl.basis import edge_reference_points
 
 from conftest import space_on
 
@@ -75,51 +76,68 @@ def test_vector_length_validation():
         DGVector(space, np.zeros(5))
 
 
+def side_traces(space, v, params):
+    """A field's values (m, 2, Q) and gradients (m, 2, Q, 2) on both
+    sides of every edge."""
+    values, grads = edge_traces(space, params)
+    coeffs = v.by_element()[np.maximum(space.mesh.edges.tri, 0)]
+    return (np.einsum("msqd,msd->msq", values, coeffs),
+            np.einsum("msqda,msd->msqa", grads, coeffs))
+
+
 def test_jump_of_continuous_interpolant_vanishes(sine):
     space = space_on(4, 2)
     v = interpolate(space, sine.exact.value)
     t = np.array([0.1, 0.5, 0.9])
-    for edge in space.mesh.interior_edges():
-        tr = edge_jump_average(space, v, edge, t)
-        assert np.abs(tr["jump_v"]).max() < 1e-12
+    vals, _ = side_traces(space, v, t)
+    inner = ~space.mesh.edges.boundary
+    assert np.abs(vals[inner, 0] - vals[inner, 1]).max() < 1e-12
 
 
 def test_indicator_field_jump_and_average():
     space = space_on(1, 1)
-    (edge,) = space.mesh.interior_edges()
+    edges = space.mesh.edges
+    (edge,) = np.flatnonzero(~edges.boundary)
     v = DGVector.zeros(space)
-    v.coeffs[space.element_slice(edge.plus_side[0])] = 1.0
+    v.coeffs[space.element_slice(edges.tri[edge, 0])] = 1.0
     t = np.array([0.25, 0.75])
-    tr = edge_jump_average(space, v, edge, t)
-    assert_allclose(tr["jump_v"], np.tile(edge.normal, (2, 1)), atol=1e-14)
-    assert_allclose(tr["avg_v"], 0.5, atol=1e-14)
+    vals, _ = side_traces(space, v, t)
+    jump = (vals[edge, 0] - vals[edge, 1])[:, None] * edges.normal[edge]
+    assert_allclose(jump, np.tile(edges.normal[edge], (2, 1)), atol=1e-14)
+    assert_allclose(0.5 * vals[edge].sum(axis=0), 0.5, atol=1e-14)
 
 
 def test_jump_dot_normal_matches_trace_difference(rng):
-    # [v] . n_+ must equal v_+ - v_- computed from raw traces
+    # batched side traces must equal per-element evaluation at the same
+    # reference points, so v_+ - v_- is the jump [v] . n_+ inside
     space = space_on(3, 2)
     v = DGVector(space, rng.standard_normal(space.total_dofs))
     t = np.array([0.2, 0.6, 0.9])
-    from dgsl.space import _side_trace
-    by_elem = v.by_element()
-    for edge in space.mesh.interior_edges():
-        tr = edge_jump_average(space, v, edge, t)
-        vp, _ = _side_trace(space, by_elem, edge, edge.plus_side,
-                            edge.plus_flipped, t)
-        vm, _ = _side_trace(space, by_elem, edge, edge.minus_side,
-                            edge.minus_flipped, t)
-        assert_allclose(tr["jump_v"] @ edge.normal, vp - vm, atol=1e-13)
+    vals, grads = side_traces(space, v, t)
+    edges = space.mesh.edges
+    for e in range(len(edges)):
+        for s in (0,) if edges.boundary[e] else (0, 1):
+            ref = edge_reference_points(edges.local[e, s], t, edges.flipped[e, s])
+            want_v, want_g = evaluate(space, v, edges.tri[e, s], ref,
+                                      gradients=True)
+            assert_allclose(vals[e, s], want_v, atol=1e-13)
+            assert_allclose(grads[e, s], want_g, atol=1e-12)
 
 
 def test_boundary_trace_conventions(rng):
+    # boundary edges have no minus side: its traces are zero, so the side
+    # difference is the plus trace v and [v] = v n
     space = space_on(2, 1)
     v = DGVector(space, rng.standard_normal(space.total_dofs))
     t = np.array([0.3, 0.7])
-    edge = space.mesh.boundary_edges()[0]
-    tr = edge_jump_average(space, v, edge, t)
-    assert_allclose(tr["jump_v"], tr["avg_v"][:, None] * edge.normal[None, :],
-                    atol=1e-14)
-    assert_allclose(tr["jump_grad"], tr["avg_grad"] @ edge.normal, atol=1e-13)
+    values, grads = edge_traces(space, t)
+    boundary = space.mesh.edges.boundary
+    assert not values[boundary, 1].any()
+    assert not grads[boundary, 1].any()
+    vals, _ = side_traces(space, v, t)
+    assert_allclose(vals[boundary, 0] - vals[boundary, 1], vals[boundary, 0],
+                    atol=0)
+    assert np.abs(vals[~boundary, 1]).max() > 0
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
