@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
+from .errors import NonFiniteValue
 from .quadrature import edge_rule, triangle_rule
 from .space import DGSpace, DGVector, edge_traces
 
@@ -169,6 +170,14 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
                                            _volume_stiffness_blocks(space, vol)]))
 
 
+def _finite(values, what):
+    """`values` as a float array; NonFiniteValue if any is NaN or inf."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"{what} is not finite at some quadrature points")
+    return values
+
+
 def element_point_values(space: DGSpace, v: DGVector, values_table):
     """Field values at the table's quadrature points, shape (E, Q)."""
     return np.einsum("ed,qd->eq", v.by_element(), values_table)
@@ -185,10 +194,11 @@ def assemble_weighted_mass(space: DGSpace, weight, cfg: AssemblyConfig,
     vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
     pts = space.physical_points(vol.rule.points)
     if at_field is not None:
-        wvals = np.asarray(weight(element_point_values(space, at_field,
-                                                       vol.values)), dtype=float)
+        wvals = _finite(weight(element_point_values(space, at_field, vol.values)),
+                        "the mass weight N'(u)")
     else:
-        wvals = np.asarray(weight(pts[..., 0], pts[..., 1]), dtype=float)
+        wvals = _finite(weight(pts[..., 0], pts[..., 1]),
+                        "the mass weight w(x, y)")
     wvals = np.broadcast_to(wvals, pts.shape[:2])
     scaled = space.dets[:, None] * vol.rule.weights[None, :] * wvals
     blocks = np.einsum("eq,qi,qj->eij", scaled, vol.values, vol.values)
@@ -201,8 +211,8 @@ def assemble_load(space: DGSpace, f, cfg: AssemblyConfig) -> np.ndarray:
     r = space.degree
     vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
     pts = space.physical_points(vol.rule.points)
-    fvals = np.broadcast_to(np.asarray(f(pts[..., 0], pts[..., 1]), dtype=float),
-                            pts.shape[:2])
+    fvals = np.broadcast_to(
+        _finite(f(pts[..., 0], pts[..., 1]), "the load f(x, y)"), pts.shape[:2])
     scaled = space.dets[:, None] * vol.rule.weights[None, :] * fvals
     return np.einsum("eq,qi->ei", scaled, vol.values).ravel()
 
@@ -214,9 +224,9 @@ def _nonlinear_load(space, u, problem, cfg):
     pts = space.physical_points(vol.rule.points)
     uvals = element_point_values(space, u, vol.values)
     fvals = np.broadcast_to(
-        np.asarray(problem.source(pts[..., 0], pts[..., 1]), dtype=float),
+        _finite(problem.source(pts[..., 0], pts[..., 1]), "the source g(x, y)"),
         uvals.shape,
-    ) - problem.nonlinearity(uvals)
+    ) - _finite(problem.nonlinearity(uvals), "the nonlinearity N(u)")
     scaled = space.dets[:, None] * vol.rule.weights[None, :] * fvals
     return np.einsum("eq,qi->ei", scaled, vol.values).ravel()
 

@@ -35,11 +35,17 @@ class NotConverged(DgslError):
 
 
 class IndefiniteOperator(DgslError):
-    """A direction of non-positive curvature was detected in a CG solve."""
+    """The operator is not positive definite: CG met a direction of
+    non-positive curvature, or the sparse LU a negative or off-diagonal
+    pivot."""
 
 
 class SingularOperator(DgslError):
     """The sparse LU factorization met an exactly singular matrix."""
+
+
+class NonFiniteValue(DgslError):
+    """A problem callback returned NaN or inf at a quadrature point."""
 
 
 class NewtonDiverged(DgslError):

@@ -2,13 +2,15 @@
 
 Two interchangeable methods sit behind one contract (residual bound plus
 determinism): preconditioned conjugate gradients with an exact
-per-element block-Jacobi preconditioner, and a direct sparse
-factorization. CG raises IndefiniteOperator when it meets a direction of
-non-positive curvature, which is the practical symptom of an
-insufficient penalty parameter.
+per-element block-Jacobi preconditioner (or a caller's preconditioner,
+such as the factor of a nearby matrix), and a direct sparse
+factorization. Both certify definiteness: CG raises IndefiniteOperator
+when it meets a direction of non-positive curvature, and the
+factorization when a pivot is negative. Either is the practical symptom
+of an insufficient penalty parameter.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +26,36 @@ class LinearSolveReport:
     relative_residual: float
     converged: bool
     method: str = "pcg"
+    # the certified factor of a "direct" solve, for preconditioning
+    # later nearby systems
+    factor: object = field(default=None, repr=False, compare=False)
+
+
+def symmetric_factor(a: SparseSymMatrix):
+    """Sparse LU of `a` with a symmetric fill-reducing ordering and
+    diagonal pivots, certified positive definite.
+
+    When the row and column permutations agree, P A P^T = L D L^T with
+    D = diag(U), so by Sylvester's law of inertia `a` has as many
+    negative eigenvalues as U has negative pivots. Raises
+    SingularOperator on an exactly singular matrix and
+    IndefiniteOperator on an off-diagonal or negative pivot.
+    """
+    try:
+        lu = splu(sparse.csc_matrix(a.csr), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularOperator(f"sparse LU failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise IndefiniteOperator(
+            "sparse LU needed an off-diagonal pivot, so the operator is "
+            "not positive definite")
+    negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    if negative:
+        raise IndefiniteOperator(
+            f"sparse LU met {negative} negative pivots, so the operator has "
+            f"{negative} negative eigenvalues (penalty too small?)")
+    return lu
 
 
 def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
@@ -36,16 +68,13 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
     if n % block_size:
         raise ValueError("matrix dimension is not a multiple of the block size")
     nblocks = n // block_size
+    rows = np.repeat(np.arange(n), np.diff(a.row_offsets))
+    cols = a.col_indices
+    inside = rows // block_size == cols // block_size
+    rows, cols = rows[inside], cols[inside]
     dense = np.zeros((nblocks, block_size, block_size))
-    indptr, indices, data = a.row_offsets, a.col_indices, a.values
-    for b in range(nblocks):
-        lo = b * block_size
-        for i in range(block_size):
-            row = lo + i
-            start, stop = indptr[row], indptr[row + 1]
-            cols = indices[start:stop]
-            inside = (cols >= lo) & (cols < lo + block_size)
-            dense[b, i, cols[inside] - lo] = data[start:stop][inside]
+    dense[rows // block_size, rows % block_size, cols % block_size] = \
+        a.values[inside]
     try:
         np.linalg.cholesky(dense)
     except np.linalg.LinAlgError as exc:
@@ -65,14 +94,16 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
     """Solve a x = b to a relative residual of `tol`.
 
     method "pcg" runs conjugate gradients with the block-Jacobi
-    preconditioner (or a caller-supplied `preconditioner` callable);
-    method "direct" uses a sparse LU factorization. Both are
+    preconditioner (or a caller-supplied symmetric positive definite
+    `preconditioner` callable); method "direct" uses the certified
+    `symmetric_factor`, returned in the report's `factor`. Both are
     deterministic: identical inputs give bit-identical results.
 
     Returns (x, LinearSolveReport). Raises NotConverged (with the report
     attached) when the iteration budget runs out, IndefiniteOperator
-    when CG detects non-positive curvature, and SingularOperator when
-    the LU factorization meets an exactly singular matrix.
+    when CG detects non-positive curvature or the factorization a
+    negative pivot, and SingularOperator when the factorization meets
+    an exactly singular matrix.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.dim,):
@@ -93,10 +124,7 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
         return rel * norm_b <= 100.0 * np.finfo(float).eps * scale
 
     if method == "direct":
-        try:
-            lu = splu(sparse.csc_matrix(a.csr))
-        except RuntimeError as exc:
-            raise SingularOperator(f"sparse LU failed: {exc}") from exc
+        lu = symmetric_factor(a)
         x = lu.solve(b)
         rel = float(np.linalg.norm(b - a @ x)) / norm_b
         # Iterative refinement recovers digits lost to conditioning.
@@ -110,7 +138,8 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
             if new_rel >= rel:
                 break
             x, rel = x_new, new_rel
-        report = LinearSolveReport(steps, rel, acceptable(x, rel), "direct")
+        report = LinearSolveReport(steps, rel, acceptable(x, rel), "direct",
+                                   factor=lu)
         if not report.converged:
             raise NotConverged("direct solve left a large residual",
                                report=report, x=x)

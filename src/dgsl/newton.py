@@ -5,6 +5,14 @@ Each step solves J(u^k) delta = -residual(u^k) with the exact Jacobian
 delta where alpha comes from residual-decrease backtracking. The
 stiffness part of the operator is assembled once per solve; only the
 mass weight changes between iterations.
+
+With the default "direct" linear method the first Jacobian is factored
+and later steps run CG preconditioned by that factor (a lagged
+preconditioner). The Jacobians differ only in the mass term, and under
+N' >= 0 each is positive definite, so the old factor is a near-exact
+SPD preconditioner: CG needs a few iterations where a new factorization
+would cost far more. A Jacobian is factored afresh only when CG needs
+more than REFACTOR_ITERATIONS iterations.
 """
 
 import warnings
@@ -16,10 +24,16 @@ import numpy as np
 from .assembly import (AssemblyConfig, _nonlinear_load, _volume_tables,
                        assemble_bilinear, assemble_weighted_mass,
                        element_point_values)
-from .errors import NewtonDiverged, NotConverged
+from .errors import NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import solve_spd
 from .problems import Problem
 from .space import DGSpace, DGVector, interpolate
+
+
+# CG iterations on a later Jacobian, preconditioned by the factor of an
+# earlier one, before that Jacobian is factored itself. The sine problem
+# needs 5-6; at P3, n = 64, 25 factor solves cost about one factorization.
+REFACTOR_ITERATIONS = 25
 
 
 @dataclass(frozen=True)
@@ -71,6 +85,25 @@ def _check_sign_assumption(space, u, problem, values_table):
         )
 
 
+def _lagged_factor_step(jac, rhs, factor, tol):
+    """Solve jac delta = rhs by CG preconditioned with `factor`, the
+    factor of an earlier Jacobian, or directly when there is none or CG
+    exceeds REFACTOR_ITERATIONS. Returns (delta, report, factor to keep).
+    """
+    if factor is not None:
+        try:
+            delta, lin = solve_spd(jac, rhs, tol=tol,
+                                   max_iter=REFACTOR_ITERATIONS,
+                                   preconditioner=factor.solve)
+            return delta, lin, factor
+        except NotConverged:
+            pass
+    delta, lin = solve_spd(jac, rhs, tol=tol, method="direct")
+    # the Newton report keeps the linear report but not the factor
+    factor, lin.factor = lin.factor, None
+    return delta, lin, factor
+
+
 def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
                      ncfg: Optional[NewtonConfig] = None):
     """Solve a(u_h, v) = (f(u_h), v) by damped Newton.
@@ -92,6 +125,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
             space, DGVector(space, vec), problem, cfg)
 
     report = NewtonReport()
+    factor = None
     res = residual(u)
     res_norm = float(np.linalg.norm(res))
     report.residual_norms.append(res_norm)
@@ -103,16 +137,26 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
             break
         jac = assemble_weighted_mass(space, problem.d_nonlinearity, cfg,
                                      at_field=DGVector(space, u)) + stiffness
-        delta, lin = solve_spd(jac, -res, tol=ncfg.linear_tol,
-                               method=ncfg.linear_method,
-                               block_size=space.dofs_per_element)
+        if ncfg.linear_method == "direct":
+            delta, lin, factor = _lagged_factor_step(jac, -res, factor,
+                                                     ncfg.linear_tol)
+        else:
+            delta, lin = solve_spd(jac, -res, tol=ncfg.linear_tol,
+                                   method=ncfg.linear_method,
+                                   block_size=space.dofs_per_element)
         report.linear_reports.append(lin)
 
         alpha = 1.0
         for _ in range(ncfg.max_backtracks + 1):
             trial = u + alpha * delta
-            trial_res = residual(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
+            try:
+                trial_res = residual(trial)
+                trial_norm = float(np.linalg.norm(trial_res))
+            except NonFiniteValue:
+                # an overshooting trial left the callbacks' domain
+                if not ncfg.damping:
+                    raise
+                trial_norm = np.inf
             if trial_norm < res_norm or not ncfg.damping:
                 break
             alpha *= ncfg.backtrack_factor

@@ -1,5 +1,8 @@
 """Command-line interface: config parsing, subcommands, exit codes."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import dgsl
@@ -103,6 +106,32 @@ def test_solver_failure_exit_code_and_partial_flush(tmp_path, capsys):
                     + "newton.max_iterations = 1\n")
     assert main(["run", "--config", str(conf)]) == EXIT_SOLVER
     # the partial report (header, no completed rows) is still flushed
+    assert out.read_text().startswith(CSV_HEADER)
+
+
+def test_run_small_penalty_exits_solver_error(tmp_path, capsys):
+    # the direct solver's inertia certificate rejects the indefinite operator
+    conf = tmp_path / "study.conf"
+    out = tmp_path / "partial.csv"
+    conf.write_text(BASIC_CONFIG + f"output.path = {out}\n")
+    code = main(["run", "--config", str(conf), "--set", "penalty=0.01"])
+    assert code == EXIT_SOLVER
+    assert "IndefiniteOperator" in capsys.readouterr().err
+    assert out.read_text().startswith(CSV_HEADER)
+
+
+def test_run_non_finite_source_exits_solver_error(tmp_path, capsys,
+                                                  monkeypatch):
+    sine = dgsl.get_problem("sine")
+    broken = dataclasses.replace(sine, name="nan-source",
+                                 source=lambda x, y: np.nan * x)
+    monkeypatch.setitem(dgsl.problems._REGISTRY, broken.name, broken)
+    conf = tmp_path / "study.conf"
+    out = tmp_path / "partial.csv"
+    conf.write_text(BASIC_CONFIG.replace("sine", broken.name)
+                    + f"output.path = {out}\n")
+    assert main(["run", "--config", str(conf)]) == EXIT_SOLVER
+    assert "NonFiniteValue" in capsys.readouterr().err
     assert out.read_text().startswith(CSV_HEADER)
 
 

@@ -113,3 +113,45 @@ def test_singular_matrix_raises_named_error(rng):
     with pytest.raises(SingularOperator) as excinfo:
         solve_spd(as_matrix(dense), rng.standard_normal(6), method="direct")
     assert isinstance(excinfo.value, DgslError)
+
+
+def test_small_penalty_operator_is_detected_indefinite_by_direct_solver(rng):
+    space = space_on(4, 2)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
+    negative = int((eigvalsh(a.toarray()) < 0).sum())
+    assert negative > 0
+    with pytest.raises(IndefiniteOperator) as excinfo:
+        solve_spd(a, rng.standard_normal(a.dim), method="direct")
+    # Sylvester's law of inertia: one negative pivot per negative eigenvalue
+    assert f"met {negative} negative pivots" in str(excinfo.value)
+
+
+def test_symmetric_factor_is_certified_and_returned(rng):
+    space = space_on(4, 2)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    b = rng.standard_normal(a.dim)
+    x, report = solve_spd(a, b, method="direct")
+    lu = report.factor
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert (lu.U.diagonal() > 0).all()
+    # the returned factor solves the same system
+    assert np.linalg.norm(lu.solve(b) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_jacobi_blocks_match_dense_slices(r):
+    mesh = dgsl.build_perturbed(4, 0.2, seed=3)
+    space = dgsl.DGSpace(mesh, r)
+    cfg = AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg) + dgsl.assemble_weighted_mass(
+        space, lambda x, y: 1.0 + x * y, cfg)
+    d = space.dofs_per_element
+    nblocks = a.dim // d
+    dense = a.toarray()
+    blocks = np.stack([dense[b * d:(b + 1) * d, b * d:(b + 1) * d]
+                       for b in range(nblocks)])
+    apply = dgsl.block_jacobi_preconditioner(a, d)
+    # column j of every inverse block at once: a unit vector in each block
+    columns = np.stack([apply(np.tile(np.eye(d)[j], nblocks)).reshape(nblocks, d)
+                        for j in range(d)], axis=-1)
+    assert_allclose(columns, np.linalg.inv(blocks), rtol=1e-13, atol=0)

@@ -1,12 +1,16 @@
 """Newton solver behavior on linear and semilinear problems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dgsl
+import dgsl.linear_solver
+import dgsl.newton
 from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
 from dgsl.analysis import l2_norm_discrete
-from dgsl.errors import IndefiniteOperator, NotConverged
+from dgsl.errors import IndefiniteOperator, NonFiniteValue, NotConverged
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
 
@@ -102,18 +106,105 @@ def test_sign_assumption_violation_warns():
         solve_semilinear(space, problem, AssemblyConfig(penalty=100.0))
 
 
-def test_strongly_indefinite_propagates():
-    # N'(u) = -50 makes the Jacobian indefinite; the pcg path must say so
-    problem = Problem(
+def indefinite_problem():
+    # N'(u) = -50 makes the Jacobian indefinite
+    return Problem(
         name="indefinite",
         nonlinearity=lambda u: -50.0 * u,
         d_nonlinearity=lambda u: -50.0 * np.ones_like(u),
         source=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
     )
+
+
+def test_strongly_indefinite_propagates():
+    # the pcg path must say so
     space = space_on(8, 1)
     with pytest.raises(IndefiniteOperator):
-        solve_semilinear(space, problem, AssemblyConfig(penalty=100.0),
+        solve_semilinear(space, indefinite_problem(),
+                         AssemblyConfig(penalty=100.0),
                          NewtonConfig(linear_method="pcg"))
+
+
+def test_strongly_indefinite_propagates_from_direct_solver():
+    # the inertia certificate of the first factorization must say so
+    space = space_on(8, 1)
+    with pytest.raises(IndefiniteOperator, match="negative pivots"):
+        solve_semilinear(space, indefinite_problem(),
+                         AssemblyConfig(penalty=100.0))
+
+
+@pytest.fixture
+def count_factorizations(monkeypatch):
+    calls = []
+    original = dgsl.linear_solver.splu
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dgsl.linear_solver, "splu", counting)
+    return calls
+
+
+def solve_sine(sine, n, r):
+    kwargs = {}
+    if r == 3:
+        kwargs = dict(volume_degree=14, edge_degree=12)
+    return solve_semilinear(space_on(n, r), sine,
+                            AssemblyConfig(penalty=100.0, **kwargs),
+                            NewtonConfig(abs_tol=1e-11))
+
+
+@pytest.mark.parametrize("n, r", [(16, 1), (8, 3)])
+def test_jacobian_factored_once_per_solve(sine, monkeypatch,
+                                          count_factorizations, n, r):
+    u, report = solve_sine(sine, n, r)
+    assert len(count_factorizations) == 1
+    methods = [lin.method for lin in report.linear_reports]
+    assert methods == ["direct"] + ["pcg"] * (report.iterations - 1)
+    assert all(lin.factor is None for lin in report.linear_reports)
+    # reference: a fresh factorization on every step
+    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 0)
+    u_ref, ref = solve_sine(sine, n, r)
+    assert len(count_factorizations) == 1 + ref.iterations
+    assert report.iterations == ref.iterations
+    assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
+        <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+
+
+def test_slow_preconditioned_cg_triggers_refactor(sine, monkeypatch,
+                                                  count_factorizations):
+    u_ref, ref = solve_sine(sine, 16, 1)
+    assert len(count_factorizations) == 1
+    # the sine problem needs more CG iterations than this on later steps
+    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 2)
+    u, report = solve_sine(sine, 16, 1)
+    assert report.converged
+    assert len(count_factorizations) > 2
+    assert "direct" in [lin.method for lin in report.linear_reports[1:]]
+    assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
+        <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+
+
+def _nan_at_half(values):
+    return np.where(np.asarray(values) > 0.5, np.nan, 0.0)
+
+
+@pytest.mark.parametrize("callback", ["source", "nonlinearity",
+                                      "d_nonlinearity"])
+def test_non_finite_callback_raises_named_error(sine, callback):
+    if callback == "source":
+        broken = lambda x, y: np.where(x > 0.5, np.inf, sine.source(x, y))
+    elif callback == "nonlinearity":
+        broken = lambda u: u ** 3 + _nan_at_half(u)
+    else:
+        broken = lambda u: 3.0 * u ** 2 + _nan_at_half(u)
+    problem = dataclasses.replace(sine, **{callback: broken})
+    space = space_on(8, 1)
+    # u = 1 at every quadrature point exposes the u-dependent callbacks
+    with pytest.raises(NonFiniteValue):
+        solve_semilinear(space, problem, AssemblyConfig(penalty=100.0),
+                         NewtonConfig(initial_guess=lambda x, y: 1.0 + 0 * x))
 
 
 def test_config_validation():
@@ -121,3 +212,22 @@ def test_config_validation():
         NewtonConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iterations=0)
+
+
+def test_backtracking_steps_back_from_non_finite_trial():
+    # g = 100 from u = 0: the full first step reaches about 7.3, beyond the
+    # domain u <= 4.5 of the guarded N; the solution itself peaks near 4.2
+    flat = Problem(name="flat", nonlinearity=lambda u: u ** 3,
+                   d_nonlinearity=lambda u: 3.0 * u ** 2,
+                   source=lambda x, y: 100.0 + 0.0 * x)
+    guarded = dataclasses.replace(
+        flat, nonlinearity=lambda u: np.where(u > 4.5, np.nan, u ** 3))
+    space = space_on(8, 1)
+    cfg = AssemblyConfig(penalty=100.0)
+    u_ref, _ = solve_semilinear(space, flat, cfg)
+    u, report = solve_semilinear(space, guarded, cfg)
+    assert report.converged
+    assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
+        <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+    with pytest.raises(NonFiniteValue):
+        solve_semilinear(space, guarded, cfg, NewtonConfig(damping=False))
