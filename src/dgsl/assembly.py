@@ -14,7 +14,14 @@ pattern of their two adjacent elements, so no term is double counted.
 Element integrals reduce to combinations of reference-element tensors
 contracted with per-element Jacobian data. Edge integrals contract the
 basis traces of `edge_traces` for all edges at once, one (D, D) block per
-pair of sides.
+pair of sides, as batched matrix products.
+
+The operator has one fixed block pattern: every element-diagonal (D, D)
+block is stored in full, and the two blocks of each interior edge are
+stored without their exact zeros. The Newton Jacobian only adds
+element-diagonal mass blocks to the stiffness, so `NewtonKernel` writes
+them into a copy of the stiffness values at fixed positions and reuses
+the stiffness's index arrays.
 """
 
 from dataclasses import dataclass
@@ -103,6 +110,9 @@ class _VolumeTables:
         self.rule = triangle_rule(degree)
         self.values = basis.values(self.rule.points)          # (Q, D)
         self.gradients = basis.gradients(self.rule.points)    # (Q, D, 2)
+        # value_pairs[q, i D + j] = phi_i(x_q) phi_j(x_q)
+        self.value_pairs = (self.values[:, :, None]
+                            * self.values[:, None, :]).reshape(len(self.rule), -1)
         w = self.rule.weights
         # stiff_ref[a, b] = sum_q w_q ghat[q,:,a] ghat[q,:,b]^T
         self.stiff_ref = np.einsum("q,qia,qjb->abij", w,
@@ -119,55 +129,95 @@ def _volume_tables(basis, degree):
     return _TABLE_CACHE[key]
 
 
-def _scatter_blocks(space, row_offsets, col_offsets, blocks):
-    """CSR matrix from dense (D, D) blocks placed at element offsets."""
+def _block_matrix(space, block_rows, block_cols, blocks):
+    """CSR matrix from (D, D) blocks at distinct (element, element)
+    positions, with the entries of each row in column order."""
     d = space.dofs_per_element
-    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    rows = (row_offsets[:, None, None] + ii[None]).ravel()
-    cols = (col_offsets[:, None, None] + jj[None]).ravel()
+    order = np.lexsort((block_cols, block_rows))
+    indptr = np.concatenate([[0], np.cumsum(
+        np.bincount(block_rows, minlength=space.num_elements))])
     n = space.total_dofs
-    coo = sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n))
-    return SparseSymMatrix(sparse.csr_matrix(coo))
+    return sparse.bsr_matrix((blocks[order], block_cols[order], indptr),
+                             shape=(n, n), blocksize=(d, d)).tocsr()
 
 
 def _volume_stiffness_blocks(space, vol):
     # grad phi_i . grad phi_j contracts the reference tensor with
     # invJ invJ^T per element; det converts reference to physical measure.
     metric = np.einsum("eab,ecb->eac", space.inv_jacobians, space.inv_jacobians)
-    return np.einsum("e,eab,abij->eij", space.dets, metric, vol.stiff_ref)
+    d = space.dofs_per_element
+    scaled = space.dets[:, None] * metric.reshape(-1, 4)
+    return (scaled @ vol.stiff_ref.reshape(4, d * d)).reshape(-1, d, d)
 
 
-def _element_offsets(space):
-    return np.arange(space.num_elements, dtype=np.int64) * space.dofs_per_element
+def _edge_blocks(space, cfg):
+    """Flux and penalty blocks of every edge as (m, 2, D, 2, D): entry
+    [m, t, i, s, j] couples test function i on side t with trial
+    function j on side s (side 0 plus, side 1 minus)."""
+    rule = edge_rule(cfg.resolved_edge_degree(space.degree))
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, rule.points)
+    m, _, q, d = values.shape
+
+    # jump[m, q, (s, i)] = sign_s phi_i on side s; flux pairs jumps with
+    # normal derivatives, whose averages weigh 1/2 inside
+    jump = (values * np.array([1.0, -1.0])[None, :, None, None]) \
+        .transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
+    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal) \
+        .transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
+    half_h = (np.where(edges.boundary, 1.0, 0.5) * edges.length)[:, None, None]
+    # one product over the stacked quadrature points gives
+    # J^T W (penalty J - h G) + G^T W (-h J): the penalty term and both
+    # symmetric flux terms
+    left = np.concatenate([jump, normal_grad], axis=1) \
+        * np.tile(rule.weights, 2)[:, None]
+    right = np.concatenate([cfg.penalty * jump - half_h * normal_grad,
+                            -half_h * jump], axis=1)
+    return (left.transpose(0, 2, 1) @ right).reshape(m, 2, d, 2, d)
 
 
 def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
-    """Assemble the full interior penalty operator."""
+    """Assemble the full interior penalty operator.
+
+    Every element-diagonal block is stored in full; exact zeros in the
+    blocks that couple neighbours are not stored.
+    """
     r = space.degree
     vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
-    rule = edge_rule(cfg.resolved_edge_degree(r))
     edges = space.mesh.edges
-    values, grads = edge_traces(space, rule.points)
+    blocks = _edge_blocks(space, cfg)
+    num = space.num_elements
 
-    # jump[m, s, q, i] = sign_s phi_i on side s; flux pairs test jumps
-    # with trial normal derivatives, whose averages weigh 1/2 inside
-    jump = values * np.array([1.0, -1.0])[None, :, None, None]
-    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal)
-    flux = np.einsum("q,mtqi,msqj->mtsij", rule.weights, jump, normal_grad)
-    half_h = np.where(edges.boundary, 1.0, 0.5) * edges.length
-    blocks = -half_h[:, None, None, None, None] * (flux + flux.transpose(0, 2, 1, 4, 3))
-    blocks += cfg.penalty * np.einsum("q,mtqi,msqj->mtsij", rule.weights, jump, jump)
+    # each element's three (edge, side) self-blocks, in edge order
+    sides = np.where(edges.tri >= 0, edges.tri, num).ravel()
+    own = np.argsort(sides, kind="stable")[:3 * num].reshape(num, 3)
+    em, es = np.divmod(own, 2)
+    diagonal = _volume_stiffness_blocks(space, vol)
+    for k in range(3):
+        diagonal += blocks[em[:, k], es[:, k], :, es[:, k], :]
 
-    present = edges.tri >= 0
-    pairs = present[:, :, None] & present[:, None, :]
-    offs = _element_offsets(space)
-    side_offs = offs[np.where(present, edges.tri, 0)]
-    rows0 = np.broadcast_to(side_offs[:, :, None], pairs.shape)[pairs]
-    cols0 = np.broadcast_to(side_offs[:, None, :], pairs.shape)[pairs]
-    return _scatter_blocks(space, np.concatenate([rows0, offs]),
-                           np.concatenate([cols0, offs]),
-                           np.concatenate([blocks[pairs],
-                                           _volume_stiffness_blocks(space, vol)]))
+    inner = np.flatnonzero(~edges.boundary)
+    plus, minus = edges.tri[inner, 0], edges.tri[inner, 1]
+    elements = np.arange(num)
+    a = _block_matrix(space, np.concatenate([elements, plus, minus]),
+                      np.concatenate([elements, minus, plus]),
+                      np.concatenate([diagonal, blocks[inner, 0, :, 1, :],
+                                      blocks[inner, 1, :, 0, :]]))
+
+    # drop exact zeros outside the diagonal blocks, where no Jacobian
+    # term can fill them
+    d = space.dofs_per_element
+    zeros = np.flatnonzero(a.data == 0.0)
+    rows = np.searchsorted(a.indptr, zeros, side="right") - 1
+    outside = a.indices[zeros] // d != rows // d
+    if outside.any():
+        keep = np.ones(a.nnz, dtype=bool)
+        keep[zeros[outside]] = False
+        dropped = np.bincount(rows[outside], minlength=a.shape[0])
+        indptr = a.indptr - np.concatenate([[0], np.cumsum(dropped)])
+        a = sparse.csr_matrix((a.data[keep], a.indices[keep], indptr),
+                              shape=a.shape)
+    return SparseSymMatrix(a)
 
 
 def _finite(values, what):
@@ -178,32 +228,86 @@ def _finite(values, what):
     return values
 
 
-def element_point_values(space: DGSpace, v: DGVector, values_table):
-    """Field values at the table's quadrature points, shape (E, Q)."""
-    return np.einsum("ed,qd->eq", v.by_element(), values_table)
+def _diagonal_block_positions(a: SparseSymMatrix, d):
+    """Positions in `a.values` of every element-diagonal block entry, in
+    (element, i, j) order; every such entry must be stored."""
+    csr = a.csr
+    if not csr.has_sorted_indices:
+        raise ValueError("the stiffness must store its columns in order")
+    rows = np.repeat(np.arange(a.dim), np.diff(csr.indptr))
+    positions = np.flatnonzero(csr.indices // d == rows // d)
+    if len(positions) != a.dim * d:
+        raise ValueError("the stiffness does not store every "
+                         "element-diagonal entry")
+    return positions
 
 
-def assemble_weighted_mass(space: DGSpace, weight, cfg: AssemblyConfig,
-                           at_field: Optional[DGVector] = None) -> SparseSymMatrix:
-    """Mass matrix with pointwise weight.
+class NewtonKernel:
+    """Residual and Jacobian of one problem on one space, as matrix
+    products against tables computed once per solve.
 
-    `weight` is either weight(x, y) or, when `at_field` is given,
-    weight(u(x, y)) evaluated at that field's quadrature-point values.
+    Holds the volume tables V (Q, D) and V (x) V (Q, D^2), the measure
+    dets x weights (E, Q), the source g at the quadrature points
+    (evaluated and checked once) and the positions of the
+    element-diagonal blocks in the stiffness. The Jacobian is a copy of
+    the stiffness values with the N'(u_h)-weighted mass blocks added in
+    place; it shares the stiffness's `indices` and `indptr`.
     """
-    r = space.degree
-    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
+
+    def __init__(self, space: DGSpace, problem, cfg: AssemblyConfig,
+                 stiffness: Optional[SparseSymMatrix] = None):
+        self.space = space
+        self.problem = problem
+        self.stiffness = stiffness if stiffness is not None \
+            else assemble_bilinear(space, cfg)
+        vol = _volume_tables(space.basis, cfg.resolved_volume_degree(space.degree))
+        self.values = vol.values
+        self.value_pairs = vol.value_pairs
+        self.measure = space.dets[:, None] * vol.rule.weights[None, :]
+        pts = space.physical_points(vol.rule.points)
+        self.source = np.broadcast_to(
+            _finite(problem.source(pts[..., 0], pts[..., 1]), "the source g(x, y)"),
+            self.measure.shape)
+        self.diagonal_positions = _diagonal_block_positions(
+            self.stiffness, space.dofs_per_element)
+
+    def point_values(self, u: np.ndarray) -> np.ndarray:
+        """The field with coefficients `u` at the quadrature points, (E, Q)."""
+        return u.reshape(self.space.num_elements, -1) @ self.values.T
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        return self.stiffness @ u - _nonlinear_load(self, u)
+
+    def jacobian(self, u: np.ndarray) -> SparseSymMatrix:
+        weight = _finite(self.problem.d_nonlinearity(self.point_values(u)),
+                         "the mass weight N'(u)")
+        mass = (self.measure * weight) @ self.value_pairs
+        a = self.stiffness.csr
+        data = a.data.copy()
+        data[self.diagonal_positions] += mass.ravel()
+        return SparseSymMatrix(
+            sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape))
+
+
+def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:
+    """int_K (g(x) - N(u_h)) phi_i, i.e. the f(x, u_h) pairing."""
+    fvals = kernel.source - _finite(kernel.problem.nonlinearity(
+        kernel.point_values(u)), "the nonlinearity N(u)")
+    return ((kernel.measure * fvals) @ kernel.values).ravel()
+
+
+def assemble_weighted_mass(space: DGSpace, weight,
+                           cfg: AssemblyConfig) -> SparseSymMatrix:
+    """Block-diagonal mass matrix with pointwise weight w(x, y)."""
+    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(space.degree))
     pts = space.physical_points(vol.rule.points)
-    if at_field is not None:
-        wvals = _finite(weight(element_point_values(space, at_field, vol.values)),
-                        "the mass weight N'(u)")
-    else:
-        wvals = _finite(weight(pts[..., 0], pts[..., 1]),
-                        "the mass weight w(x, y)")
-    wvals = np.broadcast_to(wvals, pts.shape[:2])
+    wvals = np.broadcast_to(_finite(weight(pts[..., 0], pts[..., 1]),
+                                    "the mass weight w(x, y)"), pts.shape[:2])
     scaled = space.dets[:, None] * vol.rule.weights[None, :] * wvals
-    blocks = np.einsum("eq,qi,qj->eij", scaled, vol.values, vol.values)
-    offs = _element_offsets(space)
-    return _scatter_blocks(space, offs, offs, blocks)
+    d = space.dofs_per_element
+    elements = np.arange(space.num_elements)
+    return SparseSymMatrix(_block_matrix(
+        space, elements, elements, (scaled @ vol.value_pairs).reshape(-1, d, d)))
 
 
 def assemble_load(space: DGSpace, f, cfg: AssemblyConfig) -> np.ndarray:
@@ -214,21 +318,7 @@ def assemble_load(space: DGSpace, f, cfg: AssemblyConfig) -> np.ndarray:
     fvals = np.broadcast_to(
         _finite(f(pts[..., 0], pts[..., 1]), "the load f(x, y)"), pts.shape[:2])
     scaled = space.dets[:, None] * vol.rule.weights[None, :] * fvals
-    return np.einsum("eq,qi->ei", scaled, vol.values).ravel()
-
-
-def _nonlinear_load(space, u, problem, cfg):
-    """int_K (g(x) - N(u_h)) phi_i, i.e. the f(x, u_h) pairing."""
-    r = space.degree
-    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
-    pts = space.physical_points(vol.rule.points)
-    uvals = element_point_values(space, u, vol.values)
-    fvals = np.broadcast_to(
-        _finite(problem.source(pts[..., 0], pts[..., 1]), "the source g(x, y)"),
-        uvals.shape,
-    ) - _finite(problem.nonlinearity(uvals), "the nonlinearity N(u)")
-    scaled = space.dets[:, None] * vol.rule.weights[None, :] * fvals
-    return np.einsum("eq,qi->ei", scaled, vol.values).ravel()
+    return (scaled @ vol.values).ravel()
 
 
 def assemble_residual(space: DGSpace, u: DGVector, problem,
@@ -236,8 +326,7 @@ def assemble_residual(space: DGSpace, u: DGVector, problem,
                       stiffness: Optional[SparseSymMatrix] = None) -> np.ndarray:
     """Residual a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
     solution up to solver tolerance."""
-    a = stiffness if stiffness is not None else assemble_bilinear(space, cfg)
-    return a @ u.coeffs - _nonlinear_load(space, u, problem, cfg)
+    return NewtonKernel(space, problem, cfg, stiffness).residual(u.coeffs)
 
 
 def assemble_jacobian(space: DGSpace, u: DGVector, problem,
@@ -245,6 +334,4 @@ def assemble_jacobian(space: DGSpace, u: DGVector, problem,
                       stiffness: Optional[SparseSymMatrix] = None) -> SparseSymMatrix:
     """Newton Jacobian: the bilinear operator plus the mass matrix
     weighted with N'(u_h) (= -f_u, nonnegative under the sign assumption)."""
-    a = stiffness if stiffness is not None else assemble_bilinear(space, cfg)
-    mass = assemble_weighted_mass(space, problem.d_nonlinearity, cfg, at_field=u)
-    return a + mass
+    return NewtonKernel(space, problem, cfg, stiffness).jacobian(u.coeffs)

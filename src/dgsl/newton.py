@@ -3,8 +3,9 @@
 Each step solves J(u^k) delta = -residual(u^k) with the exact Jacobian
 (stiffness plus N'-weighted mass), then updates u^{k+1} = u^k + alpha
 delta where alpha comes from residual-decrease backtracking. The
-stiffness part of the operator is assembled once per solve; only the
-mass weight changes between iterations.
+stiffness, the source at the quadrature points and the block pattern
+are set up once per solve in an `assembly.NewtonKernel`; each residual
+and Jacobian is then one matrix product against its tables.
 
 With the default "direct" linear method the first Jacobian is factored
 and later steps run CG preconditioned by that factor (a lagged
@@ -21,9 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, _nonlinear_load, _volume_tables,
-                       assemble_bilinear, assemble_weighted_mass,
-                       element_point_values)
+from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
+                       assemble_bilinear)
 from .errors import NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import solve_spd
 from .problems import Problem
@@ -74,9 +74,8 @@ class NewtonReport:
         return max(len(self.residual_norms) - 1, 0)
 
 
-def _check_sign_assumption(space, u, problem, values_table):
-    uvals = element_point_values(space, u, values_table)
-    worst = float(problem.d_nonlinearity(uvals).min())
+def _check_sign_assumption(kernel, u):
+    worst = float(kernel.problem.d_nonlinearity(kernel.point_values(u)).min())
     if worst < -1e-13:
         warnings.warn(
             f"N'(u) dips to {worst:.3e} over the iterate range; the "
@@ -114,15 +113,17 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
+    kernel = NewtonKernel(space, problem, cfg, stiffness)
 
     if ncfg.initial_guess == "zero":
         u = np.zeros(space.total_dofs)
     else:
         u = interpolate(space, ncfg.initial_guess).coeffs.copy()
 
+    # the stiffness and the load are called here, not inside the kernel,
+    # so that each stays a module-level boundary a profiler can wrap
     def residual(vec):
-        return stiffness @ vec - _nonlinear_load(
-            space, DGVector(space, vec), problem, cfg)
+        return stiffness @ vec - _nonlinear_load(kernel, vec)
 
     report = NewtonReport()
     factor = None
@@ -135,8 +136,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         if res_norm <= threshold:
             report.converged = True
             break
-        jac = assemble_weighted_mass(space, problem.d_nonlinearity, cfg,
-                                     at_field=DGVector(space, u)) + stiffness
+        jac = kernel.jacobian(u)
         if ncfg.linear_method == "direct":
             delta, lin, factor = _lagged_factor_step(jac, -res, factor,
                                                      ncfg.linear_tol)
@@ -176,7 +176,5 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
             f"newton used {ncfg.max_iterations} iterations, residual "
             f"{res_norm:.3e} > {threshold:.3e}", report=report)
 
-    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(space.degree))
-    solution = DGVector(space, u)
-    _check_sign_assumption(space, solution, problem, vol.values)
-    return solution, report
+    _check_sign_assumption(kernel, u)
+    return DGVector(space, u), report

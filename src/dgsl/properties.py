@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import (dg_error, dg_norm_discrete, edge_identity_residual,
-                       elliptic_project, estimate_trace_constant, l2_error,
-                       l2_norm_discrete, observed_orders)
-from .assembly import AssemblyConfig, assemble_bilinear, assemble_jacobian, \
-    assemble_residual
+from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
+                       edge_identity_residual, elliptic_project,
+                       estimate_trace_constant, l2_error, l2_norm_discrete,
+                       observed_orders)
+from .assembly import AssemblyConfig, NewtonKernel, assemble_bilinear, \
+    assemble_jacobian
 from .errors import DgslError
 from .mesh import build_perturbed, build_structured
 from .newton import NewtonConfig, solve_semilinear
@@ -127,6 +128,31 @@ def check_symmetry(overrides):
                        f"max relative asymmetry {worst:.2e}")
 
 
+def polynomial_field(r):
+    """p = (0.3 + x - 2y)^r + x y^(r-1), a member of P_r, as (value,
+    gradient) callbacks."""
+    def value(x, y):
+        return (0.3 + x - 2.0 * y) ** r + x * y ** (r - 1)
+
+    def gradient(x, y):
+        base = r * (0.3 + x - 2.0 * y) ** (r - 1)
+        dy = (r - 1) * x * y ** (r - 2) if r > 1 else 0.0 * x
+        return base + y ** (r - 1), -2.0 * base + dy
+
+    return value, gradient
+
+
+def bilinear_consistency(space, cfg):
+    """max |A I p - a(p, phi_i)| / max |a(p, phi_i)| for the polynomial
+    p of `polynomial_field`: the assembled matrix applied to the
+    interpolant against the form evaluated on the exact field. Wrong side
+    traces break it, unlike the symmetry and edge-identity checks."""
+    value, gradient = polynomial_field(space.degree)
+    exact = apply_bilinear_to_field(space, value, gradient, cfg)
+    via_matrix = assemble_bilinear(space, cfg) @ interpolate(space, value).coeffs
+    return float(np.abs(via_matrix - exact).max() / np.abs(exact).max())
+
+
 def check_edge_identity(overrides):
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -140,8 +166,14 @@ def check_edge_identity(overrides):
                     _random_vector(space, rng), _random_vector(space, rng))
                 worst = max(worst, res)
                 pairs += 1
-    return CheckResult("edge_identity", worst <= 1e-11,
-                       f"{pairs} random pairs, max relative residual {worst:.2e}")
+    mesh = build_perturbed(6, 0.2, 3)
+    consistency = max(bilinear_consistency(DGSpace(mesh, r),
+                                           AssemblyConfig(penalty=37.0))
+                      for r in (1, 2, 3))
+    return CheckResult("edge_identity", worst <= 1e-11 and consistency <= 1e-11,
+                       f"{pairs} random pairs, max relative residual {worst:.2e}; "
+                       f"A I p against a(p, .) for p in P_r on a perturbed "
+                       f"mesh {consistency:.2e}")
 
 
 def check_continuity(overrides):
@@ -186,17 +218,14 @@ def check_jacobian_fd(overrides):
     worst = 0.0
     for n, r in ((4, 1), (3, 2)):
         space = DGSpace(build_structured(n), r)
-        cfg = AssemblyConfig(penalty=100.0)
-        a = assemble_bilinear(space, cfg)
+        kernel = NewtonKernel(space, problem, AssemblyConfig(penalty=100.0))
         u = interpolate(space, problem.exact.value)
         u.coeffs += 0.1 * rng.standard_normal(space.total_dofs)
-        jac = assemble_jacobian(space, u, problem, cfg, stiffness=a)
+        jac = kernel.jacobian(u.coeffs)
         d = rng.standard_normal(space.total_dofs)
         eps = 1e-6
-        up = DGVector(space, u.coeffs + eps * d)
-        um = DGVector(space, u.coeffs - eps * d)
-        fd = (assemble_residual(space, up, problem, cfg, stiffness=a)
-              - assemble_residual(space, um, problem, cfg, stiffness=a)) / (2 * eps)
+        fd = (kernel.residual(u.coeffs + eps * d)
+              - kernel.residual(u.coeffs - eps * d)) / (2 * eps)
         jd = jac @ d
         worst = max(worst, float(np.linalg.norm(fd - jd) / np.linalg.norm(jd)))
     return CheckResult("jacobian_fd", worst <= 1e-6,

@@ -4,14 +4,15 @@ Triangle rules are conical products of Gauss-Legendre and Gauss-Jacobi
 rules through the Duffy substitution x = s*(1-t), y = t, which maps the
 unit square onto the reference triangle {x >= 0, y >= 0, x + y <= 1}.
 An m x m conical rule integrates all polynomials of total degree
-2m - 1 exactly, and all of its weights are positive.
+2m - 1 exactly, and all of its weights are positive. Rules are built
+once per degree and shared: their arrays are read-only.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import UnsupportedDegree
 
@@ -54,6 +55,21 @@ def _gauss_legendre_01(m):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _gauss_jacobi_10(m):
+    """m-point Gauss-Jacobi rule for the weight (1 - t) on [-1, 1], by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the monic Jacobi(1, 0) recurrence, and the weights are the integral
+    of the weight (2) times the squared first eigenvector components."""
+    k = np.arange(m)
+    diagonal = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    j = np.arange(1, m)
+    offdiagonal = np.sqrt(j * (j + 1.0)) / (2 * j + 1)
+    jacobi = np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, 2.0 * vectors[0] ** 2
+
+
+@functools.lru_cache(maxsize=None)
 def triangle_rule(degree: int) -> QuadRule:
     """Rule on the reference triangle exact for total degree <= `degree`.
 
@@ -67,7 +83,7 @@ def triangle_rule(degree: int) -> QuadRule:
     m = (degree + 2) // 2
     s, ws = _gauss_legendre_01(m)
     # Gauss-Jacobi with weight (1 - t) on [-1, 1], mapped to [0, 1].
-    t, wt = roots_jacobi(m, 1.0, 0.0)
+    t, wt = _gauss_jacobi_10(m)
     t = (t + 1.0) / 2.0
     wt = wt / 4.0
     pts = np.empty((m * m, 2))
@@ -82,6 +98,7 @@ def triangle_rule(degree: int) -> QuadRule:
     return QuadRule(pts, wgt, 2 * m - 1)
 
 
+@functools.lru_cache(maxsize=None)
 def edge_rule(degree: int) -> QuadRule:
     """Gauss-Legendre rule on [0, 1] exact for degree <= `degree`."""
     if not 1 <= degree <= MAX_EDGE_DEGREE:

@@ -11,14 +11,17 @@ matrix assembly.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
 
 import dgsl
 from dgsl import (AssemblyConfig, DGVector, assemble_bilinear,
                   assemble_jacobian, assemble_load, assemble_residual,
                   assemble_weighted_mass, interpolate)
 from dgsl.analysis import apply_bilinear_to_field, laplacian_pairing
-
+from dgsl.assembly import NewtonKernel
+from dgsl.errors import NonFiniteValue
 from dgsl.problems import Problem
+from dgsl.properties import polynomial_field
 from dgsl.quadrature import edge_rule, triangle_rule
 
 from conftest import space_on
@@ -268,3 +271,164 @@ def test_csr_fields_exposed():
             block = dense2[i * d:(i + 1) * d, j * d:(j + 1) * d]
             if i != j and (i, j) not in neighbours:
                 assert not block.any()
+
+
+# The per-call formulas the Newton kernel replaced, kept as an oracle:
+# quadrature points mapped on every call, three-operand einsums, and
+# element blocks scattered through COO.
+
+def _oracle_tables(space, cfg):
+    rule = triangle_rule(cfg.resolved_volume_degree(space.degree))
+    return rule, space.basis.values(rule.points), space.physical_points(rule.points)
+
+
+def _coo_blocks(space, rows, cols, blocks):
+    d = space.dofs_per_element
+    ii, jj = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    n = space.total_dofs
+    return sparse.csr_matrix(sparse.coo_matrix(
+        (blocks.ravel(), ((rows[:, None, None] * d + ii).ravel(),
+                          (cols[:, None, None] * d + jj).ravel())), shape=(n, n)))
+
+
+def oracle_residual(space, u, problem, cfg, a):
+    rule, vals, pts = _oracle_tables(space, cfg)
+    uvals = np.einsum("ed,qd->eq", u.reshape(space.num_elements, -1), vals)
+    f = problem.source(pts[..., 0], pts[..., 1]) - problem.nonlinearity(uvals)
+    scaled = space.dets[:, None] * rule.weights[None, :] * f
+    return a @ u - np.einsum("eq,qi->ei", scaled, vals).ravel()
+
+
+def oracle_jacobian(space, u, problem, cfg, a):
+    rule, vals, _ = _oracle_tables(space, cfg)
+    uvals = np.einsum("ed,qd->eq", u.reshape(space.num_elements, -1), vals)
+    scaled = space.dets[:, None] * rule.weights[None, :] \
+        * problem.d_nonlinearity(uvals)
+    blocks = np.einsum("eq,qi,qj->eij", scaled, vals, vals)
+    elements = np.arange(space.num_elements)
+    return a.csr + _coo_blocks(space, elements, elements, blocks)
+
+
+def oracle_bilinear(space, cfg):
+    """The operator by einsum contractions and one COO scatter."""
+    r = space.degree
+    vrule = triangle_rule(cfg.resolved_volume_degree(r))
+    gtab = space.basis.gradients(vrule.points)
+    phys = np.einsum("qia,eab->eqib", gtab, space.inv_jacobians)
+    volume = np.einsum("e,q,eqia,eqja->eij", space.dets, vrule.weights, phys, phys)
+    rule = edge_rule(cfg.resolved_edge_degree(r))
+    edges = space.mesh.edges
+    values, grads = dgsl.edge_traces(space, rule.points)
+    jump = values * np.array([1.0, -1.0])[None, :, None, None]
+    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal)
+    flux = np.einsum("q,mtqi,msqj->mtsij", rule.weights, jump, normal_grad)
+    half_h = np.where(edges.boundary, 1.0, 0.5) * edges.length
+    blocks = -half_h[:, None, None, None, None] * (flux + flux.transpose(0, 2, 1, 4, 3))
+    blocks += cfg.penalty * np.einsum("q,mtqi,msqj->mtsij", rule.weights, jump, jump)
+    present = edges.tri >= 0
+    pairs = present[:, :, None] & present[:, None, :]
+    tri = np.where(present, edges.tri, 0)
+    rows = np.broadcast_to(tri[:, :, None], pairs.shape)[pairs]
+    cols = np.broadcast_to(tri[:, None, :], pairs.shape)[pairs]
+    elements = np.arange(space.num_elements)
+    return _coo_blocks(space, np.concatenate([rows, elements]),
+                       np.concatenate([cols, elements]),
+                       np.concatenate([blocks[pairs], volume]))
+
+
+def perturbed_space(r):
+    return dgsl.DGSpace(dgsl.build_perturbed(6, 0.2, 3), r)
+
+
+def max_rel(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return float(np.abs(x - y).max() / np.abs(y).max())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_matches_per_call_formulas(sine, r, rng):
+    space = perturbed_space(r)
+    cfg = AssemblyConfig(penalty=37.0)
+    kernel = NewtonKernel(space, sine, cfg)
+    a = kernel.stiffness
+    for _ in range(3):
+        u = rng.standard_normal(space.total_dofs)
+        assert max_rel(kernel.residual(u),
+                       oracle_residual(space, u, sine, cfg, a)) <= 1e-13
+        assert max_rel(kernel.jacobian(u).toarray(),
+                       oracle_jacobian(space, u, sine, cfg, a).toarray()) <= 1e-13
+    # the public entry points route through the same kernel
+    v = DGVector(space, u)
+    assert_allclose(assemble_residual(space, v, sine, cfg, stiffness=a),
+                    kernel.residual(u), rtol=0, atol=0)
+    assert_allclose(assemble_jacobian(space, v, sine, cfg, stiffness=a).values,
+                    kernel.jacobian(u).values, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_jacobian_shares_the_stiffness_pattern(sine, r, rng):
+    space = perturbed_space(r)
+    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=37.0))
+    a = kernel.stiffness.csr
+    jac = kernel.jacobian(rng.standard_normal(space.total_dofs)).csr
+    assert np.array_equal(jac.indices, a.indices)
+    assert np.array_equal(jac.indptr, a.indptr)
+    assert np.shares_memory(jac.indices, a.indices)
+    assert not np.shares_memory(jac.data, a.data)
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r):
+    space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=37.0)).csr
+    d = space.dofs_per_element
+    rows = np.repeat(np.arange(space.total_dofs), np.diff(a.indptr))
+    diagonal = a.indices // d == rows // d
+    assert diagonal.sum() == space.num_elements * d * d
+    assert np.count_nonzero(a.data[~diagonal] == 0.0) == 0
+    assert a.has_sorted_indices
+    # the stored pattern is exactly the nonzeros plus the diagonal blocks
+    dense = a.toarray()
+    blockdiag = np.kron(np.eye(space.num_elements), np.ones((d, d))) > 0
+    assert a.nnz == np.count_nonzero((dense != 0.0) | blockdiag)
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_bilinear_matches_coo_oracle(mesh, r):
+    space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
+    cfg = AssemblyConfig(penalty=37.0)
+    a = assemble_bilinear(space, cfg).toarray()
+    oracle = oracle_bilinear(space, cfg).toarray()
+    assert np.abs(a - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_bilinear_reproduces_the_form_on_polynomials(r):
+    # a(p, phi_i) for p in P_r: wrong side traces (a flipped edge table)
+    # break this, while symmetry and the edge identity still hold
+    space = perturbed_space(r)
+    cfg = AssemblyConfig(penalty=37.0)
+    value, gradient = polynomial_field(r)
+    exact = apply_bilinear_to_field(space, value, gradient, cfg)
+    via_matrix = assemble_bilinear(space, cfg) @ interpolate(space, value).coeffs
+    assert max_rel(via_matrix, exact) <= 1e-13
+
+
+def test_non_finite_source_raises_when_the_kernel_is_built(sine):
+    broken = Problem(name="nan-source", nonlinearity=sine.nonlinearity,
+                     d_nonlinearity=sine.d_nonlinearity,
+                     source=lambda x, y: np.where(x > 0.5, np.nan, 0.0))
+    with pytest.raises(NonFiniteValue, match="source"):
+        NewtonKernel(space_on(4, 1), broken, AssemblyConfig(penalty=100.0))
+
+
+def test_kernel_rejects_a_stiffness_without_full_diagonal_blocks(sine):
+    space = space_on(2, 1)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0)).csr.copy()
+    a.data[0] = 0.0
+    a.eliminate_zeros()
+    with pytest.raises(ValueError, match="element-diagonal"):
+        NewtonKernel(space, sine, AssemblyConfig(penalty=100.0),
+                     stiffness=dgsl.SparseSymMatrix(a))

@@ -5,12 +5,18 @@ a! b! / (a+b+2)!, and int_0^1 t^a = 1/(a+1).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
+import dgsl
 from dgsl import edge_rule, triangle_rule
 from dgsl.errors import UnsupportedDegree
+from dgsl.quadrature import _gauss_jacobi_10
 
 
 def tri_integral(a, b):
@@ -110,3 +116,28 @@ def test_rules_are_immutable():
     rule = triangle_rule(3)
     with pytest.raises(ValueError):
         rule.weights[0] = 0.0
+
+
+def test_rules_are_built_once_per_degree():
+    assert triangle_rule(7) is triangle_rule(7)
+    assert edge_rule(6) is edge_rule(6)
+    assert triangle_rule(7) is not triangle_rule(9)
+
+
+@pytest.mark.parametrize("m", range(1, 12))
+def test_gauss_jacobi_rule_matches_scipy(m):
+    from scipy.special import roots_jacobi
+    nodes, weights = _gauss_jacobi_10(m)
+    ref_nodes, ref_weights = roots_jacobi(m, 1.0, 0.0)
+    assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-14)
+    assert_allclose(weights, ref_weights, rtol=0, atol=1e-14)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    src = Path(dgsl.__file__).resolve().parent.parent
+    code = ("import sys; import dgsl, dgsl.cli; "
+            "print(any(m.startswith('scipy.special') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
