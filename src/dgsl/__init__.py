@@ -12,9 +12,7 @@ from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
                        edge_identity_residual, elliptic_project,
                        estimate_trace_constant, l2_error, l2_norm_discrete,
                        laplacian_pairing, observed_orders)
-from .assembly import (AssemblyConfig, SparseSymMatrix, assemble_bilinear,
-                       assemble_jacobian, assemble_load, assemble_residual,
-                       assemble_weighted_mass)
+from .assembly import AssemblyConfig, SparseSymMatrix, assemble_bilinear
 from .basis import ReferenceBasis, make_basis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,
                           run_convergence, run_lambda_sweep)

@@ -24,15 +24,17 @@ them into a copy of the stiffness values at fixed positions and reuses
 the stiffness's index arrays.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
+from .basis import make_basis
 from .errors import NonFiniteValue
 from .quadrature import edge_rule, triangle_rule
-from .space import DGSpace, DGVector, edge_traces
+from .space import DGSpace, edge_traces
 
 
 @dataclass(frozen=True)
@@ -70,29 +72,8 @@ class SparseSymMatrix:
     def dim(self):
         return self.csr.shape[0]
 
-    @property
-    def row_offsets(self):
-        return self.csr.indptr
-
-    @property
-    def col_indices(self):
-        return self.csr.indices
-
-    @property
-    def values(self):
-        return self.csr.data
-
     def __matmul__(self, x):
         return self.csr @ x
-
-    def __add__(self, other):
-        return SparseSymMatrix(sparse.csr_matrix(self.csr + other.csr))
-
-    def __sub__(self, other):
-        return SparseSymMatrix(sparse.csr_matrix(self.csr - other.csr))
-
-    def toarray(self):
-        return self.csr.toarray()
 
     def max_asymmetry(self):
         """max |A - A^T| over all entries (0 for an empty matrix)."""
@@ -106,7 +87,8 @@ class SparseSymMatrix:
 class _VolumeTables:
     """Reference tables for element integrals at one quadrature degree."""
 
-    def __init__(self, basis, degree):
+    def __init__(self, r, degree):
+        basis = make_basis(r)
         self.rule = triangle_rule(degree)
         self.values = basis.values(self.rule.points)          # (Q, D)
         self.gradients = basis.gradients(self.rule.points)    # (Q, D, 2)
@@ -119,26 +101,9 @@ class _VolumeTables:
                                    self.gradients, self.gradients)
 
 
-_TABLE_CACHE = {}
-
-
-def _volume_tables(basis, degree):
-    key = (basis.degree, degree)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _VolumeTables(basis, degree)
-    return _TABLE_CACHE[key]
-
-
-def _block_matrix(space, block_rows, block_cols, blocks):
-    """CSR matrix from (D, D) blocks at distinct (element, element)
-    positions, with the entries of each row in column order."""
-    d = space.dofs_per_element
-    order = np.lexsort((block_cols, block_rows))
-    indptr = np.concatenate([[0], np.cumsum(
-        np.bincount(block_rows, minlength=space.num_elements))])
-    n = space.total_dofs
-    return sparse.bsr_matrix((blocks[order], block_cols[order], indptr),
-                             shape=(n, n), blocksize=(d, d)).tocsr()
+@functools.lru_cache(maxsize=None)
+def _volume_tables(r, degree):
+    return _VolumeTables(r, degree)
 
 
 def _volume_stiffness_blocks(space, vol):
@@ -183,7 +148,7 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     blocks that couple neighbours are not stored.
     """
     r = space.degree
-    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
+    vol = _volume_tables(r, cfg.resolved_volume_degree(r))
     edges = space.mesh.edges
     blocks = _edge_blocks(space, cfg)
     num = space.num_elements
@@ -196,17 +161,24 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     for k in range(3):
         diagonal += blocks[em[:, k], es[:, k], :, es[:, k], :]
 
+    # BSR arrays of the diagonal and interior-edge blocks, each block row
+    # in column order
     inner = np.flatnonzero(~edges.boundary)
     plus, minus = edges.tri[inner, 0], edges.tri[inner, 1]
     elements = np.arange(num)
-    a = _block_matrix(space, np.concatenate([elements, plus, minus]),
-                      np.concatenate([elements, minus, plus]),
-                      np.concatenate([diagonal, blocks[inner, 0, :, 1, :],
-                                      blocks[inner, 1, :, 0, :]]))
+    block_rows = np.concatenate([elements, plus, minus])
+    block_cols = np.concatenate([elements, minus, plus])
+    order = np.lexsort((block_cols, block_rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(block_rows,
+                                                        minlength=num))])
+    d, n = space.dofs_per_element, space.total_dofs
+    a = sparse.bsr_matrix(
+        (np.concatenate([diagonal, blocks[inner, 0, :, 1, :],
+                         blocks[inner, 1, :, 0, :]])[order],
+         block_cols[order], indptr), shape=(n, n), blocksize=(d, d)).tocsr()
 
     # drop exact zeros outside the diagonal blocks, where no Jacobian
     # term can fill them
-    d = space.dofs_per_element
     zeros = np.flatnonzero(a.data == 0.0)
     rows = np.searchsorted(a.indptr, zeros, side="right") - 1
     outside = a.indices[zeros] // d != rows // d
@@ -229,7 +201,7 @@ def _finite(values, what):
 
 
 def _diagonal_block_positions(a: SparseSymMatrix, d):
-    """Positions in `a.values` of every element-diagonal block entry, in
+    """Positions in `a.csr.data` of every element-diagonal block entry, in
     (element, i, j) order; every such entry must be stored."""
     csr = a.csr
     if not csr.has_sorted_indices:
@@ -260,7 +232,8 @@ class NewtonKernel:
         self.problem = problem
         self.stiffness = stiffness if stiffness is not None \
             else assemble_bilinear(space, cfg)
-        vol = _volume_tables(space.basis, cfg.resolved_volume_degree(space.degree))
+        vol = _volume_tables(space.degree,
+                             cfg.resolved_volume_degree(space.degree))
         self.values = vol.values
         self.value_pairs = vol.value_pairs
         self.measure = space.dets[:, None] * vol.rule.weights[None, :]
@@ -276,9 +249,13 @@ class NewtonKernel:
         return u.reshape(self.space.num_elements, -1) @ self.values.T
 
     def residual(self, u: np.ndarray) -> np.ndarray:
+        """a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
+        solution up to solver tolerance."""
         return self.stiffness @ u - _nonlinear_load(self, u)
 
     def jacobian(self, u: np.ndarray) -> SparseSymMatrix:
+        """The stiffness plus the mass matrix weighted with N'(u_h)
+        (= -f_u, nonnegative under the sign assumption)."""
         weight = _finite(self.problem.d_nonlinearity(self.point_values(u)),
                          "the mass weight N'(u)")
         mass = (self.measure * weight) @ self.value_pairs
@@ -294,44 +271,3 @@ def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:
     fvals = kernel.source - _finite(kernel.problem.nonlinearity(
         kernel.point_values(u)), "the nonlinearity N(u)")
     return ((kernel.measure * fvals) @ kernel.values).ravel()
-
-
-def assemble_weighted_mass(space: DGSpace, weight,
-                           cfg: AssemblyConfig) -> SparseSymMatrix:
-    """Block-diagonal mass matrix with pointwise weight w(x, y)."""
-    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(space.degree))
-    pts = space.physical_points(vol.rule.points)
-    wvals = np.broadcast_to(_finite(weight(pts[..., 0], pts[..., 1]),
-                                    "the mass weight w(x, y)"), pts.shape[:2])
-    scaled = space.dets[:, None] * vol.rule.weights[None, :] * wvals
-    d = space.dofs_per_element
-    elements = np.arange(space.num_elements)
-    return SparseSymMatrix(_block_matrix(
-        space, elements, elements, (scaled @ vol.value_pairs).reshape(-1, d, d)))
-
-
-def assemble_load(space: DGSpace, f, cfg: AssemblyConfig) -> np.ndarray:
-    """Load vector int_K f phi_i for a broadcastable source f(x, y)."""
-    r = space.degree
-    vol = _volume_tables(space.basis, cfg.resolved_volume_degree(r))
-    pts = space.physical_points(vol.rule.points)
-    fvals = np.broadcast_to(
-        _finite(f(pts[..., 0], pts[..., 1]), "the load f(x, y)"), pts.shape[:2])
-    scaled = space.dets[:, None] * vol.rule.weights[None, :] * fvals
-    return (scaled @ vol.values).ravel()
-
-
-def assemble_residual(space: DGSpace, u: DGVector, problem,
-                      cfg: AssemblyConfig,
-                      stiffness: Optional[SparseSymMatrix] = None) -> np.ndarray:
-    """Residual a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
-    solution up to solver tolerance."""
-    return NewtonKernel(space, problem, cfg, stiffness).residual(u.coeffs)
-
-
-def assemble_jacobian(space: DGSpace, u: DGVector, problem,
-                      cfg: AssemblyConfig,
-                      stiffness: Optional[SparseSymMatrix] = None) -> SparseSymMatrix:
-    """Newton Jacobian: the bilinear operator plus the mass matrix
-    weighted with N'(u_h) (= -f_u, nonnegative under the sign assumption)."""
-    return NewtonKernel(space, problem, cfg, stiffness).jacobian(u.coeffs)

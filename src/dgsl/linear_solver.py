@@ -1,13 +1,13 @@
 """Solvers for the symmetric positive definite Newton-step systems.
 
-Two interchangeable methods sit behind one contract (residual bound plus
-determinism): preconditioned conjugate gradients with an exact
-per-element block-Jacobi preconditioner (or a caller's preconditioner,
-such as the factor of a nearby matrix), and a direct sparse
-factorization. Both certify definiteness: CG raises IndefiniteOperator
-when it meets a direction of non-positive curvature, and the
-factorization when a pivot is negative. Either is the practical symptom
-of an insufficient penalty parameter.
+One entry point, `solve_spd`, picks its method from its arguments: with
+no preconditioner it runs a direct sparse factorization; with one (such
+as the factor of a nearby matrix, or the exact per-element block-Jacobi
+inverse of `block_jacobi_preconditioner`) it runs preconditioned
+conjugate gradients. Both certify definiteness: CG raises
+IndefiniteOperator when it meets a direction of non-positive curvature,
+and the factorization when a pivot is negative. Either is the practical
+symptom of an insufficient penalty parameter.
 """
 
 from dataclasses import dataclass, field
@@ -68,13 +68,14 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
     if n % block_size:
         raise ValueError("matrix dimension is not a multiple of the block size")
     nblocks = n // block_size
-    rows = np.repeat(np.arange(n), np.diff(a.row_offsets))
-    cols = a.col_indices
+    csr = a.csr
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    cols = csr.indices
     inside = rows // block_size == cols // block_size
     rows, cols = rows[inside], cols[inside]
     dense = np.zeros((nblocks, block_size, block_size))
     dense[rows // block_size, rows % block_size, cols % block_size] = \
-        a.values[inside]
+        csr.data[inside]
     try:
         np.linalg.cholesky(dense)
     except np.linalg.LinAlgError as exc:
@@ -90,14 +91,16 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
 
 
 def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
-              method: str = "pcg", preconditioner=None, block_size=None):
+              preconditioner=None):
     """Solve a x = b to a relative residual of `tol`.
 
-    method "pcg" runs conjugate gradients with the block-Jacobi
-    preconditioner (or a caller-supplied symmetric positive definite
-    `preconditioner` callable); method "direct" uses the certified
-    `symmetric_factor`, returned in the report's `factor`. Both are
-    deterministic: identical inputs give bit-identical results.
+    Without a `preconditioner` the solve is direct ("direct" in the
+    report): the certified `symmetric_factor`, returned in the report's
+    `factor`, plus iterative refinement. With a symmetric positive
+    definite `preconditioner` callable it runs preconditioned conjugate
+    gradients ("pcg") for at most `max_iter` iterations (10 x dim by
+    default). Both are deterministic: identical inputs give
+    bit-identical results.
 
     Returns (x, LinearSolveReport). Raises NotConverged (with the report
     attached) when the iteration budget runs out, IndefiniteOperator
@@ -108,6 +111,7 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
     b = np.asarray(b, dtype=float)
     if b.shape != (a.dim,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({a.dim},)")
+    method = "direct" if preconditioner is None else "pcg"
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b), LinearSolveReport(0, 0.0, True, method)
@@ -123,7 +127,7 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
         scale = a.max_abs() * float(np.linalg.norm(x)) + norm_b
         return rel * norm_b <= 100.0 * np.finfo(float).eps * scale
 
-    if method == "direct":
+    if preconditioner is None:
         lu = symmetric_factor(a)
         x = lu.solve(b)
         rel = float(np.linalg.norm(b - a @ x)) / norm_b
@@ -144,19 +148,6 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
             raise NotConverged("direct solve left a large residual",
                                report=report, x=x)
         return x, report
-    if method != "pcg":
-        raise ValueError(f"unknown method {method!r}")
-
-    if preconditioner is None:
-        if block_size is None:
-            block_size = 1
-        if block_size == 1:
-            diag = a.csr.diagonal()
-            if np.any(diag <= 0.0):
-                raise IndefiniteOperator("non-positive diagonal entry")
-            preconditioner = lambda r: r / diag
-        else:
-            preconditioner = block_jacobi_preconditioner(a, block_size)
 
     if max_iter is None:
         max_iter = 10 * a.dim

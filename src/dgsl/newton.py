@@ -7,13 +7,15 @@ stiffness, the source at the quadrature points and the block pattern
 are set up once per solve in an `assembly.NewtonKernel`; each residual
 and Jacobian is then one matrix product against its tables.
 
-With the default "direct" linear method the first Jacobian is factored
+This is the one linear path: the first Jacobian of a solve is factored,
 and later steps run CG preconditioned by that factor (a lagged
 preconditioner). The Jacobians differ only in the mass term, and under
 N' >= 0 each is positive definite, so the old factor is a near-exact
 SPD preconditioner: CG needs a few iterations where a new factorization
 would cost far more. A Jacobian is factored afresh only when CG needs
-more than REFACTOR_ITERATIONS iterations.
+more than REFACTOR_ITERATIONS iterations. CG keeps its
+negative-curvature check and every factor its inertia certificate, so
+either path raises IndefiniteOperator on an indefinite Jacobian.
 """
 
 import warnings
@@ -34,6 +36,11 @@ from .space import DGSpace, DGVector, interpolate
 # earlier one, before that Jacobian is factored itself. The sine problem
 # needs 5-6; at P3, n = 64, 25 factor solves cost about one factorization.
 REFACTOR_ITERATIONS = 25
+# relative residual of every Newton-step linear solve
+LINEAR_TOL = 1e-12
+# line search: alpha shrinks by this factor, at most this many times
+BACKTRACK_FACTOR = 0.5
+MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,7 @@ class NewtonConfig:
     rel_tol: float = 1e-12
     max_iterations: int = 25
     damping: bool = True
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
     initial_guess: object = "zero"
-    linear_method: str = "direct"
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
@@ -84,20 +87,20 @@ def _check_sign_assumption(kernel, u):
         )
 
 
-def _lagged_factor_step(jac, rhs, factor, tol):
+def _lagged_factor_step(jac, rhs, factor):
     """Solve jac delta = rhs by CG preconditioned with `factor`, the
     factor of an earlier Jacobian, or directly when there is none or CG
     exceeds REFACTOR_ITERATIONS. Returns (delta, report, factor to keep).
     """
     if factor is not None:
         try:
-            delta, lin = solve_spd(jac, rhs, tol=tol,
+            delta, lin = solve_spd(jac, rhs, tol=LINEAR_TOL,
                                    max_iter=REFACTOR_ITERATIONS,
                                    preconditioner=factor.solve)
             return delta, lin, factor
         except NotConverged:
             pass
-    delta, lin = solve_spd(jac, rhs, tol=tol, method="direct")
+    delta, lin = solve_spd(jac, rhs, tol=LINEAR_TOL)
     # the Newton report keeps the linear report but not the factor
     factor, lin.factor = lin.factor, None
     return delta, lin, factor
@@ -136,18 +139,12 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         if res_norm <= threshold:
             report.converged = True
             break
-        jac = kernel.jacobian(u)
-        if ncfg.linear_method == "direct":
-            delta, lin, factor = _lagged_factor_step(jac, -res, factor,
-                                                     ncfg.linear_tol)
-        else:
-            delta, lin = solve_spd(jac, -res, tol=ncfg.linear_tol,
-                                   method=ncfg.linear_method,
-                                   block_size=space.dofs_per_element)
+        delta, lin, factor = _lagged_factor_step(kernel.jacobian(u), -res,
+                                                 factor)
         report.linear_reports.append(lin)
 
         alpha = 1.0
-        for _ in range(ncfg.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = u + alpha * delta
             try:
                 trial_res = residual(trial)
@@ -159,11 +156,11 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
                 trial_norm = np.inf
             if trial_norm < res_norm or not ncfg.damping:
                 break
-            alpha *= ncfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         else:
             raise NewtonDiverged(
                 f"residual stuck at {res_norm:.3e} after "
-                f"{ncfg.max_backtracks} backtracking steps", report=report)
+                f"{MAX_BACKTRACKS} backtracking steps", report=report)
 
         u, res, res_norm = trial, trial_res, trial_norm
         report.residual_norms.append(res_norm)

@@ -19,8 +19,7 @@ from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
                        edge_identity_residual, elliptic_project,
                        estimate_trace_constant, l2_error, l2_norm_discrete,
                        observed_orders)
-from .assembly import AssemblyConfig, NewtonKernel, assemble_bilinear, \
-    assemble_jacobian
+from .assembly import AssemblyConfig, NewtonKernel, assemble_bilinear
 from .errors import DgslError
 from .mesh import build_perturbed, build_structured
 from .newton import NewtonConfig, solve_semilinear
@@ -121,8 +120,8 @@ def check_symmetry(overrides):
         cfg = AssemblyConfig(penalty=penalty)
         a = assemble_bilinear(space, cfg)
         worst = max(worst, a.max_asymmetry() / a.max_abs())
-        jac = assemble_jacobian(space, _random_vector(space, rng), problem,
-                                cfg, stiffness=a)
+        jac = NewtonKernel(space, problem, cfg, stiffness=a).jacobian(
+            _random_vector(space, rng).coeffs)
         worst = max(worst, jac.max_asymmetry() / jac.max_abs())
     return CheckResult("symmetry", worst <= 1e-12,
                        f"max relative asymmetry {worst:.2e}")

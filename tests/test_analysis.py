@@ -87,6 +87,15 @@ def test_dg_error_dominates_volume_part(sine):
     assert full >= volume - 1e-13
 
 
+def test_norms_of_a_field_are_its_errors_against_zero(rng):
+    # exact=None measures the field itself, bit for bit as against u = 0
+    space = space_on(3, 2)
+    v = DGVector(space, rng.standard_normal(space.total_dofs))
+    assert dg_norm_discrete(space, v, 100.0) == dg_error(space, v, ZERO, 100.0)
+    assert l2_error(space, v, None) == l2_error(space, v, ZERO)
+    assert l2_norm_discrete(space, v) == l2_error(space, v, ZERO, quad_degree=6)
+
+
 def test_discrete_norm_axioms(rng):
     space = space_on(3, 2)
     zero = dg_norm_discrete(space, DGVector.zeros(space), 100.0)

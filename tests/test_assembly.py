@@ -14,11 +14,10 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 import dgsl
-from dgsl import (AssemblyConfig, DGVector, assemble_bilinear,
-                  assemble_jacobian, assemble_load, assemble_residual,
-                  assemble_weighted_mass, interpolate)
-from dgsl.analysis import apply_bilinear_to_field, laplacian_pairing
-from dgsl.assembly import NewtonKernel
+from dgsl import AssemblyConfig, DGVector, assemble_bilinear, interpolate
+from dgsl.analysis import (apply_bilinear_to_field, l2_norm_discrete,
+                           laplacian_pairing)
+from dgsl.assembly import NewtonKernel, _volume_tables
 from dgsl.errors import NonFiniteValue
 from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
@@ -122,7 +121,8 @@ def test_volume_term_for_linear_field(rng):
     assert_allclose(float(v.coeffs @ (a @ w.coeffs)), direct, rtol=1e-11)
     # and the remaining (edge) part is what the full form adds
     edge_part = direct - volume
-    pen_only = assemble_bilinear(space, AssemblyConfig(penalty=100.0)) - a
+    pen_only = dgsl.SparseSymMatrix(
+        assemble_bilinear(space, AssemblyConfig(penalty=100.0)).csr - a.csr)
     assert np.isfinite(edge_part)
     assert pen_only.max_asymmetry() <= 1e-12 * pen_only.max_abs()
 
@@ -133,7 +133,7 @@ def test_doubling_penalty_adds_penalty_matrix(rng):
     cfg = AssemblyConfig(penalty=80.0)
     a1 = assemble_bilinear(space, cfg)
     a2 = assemble_bilinear(space, AssemblyConfig(penalty=160.0))
-    pen = a2 - a1
+    pen = a2.csr - a1.csr
     vdeg, edeg = cfg.resolved_volume_degree(2), cfg.resolved_edge_degree(2)
     for _ in range(5):
         w = DGVector(space, rng.standard_normal(space.total_dofs))
@@ -160,7 +160,8 @@ def zero_problem():
 def test_zero_source_zero_state_residual_vanishes():
     space = space_on(2, 1)
     cfg = AssemblyConfig(penalty=100.0)
-    res = assemble_residual(space, DGVector.zeros(space), zero_problem(), cfg)
+    res = NewtonKernel(space, zero_problem(), cfg).residual(
+        np.zeros(space.total_dofs))
     assert not res.any()
 
 
@@ -171,24 +172,26 @@ def test_residual_decreases_with_refinement(sine):
         space = space_on(n, 1)
         cfg = AssemblyConfig(penalty=100.0)
         u = interpolate(space, sine.exact.value)
-        norms.append(np.linalg.norm(assemble_residual(space, u, sine, cfg)))
+        norms.append(np.linalg.norm(
+            NewtonKernel(space, sine, cfg).residual(u.coeffs)))
     assert norms[0] > norms[1] > norms[2]
 
 
 def test_jacobian_with_unit_weight_is_stiffness_plus_mass(rng):
+    # N' = 1: J - A is the L2 mass matrix, so v'(J - A)v = ||v||^2
     space = space_on(2, 2)
     cfg = AssemblyConfig(penalty=100.0)
     linear = Problem(name="linear-in-u",
                      nonlinearity=lambda u: u,
                      d_nonlinearity=lambda u: np.ones_like(u),
                      source=lambda x, y: 0.0 * x)
-    u = DGVector(space, rng.standard_normal(space.total_dofs))
-    jac = assemble_jacobian(space, u, linear, cfg)
-    a = assemble_bilinear(space, cfg)
-    mass = assemble_weighted_mass(space, lambda x, y: np.ones_like(x), cfg)
-    diff = jac.csr - (a.csr + mass.csr)
-    worst = np.abs(diff.data).max() if diff.nnz else 0.0
-    assert worst <= 1e-12 * jac.max_abs()
+    kernel = NewtonKernel(space, linear, cfg)
+    jac = kernel.jacobian(rng.standard_normal(space.total_dofs))
+    mass = jac.csr - kernel.stiffness.csr
+    for _ in range(5):
+        v = DGVector(space, rng.standard_normal(space.total_dofs))
+        assert_allclose(float(v.coeffs @ (mass @ v.coeffs)),
+                        l2_norm_discrete(space, v) ** 2, rtol=1e-12)
 
 
 def test_jacobian_matches_central_differences(sine, rng):
@@ -197,13 +200,12 @@ def test_jacobian_matches_central_differences(sine, rng):
     a = assemble_bilinear(space, cfg)
     u = interpolate(space, sine.exact.value)
     u.coeffs += 0.05 * rng.standard_normal(space.total_dofs)
-    jac = assemble_jacobian(space, u, sine, cfg, stiffness=a)
+    kernel = NewtonKernel(space, sine, cfg, stiffness=a)
+    jac = kernel.jacobian(u.coeffs)
     d = rng.standard_normal(space.total_dofs)
     eps = 1e-6
-    fd = (assemble_residual(space, DGVector(space, u.coeffs + eps * d), sine,
-                            cfg, stiffness=a)
-          - assemble_residual(space, DGVector(space, u.coeffs - eps * d),
-                              sine, cfg, stiffness=a)) / (2 * eps)
+    fd = (kernel.residual(u.coeffs + eps * d)
+          - kernel.residual(u.coeffs - eps * d)) / (2 * eps)
     jd = jac @ d
     assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
 
@@ -213,8 +215,8 @@ def test_cubic_nonlinearity_jacobian_dominates_stiffness(sine, rng):
     space = space_on(3, 1)
     cfg = AssemblyConfig(penalty=100.0)
     a = assemble_bilinear(space, cfg)
-    u = DGVector(space, rng.standard_normal(space.total_dofs))
-    jac = assemble_jacobian(space, u, sine, cfg, stiffness=a)
+    jac = NewtonKernel(space, sine, cfg, stiffness=a).jacobian(
+        rng.standard_normal(space.total_dofs))
     for _ in range(20):
         v = rng.standard_normal(space.total_dofs)
         assert float(v @ (jac @ v)) >= float(v @ (a @ v)) - 1e-10
@@ -231,9 +233,14 @@ def test_consistency_with_strong_form(sine):
 
 
 def test_load_vector_integrates_constant_exactly():
+    # N = 0 and g = 1: -residual(0) is the load vector int_K phi_i
     space = space_on(2, 1)
-    cfg = AssemblyConfig(penalty=1.0)
-    load = assemble_load(space, lambda x, y: np.ones_like(x), cfg)
+    unit_source = Problem(name="unit-source",
+                          nonlinearity=lambda u: 0.0 * u,
+                          d_nonlinearity=lambda u: 0.0 * u,
+                          source=lambda x, y: np.ones_like(x))
+    kernel = NewtonKernel(space, unit_source, AssemblyConfig(penalty=1.0))
+    load = -kernel.residual(np.zeros(space.total_dofs))
     ones = interpolate(space, lambda x, y: np.ones_like(x))
     # sum_i c_i int phi_i = int 1 = |Omega|
     assert_allclose(float(ones.coeffs @ load), 1.0, rtol=1e-13)
@@ -250,18 +257,28 @@ def test_config_validation():
     assert custom.resolved_edge_degree(2) == 10
 
 
+def test_volume_tables_are_built_once_per_degree_pair():
+    assert _volume_tables(2, 7) is _volume_tables(2, 7)
+    assert _volume_tables(2, 7) is not _volume_tables(3, 7)
+    assert _volume_tables(2, 7) is not _volume_tables(2, 8)
+    # keyed by the basis degree: every space of degree r reads one table
+    assert_allclose(_volume_tables(2, 7).values,
+                    space_on(1, 2).basis.values(triangle_rule(7).points),
+                    rtol=0, atol=0)
+
+
 def test_csr_fields_exposed():
     space = space_on(1, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=10.0))
-    assert a.row_offsets.shape == (a.dim + 1,)
-    assert a.col_indices.shape == a.values.shape
-    dense = a.toarray()
+    assert a.csr.indptr.shape == (a.dim + 1,)
+    assert a.csr.indices.shape == a.csr.data.shape
+    dense = a.csr.toarray()
     assert dense.shape == (6, 6)
     # block sparsity: the two elements share an edge, so all blocks exist here;
     # on a 2x2 mesh non-neighbouring blocks must be structurally zero
     space2 = space_on(2, 1)
     a2 = assemble_bilinear(space2, AssemblyConfig(penalty=10.0))
-    dense2 = a2.toarray()
+    dense2 = a2.csr.toarray()
     edges = space2.mesh.edges
     inner = edges.tri[~edges.boundary]
     neighbours = set(map(tuple, np.concatenate([inner, inner[:, ::-1]]).tolist()))
@@ -355,14 +372,8 @@ def test_kernel_matches_per_call_formulas(sine, r, rng):
         u = rng.standard_normal(space.total_dofs)
         assert max_rel(kernel.residual(u),
                        oracle_residual(space, u, sine, cfg, a)) <= 1e-13
-        assert max_rel(kernel.jacobian(u).toarray(),
+        assert max_rel(kernel.jacobian(u).csr.toarray(),
                        oracle_jacobian(space, u, sine, cfg, a).toarray()) <= 1e-13
-    # the public entry points route through the same kernel
-    v = DGVector(space, u)
-    assert_allclose(assemble_residual(space, v, sine, cfg, stiffness=a),
-                    kernel.residual(u), rtol=0, atol=0)
-    assert_allclose(assemble_jacobian(space, v, sine, cfg, stiffness=a).values,
-                    kernel.jacobian(u).values, rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -399,7 +410,7 @@ def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r):
 def test_bilinear_matches_coo_oracle(mesh, r):
     space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
     cfg = AssemblyConfig(penalty=37.0)
-    a = assemble_bilinear(space, cfg).toarray()
+    a = assemble_bilinear(space, cfg).csr.toarray()
     oracle = oracle_bilinear(space, cfg).toarray()
     assert np.abs(a - oracle).max() <= 1e-15 * np.abs(oracle).max()
 

@@ -8,8 +8,9 @@ from scipy import sparse
 from scipy.linalg import eigvalsh
 
 import dgsl
-from dgsl import AssemblyConfig, assemble_bilinear, solve_spd
-from dgsl.assembly import SparseSymMatrix
+from dgsl import (AssemblyConfig, assemble_bilinear,
+                  block_jacobi_preconditioner, solve_spd)
+from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
     SingularOperator
 
@@ -23,9 +24,11 @@ def as_matrix(dense):
 def test_diagonal_system_solved_exactly(rng):
     d = rng.uniform(0.5, 4.0, 12)
     b = rng.standard_normal(12)
-    x, report = solve_spd(as_matrix(np.diag(d)), b, tol=1e-14)
-    assert report.converged
-    assert_allclose(x, b / d, rtol=1e-14)
+    a = as_matrix(np.diag(d))
+    for preconditioner in (None, block_jacobi_preconditioner(a, 1)):
+        x, report = solve_spd(a, b, tol=1e-14, preconditioner=preconditioner)
+        assert report.converged
+        assert_allclose(x, b / d, rtol=1e-14)
 
 
 def test_manufactured_spd_system(rng):
@@ -33,8 +36,9 @@ def test_manufactured_spd_system(rng):
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     x_star = rng.standard_normal(a.dim)
     b = a @ x_star
-    x, report = solve_spd(a, b, tol=1e-10, block_size=3)
-    assert report.converged
+    x, report = solve_spd(a, b, tol=1e-10,
+                          preconditioner=block_jacobi_preconditioner(a, 3))
+    assert report.converged and report.method == "pcg"
     assert np.linalg.norm(x - x_star) <= 1e-8 * np.linalg.norm(x_star)
     assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -43,21 +47,24 @@ def test_small_penalty_operator_is_detected_indefinite(rng):
     space = space_on(4, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
     # oracle: the operator genuinely has negative eigenvalues here
-    assert eigvalsh(a.toarray()).min() < 0
+    assert eigvalsh(a.csr.toarray()).min() < 0
     with pytest.raises(IndefiniteOperator):
-        solve_spd(a, rng.standard_normal(a.dim), block_size=6)
+        solve_spd(a, rng.standard_normal(a.dim),
+                  preconditioner=block_jacobi_preconditioner(a, 6))
 
 
 def test_determinism_bitwise(rng):
     space = space_on(3, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
-    x1, r1 = solve_spd(a, b, tol=1e-12, block_size=6)
-    x2, r2 = solve_spd(a, b, tol=1e-12, block_size=6)
+    x1, r1 = solve_spd(a, b, tol=1e-12,
+                       preconditioner=block_jacobi_preconditioner(a, 6))
+    x2, r2 = solve_spd(a, b, tol=1e-12,
+                       preconditioner=block_jacobi_preconditioner(a, 6))
     assert x1.tobytes() == x2.tobytes()
     assert r1.iterations == r2.iterations
-    xd1, _ = solve_spd(a, b, method="direct")
-    xd2, _ = solve_spd(a, b, method="direct")
+    xd1, _ = solve_spd(a, b)
+    xd2, _ = solve_spd(a, b)
     assert xd1.tobytes() == xd2.tobytes()
 
 
@@ -65,8 +72,10 @@ def test_direct_and_pcg_agree(rng):
     space = space_on(3, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
-    x_pcg, _ = solve_spd(a, b, tol=1e-13, block_size=3)
-    x_dir, _ = solve_spd(a, b, method="direct")
+    x_pcg, r_pcg = solve_spd(a, b, tol=1e-13,
+                             preconditioner=block_jacobi_preconditioner(a, 3))
+    x_dir, r_dir = solve_spd(a, b)
+    assert (r_pcg.method, r_dir.method) == ("pcg", "direct")
     assert np.linalg.norm(x_pcg - x_dir) <= 1e-9 * np.linalg.norm(x_dir)
 
 
@@ -75,7 +84,8 @@ def test_budget_exhaustion_raises_with_report(rng):
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
     with pytest.raises(NotConverged) as excinfo:
-        solve_spd(a, b, tol=1e-13, max_iter=3, block_size=3)
+        solve_spd(a, b, tol=1e-13, max_iter=3,
+                  preconditioner=block_jacobi_preconditioner(a, 3))
     report = excinfo.value.report
     assert report is not None and not report.converged
     assert report.iterations == 3
@@ -97,31 +107,21 @@ def test_shape_mismatch_rejected():
         solve_spd(a, np.zeros(a.dim + 1))
 
 
-def test_point_and_block_preconditioners_agree(rng):
-    space = space_on(8, 2)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
-    b = rng.standard_normal(a.dim)
-    x_block, r_block = solve_spd(a, b, tol=1e-10, block_size=6)
-    x_point, r_point = solve_spd(a, b, tol=1e-10, block_size=1)
-    assert r_block.converged and r_point.converged
-    assert np.linalg.norm(x_block - x_point) <= 1e-7 * np.linalg.norm(x_block)
-
-
 def test_singular_matrix_raises_named_error(rng):
     dense = np.diag(rng.uniform(0.5, 4.0, 6))
     dense[2, 2] = 0.0  # a zero row makes the matrix exactly singular
     with pytest.raises(SingularOperator) as excinfo:
-        solve_spd(as_matrix(dense), rng.standard_normal(6), method="direct")
+        solve_spd(as_matrix(dense), rng.standard_normal(6))
     assert isinstance(excinfo.value, DgslError)
 
 
 def test_small_penalty_operator_is_detected_indefinite_by_direct_solver(rng):
     space = space_on(4, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
-    negative = int((eigvalsh(a.toarray()) < 0).sum())
+    negative = int((eigvalsh(a.csr.toarray()) < 0).sum())
     assert negative > 0
     with pytest.raises(IndefiniteOperator) as excinfo:
-        solve_spd(a, rng.standard_normal(a.dim), method="direct")
+        solve_spd(a, rng.standard_normal(a.dim))
     # Sylvester's law of inertia: one negative pivot per negative eigenvalue
     assert f"met {negative} negative pivots" in str(excinfo.value)
 
@@ -130,7 +130,8 @@ def test_symmetric_factor_is_certified_and_returned(rng):
     space = space_on(4, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
-    x, report = solve_spd(a, b, method="direct")
+    x, report = solve_spd(a, b)
+    assert report.method == "direct"
     lu = report.factor
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() > 0).all()
@@ -139,18 +140,18 @@ def test_symmetric_factor_is_certified_and_returned(rng):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_block_jacobi_blocks_match_dense_slices(r):
+def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
     mesh = dgsl.build_perturbed(4, 0.2, seed=3)
     space = dgsl.DGSpace(mesh, r)
-    cfg = AssemblyConfig(penalty=100.0)
-    a = assemble_bilinear(space, cfg) + dgsl.assemble_weighted_mass(
-        space, lambda x, y: 1.0 + x * y, cfg)
+    # a Newton Jacobian: the mass weight N'(u) = 3 u^2 varies in space
+    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+    a = kernel.jacobian(rng.standard_normal(space.total_dofs))
     d = space.dofs_per_element
     nblocks = a.dim // d
-    dense = a.toarray()
+    dense = a.csr.toarray()
     blocks = np.stack([dense[b * d:(b + 1) * d, b * d:(b + 1) * d]
                        for b in range(nblocks)])
-    apply = dgsl.block_jacobi_preconditioner(a, d)
+    apply = block_jacobi_preconditioner(a, d)
     # column j of every inverse block at once: a unit vector in each block
     columns = np.stack([apply(np.tile(np.eye(d)[j], nblocks)).reshape(nblocks, d)
                         for j in range(d)], axis=-1)

@@ -10,6 +10,7 @@ import dgsl.linear_solver
 import dgsl.newton
 from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
 from dgsl.analysis import l2_norm_discrete
+from dgsl.assembly import NewtonKernel
 from dgsl.errors import IndefiniteOperator, NonFiniteValue, NotConverged
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
@@ -43,7 +44,8 @@ def test_sine_problem_regression(sine):
     assert report.residual_norms[-1] <= 1e-10
     assert report.iterations <= 8
     # the returned field really solves the discrete system
-    res = dgsl.assemble_residual(space, u, sine, AssemblyConfig(penalty=100.0))
+    res = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0)).residual(
+        u.coeffs)
     assert np.linalg.norm(res) <= 1e-9
 
 
@@ -82,16 +84,6 @@ def test_budget_exhaustion_raises(sine):
     assert excinfo.value.report.iterations == 1
 
 
-def test_pcg_newton_matches_direct(sine):
-    space = space_on(8, 1)
-    cfg = AssemblyConfig(penalty=100.0)
-    u_dir, _ = solve_semilinear(space, sine, cfg)
-    u_pcg, _ = solve_semilinear(space, sine, cfg,
-                                NewtonConfig(linear_method="pcg"))
-    assert np.linalg.norm(u_dir.coeffs - u_pcg.coeffs) \
-        <= 1e-8 * np.linalg.norm(u_dir.coeffs)
-
-
 def test_sign_assumption_violation_warns():
     # N'(u) = -1 < 0 breaks the monotonicity assumption; the solve still
     # runs on a coarse mesh but must warn
@@ -116,13 +108,20 @@ def indefinite_problem():
     )
 
 
-def test_strongly_indefinite_propagates():
-    # the pcg path must say so
+def test_lagged_cg_curvature_guard_raises():
+    # N'(u) = 1 - 3 u^2 is positive at u = 0, so the first Jacobian passes
+    # the factor's certificate; the first step takes u to about 4.8, where
+    # N' < 0 and the next Jacobian is indefinite. CG preconditioned by the
+    # old factor must say so, not a refactor's pivot certificate.
+    softening = Problem(
+        name="softening",
+        nonlinearity=lambda u: u - u ** 3,
+        d_nonlinearity=lambda u: 1.0 - 3.0 * u ** 2,
+        source=lambda x, y: 100.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
+    )
     space = space_on(8, 1)
-    with pytest.raises(IndefiniteOperator):
-        solve_semilinear(space, indefinite_problem(),
-                         AssemblyConfig(penalty=100.0),
-                         NewtonConfig(linear_method="pcg"))
+    with pytest.raises(IndefiniteOperator, match="non-positive curvature"):
+        solve_semilinear(space, softening, AssemblyConfig(penalty=100.0))
 
 
 def test_strongly_indefinite_propagates_from_direct_solver():
