@@ -22,6 +22,9 @@ stored without their exact zeros. The Newton Jacobian only adds
 element-diagonal mass blocks to the stiffness, so `NewtonKernel` writes
 them into a copy of the stiffness values at fixed positions and reuses
 the stiffness's index arrays.
+
+Assembly also certifies coercivity edge by edge (`_local_certificate`);
+the verdict travels as `SparseSymMatrix.certified`.
 """
 
 import functools
@@ -64,9 +67,11 @@ class AssemblyConfig:
 
 @dataclass(frozen=True)
 class SparseSymMatrix:
-    """Symmetric sparse operator in compressed sparse row storage."""
+    """Symmetric sparse operator in compressed sparse row storage;
+    `certified` is True only when assembly proved it positive definite."""
 
     csr: sparse.csr_matrix
+    certified: bool = False
 
     @property
     def dim(self):
@@ -141,8 +146,46 @@ def _edge_blocks(space, cfg):
     return (left.transpose(0, 2, 1) @ right).reshape(m, 2, d, 2, d)
 
 
+# relative shift each local block must survive: far above the rounding
+# of its entries, far below the smallest relative eigenvalue of a block
+# that should pass (about 3e-5 at P1-P3 and penalty 2000)
+CERTIFICATE_MARGIN = 1e-10
+
+
+def _local_certificate(edges, blocks, volume):
+    """True when the edge forms Q_e prove a(v, v) > 0 for all v != 0.
+
+    Q_e is the edge block plus a third of the `volume` stiffness of each
+    adjacent element, so sum_e Q_e = a. A boundary Q_e must be positive
+    definite. An interior Q_e maps the constant (all ones in a Lagrange
+    basis) to zero and must be positive definite once that is lifted by
+    a multiple of 1 1^T. Then a(v, v) = 0 makes v one constant on each
+    edge-connected part of the mesh and zero at its boundary, so v = 0.
+    Conservative: P1 at penalty 5, P2 at 10-20, P3 at 20-50 fail it.
+    """
+    third = volume / 3.0
+    d = volume.shape[1]
+    outer = edges.boundary
+    boundary_forms = blocks[outer, 0, :, 0, :] + third[edges.tri[outer, 0]]
+    interior_forms = blocks[~outer]
+    for side in (0, 1):
+        interior_forms[:, side, :, side, :] += third[edges.tri[~outer, side]]
+    for forms, lift in ((boundary_forms, 0.0),
+                        (interior_forms.reshape(-1, 2 * d, 2 * d), 1.0)):
+        k = forms.shape[1]
+        scale = np.abs(np.diagonal(forms, axis1=1, axis2=2)) \
+            .max(axis=1)[:, None, None]
+        # (scale / k) 1 1^T lifts the constant to the eigenvalue `scale`
+        try:
+            np.linalg.cholesky(forms + lift * scale / k
+                               - CERTIFICATE_MARGIN * scale * np.eye(k))
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
 def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
-    """Assemble the full interior penalty operator.
+    """Assemble the full interior penalty operator, certified locally.
 
     Every element-diagonal block is stored in full; exact zeros in the
     blocks that couple neighbours are not stored.
@@ -157,7 +200,8 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     sides = np.where(edges.tri >= 0, edges.tri, num).ravel()
     own = np.argsort(sides, kind="stable")[:3 * num].reshape(num, 3)
     em, es = np.divmod(own, 2)
-    diagonal = _volume_stiffness_blocks(space, vol)
+    volume = _volume_stiffness_blocks(space, vol)
+    diagonal = volume.copy()
     for k in range(3):
         diagonal += blocks[em[:, k], es[:, k], :, es[:, k], :]
 
@@ -189,7 +233,7 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
         indptr = a.indptr - np.concatenate([[0], np.cumsum(dropped)])
         a = sparse.csr_matrix((a.data[keep], a.indices[keep], indptr),
                               shape=a.shape)
-    return SparseSymMatrix(a)
+    return SparseSymMatrix(a, _local_certificate(edges, blocks, volume))
 
 
 def _finite(values, what):
@@ -255,15 +299,18 @@ class NewtonKernel:
 
     def jacobian(self, u: np.ndarray) -> SparseSymMatrix:
         """The stiffness plus the mass matrix weighted with N'(u_h)
-        (= -f_u, nonnegative under the sign assumption)."""
+        (= -f_u, nonnegative under the sign assumption); certified when
+        the stiffness is and N'(u_h) x det x weight >= 0 at every point."""
         weight = _finite(self.problem.d_nonlinearity(self.point_values(u)),
                          "the mass weight N'(u)")
-        mass = (self.measure * weight) @ self.value_pairs
+        weighted = self.measure * weight
+        mass = weighted @ self.value_pairs
         a = self.stiffness.csr
         data = a.data.copy()
         data[self.diagonal_positions] += mass.ravel()
         return SparseSymMatrix(
-            sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape))
+            sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape),
+            self.stiffness.certified and bool(weighted.min() >= 0.0))
 
 
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:

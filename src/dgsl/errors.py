@@ -6,7 +6,7 @@ class DgslError(Exception):
 
 
 class ParseError(DgslError):
-    """Mesh file content is malformed (bad line, bad index, bad count)."""
+    """Mesh content is malformed (bad line, index, count or coordinate)."""
 
 
 class NonConformingMesh(DgslError):

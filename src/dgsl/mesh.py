@@ -129,6 +129,9 @@ class TriMesh:
             raise ParseError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ParseError("triangles must be an (nt, 3) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise ParseError(f"vertex {bad[0]} has a non-finite coordinate")
         if self.triangles.min(initial=0) < 0 or \
                 self.triangles.max(initial=-1) >= len(self.vertices):
             raise ParseError("triangle vertex index out of range")

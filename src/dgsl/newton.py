@@ -13,9 +13,9 @@ preconditioner). The Jacobians differ only in the mass term, and under
 N' >= 0 each is positive definite, so the old factor is a near-exact
 SPD preconditioner: CG needs a few iterations where a new factorization
 would cost far more. A Jacobian is factored afresh only when CG needs
-more than REFACTOR_ITERATIONS iterations. CG keeps its
-negative-curvature check and every factor its inertia certificate, so
-either path raises IndefiniteOperator on an indefinite Jacobian.
+more than REFACTOR_ITERATIONS iterations. CG keeps its curvature check
+and every factor its certificate (assembly's local one, else the
+pivots), so either path raises IndefiniteOperator on an indefinite one.
 """
 
 import warnings

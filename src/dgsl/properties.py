@@ -198,17 +198,20 @@ def check_coercivity(overrides):
     penalty = overrides.get("penalty", 1000.0)
     rng = np.random.default_rng(23)
     worst = np.inf
+    certified = True
     for n, r in ((16, 1), (8, 2), (8, 3)):
         space = DGSpace(build_structured(n), r)
         a = assemble_bilinear(space, AssemblyConfig(penalty=penalty))
+        certified = certified and a.certified
         for _ in range(34):
             v = _random_vector(space, rng)
             quad = float(v.coeffs @ (a @ v.coeffs))
             norm2 = dg_norm_discrete(space, v, penalty) ** 2
             worst = min(worst, quad / norm2)
-    return CheckResult("coercivity", worst >= 0.25,
+    return CheckResult("coercivity", worst >= 0.25 and certified,
                        f"min a(v,v) / |||v|||^2 = {worst:.4f} "
-                       f"(needs >= 0.25 at penalty {penalty:g})")
+                       f"(needs >= 0.25 at penalty {penalty:g}), local "
+                       f"certificate {'holds' if certified else 'fails'}")
 
 
 def check_jacobian_fd(overrides):

@@ -41,8 +41,9 @@ class DGSpace:
                                    pts[:, 2] - pts[:, 0]], axis=2)
         jac = self.jacobians
         self.dets = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        if np.any(self.dets <= 0.0):
-            raise DegenerateElement("mesh contains a non-CCW or flat triangle")
+        if not np.all(self.dets > 0.0):  # NaN fails too
+            raise DegenerateElement(
+                "mesh contains a non-CCW, flat or non-finite triangle")
         inv = np.empty_like(jac)
         inv[:, 0, 0] = jac[:, 1, 1]
         inv[:, 0, 1] = -jac[:, 0, 1]

@@ -8,20 +8,28 @@ the element map at physical edge points, so it shares neither the
 matrix assembly.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.linalg import eigvalsh
 
 import dgsl
 from dgsl import AssemblyConfig, DGVector, assemble_bilinear, interpolate
 from dgsl.analysis import (apply_bilinear_to_field, l2_norm_discrete,
                            laplacian_pairing)
-from dgsl.assembly import NewtonKernel, _volume_tables
-from dgsl.errors import NonFiniteValue
+from dgsl.assembly import (NewtonKernel, _edge_blocks,
+                           _volume_stiffness_blocks, _volume_tables)
+from dgsl.cli import build_run_config, parse_config_text
+from dgsl.convergence import RunConfig
+from dgsl.errors import NonFiniteValue, PerturbationFoldover
 from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
-from dgsl.quadrature import edge_rule, triangle_rule
+from dgsl.quadrature import MAX_TRIANGLE_DEGREE, edge_rule, triangle_rule
 
 from conftest import space_on
 
@@ -443,3 +451,135 @@ def test_kernel_rejects_a_stiffness_without_full_diagonal_blocks(sine):
     with pytest.raises(ValueError, match="element-diagonal"):
         NewtonKernel(space, sine, AssemblyConfig(penalty=100.0),
                      stiffness=dgsl.SparseSymMatrix(a))
+
+
+# ---------------------------------------------------------------- the local
+# coercivity certificate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
+def local_forms(space, cfg):
+    """Every edge form Q_e as a dense (2D, 2D) block over (plus, minus)
+    dofs: the edge block plus a third of each adjacent element's
+    stiffness. A boundary edge's minus half is zero."""
+    r = space.degree
+    volume = _volume_stiffness_blocks(
+        space, _volume_tables(r, cfg.resolved_volume_degree(r)))
+    edges = space.mesh.edges
+    forms = _edge_blocks(space, cfg).copy()
+    for side in (0, 1):
+        present = edges.tri[:, side] >= 0
+        forms[present, side, :, side, :] += \
+            volume[edges.tri[present, side]] / 3.0
+    d = space.dofs_per_element
+    return forms.reshape(-1, 2 * d, 2 * d)
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_local_forms_sum_to_the_operator_and_annihilate_constants(mesh, r):
+    # the two facts the certificate rests on
+    space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
+    cfg = AssemblyConfig(penalty=37.0)
+    forms = local_forms(space, cfg)
+    d, edges = space.dofs_per_element, space.mesh.edges
+    total = np.zeros((space.total_dofs, space.total_dofs))
+    for form, (plus, minus) in zip(forms, edges.tri):
+        dofs = np.r_[plus * d:(plus + 1) * d,
+                     (minus if minus >= 0 else plus) * d + np.arange(d)]
+        half = 2 * d if minus >= 0 else d
+        total[np.ix_(dofs[:half], dofs[:half])] += form[:half, :half]
+    a = assemble_bilinear(space, cfg).csr.toarray()
+    assert np.abs(total - a).max() <= 1e-13 * np.abs(a).max()
+    inner = forms[~edges.boundary]
+    assert np.abs(inner @ np.ones(2 * d)).max() \
+        <= 1e-12 * np.abs(inner).max()
+
+
+PENALTIES = [0.01, 1.0, 5.0, 10.0, 20.0, 30.0, 50.0, 100.0, 1000.0, 2000.0]
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_certificate_never_passes_an_indefinite_operator(mesh, r):
+    space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, 5), r) \
+        if mesh == "perturbed" else space_on(4, r)
+    verdicts = []
+    for penalty in PENALTIES:
+        a = assemble_bilinear(space, AssemblyConfig(penalty=penalty))
+        smallest = eigvalsh(a.csr.toarray()).min()
+        if a.certified:
+            assert smallest > 0.0, (penalty, smallest)
+        verdicts.append(a.certified)
+    # every penalty at the smallest certified one and above passes, and
+    # the tiny penalties never do
+    first = verdicts.index(True)
+    assert all(verdicts[first:]) and PENALTIES[first] <= 100.0
+    assert not verdicts[0]
+
+
+def config_levels(cfg):
+    return [dgsl.DGSpace(cfg.build_level_mesh(i), cfg.degree)
+            for i in range(len(cfg.levels))]
+
+
+@pytest.mark.parametrize("name", ["table_r1.conf", "penalty_sweep.conf"])
+def test_certificate_passes_the_shipped_configurations(name):
+    cfg, penalties = build_run_config(
+        parse_config_text((CONFIGS / name).read_text()))
+    for space in config_levels(cfg):
+        for penalty in penalties:
+            assert assemble_bilinear(space, AssemblyConfig(penalty)).certified
+
+
+def test_certificate_passes_the_p3_perturbed_ladder():
+    cfg = RunConfig(degree=3, penalty=100.0, mesh_kind="perturbed",
+                    levels=(16, 32, 64), seed=42, volume_degree=14,
+                    edge_degree=12)
+    for space in config_levels(cfg):
+        assert assemble_bilinear(space, cfg.assembly_config()).certified
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 5), amplitude=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 16), r=st.integers(1, 3),
+       log_penalty=st.floats(-2.0, np.log10(2000.0)))
+def test_certificate_is_sound_on_random_perturbed_meshes(n, amplitude, seed,
+                                                         r, log_penalty):
+    try:
+        mesh = dgsl.build_perturbed(n, amplitude, seed)
+    except PerturbationFoldover:
+        assume(False)
+    a = assemble_bilinear(dgsl.DGSpace(mesh, r),
+                          AssemblyConfig(penalty=10.0 ** log_penalty))
+    if a.certified:
+        assert eigvalsh(a.csr.toarray()).min() > 0.0
+
+
+def test_jacobian_certificate_needs_a_nonnegative_mass_weight(sine, rng):
+    space = perturbed_space(2)
+    u = rng.standard_normal(space.total_dofs)
+    assert NewtonKernel(space, sine,
+                        AssemblyConfig(penalty=100.0)).jacobian(u).certified
+    # N'(u) = 1 - 3 u^2 dips below zero: the mass term may be indefinite
+    softening = Problem(name="softening", nonlinearity=lambda v: v - v ** 3,
+                        d_nonlinearity=lambda v: 1.0 - 3.0 * v ** 2,
+                        source=sine.source)
+    kernel = NewtonKernel(space, softening, AssemblyConfig(penalty=100.0))
+    assert kernel.stiffness.certified
+    assert not kernel.jacobian(u).certified
+    assert kernel.jacobian(np.zeros(space.total_dofs)).certified
+    # an uncertified stiffness never yields a certified Jacobian
+    assert not NewtonKernel(space, sine, AssemblyConfig(penalty=0.01)) \
+        .jacobian(np.zeros(space.total_dofs)).certified
+
+
+@pytest.mark.parametrize("degree", range(1, MAX_TRIANGLE_DEGREE + 1))
+def test_kernel_measure_is_positive_at_every_volume_degree(sine, degree):
+    # the Jacobian's certificate treats each mass block as a sum of
+    # rank-one terms with weights N'(u) x det x weight >= 0
+    kernel = NewtonKernel(perturbed_space(1), sine,
+                          AssemblyConfig(penalty=100.0, volume_degree=degree))
+    assert kernel.measure.min() > 0.0
+    assert kernel.jacobian(np.ones(kernel.space.total_dofs)).certified

@@ -116,7 +116,8 @@ def test_run_small_penalty_exits_solver_error(tmp_path, capsys):
     conf.write_text(BASIC_CONFIG + f"output.path = {out}\n")
     code = main(["run", "--config", str(conf), "--set", "penalty=0.01"])
     assert code == EXIT_SOLVER
-    assert "IndefiniteOperator" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "IndefiniteOperator" in err and "negative pivots" in err
     assert out.read_text().startswith(CSV_HEADER)
 
 

@@ -48,9 +48,12 @@ def test_small_penalty_operator_is_detected_indefinite(rng):
     a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
     # oracle: the operator genuinely has negative eigenvalues here
     assert eigvalsh(a.csr.toarray()).min() < 0
-    with pytest.raises(IndefiniteOperator):
-        solve_spd(a, rng.standard_normal(a.dim),
-                  preconditioner=block_jacobi_preconditioner(a, 6))
+    # an SPD preconditioner (from the well-posed operator), so that CG's
+    # own curvature check must catch it
+    spd = block_jacobi_preconditioner(
+        assemble_bilinear(space, AssemblyConfig(penalty=100.0)), 6)
+    with pytest.raises(IndefiniteOperator, match="non-positive curvature"):
+        solve_spd(a, rng.standard_normal(a.dim), preconditioner=spd)
 
 
 def test_determinism_bitwise(rng):
@@ -124,6 +127,7 @@ def test_small_penalty_operator_is_detected_indefinite_by_direct_solver(rng):
         solve_spd(a, rng.standard_normal(a.dim))
     # Sylvester's law of inertia: one negative pivot per negative eigenvalue
     assert f"met {negative} negative pivots" in str(excinfo.value)
+    assert not a.certified
 
 
 def test_symmetric_factor_is_certified_and_returned(rng):
@@ -132,11 +136,25 @@ def test_symmetric_factor_is_certified_and_returned(rng):
     b = rng.standard_normal(a.dim)
     x, report = solve_spd(a, b)
     assert report.method == "direct"
+    assert a.certified and report.certificate == "local"
     lu = report.factor
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() > 0).all()
     # the returned factor solves the same system
     assert np.linalg.norm(lu.solve(b) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_report_names_how_the_factor_was_certified(rng):
+    a = assemble_bilinear(space_on(3, 1), AssemblyConfig(penalty=100.0))
+    b = rng.standard_normal(a.dim)
+    # the same matrix without assembly's verdict falls back to its pivots
+    uncertified = SparseSymMatrix(a.csr)
+    x_local, local = solve_spd(a, b)
+    x_pivots, pivots = solve_spd(uncertified, b)
+    assert (local.certificate, pivots.certificate) == ("local", "pivots")
+    assert x_local.tobytes() == x_pivots.tobytes()
+    _, cg = solve_spd(a, b, preconditioner=block_jacobi_preconditioner(a, 3))
+    assert cg.certificate is None
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

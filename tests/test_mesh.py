@@ -167,6 +167,29 @@ def test_import_parse_errors(text, fragment):
         import_mesh(text)
 
 
+def test_non_finite_vertex_rejected():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    vertices[1, 1] = np.nan
+    with pytest.raises(ParseError, match="vertex 1 has a non-finite"):
+        dgsl.TriMesh(vertices, [[0, 1, 2]])
+
+
+# "1e400" parses to inf
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), bad=st.sampled_from(
+    ["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"]),
+       data=st.data())
+def test_import_rejects_non_finite_coordinates(n, bad, data):
+    lines = export_mesh(build_perturbed(n, 0.1, n)).splitlines()
+    nv = (n + 1) ** 2
+    vertex = data.draw(st.integers(0, nv - 1))
+    coords = lines[1 + vertex].split()
+    coords[data.draw(st.integers(0, 1))] = bad
+    lines[1 + vertex] = " ".join(coords)
+    with pytest.raises(ParseError, match=f"vertex {vertex} has a non-finite"):
+        import_mesh("\n".join(lines) + "\n")
+
+
 def test_import_degenerate_triangle():
     text = "3 1\n0 0\n1 0\n2 0\n0 1 2\n"
     with pytest.raises(ParseError, match="degenerate"):

@@ -84,18 +84,23 @@ def test_budget_exhaustion_raises(sine):
     assert excinfo.value.report.iterations == 1
 
 
-def test_sign_assumption_violation_warns():
-    # N'(u) = -1 < 0 breaks the monotonicity assumption; the solve still
-    # runs on a coarse mesh but must warn
-    problem = Problem(
+def wrong_sign_problem():
+    # N'(u) = -1 < 0 breaks the monotonicity assumption, but the
+    # Jacobian stays SPD on the unit square (-1 > -2 pi^2)
+    return Problem(
         name="wrong-sign",
         nonlinearity=lambda u: -u,
         d_nonlinearity=lambda u: -np.ones_like(u),
         source=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
     )
+
+
+def test_sign_assumption_violation_warns():
+    # the solve still runs on a coarse mesh but must warn
     space = space_on(4, 1)
     with pytest.warns(UserWarning, match="N'"):
-        solve_semilinear(space, problem, AssemblyConfig(penalty=100.0))
+        solve_semilinear(space, wrong_sign_problem(),
+                         AssemblyConfig(penalty=100.0))
 
 
 def indefinite_problem():
@@ -183,6 +188,53 @@ def test_slow_preconditioned_cg_triggers_refactor(sine, monkeypatch,
     assert "direct" in [lin.method for lin in report.linear_reports[1:]]
     assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
         <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+
+
+class CountingFactor:
+    """A SuperLU factor that records every read of its L and U copies,
+    each of which makes scipy build both."""
+
+    def __init__(self, lu, reads):
+        self._lu = lu
+        self._reads = reads
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            self._reads.append(name)
+        return getattr(self._lu, name)
+
+
+@pytest.fixture
+def factor_reads(monkeypatch):
+    reads = []
+    original = dgsl.linear_solver.splu
+    monkeypatch.setattr(dgsl.linear_solver, "splu",
+                        lambda *a, **k: CountingFactor(original(*a, **k),
+                                                       reads))
+    return reads
+
+
+def test_certified_newton_solve_never_reads_the_factors(sine, factor_reads):
+    _, report = solve_sine(sine, 4, 3)
+    assert report.converged and report.linear_reports[0].method == "direct"
+    assert factor_reads == []
+
+
+def test_small_penalty_reads_the_pivots_once(sine, factor_reads):
+    with pytest.raises(IndefiniteOperator, match="negative pivots"):
+        solve_semilinear(space_on(4, 2), sine, AssemblyConfig(penalty=0.01))
+    assert factor_reads == ["U"]
+
+
+def test_newton_reports_how_each_factor_was_certified(sine):
+    _, report = solve_sine(sine, 8, 1)
+    certificates = [lin.certificate for lin in report.linear_reports]
+    assert certificates == ["local"] + [None] * (report.iterations - 1)
+    # with N' < 0 only the pivots can show that the Jacobian is SPD
+    with pytest.warns(UserWarning, match="N'"):
+        _, report = solve_semilinear(space_on(4, 1), wrong_sign_problem(),
+                                     AssemblyConfig(penalty=100.0))
+    assert report.linear_reports[0].certificate == "pivots"
 
 
 def _nan_at_half(values):

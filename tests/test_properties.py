@@ -25,6 +25,13 @@ def test_coercivity_override_reports_failure():
     (result,) = run_property_suite("coercivity", {"penalty": 0.01})
     assert not result.passed
     assert "0.25" in result.detail
+    assert result.detail.endswith("local certificate fails")
+
+
+def test_coercivity_reports_the_local_certificate():
+    (result,) = run_property_suite("coercivity")
+    assert result.passed
+    assert result.line().endswith("local certificate holds")
 
 
 def test_result_line_format():

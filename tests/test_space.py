@@ -8,6 +8,7 @@ import dgsl
 from dgsl import DGVector, edge_traces, evaluate, interpolate
 from dgsl.analysis import l2_error, observed_orders
 from dgsl.basis import edge_reference_points
+from dgsl.errors import DegenerateElement
 
 from conftest import space_on
 
@@ -68,6 +69,15 @@ def test_evaluate_bad_element_raises():
     space = space_on(1, 1)
     with pytest.raises(IndexError):
         evaluate(space, DGVector.zeros(space), 2, [[0.3, 0.3]])
+
+
+def test_overflowing_determinant_rejected():
+    # finite coordinates whose determinant overflows to inf - inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        mesh = dgsl.TriMesh([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]],
+                            [[0, 1, 2]])
+        with pytest.raises(DegenerateElement, match="non-finite"):
+            dgsl.DGSpace(mesh, 1)
 
 
 def test_vector_length_validation():
