@@ -45,11 +45,9 @@ def l2_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
     return float(np.sqrt(total))
 
 
-def l2_norm_discrete(space: DGSpace, v: DGVector,
-                     quad_degree: Optional[int] = None) -> float:
+def l2_norm_discrete(space: DGSpace, v: DGVector) -> float:
     """Broken L2 norm of a discrete field (exact at degree 2r)."""
-    return l2_error(space, v, None, quad_degree if quad_degree is not None
-                    else 2 * space.degree + 2)
+    return l2_error(space, v, None, 2 * space.degree + 2)
 
 
 def _edge_points(mesh, params):
@@ -66,9 +64,9 @@ def _side_fields(v, table):
     return np.einsum("msqd...,msd->msq...", table, coeffs)
 
 
-def _edge_error_terms(space, v, exact, penalty, edge_degree):
+def _edge_error_terms(space, v, exact, penalty):
     """Average-gradient and jump contributions of the error norm."""
-    rule = edge_rule(edge_degree)
+    rule = edge_rule(_analysis_degree(space))
     edges = space.mesh.edges
     values, grads = edge_traces(space, rule.points)
     side_v = _side_fields(v, values)
@@ -88,13 +86,10 @@ def _edge_error_terms(space, v, exact, penalty, edge_degree):
 
 
 def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
-             penalty: float, volume_degree: Optional[int] = None,
-             edge_degree: Optional[int] = None) -> float:
+             penalty: float) -> float:
     """Mesh-dependent norm of u - v_h, using the analytic gradient of u,
     or of v_h when `exact` is None."""
-    vdeg = volume_degree if volume_degree is not None else _analysis_degree(space)
-    edeg = edge_degree if edge_degree is not None else _analysis_degree(space)
-    rule = triangle_rule(vdeg)
+    rule = triangle_rule(_analysis_degree(space))
     ref_g = np.einsum("ed,qda->eqa", v.by_element(),
                       space.basis.gradients(rule.points))
     diff = np.einsum("eqa,eab->eqb", ref_g, space.inv_jacobians)
@@ -103,27 +98,24 @@ def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
         gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
         diff = np.stack([gx, gy], axis=-1) - diff
     vol = np.einsum("e,q,eqa->", space.dets, rule.weights, diff ** 2)
-    avg, jump = _edge_error_terms(space, v, exact, penalty, edeg)
+    avg, jump = _edge_error_terms(space, v, exact, penalty)
     return float(np.sqrt(vol + avg + jump))
 
 
-def dg_norm_discrete(space: DGSpace, v: DGVector, penalty: float,
-                     volume_degree: Optional[int] = None,
-                     edge_degree: Optional[int] = None) -> float:
+def dg_norm_discrete(space: DGSpace, v: DGVector, penalty: float) -> float:
     """Mesh-dependent norm of a discrete field."""
-    return dg_error(space, v, None, penalty, volume_degree, edge_degree)
+    return dg_error(space, v, None, penalty)
 
 
 def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
-                            cfg: AssemblyConfig,
-                            quad_degree: Optional[int] = None) -> np.ndarray:
+                            cfg: AssemblyConfig) -> np.ndarray:
     """The functional a(w, phi_i) for a smooth field w given analytically.
 
     Interior jumps of w vanish; boundary edges keep the full set of
     terms so that fields with nonzero boundary trace (e.g. global
     linears) are handled exactly.
     """
-    degree = quad_degree if quad_degree is not None else _analysis_degree(space)
+    degree = _analysis_degree(space)
     rule = triangle_rule(degree)
     gtab = space.basis.gradients(rule.points)
     pts = space.physical_points(rule.points)
@@ -134,7 +126,7 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
     out = np.einsum("e,q,eqa,eqia->ei", space.dets, rule.weights, gw, phys_g)
     out = out.ravel().copy()
 
-    erule = edge_rule(degree if degree <= 20 else 20)
+    erule = edge_rule(degree)
     edges = space.mesh.edges
     values, grads = edge_traces(space, erule.points)
     epts = _edge_points(space.mesh, erule.points)
@@ -159,11 +151,9 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
     return out
 
 
-def laplacian_pairing(space: DGSpace, exact: ExactSolution,
-                      quad_degree: Optional[int] = None) -> np.ndarray:
+def laplacian_pairing(space: DGSpace, exact: ExactSolution) -> np.ndarray:
     """The functional (-Delta w, phi_i) by element quadrature."""
-    degree = quad_degree if quad_degree is not None else _analysis_degree(space)
-    rule = triangle_rule(degree)
+    rule = triangle_rule(_analysis_degree(space))
     vtab = space.basis.values(rule.points)
     pts = space.physical_points(rule.points)
     fvals = -np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float)
@@ -198,8 +188,7 @@ def observed_orders(levels) -> list:
     return orders
 
 
-def estimate_trace_constant(space: DGSpace,
-                            edge_degree: Optional[int] = None) -> float:
+def estimate_trace_constant(space: DGSpace) -> float:
     """Sharpest constant in ||v||_{0,e}^2 <= C (h_e^{-1} ||v||_{0,K}^2
     + h_e |v|_{1,K}^2) over all (edge, adjacent element) pairs.
 
@@ -208,8 +197,7 @@ def estimate_trace_constant(space: DGSpace,
     which dominates any sampled discrete field.
     """
     r = space.degree
-    edeg = edge_degree if edge_degree is not None else 2 * r + 2
-    erule = edge_rule(edeg)
+    erule = edge_rule(2 * r + 2)
     vol = _volume_tables(r, 2 * r + 2)
     mass_ref = np.einsum("q,qi,qj->ij", vol.rule.weights, vol.values, vol.values)
     stiff = _volume_stiffness_blocks(space, vol)
@@ -230,15 +218,14 @@ def estimate_trace_constant(space: DGSpace,
 
 
 def edge_identity_residual(space: DGSpace, v: DGVector, w1: DGVector,
-                           w2: DGVector, edge_degree: Optional[int] = None) -> float:
+                           w2: DGVector) -> float:
     """Relative mismatch of the element-boundary / edge-sum identity.
 
     Checks sum_K int_{dK} v w.n against sum_e int_e {w}.[v] plus the
     interior-edge sum of int_e {v}[w] for a scalar field v and a vector
     field w = (w1, w2).
     """
-    edeg = edge_degree if edge_degree is not None else 2 * space.degree + 2
-    rule = edge_rule(edeg)
+    rule = edge_rule(2 * space.degree + 2)
     edges = space.mesh.edges
     values, _ = edge_traces(space, rule.points)
     sv = _side_fields(v, values)

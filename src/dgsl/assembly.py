@@ -249,11 +249,11 @@ def _diagonal_block_positions(a: SparseSymMatrix, d):
     (element, i, j) order; every such entry must be stored."""
     csr = a.csr
     if not csr.has_sorted_indices:
-        raise ValueError("the stiffness must store its columns in order")
+        raise ValueError("the matrix must store its columns in order")
     rows = np.repeat(np.arange(a.dim), np.diff(csr.indptr))
     positions = np.flatnonzero(csr.indices // d == rows // d)
     if len(positions) != a.dim * d:
-        raise ValueError("the stiffness does not store every "
+        raise ValueError("the matrix does not store every "
                          "element-diagonal entry")
     return positions
 

@@ -31,14 +31,38 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_PROPERTIES = 4
 
-KNOWN_KEYS = {
-    "problem.name", "degree", "penalty",
-    "mesh.kind", "mesh.levels", "mesh.amplitude", "mesh.seed",
-    "newton.abs_tol", "newton.rel_tol", "newton.max_iterations",
-    "newton.damping", "newton.initial_guess",
-    "quad.volume_degree", "quad.edge_degree",
-    "output.path", "output.format",
+
+def _parse_bool(value):
+    lowered = value.lower()
+    if lowered in ("on", "true", "yes", "1"):
+        return True
+    if lowered in ("off", "false", "no", "0"):
+        return False
+    raise ConfigError(f"expected on/off, got {value!r}")
+
+
+# config key -> (RunConfig field, parser); an absent key keeps the
+# field's default. "penalty" and "mesh.levels" are parsed separately.
+_RUN_KEYS = {
+    "problem.name": ("problem", str),
+    "degree": ("degree", int),
+    "mesh.kind": ("mesh_kind", str),
+    "mesh.amplitude": ("amplitude", float),
+    "mesh.seed": ("seed", int),
+    "quad.volume_degree": ("volume_degree", int),
+    "quad.edge_degree": ("edge_degree", int),
+    "output.path": ("output_path", str),
+    "output.format": ("output_format", str),
 }
+# the same for the NewtonConfig fields
+_NEWTON_KEYS = {
+    "newton.abs_tol": ("abs_tol", float),
+    "newton.rel_tol": ("rel_tol", float),
+    "newton.max_iterations": ("max_iterations", int),
+    "newton.damping": ("damping", _parse_bool),
+    "newton.initial_guess": ("initial_guess", str),
+}
+KNOWN_KEYS = {"penalty", "mesh.levels", *_RUN_KEYS, *_NEWTON_KEYS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -58,15 +82,6 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def _parse_bool(value):
-    lowered = value.lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ConfigError(f"expected on/off, got {value!r}")
-
-
 def _penalty_list(value):
     try:
         return [float(tok) for tok in str(value).split(",") if tok.strip()]
@@ -74,67 +89,55 @@ def _penalty_list(value):
         raise ConfigError(f"bad penalty list {value!r}") from exc
 
 
+def _fields(entries, keys):
+    return {name: parse(entries[key]) for key, (name, parse) in keys.items()
+            if key in entries}
+
+
 def build_run_config(entries: dict):
     """RunConfig plus the penalty list (len > 1 means a sweep)."""
-    def get(key, default=None):
-        return entries.get(key, default)
-
-    penalties = _penalty_list(get("penalty", "100"))
+    penalties = _penalty_list(entries.get("penalty", RunConfig.penalty))
     if not penalties:
         raise ConfigError("penalty list is empty")
 
-    mesh_kind = get("mesh.kind", "structured")
-    levels_raw = get("mesh.levels", "16,32,64,128")
-    tokens = [tok.strip() for tok in levels_raw.split(",") if tok.strip()]
-    if mesh_kind == "files":
-        levels = tuple(tokens)
-    else:
-        try:
-            levels = tuple(int(tok) for tok in tokens)
-        except ValueError as exc:
-            raise ConfigError(f"bad mesh.levels {levels_raw!r}") from exc
-
     try:
-        newton = NewtonConfig(
-            abs_tol=float(get("newton.abs_tol", "1e-10")),
-            rel_tol=float(get("newton.rel_tol", "1e-12")),
-            max_iterations=int(get("newton.max_iterations", "25")),
-            damping=_parse_bool(get("newton.damping", "on")),
-            initial_guess=get("newton.initial_guess", "zero"),
-        )
+        newton = NewtonConfig(**_fields(entries, _NEWTON_KEYS))
         if newton.initial_guess not in ("zero", "exact"):
             raise ConfigError("newton.initial_guess must be 'zero' or 'exact'")
-        cfg = RunConfig(
-            problem=get("problem.name", "sine"),
-            degree=int(get("degree", "1")),
-            penalty=penalties[0],
-            mesh_kind=mesh_kind,
-            levels=levels,
-            amplitude=float(get("mesh.amplitude", "0.2")),
-            seed=int(get("mesh.seed", "42")),
-            newton=newton,
-            volume_degree=int(entries["quad.volume_degree"])
-            if "quad.volume_degree" in entries else None,
-            edge_degree=int(entries["quad.edge_degree"])
-            if "quad.edge_degree" in entries else None,
-            output_path=get("output.path"),
-            output_format=get("output.format", "csv"),
-        )
+        cfg = RunConfig(penalty=penalties[0], newton=newton,
+                        **_fields(entries, _RUN_KEYS))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
+
+    if "mesh.levels" in entries:
+        levels_raw = entries["mesh.levels"]
+        tokens = [tok.strip() for tok in levels_raw.split(",") if tok.strip()]
+        if cfg.mesh_kind == "files":
+            levels = tuple(tokens)
+        else:
+            try:
+                levels = tuple(int(tok) for tok in tokens)
+            except ValueError as exc:
+                raise ConfigError(f"bad mesh.levels {levels_raw!r}") from exc
+        cfg = replace(cfg, levels=levels)
     cfg.validate()
     return cfg, penalties
 
 
+def _split_set(item):
+    """(key, value) of one ``--set key=value`` argument."""
+    if "=" not in item:
+        raise ConfigError(f"--set needs key=value, got {item!r}")
+    key, value = item.split("=", 1)
+    return key.strip(), value.strip()
+
+
 def _apply_sets(entries, set_args):
     for item in set_args or ():
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
+        key, value = _split_set(item)
         if key not in KNOWN_KEYS:
             raise ConfigError(f"--set: unknown key {key!r}")
-        entries[key] = value.strip()
+        entries[key] = value
     return entries
 
 
@@ -199,13 +202,11 @@ def cmd_run(args):
 def cmd_verify(args):
     overrides = {}
     for item in args.set or ():
-        if "=" not in item:
-            raise ConfigError(f"--set needs key=value, got {item!r}")
-        key, value = item.split("=", 1)
+        key, value = _split_set(item)
         try:
-            overrides[key.strip()] = float(value)
+            overrides[key] = float(value)
         except ValueError:
-            overrides[key.strip()] = value.strip()
+            overrides[key] = value
     try:
         results = run_property_suite(args.suite, overrides)
     except KeyError as exc:

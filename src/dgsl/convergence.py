@@ -53,7 +53,7 @@ class RunConfig:
             raise ConfigError("penalty must be positive")
         if self.mesh_kind == "files":
             for path in self.levels:
-                if not Path(path).is_file():
+                if not Path(str(path)).is_file():
                     raise ConfigError(f"mesh file not found: {path}")
         else:
             for n in self.levels:

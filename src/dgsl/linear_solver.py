@@ -1,13 +1,15 @@
 """Solvers for the symmetric positive definite Newton-step systems.
 
-One entry point, `solve_spd`, picks its method from its arguments: with
-no preconditioner it runs a direct sparse factorization; with one (such
-as the factor of a nearby matrix, or the exact per-element block-Jacobi
-inverse of `block_jacobi_preconditioner`) it runs preconditioned
-conjugate gradients. Both certify definiteness: CG raises
-IndefiniteOperator when it meets a direction of non-positive curvature,
-and the factorization when a pivot is negative. Either is the practical
-symptom of an insufficient penalty parameter.
+One entry point, `solve_spd`, runs one preconditioned conjugate
+gradient loop. Without a preconditioner it factors the matrix and uses
+the factor as an exact preconditioner, so CG takes the place of
+iterative refinement; with one (such as the factor of a nearby matrix,
+or the exact per-element block-Jacobi inverse of
+`block_jacobi_preconditioner`) it preconditions with that. Both
+certify definiteness: CG raises IndefiniteOperator when it meets a
+direction of non-positive curvature, and the factorization when a pivot
+is negative. Either is the practical symptom of an insufficient penalty
+parameter.
 
 A matrix certified by assembly (`SparseSymMatrix.certified`) is
 factored without reading its pivots: the first access to `lu.U` makes
@@ -22,8 +24,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import SparseSymMatrix
+from .assembly import SparseSymMatrix, _diagonal_block_positions
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
+
+
+# CG iterations, i.e. factor solves, of a direct solve: the first solve
+# plus up to three corrections that recover digits lost to conditioning.
+FACTOR_SOLVES = 4
 
 
 @dataclass
@@ -72,20 +79,14 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
     """Exact inverse of the per-element diagonal blocks of `a`.
 
     Blocks are small ((r+1)(r+2)/2 <= 10), so exact inverses are cheap.
-    Raises IndefiniteOperator if any block is not positive definite.
+    `a` must store every diagonal-block entry, as assembly's matrices
+    do. Raises IndefiniteOperator if any block is not positive definite.
     """
-    n = a.dim
-    if n % block_size:
+    if a.dim % block_size:
         raise ValueError("matrix dimension is not a multiple of the block size")
-    nblocks = n // block_size
-    csr = a.csr
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    cols = csr.indices
-    inside = rows // block_size == cols // block_size
-    rows, cols = rows[inside], cols[inside]
-    dense = np.zeros((nblocks, block_size, block_size))
-    dense[rows // block_size, rows % block_size, cols % block_size] = \
-        csr.data[inside]
+    nblocks = a.dim // block_size
+    dense = a.csr.data[_diagonal_block_positions(a, block_size)].reshape(
+        nblocks, block_size, block_size)
     try:
         np.linalg.cholesky(dense)
     except np.linalg.LinAlgError as exc:
@@ -102,15 +103,18 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
 
 def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
               preconditioner=None):
-    """Solve a x = b to a relative residual of `tol`.
+    """Solve a x = b to a relative residual of `tol` by preconditioned
+    conjugate gradients.
 
     Without a `preconditioner` the solve is direct ("direct" in the
-    report): the certified `symmetric_factor`, returned in the report's
-    `factor`, plus iterative refinement. With a symmetric positive
-    definite `preconditioner` callable it runs preconditioned conjugate
-    gradients ("pcg") for at most `max_iter` iterations (10 x dim by
-    default). Both are deterministic: identical inputs give
-    bit-identical results.
+    report): the certified `symmetric_factor` of `a`, returned in the
+    report's `factor`, is the preconditioner. Otherwise
+    `preconditioner` is a symmetric positive definite callable ("pcg").
+    CG runs for at most `max_iter` iterations, by default FACTOR_SOLVES
+    on the factor and 10 x dim otherwise. The answer is accepted when
+    its true relative residual is at most `tol` or its normwise
+    backward error is at roundoff level. Both methods are deterministic:
+    identical inputs give bit-identical results.
 
     Returns (x, LinearSolveReport). Raises NotConverged (with the report
     attached) when the iteration budget runs out, IndefiniteOperator
@@ -125,51 +129,23 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b), LinearSolveReport(0, 0.0, True, method)
-
-    def acceptable(x, rel):
-        # ||r|| <= tol ||b|| can sit below the double-precision floor
-        # eps * ||A|| ||x|| when the penalty is large; a backward-stable
-        # answer (normwise backward error at roundoff level) is accepted
-        # too, which still keeps algebraic error far below
-        # discretization error.
-        if rel <= tol:
-            return True
-        scale = a.max_abs() * float(np.linalg.norm(x)) + norm_b
-        return rel * norm_b <= 100.0 * np.finfo(float).eps * scale
-
+    lu = certificate = None
     if preconditioner is None:
         lu, certificate = symmetric_factor(a)
-        x = lu.solve(b)
-        rel = float(np.linalg.norm(b - a @ x)) / norm_b
-        # Iterative refinement recovers digits lost to conditioning.
-        steps = 1
-        for _ in range(3):
-            if rel <= tol:
-                break
-            x_new = x + lu.solve(b - a @ x)
-            new_rel = float(np.linalg.norm(b - a @ x_new)) / norm_b
-            steps += 1
-            if new_rel >= rel:
-                break
-            x, rel = x_new, new_rel
-        report = LinearSolveReport(steps, rel, acceptable(x, rel), "direct",
-                                   certificate, factor=lu)
-        if not report.converged:
-            raise NotConverged("direct solve left a large residual",
-                               report=report, x=x)
-        return x, report
-
+        preconditioner = lu.solve
     if max_iter is None:
-        max_iter = 10 * a.dim
+        max_iter = 10 * a.dim if lu is None else FACTOR_SOLVES
+    a_max = None
 
     x = np.zeros_like(b)
     r = b.copy()
-    z = preconditioner(r)
-    p = z.copy()
-    rz = float(r @ z)
-    if rz <= 0.0:
-        raise IndefiniteOperator("preconditioned residual product is not positive")
+    p, rz, rel = None, 0.0, 1.0
     for it in range(1, max_iter + 1):
+        z = preconditioner(r)
+        rz, rz_old = float(r @ z), rz
+        if rz <= 0.0:
+            raise IndefiniteOperator("preconditioned residual product is not positive")
+        p = z if p is None else z + (rz / rz_old) * p
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -179,21 +155,20 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.linalg.norm(r) <= tol * norm_b:
-            # accept only if the true (not recursive) residual agrees
-            true_rel = float(np.linalg.norm(b - a @ x)) / norm_b
-            if acceptable(x, true_rel):
-                return x, LinearSolveReport(it, true_rel, True, "pcg")
-        z = preconditioner(r)
-        rz_new = float(r @ z)
-        if rz_new <= 0.0:
-            raise IndefiniteOperator("preconditioned residual product is not positive")
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    rel = float(np.linalg.norm(b - a @ x)) / norm_b
-    if acceptable(x, rel):
-        return x, LinearSolveReport(max_iter, rel, True, "pcg")
-    report = LinearSolveReport(max_iter, rel, False, "pcg")
-    raise NotConverged(f"pcg did not reach tol {tol} in {max_iter} iterations",
-                       report=report, x=x)
+        if np.linalg.norm(r) > tol * norm_b and it < max_iter:
+            continue
+        # The recursive residual drifts from the true one, so x is judged
+        # by the true residual. tol can sit below the double-precision
+        # floor eps * ||A|| ||x|| / ||b|| when the penalty is large; a
+        # backward-stable answer is accepted too, which still keeps
+        # algebraic error far below discretization error.
+        rel = float(np.linalg.norm(b - a @ x)) / norm_b
+        if rel > tol and a_max is None:
+            a_max = a.max_abs()
+        if rel <= tol or rel * norm_b <= 100.0 * np.finfo(float).eps * (
+                a_max * float(np.linalg.norm(x)) + norm_b):
+            return x, LinearSolveReport(it, rel, True, method, certificate,
+                                        factor=lu)
+    report = LinearSolveReport(max_iter, rel, False, method, certificate)
+    raise NotConverged(f"{method} solve did not reach tol {tol} in {max_iter} "
+                       "iterations", report=report, x=x)

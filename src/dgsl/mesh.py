@@ -137,9 +137,11 @@ class TriMesh:
             raise ParseError("triangle vertex index out of range")
 
         area = _signed_areas(self.vertices, self.triangles)
-        flat = np.flatnonzero(area == 0.0)
-        if len(flat):
-            raise ParseError(f"triangle {flat[0]} is degenerate (zero area)")
+        # a NaN or infinite area means the coordinates overflow it
+        bad = np.flatnonzero((area == 0.0) | ~np.isfinite(area))
+        if len(bad):
+            raise ParseError(f"triangle {bad[0]} is degenerate "
+                             f"(area {area[bad[0]]})")
         clockwise = area < 0.0
         self.triangles[clockwise] = self.triangles[clockwise][:, [0, 2, 1]]
 

@@ -200,3 +200,9 @@ def test_generated_mesh_feeds_files_run(tmp_path):
         f"output.path = {out}\n")
     assert main(["run", "--config", str(conf)]) == EXIT_OK
     assert len(out.read_text().strip().split("\n")) == 3
+
+
+def test_empty_config_takes_the_dataclass_defaults():
+    cfg, penalties = build_run_config({})
+    assert cfg == dgsl.RunConfig()
+    assert penalties == [100.0]

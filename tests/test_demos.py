@@ -1,4 +1,5 @@
-"""The quick narrative demos run to completion against the current API."""
+"""The narrative demos run to completion against the current API (the
+convergence study without its `--full` level)."""
 
 import os
 import subprocess
@@ -14,6 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
     "01_mesh_tour.py",
     "02_quadrature_and_basis.py",
     "03_solve_semilinear.py",
+    "04_convergence_study.py",
+    "05_penalty_sweep.py",
+    "06_property_gallery.py",
 ])
 def test_demo_runs(script):
     env = dict(os.environ)

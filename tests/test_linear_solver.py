@@ -10,7 +10,9 @@ from scipy.linalg import eigvalsh
 import dgsl
 from dgsl import (AssemblyConfig, assemble_bilinear,
                   block_jacobi_preconditioner, solve_spd)
+from dgsl import linear_solver
 from dgsl.assembly import NewtonKernel, SparseSymMatrix
+from dgsl.linear_solver import FACTOR_SOLVES
 from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
     SingularOperator
 
@@ -79,7 +81,61 @@ def test_direct_and_pcg_agree(rng):
                              preconditioner=block_jacobi_preconditioner(a, 3))
     x_dir, r_dir = solve_spd(a, b)
     assert (r_pcg.method, r_dir.method) == ("pcg", "direct")
-    assert np.linalg.norm(x_pcg - x_dir) <= 1e-9 * np.linalg.norm(x_dir)
+    x_ref = np.linalg.solve(a.csr.toarray(), b)
+    for x in (x_pcg, x_dir):
+        assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
+
+class CountingMatrix(SparseSymMatrix):
+    """A SparseSymMatrix that counts its `max_abs` reads."""
+
+    max_abs_reads = 0
+
+    def max_abs(self):
+        self.max_abs_reads += 1
+        return super().max_abs()
+
+
+def test_factored_solve_accepted_at_rounding_floor(sine):
+    # at penalty 2000 the Newton system's residual cannot reach 1e-12 in
+    # double precision; the backward-error test must accept it within
+    # the factored solve's budget
+    kernel = NewtonKernel(space_on(16, 1), sine, AssemblyConfig(penalty=2000.0))
+    u = np.zeros(kernel.stiffness.dim)
+    jac = kernel.jacobian(u)
+    a = CountingMatrix(jac.csr, jac.certified)
+    b = -kernel.residual(u)
+    x, report = solve_spd(a, b, tol=1e-12)
+    assert report.method == "direct" and report.converged
+    assert report.relative_residual > 1e-12
+    assert report.iterations <= FACTOR_SOLVES
+    assert a.max_abs_reads == 1
+    x_ref = np.linalg.solve(a.csr.toarray(), b)
+    assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
+
+def test_factored_solve_stops_after_its_factor_solve_budget(rng, monkeypatch):
+    # a factor of the wrong matrix leaves CG far from converged after
+    # FACTOR_SOLVES iterations, where an unbounded CG would go on
+    space = space_on(4, 1)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=1000.0))
+    wrong, _ = linear_solver.symmetric_factor(
+        assemble_bilinear(space, AssemblyConfig(penalty=10.0)))
+    solves = []
+
+    class Factor:
+        def solve(self, r):
+            solves.append(r)
+            return wrong.solve(r)
+
+    monkeypatch.setattr(linear_solver, "symmetric_factor",
+                        lambda matrix: (Factor(), "local"))
+    with pytest.raises(NotConverged) as excinfo:
+        solve_spd(a, rng.standard_normal(a.dim), tol=1e-12)
+    report = excinfo.value.report
+    assert (report.method, report.certificate) == ("direct", "local")
+    assert report.iterations == FACTOR_SOLVES == len(solves)
+    assert not report.converged and report.relative_residual > 1e-6
 
 
 def test_budget_exhaustion_raises_with_report(rng):

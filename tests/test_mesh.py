@@ -190,6 +190,13 @@ def test_import_rejects_non_finite_coordinates(n, bad, data):
         import_mesh("\n".join(lines) + "\n")
 
 
+def test_overflowing_area_rejected():
+    # finite coordinates whose signed area overflows to inf - inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParseError, match="triangle 0 is degenerate"):
+            dgsl.TriMesh([[0, 0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]])
+
+
 def test_import_degenerate_triangle():
     text = "3 1\n0 0\n1 0\n2 0\n0 1 2\n"
     with pytest.raises(ParseError, match="degenerate"):

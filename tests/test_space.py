@@ -72,10 +72,12 @@ def test_evaluate_bad_element_raises():
 
 
 def test_overflowing_determinant_rejected():
-    # finite coordinates whose determinant overflows to inf - inf = NaN
+    # finite coordinates whose determinant overflows to inf - inf = NaN;
+    # TriMesh rejects them itself, so they are swapped into a valid mesh
+    # to reach the space's own check
+    mesh = dgsl.TriMesh([[0.0, 0.0], [1.0, 1.0], [1.0, 2.0]], [[0, 1, 2]])
+    mesh.vertices = 1e200 * mesh.vertices
     with np.errstate(over="ignore", invalid="ignore"):
-        mesh = dgsl.TriMesh([[0.0, 0.0], [1e200, 1e200], [1e200, 2e200]],
-                            [[0, 1, 2]])
         with pytest.raises(DegenerateElement, match="non-finite"):
             dgsl.DGSpace(mesh, 1)
 
