@@ -15,7 +15,7 @@ from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
 from .assembly import AssemblyConfig, SparseSymMatrix, assemble_bilinear
 from .basis import ReferenceBasis, make_basis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,
-                          run_convergence, run_lambda_sweep)
+                          run_convergence)
 from .linear_solver import LinearSolveReport, block_jacobi_preconditioner, \
     solve_spd
 from .mesh import (EdgeSet, TriMesh, build_perturbed, build_structured,

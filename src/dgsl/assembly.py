@@ -35,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import make_basis
-from .errors import NonFiniteValue
+from .errors import ConfigError, NonFiniteValue
 from .quadrature import edge_rule, triangle_rule
 from .space import DGSpace, edge_traces
 
@@ -55,8 +55,14 @@ class AssemblyConfig:
     edge_degree: Optional[int] = None
 
     def __post_init__(self):
-        if not self.penalty > 0.0:
-            raise ValueError(f"penalty must be positive, got {self.penalty}")
+        if not 0.0 < self.penalty < np.inf:
+            raise ConfigError(f"penalty must be positive and finite, "
+                              f"got {self.penalty}")
+        # the rules own their degree ranges and raise UnsupportedDegree
+        if self.volume_degree is not None:
+            triangle_rule(self.volume_degree)
+        if self.edge_degree is not None:
+            edge_rule(self.edge_degree)
 
     def resolved_volume_degree(self, r):
         return self.volume_degree if self.volume_degree is not None else 3 * r + 1

@@ -3,15 +3,16 @@
 Subcommands:
 
     dgsl run --config PATH [--set key=value]...
-    dgsl verify [--suite NAME] [--set key=value]...
+    dgsl verify [--suite NAME] [--set penalty=VALUE]
     dgsl mesh gen --kind {structured,perturbed} --n N --out PATH
                   [--amplitude A] [--seed S]
 
 Run configurations are plain-text ``key = value`` files with dotted
 keys; ``--set`` flags override file entries. A comma-separated
 ``penalty`` list turns a run into a penalty sweep with one output per
-value. Exit codes: 0 success, 2 configuration error, 3 solver failure,
-4 property-suite failure.
+value. A configuration is checked in full, every penalty of a sweep
+included, before anything runs. Exit codes: 0 success, 2 configuration
+error, 3 solver failure, 4 property-suite failure.
 """
 
 import argparse
@@ -19,8 +20,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .convergence import (RunConfig, _metadata, report_from_raw,
-                          run_convergence, sweep_summary)
+from .assembly import AssemblyConfig
+from .convergence import (RunConfig, report_from_raw, run_convergence,
+                          sweep_summary)
 from .errors import ConfigError, DgslError
 from .mesh import build_perturbed, build_structured, export_mesh
 from .newton import NewtonConfig
@@ -38,7 +40,7 @@ def _parse_bool(value):
         return True
     if lowered in ("off", "false", "no", "0"):
         return False
-    raise ConfigError(f"expected on/off, got {value!r}")
+    raise ValueError("expected on/off")
 
 
 # config key -> (RunConfig field, parser); an absent key keeps the
@@ -82,46 +84,37 @@ def parse_config_text(text: str) -> dict:
     return entries
 
 
-def _penalty_list(value):
+def _parse(key, parse, value):
     try:
-        return [float(tok) for tok in str(value).split(",") if tok.strip()]
+        return parse(value)
     except ValueError as exc:
-        raise ConfigError(f"bad penalty list {value!r}") from exc
+        raise ConfigError(f"bad {key} {value!r}") from exc
+
+
+def _tokens(value):
+    return [tok.strip() for tok in str(value).split(",") if tok.strip()]
 
 
 def _fields(entries, keys):
-    return {name: parse(entries[key]) for key, (name, parse) in keys.items()
-            if key in entries}
+    return {name: _parse(key, parse, entries[key])
+            for key, (name, parse) in keys.items() if key in entries}
 
 
 def build_run_config(entries: dict):
     """RunConfig plus the penalty list (len > 1 means a sweep)."""
-    penalties = _penalty_list(entries.get("penalty", RunConfig.penalty))
+    penalties = [_parse("penalty", float, tok)
+                 for tok in _tokens(entries.get("penalty", RunConfig.penalty))]
     if not penalties:
         raise ConfigError("penalty list is empty")
 
-    try:
-        newton = NewtonConfig(**_fields(entries, _NEWTON_KEYS))
-        if newton.initial_guess not in ("zero", "exact"):
-            raise ConfigError("newton.initial_guess must be 'zero' or 'exact'")
-        cfg = RunConfig(penalty=penalties[0], newton=newton,
-                        **_fields(entries, _RUN_KEYS))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
-
+    fields = _fields(entries, _RUN_KEYS)
     if "mesh.levels" in entries:
-        levels_raw = entries["mesh.levels"]
-        tokens = [tok.strip() for tok in levels_raw.split(",") if tok.strip()]
-        if cfg.mesh_kind == "files":
-            levels = tuple(tokens)
-        else:
-            try:
-                levels = tuple(int(tok) for tok in tokens)
-            except ValueError as exc:
-                raise ConfigError(f"bad mesh.levels {levels_raw!r}") from exc
-        cfg = replace(cfg, levels=levels)
-    cfg.validate()
-    return cfg, penalties
+        tokens = _tokens(entries["mesh.levels"])
+        if fields.get("mesh_kind", RunConfig.mesh_kind) != "files":
+            tokens = [_parse("mesh.levels", int, tok) for tok in tokens]
+        fields["levels"] = tuple(tokens)
+    newton = NewtonConfig(**_fields(entries, _NEWTON_KEYS))
+    return RunConfig(penalty=penalties[0], newton=newton, **fields), penalties
 
 
 def _split_set(item):
@@ -165,31 +158,30 @@ def cmd_run(args):
         entries = parse_config_text(path.read_text())
     _apply_sets(entries, args.set)
     cfg, penalties = build_run_config(entries)
+    # every penalty of a sweep is checked before the first level runs
+    runs = [replace(cfg, penalty=lam) for lam in penalties]
 
-    many = len(penalties) > 1
+    many = len(runs) > 1
     finest = []
-    for lam in penalties:
-        run_cfg = replace(cfg, penalty=lam)
+    for run_cfg in runs:
+        out = _output_path_for(cfg.output_path, run_cfg.penalty, many)
         raw = []
         try:
             report = run_convergence(run_cfg,
                                      progress=lambda i, row: raw.append(row))
-        except DgslError as exc:
-            partial = report_from_raw(raw, _metadata(run_cfg,
-                                                     run_cfg.assembly_config()))
-            _write_output(partial.serialize(cfg.output_format),
-                          _output_path_for(cfg.output_path, lam, many))
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        _write_output(report.serialize(cfg.output_format),
-                      _output_path_for(cfg.output_path, lam, many))
-        finest.append((lam, report.rows[-1]))
+        except DgslError:
+            # flush the levels that finished; main reports the error
+            _write_output(report_from_raw(raw).serialize(cfg.output_format),
+                          out)
+            raise
+        _write_output(report.serialize(cfg.output_format), out)
+        finest.append(report.rows[-1])
 
     if many:
-        summary = sweep_summary(penalties, [row for _, row in finest])
+        summary = sweep_summary(finest)
         print("penalty sweep at finest level "
-              f"(h = {finest[0][1].h:g}):")
-        for lam, row in finest:
+              f"(h = {finest[0].h:g}):")
+        for lam, row in zip(penalties, finest):
             print(f"  penalty {lam:g}: l2 {row.l2_error:.4e}, "
                   f"dg {row.dg_error:.4e}")
         trend_dg = "decreases" if summary["dg_decreasing"] else "is not monotone"
@@ -203,10 +195,11 @@ def cmd_verify(args):
     overrides = {}
     for item in args.set or ():
         key, value = _split_set(item)
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            overrides[key] = value
+        if key != "penalty":
+            raise ConfigError(f"--set: verify reads only 'penalty', "
+                              f"got {key!r}")
+        penalty = _parse(key, float, value)
+        overrides[key] = AssemblyConfig(penalty=penalty).penalty
     try:
         results = run_property_suite(args.suite, overrides)
     except KeyError as exc:
@@ -217,8 +210,6 @@ def cmd_verify(args):
 
 
 def cmd_mesh_gen(args):
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
     if args.kind == "structured":
         mesh = build_structured(args.n)
     else:

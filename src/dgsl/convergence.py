@@ -14,8 +14,10 @@ from typing import List, Optional, Sequence
 
 from .analysis import dg_error, l2_error, observed_orders
 from .assembly import AssemblyConfig
+from .basis import make_basis
 from .errors import ConfigError
-from .mesh import build_perturbed, build_structured, import_mesh
+from .mesh import (build_perturbed, build_structured, check_grid_args,
+                   import_mesh)
 from .newton import NewtonConfig, solve_semilinear
 from .problems import get_problem
 from .space import DGSpace
@@ -25,7 +27,8 @@ CSV_HEADER = "h,l2_error,l2_order,dg_error,dg_order,newton_iters,dofs"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one refinement sweep."""
+    """Everything needed to reproduce one refinement sweep; construction
+    raises ConfigError for any value a run would reject."""
 
     problem: str = "sine"
     degree: int = 1
@@ -40,25 +43,41 @@ class RunConfig:
     output_path: Optional[str] = None
     output_format: str = "csv"               # csv | markdown
 
-    def validate(self):
+    def __post_init__(self):
         if self.mesh_kind not in ("structured", "perturbed", "files"):
             raise ConfigError(f"unknown mesh.kind {self.mesh_kind!r}")
         if not self.levels:
             raise ConfigError("level list is empty")
         if self.output_format not in ("csv", "markdown"):
             raise ConfigError(f"unknown output.format {self.output_format!r}")
-        if self.degree not in (1, 2, 3):
-            raise ConfigError(f"degree must be 1, 2 or 3, got {self.degree}")
-        if self.penalty <= 0:
-            raise ConfigError("penalty must be positive")
-        if self.mesh_kind == "files":
-            for path in self.levels:
-                if not Path(str(path)).is_file():
-                    raise ConfigError(f"mesh file not found: {path}")
-        else:
-            for n in self.levels:
-                if not (isinstance(n, int) and n >= 1):
-                    raise ConfigError(f"bad level {n!r}; need integers >= 1")
+        out = self.output_path
+        if out not in (None, "-") and \
+                (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigError(f"output.path {out!r} names no file in an "
+                              "existing directory")
+        # the basis, AssemblyConfig and the quadrature rules own the
+        # degree, penalty and quadrature-degree rules
+        make_basis(self.degree)
+        self.assembly_config()
+        try:
+            exact = get_problem(self.problem).exact
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
+        if exact is None:
+            raise ConfigError(
+                f"problem {self.problem!r} has no exact solution; "
+                "convergence runs need a manufactured problem")
+        guess = self.newton.initial_guess
+        if isinstance(guess, str) and guess not in ("zero", "exact"):
+            raise ConfigError("newton.initial_guess must be 'zero' or 'exact'")
+        for index, level in enumerate(self.levels):
+            if self.mesh_kind == "files":
+                if not Path(str(level)).is_file():
+                    raise ConfigError(f"mesh file not found: {level}")
+            elif self.mesh_kind == "perturbed":
+                check_grid_args(level, self.amplitude, self.seed + index)
+            else:
+                check_grid_args(level)
 
     def assembly_config(self):
         return AssemblyConfig(penalty=self.penalty,
@@ -87,10 +106,9 @@ class ReportRow:
 
 @dataclass
 class ConvergenceReport:
-    """Per-level error table plus the run's metadata."""
+    """Per-level error table of one run."""
 
     rows: List[ReportRow]
-    metadata: dict
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -132,19 +150,7 @@ class ConvergenceReport:
         return last.l2_order, last.dg_order
 
 
-def _metadata(cfg: RunConfig, acfg: AssemblyConfig):
-    return {
-        "problem": cfg.problem,
-        "degree": cfg.degree,
-        "penalty": cfg.penalty,
-        "mesh_kind": cfg.mesh_kind,
-        "levels": list(cfg.levels),
-        "volume_degree": acfg.resolved_volume_degree(cfg.degree),
-        "edge_degree": acfg.resolved_edge_degree(cfg.degree),
-    }
-
-
-def report_from_raw(raw, metadata) -> ConvergenceReport:
+def report_from_raw(raw) -> ConvergenceReport:
     """Assemble a report from per-level (h, l2, dg, iters, dofs) tuples;
     also used to flush partial results when a level fails."""
     if len(raw) > 1:
@@ -155,17 +161,12 @@ def report_from_raw(raw, metadata) -> ConvergenceReport:
         dg_orders = [None] * len(raw)
     rows = [ReportRow(h, e2, o2, ed, od, its, dofs)
             for (h, e2, ed, its, dofs), o2, od in zip(raw, l2_orders, dg_orders)]
-    return ConvergenceReport(rows, metadata)
+    return ConvergenceReport(rows)
 
 
 def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
     """Solve on every level and tabulate errors and observed orders."""
-    cfg.validate()
     problem = get_problem(cfg.problem)
-    if problem.exact is None:
-        raise ConfigError(
-            f"problem {cfg.problem!r} has no exact solution; "
-            "convergence runs need a manufactured problem")
     acfg = cfg.assembly_config()
     ncfg = cfg.newton
     if ncfg.initial_guess == "exact":
@@ -183,24 +184,10 @@ def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
         if progress is not None:
             progress(index, raw[-1])
 
-    return report_from_raw(raw, _metadata(cfg, acfg))
+    return report_from_raw(raw)
 
 
-def run_lambda_sweep(base: RunConfig, penalties: Sequence[float],
-                     progress=None) -> dict:
-    """One convergence report per penalty value, plus the cross-penalty
-    trend summary at the finest common level."""
-    reports = {}
-    for lam in penalties:
-        cfg = replace(base, penalty=float(lam))
-        reports[float(lam)] = run_convergence(cfg, progress=progress)
-
-    lams = [float(l) for l in penalties]
-    summary = sweep_summary(lams, [reports[l].rows[-1] for l in lams])
-    return {"reports": reports, "summary": summary}
-
-
-def sweep_summary(penalties: Sequence[float], finest_rows) -> dict:
+def sweep_summary(finest_rows) -> dict:
     """Cross-penalty trends of the finest-level errors of a sweep.
 
     `finest_rows` holds one ReportRow per penalty, in sweep order.
@@ -208,9 +195,6 @@ def sweep_summary(penalties: Sequence[float], finest_rows) -> dict:
     dg = [row.dg_error for row in finest_rows]
     l2 = [row.l2_error for row in finest_rows]
     return {
-        "penalties": list(penalties),
-        "dg_errors": dg,
-        "l2_errors": l2,
         "dg_decreasing": all(a > b for a, b in zip(dg, dg[1:])),
         "l2_increasing": all(a < b for a, b in zip(l2, l2[1:])),
     }

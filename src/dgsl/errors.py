@@ -17,10 +17,6 @@ class PerturbationFoldover(DgslError):
     """Vertex perturbation produced a non-positive triangle area."""
 
 
-class UnsupportedDegree(DgslError):
-    """Requested polynomial or quadrature degree is outside the supported range."""
-
-
 class DegenerateElement(DgslError):
     """Element mapping has non-positive Jacobian determinant."""
 
@@ -60,5 +56,11 @@ class InsufficientLevels(DgslError):
     """Observed-order computation needs at least two refinement levels."""
 
 
-class ConfigError(DgslError):
-    """Run configuration is invalid (unknown key, missing file, bad value)."""
+class ConfigError(DgslError, ValueError):
+    """A configuration value breaks a parameter rule (unknown key, missing
+    file, bad value). Each rule raises it where it lives; it is also a
+    ValueError, as a bad constructor argument is."""
+
+
+class UnsupportedDegree(ConfigError):
+    """Requested polynomial or quadrature degree is outside the supported range."""

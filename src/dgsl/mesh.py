@@ -16,11 +16,13 @@ Mesh file format (plain text, whitespace separated, `#` comments):
     i j k        (nt lines, 0-based vertex indices)
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConformingMesh, ParseError, PerturbationFoldover
+from .errors import (ConfigError, NonConformingMesh, ParseError,
+                     PerturbationFoldover)
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,14 @@ class TriMesh:
 
         self.edges = _build_edges(self.vertices, self.triangles)
 
-        tri_pts = self.vertices[self.triangles]
-        side = np.stack([
-            tri_pts[:, 1] - tri_pts[:, 0],
-            tri_pts[:, 2] - tri_pts[:, 1],
-            tri_pts[:, 0] - tri_pts[:, 2],
-        ])
-        self.element_sizes = np.sqrt((side ** 2).sum(axis=2)).max(axis=0)
+        # an element's size is its longest edge; each (triangle, local
+        # edge) pair is one side of exactly one edge
+        e = self.edges
+        present = e.tri >= 0
+        side_length = np.empty(self.triangles.shape)
+        side_length[e.tri[present], e.local[present]] = \
+            np.broadcast_to(e.length[:, None], present.shape)[present]
+        self.element_sizes = side_length.max(axis=1)
         self.h_max = float(self.element_sizes.max())
         self.nominal_h = float(nominal_h) if nominal_h is not None else self.h_max
 
@@ -177,10 +180,19 @@ class TriMesh:
         return float(self.areas().sum())
 
 
+def check_grid_args(n, amplitude=0.0, seed=0):
+    """Raise ConfigError unless the generators accept these arguments."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ConfigError(f"n must be an integer >= 1, got {n!r}")
+    if not 0.0 <= amplitude <= 0.3:
+        raise ConfigError(f"amplitude must be in [0, 0.3], got {amplitude}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _structured_grid(n):
     """Vertices and triangles of the n x n unit-square grid."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_grid_args(n)
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -210,8 +222,7 @@ def build_perturbed(n: int, amplitude: float, seed: int) -> TriMesh:
     generator; boundary vertices stay fixed and connectivity is
     unchanged. Raises PerturbationFoldover if any triangle folds.
     """
-    if not 0.0 <= amplitude <= 0.3:
-        raise ValueError(f"amplitude must be in [0, 0.3], got {amplitude}")
+    check_grid_args(n, amplitude, seed)
     vertices, triangles = _structured_grid(n)
     inner = np.arange(1, n, dtype=np.int64)
     interior = (inner[:, None] * (n + 1) + inner[None, :]).ravel()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
                        assemble_bilinear)
-from .errors import NewtonDiverged, NonFiniteValue, NotConverged
+from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import solve_spd
 from .problems import Problem
 from .space import DGSpace, DGVector, interpolate
@@ -60,10 +60,10 @@ class NewtonConfig:
     initial_guess: object = "zero"
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
+            raise ConfigError("tolerances must be positive and finite")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigError("max_iterations must be >= 1")
 
 
 @dataclass

@@ -26,7 +26,8 @@ from dgsl.assembly import (NewtonKernel, _edge_blocks,
                            _volume_stiffness_blocks, _volume_tables)
 from dgsl.cli import build_run_config, parse_config_text
 from dgsl.convergence import RunConfig
-from dgsl.errors import NonFiniteValue, PerturbationFoldover
+from dgsl.errors import (ConfigError, NonFiniteValue, PerturbationFoldover,
+                         UnsupportedDegree)
 from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
 from dgsl.quadrature import MAX_TRIANGLE_DEGREE, edge_rule, triangle_rule
@@ -257,6 +258,13 @@ def test_load_vector_integrates_constant_exactly():
 def test_config_validation():
     with pytest.raises(ValueError):
         AssemblyConfig(penalty=0.0)
+    for penalty in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            AssemblyConfig(penalty=penalty)
+    with pytest.raises(UnsupportedDegree):
+        AssemblyConfig(penalty=5.0, volume_degree=MAX_TRIANGLE_DEGREE + 1)
+    with pytest.raises(UnsupportedDegree):
+        AssemblyConfig(penalty=5.0, edge_degree=0)
     cfg = AssemblyConfig(penalty=5.0)
     assert cfg.resolved_volume_degree(2) == 7
     assert cfg.resolved_edge_degree(2) == 6

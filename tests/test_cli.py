@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dgsl
 from dgsl.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PROPERTIES, EXIT_SOLVER,
-                      build_run_config, main, parse_config_text)
+                      KNOWN_KEYS, build_run_config, main, parse_config_text)
 from dgsl.convergence import CSV_HEADER
 from dgsl.errors import ConfigError
 
@@ -179,12 +181,18 @@ def test_run_penalty_sweep_writes_per_value_outputs(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     conf.write_text(
         "problem.name = sine\ndegree = 1\npenalty = 10,100\n"
-        "mesh.kind = structured\nmesh.levels = 4\n"
+        "mesh.kind = structured\nmesh.levels = 4,8\n"
         f"output.path = {out}\n")
     assert main(["run", "--config", str(conf)]) == EXIT_OK
     assert (tmp_path / "sweep_lam10.csv").exists()
-    assert (tmp_path / "sweep_lam100.csv").exists()
-    assert "penalty sweep" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "penalty sweep" in stdout
+    assert "energy-norm error" in stdout and "L2 error" in stdout
+    # one penalty of a sweep writes what a run at that penalty alone writes
+    single = tmp_path / "single.csv"
+    assert main(["run", "--config", str(conf), "--set", "penalty=100",
+                 "--set", f"output.path={single}"]) == EXIT_OK
+    assert (tmp_path / "sweep_lam100.csv").read_bytes() == single.read_bytes()
 
 
 def test_generated_mesh_feeds_files_run(tmp_path):
@@ -206,3 +214,53 @@ def test_empty_config_takes_the_dataclass_defaults():
     cfg, penalties = build_run_config({})
     assert cfg == dgsl.RunConfig()
     assert penalties == [100.0]
+
+
+# each input must exit 2 before anything runs or is written
+BAD_INPUTS = {
+    "sweep_with_negative_penalty": ["run", "--set", "penalty=100,-5"],
+    "nan_penalty": ["run", "--set", "penalty=nan"],
+    "unknown_problem": ["run", "--set", "problem.name=nope"],
+    "perturbed_amplitude": ["run", "--set", "mesh.kind=perturbed",
+                            "--set", "mesh.amplitude=0.5"],
+    "mesh_gen_amplitude": ["mesh", "gen", "--kind", "perturbed", "--n", "4",
+                           "--amplitude", "0.5"],
+    "verify_negative_penalty": ["verify", "--set", "penalty=-1"],
+    "verify_text_penalty": ["verify", "--set", "penalty=abc"],
+    "verify_nan_penalty": ["verify", "--set", "penalty=nan"],
+    "verify_unknown_key": ["verify", "--set", "foo=1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_config_error_before_running(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] == "run":
+        argv = argv + ["--set", "mesh.levels=4", "--set", f"output.path={out}"]
+    elif argv[0] == "mesh":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert "Traceback" not in captured.err
+    assert "PASS" not in captured.out           # no suite ran
+    assert list(tmp_path.iterdir()) == []       # no table, no _lam100 table
+
+
+BAD_VALUES = ["nan", "inf", "-1", "0", "0.5", "1e400", "abc", ""]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(KNOWN_KEYS)),
+                       st.sampled_from(BAD_VALUES), min_size=1, max_size=3))
+def test_run_configuration_is_valid_once_built(entries):
+    # build every run of the sweep, as `dgsl run` does; no solve runs
+    try:
+        cfg, penalties = build_run_config(entries)
+        runs = [dataclasses.replace(cfg, penalty=lam) for lam in penalties]
+    except ConfigError:
+        return
+    # a configuration that builds can set up every run it describes
+    for run_cfg in runs:
+        run_cfg.assembly_config()
+        assert dgsl.get_problem(run_cfg.problem).exact is not None

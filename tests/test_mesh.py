@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dgsl
 from dgsl import build_perturbed, build_structured, export_mesh, import_mesh
-from dgsl.errors import NonConformingMesh, ParseError, PerturbationFoldover
+from dgsl.errors import (ConfigError, NonConformingMesh, ParseError,
+                         PerturbationFoldover)
 
 UNIT_SQUARE_TWO_TRIANGLES = """\
 # unit square, two triangles
@@ -195,6 +196,24 @@ def test_overflowing_area_rejected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ParseError, match="triangle 0 is degenerate"):
             dgsl.TriMesh([[0, 0], [1e200, 1e200], [1e200, 2e200]], [[0, 1, 2]])
+
+
+def test_needle_element_size_is_its_longest_edge():
+    # edges 1e160, 1e160 and 1e-160: squaring a side would overflow
+    mesh = dgsl.TriMesh([[0, 0], [1e160, 0], [1e160, 1e-160]], [[0, 1, 2]])
+    assert mesh.element_sizes.tolist() == [1e160]
+    assert mesh.h_max == 1e160
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_structured(0),
+    lambda: build_perturbed(0, 0.2, seed=0),
+    lambda: build_perturbed(4, float("nan"), seed=0),
+    lambda: build_perturbed(4, 0.2, seed=-1),
+], ids=["structured_n0", "perturbed_n0", "amplitude_nan", "negative_seed"])
+def test_generator_arguments_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_import_degenerate_triangle():

@@ -11,7 +11,8 @@ import dgsl.newton
 from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
 from dgsl.analysis import l2_norm_discrete
 from dgsl.assembly import NewtonKernel
-from dgsl.errors import IndefiniteOperator, NonFiniteValue, NotConverged
+from dgsl.errors import (ConfigError, IndefiniteOperator, NonFiniteValue,
+                         NotConverged)
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
 
@@ -263,6 +264,9 @@ def test_config_validation():
         NewtonConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iterations=0)
+    for bad in (dict(abs_tol=np.nan), dict(rel_tol=np.inf)):
+        with pytest.raises(ConfigError):
+            NewtonConfig(**bad)
 
 
 def test_backtracking_steps_back_from_non_finite_trial():
