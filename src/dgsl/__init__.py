@@ -11,7 +11,7 @@ from . import errors
 from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
                        edge_identity_residual, elliptic_project,
                        estimate_trace_constant, l2_error, l2_norm_discrete,
-                       laplacian_pairing, observed_orders)
+                       observed_orders)
 from .assembly import AssemblyConfig, SparseSymMatrix, assemble_bilinear
 from .basis import ReferenceBasis, make_basis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,
@@ -21,8 +21,8 @@ from .linear_solver import LinearSolveReport, block_jacobi_preconditioner, \
 from .mesh import (EdgeSet, TriMesh, build_perturbed, build_structured,
                    export_mesh, import_mesh)
 from .newton import NewtonConfig, NewtonReport, solve_semilinear
-from .problems import (ExactSolution, Problem, get_problem, problem_names,
-                       register_problem, verify_manufactured)
+from .problems import (ExactSolution, Problem, get_problem, register_problem,
+                       verify_manufactured)
 from .properties import CheckResult, run_property_suite
 from .quadrature import QuadRule, edge_rule, triangle_rule
 from .space import DGSpace, DGVector, edge_traces, evaluate, interpolate

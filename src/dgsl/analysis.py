@@ -151,16 +151,6 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
     return out
 
 
-def laplacian_pairing(space: DGSpace, exact: ExactSolution) -> np.ndarray:
-    """The functional (-Delta w, phi_i) by element quadrature."""
-    rule = triangle_rule(_analysis_degree(space))
-    vtab = space.basis.values(rule.points)
-    pts = space.physical_points(rule.points)
-    fvals = -np.asarray(exact.laplacian(pts[..., 0], pts[..., 1]), dtype=float)
-    scaled = space.dets[:, None] * rule.weights[None, :] * fvals
-    return np.einsum("eq,qi->ei", scaled, vtab).ravel()
-
-
 def elliptic_project(space: DGSpace, exact: ExactSolution,
                      cfg: AssemblyConfig,
                      stiffness: Optional[SparseSymMatrix] = None) -> DGVector:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 from .analysis import dg_error, l2_error, observed_orders
 from .assembly import AssemblyConfig
 from .basis import make_basis
-from .errors import ConfigError
+from .errors import ConfigError, DgslError
 from .mesh import (build_perturbed, build_structured, check_grid_args,
                    import_mesh)
 from .newton import NewtonConfig, solve_semilinear
@@ -72,8 +72,11 @@ class RunConfig:
             raise ConfigError("newton.initial_guess must be 'zero' or 'exact'")
         for index, level in enumerate(self.levels):
             if self.mesh_kind == "files":
-                if not Path(str(level)).is_file():
-                    raise ConfigError(f"mesh file not found: {level}")
+                # parsed now, so a bad file fails before any level runs
+                try:
+                    import_mesh(Path(str(level)).read_text())
+                except (OSError, DgslError) as exc:
+                    raise ConfigError(f"mesh file {level}: {exc}") from exc
             elif self.mesh_kind == "perturbed":
                 check_grid_args(level, self.amplitude, self.seed + index)
             else:

@@ -3,13 +3,13 @@
 One entry point, `solve_spd`, runs one preconditioned conjugate
 gradient loop. Without a preconditioner it factors the matrix and uses
 the factor as an exact preconditioner, so CG takes the place of
-iterative refinement; with one (such as the factor of a nearby matrix,
-or the exact per-element block-Jacobi inverse of
-`block_jacobi_preconditioner`) it preconditions with that. Both
-certify definiteness: CG raises IndefiniteOperator when it meets a
-direction of non-positive curvature, and the factorization when a pivot
-is negative. Either is the practical symptom of an insufficient penalty
-parameter.
+iterative refinement. With one it preconditions with that: the factor
+of a nearby matrix, the exact per-element block-Jacobi inverse of
+`block_jacobi_preconditioner`, or `two_level_preconditioner`, which adds
+an exact solve on the continuous P1 coarse space to it. Both certify
+definiteness: CG raises IndefiniteOperator when it meets a direction of
+non-positive curvature, and the factorization when a pivot is negative.
+Either is the practical symptom of an insufficient penalty parameter.
 
 A matrix certified by assembly (`SparseSymMatrix.certified`) is
 factored without reading its pivots: the first access to `lu.U` makes
@@ -39,7 +39,8 @@ class LinearSolveReport:
     relative_residual: float
     converged: bool
     method: str = "pcg"
-    # how a "direct" solve's factor was certified: "local" or "pivots"
+    # how a "direct" solve's factor was certified, "local" or "pivots";
+    # Newton also marks a step that built a two-level cycle "local"
     certificate: Optional[str] = None
     # the certified factor of a "direct" solve, for preconditioning
     # later nearby systems
@@ -97,6 +98,28 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
 
     def apply(r):
         return np.einsum("bij,bj->bi", inv, r.reshape(nblocks, block_size)).ravel()
+
+    return apply
+
+
+def two_level_preconditioner(a: SparseSymMatrix, prolongation,
+                             block_size: int):
+    """Additive two-level preconditioner B r + P A_c^-1 P^T r (Dobrev,
+    Lazarov, Vassilevski & Zikatanov, NLAA 2006): CG iterations do not
+    grow as h -> 0.
+
+    B is `block_jacobi_preconditioner`, P the `prolongation` (continuous
+    P1 on the same mesh, `space.p1_prolongation`) and A_c = P^T a P,
+    factored by `symmetric_factor`. P has full column rank, so A_c is
+    certified positive definite when `a` is.
+    """
+    smoother = block_jacobi_preconditioner(a, block_size)
+    restriction = prolongation.T.tocsr()
+    coarse = restriction @ (a.csr @ prolongation)
+    lu, _ = symmetric_factor(SparseSymMatrix(coarse, a.certified))
+
+    def apply(r):
+        return smoother(r) + prolongation @ lu.solve(restriction @ r)
 
     return apply
 

@@ -137,6 +137,14 @@ class TriMesh:
         if self.triangles.min(initial=0) < 0 or \
                 self.triangles.max(initial=-1) >= len(self.vertices):
             raise ParseError("triangle vertex index out of range")
+        # two used vertices at one point would cut a slit into the domain
+        used = np.unique(self.triangles)
+        order = used[np.lexsort(self.vertices[used].T[::-1])]
+        same = np.flatnonzero((np.diff(self.vertices[order], axis=0) == 0.0)
+                              .all(axis=1))
+        if len(same):
+            i, j = sorted(order[same[0]:same[0] + 2])
+            raise ParseError(f"vertices {i} and {j} coincide")
 
         area = _signed_areas(self.vertices, self.triangles)
         # a NaN or infinite area means the coordinates overflow it

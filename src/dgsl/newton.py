@@ -7,15 +7,15 @@ stiffness, the source at the quadrature points and the block pattern
 are set up once per solve in an `assembly.NewtonKernel`; each residual
 and Jacobian is then one matrix product against its tables.
 
-This is the one linear path: the first Jacobian of a solve is factored,
-and later steps run CG preconditioned by that factor (a lagged
-preconditioner). The Jacobians differ only in the mass term, and under
-N' >= 0 each is positive definite, so the old factor is a near-exact
-SPD preconditioner: CG needs a few iterations where a new factorization
-would cost far more. A Jacobian is factored afresh only when CG needs
-more than REFACTOR_ITERATIONS iterations. CG keeps its curvature check
-and every factor its certificate (assembly's local one, else the
-pivots), so either path raises IndefiniteOperator on an indefinite one.
+Each step runs one PCG loop (`solve_spd`) with a lagged preconditioner,
+built from the first Jacobian of a solve: later ones differ from it
+only in the mass term. A Jacobian certified by assembly gets the
+two-level cycle, so no fine-grid matrix is factored; any other is
+factored and certified by its pivots. It is rebuilt only when CG runs
+past its budget. Each step is solved only as far as Newton needs
+(inexact Newton, `_forcing_term`); the stopping test reads the true
+residual. CG keeps its curvature check, so every path raises
+IndefiniteOperator on an indefinite Jacobian.
 """
 
 import warnings
@@ -27,17 +27,22 @@ import numpy as np
 from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
                        assemble_bilinear)
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
-from .linear_solver import solve_spd
+from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import Problem
-from .space import DGSpace, DGVector, interpolate
+from .space import DGSpace, DGVector, interpolate, p1_prolongation
 
 
 # CG iterations on a later Jacobian, preconditioned by the factor of an
 # earlier one, before that Jacobian is factored itself. The sine problem
 # needs 5-6; at P3, n = 64, 25 factor solves cost about one factorization.
 REFACTOR_ITERATIONS = 25
-# relative residual of every Newton-step linear solve
+# the same budget for a lagged two-level preconditioner: a fresh one
+# needs about 34 (P1), 128 (P2) and 140 (P3) iterations to 1e-12
+REBUILD_ITERATIONS = 200
+# bounds of the forcing terms
 LINEAR_TOL = 1e-12
+FORCING_MAX = 1e-3
+FORCING_SAFETY = 0.1
 # line search: alpha shrinks by this factor, at most this many times
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 30
@@ -87,23 +92,39 @@ def _check_sign_assumption(kernel, u):
         )
 
 
-def _lagged_factor_step(jac, rhs, factor):
-    """Solve jac delta = rhs by CG preconditioned with `factor`, the
-    factor of an earlier Jacobian, or directly when there is none or CG
-    exceeds REFACTOR_ITERATIONS. Returns (delta, report, factor to keep).
+def _forcing_term(res_norm, first_norm, threshold):
+    """Relative tolerance of the step from residual `res_norm`: quadratic
+    in the residual reduction, so Newton stays quadratic, but no tighter
+    than the stopping `threshold` needs (Eisenstat & Walker, SISC 1996)."""
+    return max(LINEAR_TOL, min(FORCING_MAX, max(
+        (res_norm / first_norm) ** 2, FORCING_SAFETY * threshold / res_norm)))
+
+
+def _lagged_step(jac, rhs, tol, lagged, space):
+    """Solve jac delta = rhs to relative residual `tol` by CG with the
+    lagged preconditioner (apply, budget) of an earlier Jacobian. When
+    there is none, or CG runs past its budget, build one from `jac`: the
+    two-level cycle if `jac` is certified, else its factor, whose pivots
+    certify it. Returns (delta, report, preconditioner to keep).
     """
-    if factor is not None:
+    if lagged is not None:
+        apply, budget = lagged
         try:
-            delta, lin = solve_spd(jac, rhs, tol=LINEAR_TOL,
-                                   max_iter=REFACTOR_ITERATIONS,
-                                   preconditioner=factor.solve)
-            return delta, lin, factor
+            delta, lin = solve_spd(jac, rhs, tol=tol, max_iter=budget,
+                                   preconditioner=apply)
+            return delta, lin, lagged
         except NotConverged:
             pass
-    delta, lin = solve_spd(jac, rhs, tol=LINEAR_TOL)
+    if jac.certified:
+        apply = two_level_preconditioner(jac, p1_prolongation(space),
+                                         space.dofs_per_element)
+        delta, lin = solve_spd(jac, rhs, tol=tol, preconditioner=apply)
+        lin.certificate = "local"
+        return delta, lin, (apply, REBUILD_ITERATIONS)
+    delta, lin = solve_spd(jac, rhs, tol=tol)
     # the Newton report keeps the linear report but not the factor
     factor, lin.factor = lin.factor, None
-    return delta, lin, factor
+    return delta, lin, (factor.solve, REFACTOR_ITERATIONS)
 
 
 def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
@@ -129,9 +150,9 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         return stiffness @ vec - _nonlinear_load(kernel, vec)
 
     report = NewtonReport()
-    factor = None
+    lagged = None
     res = residual(u)
-    res_norm = float(np.linalg.norm(res))
+    res_norm = first_norm = float(np.linalg.norm(res))
     report.residual_norms.append(res_norm)
     threshold = max(ncfg.abs_tol, ncfg.rel_tol * res_norm)
 
@@ -139,8 +160,9 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         if res_norm <= threshold:
             report.converged = True
             break
-        delta, lin, factor = _lagged_factor_step(kernel.jacobian(u), -res,
-                                                 factor)
+        delta, lin, lagged = _lagged_step(
+            kernel.jacobian(u), -res,
+            _forcing_term(res_norm, first_norm, threshold), lagged, space)
         report.linear_reports.append(lin)
 
         alpha = 1.0

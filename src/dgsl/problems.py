@@ -98,7 +98,3 @@ def get_problem(name: str) -> Problem:
         raise KeyError(
             f"unknown problem {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-
-
-def problem_names():
-    return sorted(_REGISTRY)

@@ -13,6 +13,7 @@ evaluates the basis on both sides of all mesh edges at once.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .basis import edge_reference_points, make_basis
 from .errors import DegenerateElement
@@ -91,13 +92,6 @@ class DGVector:
         return self.coeffs.reshape(self.space.num_elements,
                                    self.space.dofs_per_element)
 
-    def copy(self):
-        return DGVector(self.space, self.coeffs.copy())
-
-    @classmethod
-    def zeros(cls, space):
-        return cls(space, np.zeros(space.total_dofs))
-
 
 def interpolate(space: DGSpace, u) -> DGVector:
     """Nodal interpolant of a scalar field u(x, y).
@@ -111,6 +105,27 @@ def interpolate(space: DGSpace, u) -> DGVector:
     y = space.node_coords[..., 1]
     values = np.asarray(u(x, y), dtype=float)
     return DGVector(space, values.ravel().copy())
+
+
+def p1_prolongation(space: DGSpace):
+    """Sparse (total_dofs, used vertices) matrix that maps the vertex
+    values of a continuous P1 field to its DG interpolant.
+
+    Row e D + i holds the barycentric coordinates of node i of element
+    e, without exact zeros, so it has at most 3 entries. Columns are the
+    vertices some triangle uses, in index order.
+    """
+    r, d = space.degree, space.dofs_per_element
+    lattice = np.rint(space.basis.nodes * r)
+    bary = np.column_stack([r - lattice.sum(axis=1), lattice]) / r  # (D, 3)
+    used, columns = np.unique(space.mesh.triangles, return_inverse=True)
+    columns = np.repeat(columns.reshape(-1, 1, 3), d, axis=1)
+    weights = np.broadcast_to(bary, columns.shape)
+    keep = (weights != 0.0).ravel()
+    rows = np.repeat(np.arange(space.total_dofs), 3)
+    return sparse.csr_matrix(
+        (weights.ravel()[keep], (rows[keep], columns.ravel()[keep])),
+        shape=(space.total_dofs, len(used)))
 
 
 def evaluate(space: DGSpace, v: DGVector, element: int, points, gradients=False):

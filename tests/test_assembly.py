@@ -20,8 +20,7 @@ from scipy.linalg import eigvalsh
 
 import dgsl
 from dgsl import AssemblyConfig, DGVector, assemble_bilinear, interpolate
-from dgsl.analysis import (apply_bilinear_to_field, l2_norm_discrete,
-                           laplacian_pairing)
+from dgsl.analysis import apply_bilinear_to_field, l2_norm_discrete
 from dgsl.assembly import (NewtonKernel, _edge_blocks,
                            _volume_stiffness_blocks, _volume_tables)
 from dgsl.cli import build_run_config, parse_config_text
@@ -232,12 +231,17 @@ def test_cubic_nonlinearity_jacobian_dominates_stiffness(sine, rng):
 
 
 def test_consistency_with_strong_form(sine):
-    # a(u, phi) computed from analytic traces equals (-Lap u, phi)
+    # a(u, phi) computed from analytic traces equals (-Lap u, phi), here
+    # the Newton load of the linear problem with source -Lap u
     space = space_on(8, 1)
-    cfg = AssemblyConfig(penalty=100.0)
+    cfg = AssemblyConfig(penalty=100.0, volume_degree=6)
     lhs = apply_bilinear_to_field(space, sine.exact.value, sine.exact.gradient,
                                   cfg)
-    rhs = laplacian_pairing(space, sine.exact)
+    poisson = Problem(name="poisson", nonlinearity=lambda u: 0.0 * u,
+                      d_nonlinearity=lambda u: 0.0 * u,
+                      source=lambda x, y: -sine.exact.laplacian(x, y))
+    rhs = -NewtonKernel(space, poisson, cfg).residual(
+        np.zeros(space.total_dofs))
     assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 

@@ -210,6 +210,19 @@ def test_generated_mesh_feeds_files_run(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 3
 
 
+def test_bad_second_mesh_file_exits_before_any_level(tmp_path, capsys):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    main(["mesh", "gen", "--kind", "structured", "--n", "2", "--out",
+          str(good)])
+    bad.write_text("3 1\n0 0\n1 0\n1 1\n0 1 7\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", "--set", "mesh.kind=files",
+                 "--set", f"mesh.levels={good},{bad}",
+                 "--set", f"output.path={out}"]) == EXIT_CONFIG
+    assert "bad.txt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_config_takes_the_dataclass_defaults():
     cfg, penalties = build_run_config({})
     assert cfg == dgsl.RunConfig()

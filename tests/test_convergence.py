@@ -1,10 +1,13 @@
 """Convergence-study driver: reports, sweeps, determinism, mesh files."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dgsl
 from dgsl import RunConfig, run_convergence
+from dgsl.cli import build_run_config, parse_config_text
 from dgsl.convergence import CSV_HEADER
 from dgsl.errors import ConfigError
 
@@ -70,6 +73,42 @@ def test_mesh_files_family(tmp_path):
                                          levels=tuple(paths)))
     assert len(report.rows) == 2
     assert report.rows[0].h == pytest.approx(np.sqrt(2) / 2)
+
+
+def test_bad_mesh_file_rejected_when_config_is_built(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text(dgsl.export_mesh(dgsl.build_structured(2)))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 1\n0 0\n1 0\n")
+    with pytest.raises(ConfigError, match="bad.txt"):
+        tiny_config(mesh_kind="files", levels=(str(good), str(bad)))
+
+
+def newton_counts(cfg):
+    problem = dgsl.get_problem(cfg.problem)
+    return [dgsl.solve_semilinear(dgsl.DGSpace(cfg.build_level_mesh(i),
+                                               cfg.degree),
+                                  problem, cfg.assembly_config(),
+                                  cfg.newton)[1].iterations
+            for i in range(len(cfg.levels))]
+
+
+# Newton counts with every step solved exactly; forcing terms and the
+# two-level preconditioner must leave them as they are
+def test_table_r1_newton_counts():
+    text = (Path(__file__).parent.parent / "demos" / "configs"
+            / "table_r1.conf").read_text()
+    cfg, _ = build_run_config(parse_config_text(text))
+    assert newton_counts(cfg) == [4, 3, 3, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_p3_perturbed_newton_counts(seed):
+    cfg = RunConfig(degree=3, volume_degree=14, edge_degree=12,
+                    newton=dgsl.NewtonConfig(abs_tol=1e-11),
+                    mesh_kind="perturbed", amplitude=0.2, seed=seed,
+                    levels=(16, 32, 64))
+    assert newton_counts(cfg) == [4, 4, 4]
 
 
 def test_exact_initial_guess_accepted():

@@ -11,6 +11,8 @@ import dgsl
 from dgsl import (AssemblyConfig, assemble_bilinear,
                   block_jacobi_preconditioner, solve_spd)
 from dgsl import linear_solver
+from dgsl.linear_solver import two_level_preconditioner
+from dgsl.space import p1_prolongation
 from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.linear_solver import FACTOR_SOLVES
 from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
@@ -230,3 +232,31 @@ def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
     columns = np.stack([apply(np.tile(np.eye(d)[j], nblocks)).reshape(nblocks, d)
                         for j in range(d)], axis=-1)
     assert_allclose(columns, np.linalg.inv(blocks), rtol=1e-13, atol=0)
+
+
+def two_level(a, space):
+    return two_level_preconditioner(a, p1_prolongation(space),
+                                    space.dofs_per_element)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_two_level_preconditioner_is_spd(r):
+    space = dgsl.DGSpace(dgsl.build_perturbed(3, 0.2, seed=1), r)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    dense = np.column_stack([two_level(a, space)(e) for e in np.eye(a.dim)])
+    assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
+    assert eigvalsh(dense).min() > 0.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_two_level_pcg_agrees_with_direct_solve(sine, rng, r):
+    space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
+    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+    jac = kernel.jacobian(rng.standard_normal(space.total_dofs))
+    assert jac.certified
+    b = rng.standard_normal(jac.dim)
+    x_dir, direct = solve_spd(jac, b)
+    x, report = solve_spd(jac, b, tol=1e-12,
+                          preconditioner=two_level(jac, space))
+    assert (direct.method, report.method) == ("direct", "pcg")
+    assert np.linalg.norm(x - x_dir) <= 1e-9 * np.linalg.norm(x_dir)

@@ -191,6 +191,34 @@ def test_import_rejects_non_finite_coordinates(n, bad, data):
         import_mesh("\n".join(lines) + "\n")
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_import_rejects_coincident_vertices(n, data):
+    # a copy of a vertex taken by some, not all, of its triangles cuts a
+    # slit into the domain
+    mesh = build_perturbed(n, 0.1, n)
+    counts = np.bincount(mesh.triangles.ravel())
+    vertex = data.draw(st.sampled_from(np.flatnonzero(counts > 1).tolist()))
+    around = np.flatnonzero((mesh.triangles == vertex).any(axis=1))
+    moved = data.draw(st.lists(st.sampled_from(around.tolist()), min_size=1,
+                               max_size=len(around) - 1, unique=True))
+    vertices = np.vstack([mesh.vertices, mesh.vertices[vertex]])
+    triangles = mesh.triangles.copy()
+    triangles[moved] = np.where(triangles[moved] == vertex, len(vertices) - 1,
+                                triangles[moved])
+    text = "\n".join([f"{len(vertices)} {len(triangles)}",
+                      *(f"{x!r} {y!r}" for x, y in vertices.tolist()),
+                      *(f"{i} {j} {k}" for i, j, k in triangles)]) + "\n"
+    with pytest.raises(ParseError, match=f"vertices {vertex} and "
+                                         f"{len(vertices) - 1} coincide"):
+        import_mesh(text)
+
+
+def test_unused_coincident_vertex_accepted():
+    mesh = dgsl.TriMesh([[0, 0], [1, 0], [0, 1], [1, 0]], [[0, 1, 2]])
+    assert mesh.num_vertices == 4 and mesh.num_triangles == 1
+
+
 def test_overflowing_area_rejected():
     # finite coordinates whose signed area overflows to inf - inf = NaN
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,9 +8,9 @@ import pytest
 import dgsl
 import dgsl.linear_solver
 import dgsl.newton
-from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
+from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear, solve_spd
 from dgsl.analysis import l2_norm_discrete
-from dgsl.assembly import NewtonKernel
+from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.errors import (ConfigError, IndefiniteOperator, NonFiniteValue,
                          NotConverged)
 from dgsl.problems import Problem
@@ -30,12 +30,19 @@ def linear_source_problem():
     )
 
 
-def test_linear_problem_converges_in_one_iteration():
+def test_linear_problem_takes_one_step_per_forcing_solve():
+    # each step solves only to its forcing term: 1e-3, then 1e-6, then
+    # as far as the stopping test needs, so a linear problem takes three
     space = space_on(8, 1)
-    _, report = solve_semilinear(space, linear_source_problem(),
-                                 AssemblyConfig(penalty=100.0))
+    cfg = AssemblyConfig(penalty=100.0)
+    problem = linear_source_problem()
+    u, report = solve_semilinear(space, problem, cfg)
     assert report.converged
-    assert report.iterations == 1
+    assert report.iterations == 3
+    kernel = NewtonKernel(space, problem, cfg)
+    exact, _ = solve_spd(kernel.stiffness,
+                         -kernel.residual(np.zeros(space.total_dofs)))
+    assert np.linalg.norm(u.coeffs - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 def test_sine_problem_regression(sine):
@@ -138,17 +145,35 @@ def test_strongly_indefinite_propagates_from_direct_solver():
                          AssemblyConfig(penalty=100.0))
 
 
-@pytest.fixture
-def count_factorizations(monkeypatch):
+def counting(monkeypatch, module, name):
+    """Record one entry per call of module.name."""
     calls = []
-    original = dgsl.linear_solver.splu
+    original = getattr(module, name)
 
-    def counting(*args, **kwargs):
+    def wrapper(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dgsl.linear_solver, "splu", counting)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+@pytest.fixture
+def count_factorizations(monkeypatch):
+    return counting(monkeypatch, dgsl.linear_solver, "splu")
+
+
+@pytest.fixture
+def count_two_level(monkeypatch):
+    return counting(monkeypatch, dgsl.newton, "two_level_preconditioner")
+
+
+def strip_certificates(monkeypatch):
+    """Drop assembly's certificate from every Newton Jacobian, so that
+    each goes through the factor and its pivots."""
+    jacobian = NewtonKernel.jacobian
+    monkeypatch.setattr(NewtonKernel, "jacobian",
+                        lambda self, u: SparseSymMatrix(jacobian(self, u).csr))
 
 
 def solve_sine(sine, n, r):
@@ -160,35 +185,54 @@ def solve_sine(sine, n, r):
                             NewtonConfig(abs_tol=1e-11))
 
 
-@pytest.mark.parametrize("n, r", [(16, 1), (8, 3)])
-def test_jacobian_factored_once_per_solve(sine, monkeypatch,
-                                          count_factorizations, n, r):
-    u, report = solve_sine(sine, n, r)
-    assert len(count_factorizations) == 1
-    methods = [lin.method for lin in report.linear_reports]
-    assert methods == ["direct"] + ["pcg"] * (report.iterations - 1)
-    assert all(lin.factor is None for lin in report.linear_reports)
-    # reference: a fresh factorization on every step
-    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 0)
-    u_ref, ref = solve_sine(sine, n, r)
-    assert len(count_factorizations) == 1 + ref.iterations
-    assert report.iterations == ref.iterations
+def assert_close(u, u_ref):
     assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
         <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+
+
+@pytest.mark.parametrize("n, r", [(16, 1), (8, 3)])
+def test_jacobian_factored_once_per_solve(sine, monkeypatch,
+                                          count_factorizations,
+                                          count_two_level, n, r):
+    # a certified solve sets up one two-level preconditioner, and its
+    # coarse operator is the only matrix factored
+    u, report = solve_sine(sine, n, r)
+    assert len(count_two_level) == len(count_factorizations) == 1
+    assert [lin.method for lin in report.linear_reports] \
+        == ["pcg"] * report.iterations
+    assert all(lin.factor is None for lin in report.linear_reports)
+    # reference: a fresh factorization of every Jacobian
+    strip_certificates(monkeypatch)
+    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 0)
+    u_ref, ref = solve_sine(sine, n, r)
+    assert len(count_two_level) == 1
+    assert len(count_factorizations) == 1 + ref.iterations
+    assert [lin.method for lin in ref.linear_reports] \
+        == ["direct"] * ref.iterations
+    assert report.iterations == ref.iterations
+    assert_close(u, u_ref)
 
 
 def test_slow_preconditioned_cg_triggers_refactor(sine, monkeypatch,
-                                                  count_factorizations):
-    u_ref, ref = solve_sine(sine, 16, 1)
-    assert len(count_factorizations) == 1
-    # the sine problem needs more CG iterations than this on later steps
-    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 2)
+                                                  count_factorizations,
+                                                  count_two_level):
+    u_ref, _ = solve_sine(sine, 16, 1)
+    assert len(count_two_level) == 1
+    # later steps need more CG iterations than this on either path, so
+    # some rebuild the preconditioner from their own Jacobian
+    monkeypatch.setattr(dgsl.newton, "REBUILD_ITERATIONS", 1)
     u, report = solve_sine(sine, 16, 1)
-    assert report.converged
-    assert len(count_factorizations) > 2
+    assert report.converged and len(count_two_level) > 2
+    assert "local" in [lin.certificate for lin in report.linear_reports[1:]]
+    assert_close(u, u_ref)
+
+    strip_certificates(monkeypatch)
+    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 1)
+    factored = len(count_factorizations)
+    u, report = solve_sine(sine, 16, 1)
+    assert report.converged and len(count_factorizations) > factored + 1
     assert "direct" in [lin.method for lin in report.linear_reports[1:]]
-    assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
-        <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+    assert_close(u, u_ref)
 
 
 class CountingFactor:
@@ -216,8 +260,9 @@ def factor_reads(monkeypatch):
 
 
 def test_certified_newton_solve_never_reads_the_factors(sine, factor_reads):
+    # the one factor of a certified solve is the two-level coarse operator
     _, report = solve_sine(sine, 4, 3)
-    assert report.converged and report.linear_reports[0].method == "direct"
+    assert report.converged and report.linear_reports[0].certificate == "local"
     assert factor_reads == []
 
 

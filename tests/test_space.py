@@ -9,6 +9,7 @@ from dgsl import DGVector, edge_traces, evaluate, interpolate
 from dgsl.analysis import l2_error, observed_orders
 from dgsl.basis import edge_reference_points
 from dgsl.errors import DegenerateElement
+from dgsl.space import p1_prolongation
 
 from conftest import space_on
 
@@ -68,7 +69,8 @@ def test_evaluate_at_nodes_returns_coefficients(rng):
 def test_evaluate_bad_element_raises():
     space = space_on(1, 1)
     with pytest.raises(IndexError):
-        evaluate(space, DGVector.zeros(space), 2, [[0.3, 0.3]])
+        evaluate(space, DGVector(space, np.zeros(space.total_dofs)), 2,
+                 [[0.3, 0.3]])
 
 
 def test_overflowing_determinant_rejected():
@@ -110,7 +112,7 @@ def test_indicator_field_jump_and_average():
     space = space_on(1, 1)
     edges = space.mesh.edges
     (edge,) = np.flatnonzero(~edges.boundary)
-    v = DGVector.zeros(space)
+    v = DGVector(space, np.zeros(space.total_dofs))
     v.coeffs[space.element_slice(edges.tri[edge, 0])] = 1.0
     t = np.array([0.25, 0.75])
     vals, _ = side_traces(space, v, t)
@@ -164,3 +166,37 @@ def test_element_boundary_edge_identity(n, r, rng):
             DGVector(space, rng.standard_normal(space.total_dofs)),
             DGVector(space, rng.standard_normal(space.total_dofs)))
         assert res <= 1e-11
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_p1_prolongation_reproduces_continuous_p1_fields(rng, r):
+    mesh = dgsl.build_perturbed(4, 0.2, seed=3)
+    space = dgsl.DGSpace(mesh, r)
+    p = p1_prolongation(space)
+    assert p.shape == (space.total_dofs, mesh.num_vertices)
+    assert np.diff(p.indptr).max() <= 3 and (p.data != 0.0).all()
+    # oracle: barycentric coordinates of each node, solved from geometry
+    v = rng.standard_normal(mesh.num_vertices)
+    corners = mesh.vertices[mesh.triangles]
+    offsets = space.node_coords - corners[:, None, 0]
+    local = np.linalg.solve(space.jacobians[:, None], offsets[..., None])
+    bary = np.concatenate([1.0 - local.sum(axis=2), local[..., 0]], axis=-1)
+    expected = np.einsum("edk,ek->ed", bary, v[mesh.triangles])
+    assert_allclose(p @ v, expected.ravel(), rtol=0, atol=1e-13)
+    # a global linear field is its own continuous P1 interpolant
+    linear = lambda x, y: 0.5 - 2.0 * x + 3.0 * y
+    assert_allclose(p @ linear(*mesh.vertices.T),
+                    interpolate(space, linear).coeffs, rtol=0, atol=1e-13)
+    # the nodes at the vertices take the vertex values exactly
+    corner_nodes = [0, r, len(space.basis.nodes) - 1]
+    assert np.array_equal((p @ v).reshape(-1, space.dofs_per_element)
+                          [:, corner_nodes], v[mesh.triangles])
+
+
+def test_p1_prolongation_skips_unused_vertices():
+    mesh = dgsl.TriMesh([[0, 0], [9, 9], [1, 0], [0, 1]], [[0, 2, 3]])
+    p = p1_prolongation(dgsl.DGSpace(mesh, 2))
+    assert p.shape == (6, 3)
+    assert_allclose(p @ np.array([1.0, 2.0, 3.0]),
+                    interpolate(dgsl.DGSpace(mesh, 2),
+                                lambda x, y: 1.0 + x + 2.0 * y).coeffs)
