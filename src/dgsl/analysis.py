@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import (AssemblyConfig, SparseSymMatrix, _volume_stiffness_blocks,
                        _volume_tables, assemble_bilinear)
-from .errors import InsufficientLevels
+from .errors import ConfigError, InsufficientLevels
 from .linear_solver import solve_spd
 from .problems import ExactSolution
 from .quadrature import edge_rule, triangle_rule
@@ -171,7 +171,8 @@ def observed_orders(levels) -> list:
         raise InsufficientLevels("need at least two refinement levels")
     hs = [float(h) for h, _ in pairs]
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
-        raise ValueError("mesh sizes must be strictly decreasing")
+        raise ConfigError("mesh sizes must be strictly decreasing, got h = "
+                          + ", ".join(f"{h:.6g}" for h in hs))
     orders = []
     for (h1, e1), (h2, e2) in zip(pairs, pairs[1:]):
         orders.append(float(np.log(e1 / e2) / np.log(h1 / h2)))

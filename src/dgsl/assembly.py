@@ -16,12 +16,12 @@ contracted with per-element Jacobian data. Edge integrals contract the
 basis traces of `edge_traces` for all edges at once, one (D, D) block per
 pair of sides, as batched matrix products.
 
-The operator has one fixed block pattern: every element-diagonal (D, D)
-block is stored in full, and the two blocks of each interior edge are
-stored without their exact zeros. The Newton Jacobian only adds
-element-diagonal mass blocks to the stiffness, so `NewtonKernel` writes
-them into a copy of the stiffness values at fixed positions and reuses
-the stiffness's index arrays.
+The operator is kept in its element-block form, a `bsr_matrix` with one
+(D, D) block per element and two per interior edge; every block is
+stored in full. The Newton Jacobian only adds element-diagonal mass
+blocks to the stiffness, so `NewtonKernel` writes them into a copy of
+the stiffness blocks at fixed block positions and reuses the
+stiffness's index arrays.
 
 Assembly also certifies coercivity edge by edge (`_local_certificate`);
 the verdict travels as `SparseSymMatrix.certified`.
@@ -73,10 +73,11 @@ class AssemblyConfig:
 
 @dataclass(frozen=True)
 class SparseSymMatrix:
-    """Symmetric sparse operator in compressed sparse row storage;
-    `certified` is True only when assembly proved it positive definite."""
+    """Symmetric sparse operator; `csr` holds a `bsr_matrix`, with one
+    (D, D) block per element when assembly built it, and `certified` is
+    True only when assembly proved it positive definite."""
 
-    csr: sparse.csr_matrix
+    csr: sparse.bsr_matrix
     certified: bool = False
 
     @property
@@ -191,11 +192,9 @@ def _local_certificate(edges, blocks, volume):
 
 
 def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
-    """Assemble the full interior penalty operator, certified locally.
-
-    Every element-diagonal block is stored in full; exact zeros in the
-    blocks that couple neighbours are not stored.
-    """
+    """Assemble the full interior penalty operator, certified locally,
+    in BSR form: one (D, D) block per element and two per interior edge,
+    each stored in full and each block row in column order."""
     r = space.degree
     vol = _volume_tables(r, cfg.resolved_volume_degree(r))
     edges = space.mesh.edges
@@ -211,8 +210,8 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     for k in range(3):
         diagonal += blocks[em[:, k], es[:, k], :, es[:, k], :]
 
-    # BSR arrays of the diagonal and interior-edge blocks, each block row
-    # in column order
+    # the diagonal blocks, then each interior edge's (plus, minus) and
+    # (minus, plus) blocks, written at their block-row positions
     inner = np.flatnonzero(~edges.boundary)
     plus, minus = edges.tri[inner, 0], edges.tri[inner, 1]
     elements = np.arange(num)
@@ -222,23 +221,12 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     indptr = np.concatenate([[0], np.cumsum(np.bincount(block_rows,
                                                         minlength=num))])
     d, n = space.dofs_per_element, space.total_dofs
-    a = sparse.bsr_matrix(
-        (np.concatenate([diagonal, blocks[inner, 0, :, 1, :],
-                         blocks[inner, 1, :, 0, :]])[order],
-         block_cols[order], indptr), shape=(n, n), blocksize=(d, d)).tocsr()
-
-    # drop exact zeros outside the diagonal blocks, where no Jacobian
-    # term can fill them
-    zeros = np.flatnonzero(a.data == 0.0)
-    rows = np.searchsorted(a.indptr, zeros, side="right") - 1
-    outside = a.indices[zeros] // d != rows // d
-    if outside.any():
-        keep = np.ones(a.nnz, dtype=bool)
-        keep[zeros[outside]] = False
-        dropped = np.bincount(rows[outside], minlength=a.shape[0])
-        indptr = a.indptr - np.concatenate([[0], np.cumsum(dropped)])
-        a = sparse.csr_matrix((a.data[keep], a.indices[keep], indptr),
-                              shape=a.shape)
+    slot, m = np.argsort(order), num + len(inner)
+    data = np.empty((len(order), d, d))
+    data[slot[:num]] = diagonal
+    data[slot[num:m]] = blocks[inner, 0, :, 1, :]
+    data[slot[m:]] = blocks[inner, 1, :, 0, :]
+    a = sparse.bsr_matrix((data, block_cols[order], indptr), shape=(n, n))
     return SparseSymMatrix(a, _local_certificate(edges, blocks, volume))
 
 
@@ -250,17 +238,15 @@ def _finite(values, what):
     return values
 
 
-def _diagonal_block_positions(a: SparseSymMatrix, d):
-    """Positions in `a.csr.data` of every element-diagonal block entry, in
-    (element, i, j) order; every such entry must be stored."""
-    csr = a.csr
-    if not csr.has_sorted_indices:
-        raise ValueError("the matrix must store its columns in order")
-    rows = np.repeat(np.arange(a.dim), np.diff(csr.indptr))
-    positions = np.flatnonzero(csr.indices // d == rows // d)
-    if len(positions) != a.dim * d:
+def _diagonal_block_positions(a: SparseSymMatrix):
+    """Positions in `a.csr.data` of the element-diagonal blocks, in
+    element order; every such block must be stored."""
+    counts = np.diff(a.csr.indptr)
+    positions = np.flatnonzero(
+        a.csr.indices == np.repeat(np.arange(len(counts)), counts))
+    if len(positions) != len(counts):
         raise ValueError("the matrix does not store every "
-                         "element-diagonal entry")
+                         "element-diagonal block")
     return positions
 
 
@@ -291,8 +277,7 @@ class NewtonKernel:
         self.source = np.broadcast_to(
             _finite(problem.source(pts[..., 0], pts[..., 1]), "the source g(x, y)"),
             self.measure.shape)
-        self.diagonal_positions = _diagonal_block_positions(
-            self.stiffness, space.dofs_per_element)
+        self.diagonal_positions = _diagonal_block_positions(self.stiffness)
 
     def point_values(self, u: np.ndarray) -> np.ndarray:
         """The field with coefficients `u` at the quadrature points, (E, Q)."""
@@ -313,9 +298,9 @@ class NewtonKernel:
         mass = weighted @ self.value_pairs
         a = self.stiffness.csr
         data = a.data.copy()
-        data[self.diagonal_positions] += mass.ravel()
+        data[self.diagonal_positions] += mass.reshape(-1, *a.blocksize)
         return SparseSymMatrix(
-            sparse.csr_matrix((data, a.indices, a.indptr), shape=a.shape),
+            sparse.bsr_matrix((data, a.indices, a.indptr), shape=a.shape),
             self.stiffness.certified and bool(weighted.min() >= 0.0))
 
 

@@ -162,9 +162,13 @@ def cmd_run(args):
     runs = [replace(cfg, penalty=lam) for lam in penalties]
 
     many = len(runs) > 1
+    outputs = [_output_path_for(cfg.output_path, lam, many) for lam in penalties]
+    for index, out in enumerate(outputs):
+        if out not in (None, "-") and out in outputs[:index]:
+            raise ConfigError(f"penalty {penalties[index]!r} would overwrite "
+                              f"{out}, the table of an earlier penalty")
     finest = []
-    for run_cfg in runs:
-        out = _output_path_for(cfg.output_path, run_cfg.penalty, many)
+    for run_cfg, out in zip(runs, outputs):
         raw = []
         try:
             report = run_convergence(run_cfg,

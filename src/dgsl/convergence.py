@@ -42,6 +42,8 @@ class RunConfig:
     edge_degree: Optional[int] = None
     output_path: Optional[str] = None
     output_format: str = "csv"               # csv | markdown
+    # the meshes of a `files` run, parsed once when the config is built
+    _meshes: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mesh_kind not in ("structured", "perturbed", "files"):
@@ -70,17 +72,24 @@ class RunConfig:
         guess = self.newton.initial_guess
         if isinstance(guess, str) and guess not in ("zero", "exact"):
             raise ConfigError("newton.initial_guess must be 'zero' or 'exact'")
+        meshes = []
         for index, level in enumerate(self.levels):
             if self.mesh_kind == "files":
                 # parsed now, so a bad file fails before any level runs
                 try:
-                    import_mesh(Path(str(level)).read_text())
+                    meshes.append(import_mesh(Path(str(level)).read_text()))
                 except (OSError, DgslError) as exc:
                     raise ConfigError(f"mesh file {level}: {exc}") from exc
             elif self.mesh_kind == "perturbed":
                 check_grid_args(level, self.amplitude, self.seed + index)
             else:
                 check_grid_args(level)
+        object.__setattr__(self, "_meshes", tuple(meshes))
+        # each level must refine the one before (a perturbed mesh's
+        # measured size is checked once its level has run)
+        sizes = [mesh.h_max for mesh in meshes] or [-n for n in self.levels]
+        if any(h2 >= h1 for h1, h2 in zip(sizes, sizes[1:])):
+            raise ConfigError(f"mesh.levels {list(self.levels)} do not refine")
 
     def assembly_config(self):
         return AssemblyConfig(penalty=self.penalty,
@@ -93,7 +102,7 @@ class RunConfig:
             return build_structured(level)
         if self.mesh_kind == "perturbed":
             return build_perturbed(level, self.amplitude, self.seed + index)
-        return import_mesh(Path(level).read_text())
+        return self._meshes[index]
 
 
 @dataclass(frozen=True)
@@ -184,10 +193,12 @@ def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
         e_dg = dg_error(space, solution, problem.exact, cfg.penalty)
         raw.append((mesh.nominal_h, e_l2, e_dg, report.iterations,
                     space.total_dofs))
+        # ConfigError, before the level is reported, when a measured h
+        # fails to fall
+        table = report_from_raw(raw)
         if progress is not None:
             progress(index, raw[-1])
-
-    return report_from_raw(raw)
+    return table
 
 
 def sweep_summary(finest_rows) -> dict:

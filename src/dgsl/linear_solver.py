@@ -6,9 +6,11 @@ the factor as an exact preconditioner, so CG takes the place of
 iterative refinement. With one it preconditions with that: the factor
 of a nearby matrix, the exact per-element block-Jacobi inverse of
 `block_jacobi_preconditioner`, or `two_level_preconditioner`, which adds
-an exact solve on the continuous P1 coarse space to it. Both certify
-definiteness: CG raises IndefiniteOperator when it meets a direction of
-non-positive curvature, and the factorization when a pivot is negative.
+an exact solve on the continuous P1 coarse space to it; both read the
+diagonal blocks, and their size, from the matrix's BSR form. Either path
+certifies definiteness: CG raises IndefiniteOperator when it meets a
+direction of non-positive curvature, and the factorization when a pivot
+is negative.
 Either is the practical symptom of an insufficient penalty parameter.
 
 A matrix certified by assembly (`SparseSymMatrix.certified`) is
@@ -17,7 +19,7 @@ scipy build and cache CSC copies of both L and U for the factor's life
 (about 230 MB at P3 on a perturbed n = 64 mesh).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,11 +42,8 @@ class LinearSolveReport:
     converged: bool
     method: str = "pcg"
     # how a "direct" solve's factor was certified, "local" or "pivots";
-    # Newton also marks a step that built a two-level cycle "local"
+    # Newton marks a step that built its own preconditioner the same way
     certificate: Optional[str] = None
-    # the certified factor of a "direct" solve, for preconditioning
-    # later nearby systems
-    factor: object = field(default=None, repr=False, compare=False)
 
 
 def symmetric_factor(a: SparseSymMatrix):
@@ -54,11 +53,14 @@ def symmetric_factor(a: SparseSymMatrix):
     `how` is "local" when `a.certified`, else "pivots": when the row and
     column permutations agree, P A P^T = L D L^T with D = diag(U), so by
     Sylvester's law of inertia `a` has as many negative eigenvalues as U
-    has negative pivots. Raises SingularOperator on an exactly singular
+    has negative pivots. Exact zeros of the stored blocks are left out of
+    the factored pattern. Raises SingularOperator on an exactly singular
     matrix and IndefiniteOperator on an off-diagonal or negative pivot.
     """
+    csc = sparse.csc_matrix(a.csr)
+    csc.eliminate_zeros()
     try:
-        lu = splu(sparse.csc_matrix(a.csr), permc_spec="MMD_AT_PLUS_A",
+        lu = splu(csc, permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularOperator(f"sparse LU failed: {exc}") from exc
@@ -76,18 +78,14 @@ def symmetric_factor(a: SparseSymMatrix):
     return lu, "pivots"
 
 
-def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
-    """Exact inverse of the per-element diagonal blocks of `a`.
+def block_jacobi_preconditioner(a: SparseSymMatrix):
+    """Exact inverse of the diagonal blocks of `a`, one per element.
 
     Blocks are small ((r+1)(r+2)/2 <= 10), so exact inverses are cheap.
-    `a` must store every diagonal-block entry, as assembly's matrices
-    do. Raises IndefiniteOperator if any block is not positive definite.
+    `a` must store every diagonal block, as assembly's matrices do.
+    Raises IndefiniteOperator if any block is not positive definite.
     """
-    if a.dim % block_size:
-        raise ValueError("matrix dimension is not a multiple of the block size")
-    nblocks = a.dim // block_size
-    dense = a.csr.data[_diagonal_block_positions(a, block_size)].reshape(
-        nblocks, block_size, block_size)
+    dense = a.csr.data[_diagonal_block_positions(a)]
     try:
         np.linalg.cholesky(dense)
     except np.linalg.LinAlgError as exc:
@@ -97,13 +95,12 @@ def block_jacobi_preconditioner(a: SparseSymMatrix, block_size: int):
     inv = np.linalg.inv(dense)
 
     def apply(r):
-        return np.einsum("bij,bj->bi", inv, r.reshape(nblocks, block_size)).ravel()
+        return np.einsum("bij,bj->bi", inv, r.reshape(len(inv), -1)).ravel()
 
     return apply
 
 
-def two_level_preconditioner(a: SparseSymMatrix, prolongation,
-                             block_size: int):
+def two_level_preconditioner(a: SparseSymMatrix, prolongation):
     """Additive two-level preconditioner B r + P A_c^-1 P^T r (Dobrev,
     Lazarov, Vassilevski & Zikatanov, NLAA 2006): CG iterations do not
     grow as h -> 0.
@@ -113,9 +110,9 @@ def two_level_preconditioner(a: SparseSymMatrix, prolongation,
     factored by `symmetric_factor`. P has full column rank, so A_c is
     certified positive definite when `a` is.
     """
-    smoother = block_jacobi_preconditioner(a, block_size)
+    smoother = block_jacobi_preconditioner(a)
     restriction = prolongation.T.tocsr()
-    coarse = restriction @ (a.csr @ prolongation)
+    coarse = (restriction @ (a.csr @ prolongation)).tobsr(blocksize=(1, 1))
     lu, _ = symmetric_factor(SparseSymMatrix(coarse, a.certified))
 
     def apply(r):
@@ -130,8 +127,8 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
     conjugate gradients.
 
     Without a `preconditioner` the solve is direct ("direct" in the
-    report): the certified `symmetric_factor` of `a`, returned in the
-    report's `factor`, is the preconditioner. Otherwise
+    report): the certified `symmetric_factor` of `a` is the
+    preconditioner. Otherwise
     `preconditioner` is a symmetric positive definite callable ("pcg").
     CG runs for at most `max_iter` iterations, by default FACTOR_SOLVES
     on the factor and 10 x dim otherwise. The answer is accepted when
@@ -190,8 +187,7 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
             a_max = a.max_abs()
         if rel <= tol or rel * norm_b <= 100.0 * np.finfo(float).eps * (
                 a_max * float(np.linalg.norm(x)) + norm_b):
-            return x, LinearSolveReport(it, rel, True, method, certificate,
-                                        factor=lu)
+            return x, LinearSolveReport(it, rel, True, method, certificate)
     report = LinearSolveReport(max_iter, rel, False, method, certificate)
     raise NotConverged(f"{method} solve did not reach tol {tol} in {max_iter} "
                        "iterations", report=report, x=x)

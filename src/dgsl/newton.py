@@ -27,7 +27,8 @@ import numpy as np
 from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
                        assemble_bilinear)
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
-from .linear_solver import solve_spd, two_level_preconditioner
+from .linear_solver import (FACTOR_SOLVES, solve_spd, symmetric_factor,
+                            two_level_preconditioner)
 from .problems import Problem
 from .space import DGSpace, DGVector, interpolate, p1_prolongation
 
@@ -116,15 +117,15 @@ def _lagged_step(jac, rhs, tol, lagged, space):
         except NotConverged:
             pass
     if jac.certified:
-        apply = two_level_preconditioner(jac, p1_prolongation(space),
-                                         space.dofs_per_element)
-        delta, lin = solve_spd(jac, rhs, tol=tol, preconditioner=apply)
-        lin.certificate = "local"
-        return delta, lin, (apply, REBUILD_ITERATIONS)
-    delta, lin = solve_spd(jac, rhs, tol=tol)
-    # the Newton report keeps the linear report but not the factor
-    factor, lin.factor = lin.factor, None
-    return delta, lin, (factor.solve, REFACTOR_ITERATIONS)
+        apply = two_level_preconditioner(jac, p1_prolongation(space))
+        cap, budget, certificate = None, REBUILD_ITERATIONS, "local"
+    else:
+        lu, certificate = symmetric_factor(jac)
+        apply, cap, budget = lu.solve, FACTOR_SOLVES, REFACTOR_ITERATIONS
+    delta, lin = solve_spd(jac, rhs, tol=tol, max_iter=cap,
+                           preconditioner=apply)
+    lin.certificate = certificate
+    return delta, lin, (apply, budget)
 
 
 def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,

@@ -20,6 +20,7 @@ from scipy.linalg import eigvalsh
 
 import dgsl
 from dgsl import AssemblyConfig, DGVector, assemble_bilinear, interpolate
+from dgsl import linear_solver
 from dgsl.analysis import apply_bilinear_to_field, l2_norm_discrete
 from dgsl.assembly import (NewtonKernel, _edge_blocks,
                            _volume_stiffness_blocks, _volume_tables)
@@ -290,8 +291,10 @@ def test_volume_tables_are_built_once_per_degree_pair():
 def test_csr_fields_exposed():
     space = space_on(1, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=10.0))
-    assert a.csr.indptr.shape == (a.dim + 1,)
-    assert a.csr.indices.shape == a.csr.data.shape
+    # the element-block form: one block row per element
+    assert a.csr.blocksize == (3, 3)
+    assert a.csr.indptr.shape == (space.num_elements + 1,)
+    assert a.csr.data.shape == a.csr.indices.shape + (3, 3)
     dense = a.csr.toarray()
     assert dense.shape == (6, 6)
     # block sparsity: the two elements share an edge, so all blocks exist here;
@@ -410,19 +413,38 @@ def test_jacobian_shares_the_stiffness_pattern(sine, r, rng):
 
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r):
+def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r,
+                                                           monkeypatch):
     space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=37.0)).csr
-    d = space.dofs_per_element
-    rows = np.repeat(np.arange(space.total_dofs), np.diff(a.indptr))
-    diagonal = a.indices // d == rows // d
-    assert diagonal.sum() == space.num_elements * d * d
-    assert np.count_nonzero(a.data[~diagonal] == 0.0) == 0
-    assert a.has_sorted_indices
-    # the stored pattern is exactly the nonzeros plus the diagonal blocks
-    dense = a.toarray()
-    blockdiag = np.kron(np.eye(space.num_elements), np.ones((d, d))) > 0
-    assert a.nnz == np.count_nonzero((dense != 0.0) | blockdiag)
+    cfg = AssemblyConfig(penalty=37.0)
+    a = assemble_bilinear(space, cfg)
+    bsr, d = a.csr, space.dofs_per_element
+    # exactly the E diagonal blocks and both blocks of each interior
+    # edge, each (D, D) block in full and each block row in column order
+    edges = space.mesh.edges
+    inner = edges.tri[~edges.boundary]
+    elements = np.arange(space.num_elements)
+    expected = sorted(zip(np.concatenate([elements, inner[:, 0], inner[:, 1]]),
+                          np.concatenate([elements, inner[:, 1], inner[:, 0]])))
+    rows = np.repeat(elements, np.diff(bsr.indptr))
+    assert list(zip(rows, bsr.indices)) == expected
+    assert bsr.blocksize == (d, d) and bsr.data.shape == (len(expected), d, d)
+    dense = bsr.toarray()
+    oracle = oracle_bilinear(space, cfg).toarray()
+    assert np.abs(dense - oracle).max() <= 1e-15 * np.abs(oracle).max()
+    # the factored CSC holds exactly the nonzero entries
+    factored = []
+    splu = linear_solver.splu
+
+    def recording_splu(csc, **options):
+        factored.append(csc)
+        return splu(csc, **options)
+
+    monkeypatch.setattr(linear_solver, "splu", recording_splu)
+    linear_solver.symmetric_factor(a)
+    csc, = factored
+    assert csc.nnz == np.count_nonzero(dense)
+    assert np.array_equal(csc.toarray(), dense)
 
 
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])

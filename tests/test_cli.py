@@ -223,6 +223,50 @@ def test_bad_second_mesh_file_exits_before_any_level(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["structured", "perturbed", "files"])
+def test_levels_that_do_not_refine_exit_before_any_level(kind, tmp_path,
+                                                         capsys):
+    levels = "8,4"
+    if kind == "files":
+        paths = [tmp_path / f"m{n}.txt" for n in (8, 4)]
+        for n, path in zip((8, 4), paths):
+            main(["mesh", "gen", "--n", str(n), "--out", str(path)])
+        levels = ",".join(map(str, paths))
+    out = tmp_path / "out.csv"
+    assert main(["run", "--set", f"mesh.kind={kind}",
+                 "--set", f"mesh.levels={levels}",
+                 "--set", f"output.path={out}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "refine" in err
+    assert not out.exists() and "Traceback" not in err
+
+
+def test_perturbed_ladder_whose_h_does_not_fall_flushes_its_levels(
+        tmp_path, capsys):
+    # the measured h_max of these three levels reads 0.429, 0.356, 0.369
+    out = tmp_path / "out.csv"
+    assert main(["run", "--set", "mesh.kind=perturbed",
+                 "--set", "mesh.amplitude=0.3", "--set", "mesh.seed=33",
+                 "--set", "mesh.levels=4,5,6",
+                 "--set", f"output.path={out}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "strictly decreasing" in err and "Traceback" not in err
+    rows = out.read_text().strip().split("\n")
+    assert rows[0] == CSV_HEADER and len(rows) == 3
+    assert rows[2].split(",")[2] != ""           # the first order is there
+
+
+@pytest.mark.parametrize("penalties", ["100,100.0000001", "10,100,10"])
+def test_sweep_outputs_that_collide_exit_before_running(penalties, tmp_path,
+                                                        capsys):
+    out = tmp_path / "sw.csv"
+    assert main(["run", "--set", f"penalty={penalties}",
+                 "--set", "mesh.levels=4",
+                 "--set", f"output.path={out}"]) == EXIT_CONFIG
+    assert "would overwrite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_config_takes_the_dataclass_defaults():
     cfg, penalties = build_run_config({})
     assert cfg == dgsl.RunConfig()

@@ -1,11 +1,13 @@
 """Convergence-study driver: reports, sweeps, determinism, mesh files."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dgsl
+import dgsl.convergence
 from dgsl import RunConfig, run_convergence
 from dgsl.cli import build_run_config, parse_config_text
 from dgsl.convergence import CSV_HEADER
@@ -73,6 +75,28 @@ def test_mesh_files_family(tmp_path):
                                          levels=tuple(paths)))
     assert len(report.rows) == 2
     assert report.rows[0].h == pytest.approx(np.sqrt(2) / 2)
+
+
+def test_files_run_parses_each_mesh_once(tmp_path, monkeypatch):
+    paths = []
+    for n in (2, 4):
+        p = tmp_path / f"m{n}.txt"
+        p.write_text(dgsl.export_mesh(dgsl.build_structured(n)))
+        paths.append(str(p))
+    parsed = []
+    import_mesh = dgsl.convergence.import_mesh
+
+    def counting_import(text):
+        parsed.append(text)
+        return import_mesh(text)
+
+    monkeypatch.setattr(dgsl.convergence, "import_mesh", counting_import)
+    cfg = tiny_config(mesh_kind="files", levels=tuple(paths))
+    report = run_convergence(cfg)
+    assert len(report.rows) == 2 and len(parsed) == 2
+    # a derived config, as each run of a sweep is, parses its own copy
+    run_convergence(dataclasses.replace(cfg, penalty=10.0))
+    assert len(parsed) == 4
 
 
 def test_bad_mesh_file_rejected_when_config_is_built(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
 
 import dgsl
 import dgsl.linear_solver
@@ -11,6 +12,7 @@ import dgsl.newton
 from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear, solve_spd
 from dgsl.analysis import l2_norm_discrete
 from dgsl.assembly import NewtonKernel, SparseSymMatrix
+from dgsl.linear_solver import FACTOR_SOLVES
 from dgsl.errors import (ConfigError, IndefiniteOperator, NonFiniteValue,
                          NotConverged)
 from dgsl.problems import Problem
@@ -200,15 +202,19 @@ def test_jacobian_factored_once_per_solve(sine, monkeypatch,
     assert len(count_two_level) == len(count_factorizations) == 1
     assert [lin.method for lin in report.linear_reports] \
         == ["pcg"] * report.iterations
-    assert all(lin.factor is None for lin in report.linear_reports)
-    # reference: a fresh factorization of every Jacobian
+    # the reports keep no factor alive
+    assert not any(isinstance(value, SuperLU) for lin in report.linear_reports
+                   for value in vars(lin).values())
+    # reference: a fresh factorization of every Jacobian, each solved
+    # within the budget of a direct solve
     strip_certificates(monkeypatch)
     monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 0)
     u_ref, ref = solve_sine(sine, n, r)
     assert len(count_two_level) == 1
     assert len(count_factorizations) == 1 + ref.iterations
-    assert [lin.method for lin in ref.linear_reports] \
-        == ["direct"] * ref.iterations
+    assert [lin.certificate for lin in ref.linear_reports] \
+        == ["pivots"] * ref.iterations
+    assert all(lin.iterations <= FACTOR_SOLVES for lin in ref.linear_reports)
     assert report.iterations == ref.iterations
     assert_close(u, u_ref)
 
@@ -231,7 +237,7 @@ def test_slow_preconditioned_cg_triggers_refactor(sine, monkeypatch,
     factored = len(count_factorizations)
     u, report = solve_sine(sine, 16, 1)
     assert report.converged and len(count_factorizations) > factored + 1
-    assert "direct" in [lin.method for lin in report.linear_reports[1:]]
+    assert "pivots" in [lin.certificate for lin in report.linear_reports[1:]]
     assert_close(u, u_ref)
 
 
