@@ -25,6 +25,6 @@ from .problems import (ExactSolution, Problem, get_problem, register_problem,
                        verify_manufactured)
 from .properties import CheckResult, run_property_suite
 from .quadrature import QuadRule, edge_rule, triangle_rule
-from .space import DGSpace, DGVector, edge_traces, evaluate, interpolate
+from .space import DGSpace, DGVector, edge_traces, interpolate
 
 __version__ = "0.1.0"

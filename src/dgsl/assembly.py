@@ -24,7 +24,8 @@ the stiffness blocks at fixed block positions and reuses the
 stiffness's index arrays.
 
 Assembly also certifies coercivity edge by edge (`_local_certificate`);
-the verdict travels as `SparseSymMatrix.certified`.
+the verdict travels as `SparseSymMatrix.certified`, which Newton also
+sets on a stiffness that the pivots of its factor proved instead.
 """
 
 import functools
@@ -75,7 +76,8 @@ class AssemblyConfig:
 class SparseSymMatrix:
     """Symmetric sparse operator; `csr` holds a `bsr_matrix`, with one
     (D, D) block per element when assembly built it, and `certified` is
-    True only when assembly proved it positive definite."""
+    True only when it is proven positive definite, by assembly's local
+    certificate or by the pivots of its factor."""
 
     csr: sparse.bsr_matrix
     certified: bool = False

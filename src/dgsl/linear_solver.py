@@ -3,18 +3,19 @@
 One entry point, `solve_spd`, runs one preconditioned conjugate
 gradient loop. Without a preconditioner it factors the matrix and uses
 the factor as an exact preconditioner, so CG takes the place of
-iterative refinement. With one it preconditions with that: the factor
-of a nearby matrix, the exact per-element block-Jacobi inverse of
-`block_jacobi_preconditioner`, or `two_level_preconditioner`, which adds
-an exact solve on the continuous P1 coarse space to it; both read the
-diagonal blocks, and their size, from the matrix's BSR form. Either path
-certifies definiteness: CG raises IndefiniteOperator when it meets a
-direction of non-positive curvature, and the factorization when a pivot
-is negative.
-Either is the practical symptom of an insufficient penalty parameter.
+iterative refinement. With one it preconditions with that: the exact
+per-element block-Jacobi inverse of `block_jacobi_preconditioner`, or
+`two_level_preconditioner`, which adds an exact solve on the continuous
+P1 coarse space to it; both read the diagonal blocks, and their size,
+from the matrix's BSR form. The factorization certifies definiteness: it
+raises IndefiniteOperator on a negative pivot, the practical symptom of
+an insufficient penalty parameter. CG only checks: it raises the same
+when it meets a direction of non-positive curvature, which it may never
+meet, so a preconditioned solve is for a matrix already proven positive
+definite.
 
-A matrix certified by assembly (`SparseSymMatrix.certified`) is
-factored without reading its pivots: the first access to `lu.U` makes
+A matrix already proven positive definite (`SparseSymMatrix.certified`)
+is factored without reading its pivots: the first access to `lu.U` makes
 scipy build and cache CSC copies of both L and U for the factor's life
 (about 230 MB at P3 on a perturbed n = 64 mesh).
 """
@@ -41,8 +42,9 @@ class LinearSolveReport:
     relative_residual: float
     converged: bool
     method: str = "pcg"
-    # how a "direct" solve's factor was certified, "local" or "pivots";
-    # Newton marks a step that built its own preconditioner the same way
+    # how a "direct" solve's factor was certified: "local" when the matrix
+    # came proven (`SparseSymMatrix.certified`), "pivots" when the factor's
+    # own pivots proved it; None for a "pcg" solve
     certificate: Optional[str] = None
 
 
@@ -50,12 +52,13 @@ def symmetric_factor(a: SparseSymMatrix):
     """Sparse LU of `a` with a symmetric fill-reducing ordering and
     diagonal pivots, certified positive definite; returns (lu, how).
 
-    `how` is "local" when `a.certified`, else "pivots": when the row and
-    column permutations agree, P A P^T = L D L^T with D = diag(U), so by
-    Sylvester's law of inertia `a` has as many negative eigenvalues as U
-    has negative pivots. Exact zeros of the stored blocks are left out of
-    the factored pattern. Raises SingularOperator on an exactly singular
-    matrix and IndefiniteOperator on an off-diagonal or negative pivot.
+    `how` is "local" when `a.certified` (already proven), else "pivots":
+    when the row and column permutations agree, P A P^T = L D L^T with
+    D = diag(U), so by Sylvester's law of inertia `a` has as many
+    negative eigenvalues as U has negative pivots. Exact zeros of the
+    stored blocks are left out of the factored pattern. Raises
+    SingularOperator on an exactly singular matrix and IndefiniteOperator
+    on an off-diagonal or negative pivot.
     """
     csc = sparse.csc_matrix(a.csr)
     csc.eliminate_zeros()

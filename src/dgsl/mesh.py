@@ -3,7 +3,8 @@
 A mesh stores vertices, CCW-oriented triangles, and an EdgeSet: one
 array per edge attribute, edges sorted by their (low, high) vertex
 pair. Every edge is shared by one triangle (boundary) or two
-(interior); a third adjacency raises NonConformingMesh. The triangle
+(interior); a third adjacency raises NonConformingMesh, as does a fan
+of triangles that turns more than once around a vertex. The triangle
 with the lower index on an interior edge is the "plus" side (column 0
 of the side arrays) and the stored unit normal points out of it; on
 boundary edges the normal points out of the domain and the minus
@@ -110,6 +111,34 @@ def _build_edges(vertices, triangles):
                    normal=normal, length=length, boundary=~interior)
 
 
+def _check_vertex_fans(vertices, triangles, edges):
+    """Raise NonConformingMesh where the triangles around a vertex wrap
+    more than once: the angles of a closed fan sum to 2 pi k, so an
+    interior vertex must sum to 2 pi (within pi) and a boundary vertex
+    to less. Overlap with no shared edge or vertex is not caught."""
+    p = vertices[triangles]
+    # unit sides, so that a needle's products cannot overflow
+    ahead, behind = (d / np.hypot(d[..., 0], d[..., 1])[..., None]
+                     for d in (np.roll(p, -1, axis=1) - p,
+                               np.roll(p, 1, axis=1) - p))
+    angles = np.arctan2(ahead[..., 0] * behind[..., 1]
+                        - ahead[..., 1] * behind[..., 0],
+                        (ahead * behind).sum(axis=2))
+    total = np.bincount(triangles.ravel(), angles.ravel(), len(vertices))
+    on_boundary = np.zeros(len(vertices), dtype=bool)
+    on_boundary[edges.endpoints[edges.boundary]] = True
+    # an unused vertex sums to 0; every used one to more
+    bad = np.flatnonzero(np.where(
+        on_boundary, total > 2.0 * np.pi,
+        (total > 0.0) & (np.abs(total - 2.0 * np.pi) > np.pi)))
+    if len(bad):
+        v = bad[0]
+        kind = "boundary vertex" if on_boundary[v] else "vertex"
+        raise NonConformingMesh(
+            f"the triangles around {kind} {v} turn through "
+            f"{np.degrees(total[v]):.1f} degrees")
+
+
 class TriMesh:
     """Immutable conforming triangulation of a polygonal domain.
 
@@ -156,6 +185,7 @@ class TriMesh:
         self.triangles[clockwise] = self.triangles[clockwise][:, [0, 2, 1]]
 
         self.edges = _build_edges(self.vertices, self.triangles)
+        _check_vertex_fans(self.vertices, self.triangles, self.edges)
 
         # an element's size is its longest edge; each (triangle, local
         # edge) pair is one side of exactly one edge

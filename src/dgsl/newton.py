@@ -7,15 +7,16 @@ stiffness, the source at the quadrature points and the block pattern
 are set up once per solve in an `assembly.NewtonKernel`; each residual
 and Jacobian is then one matrix product against its tables.
 
-Each step runs one PCG loop (`solve_spd`) with a lagged preconditioner,
-built from the first Jacobian of a solve: later ones differ from it
-only in the mass term. A Jacobian certified by assembly gets the
-two-level cycle, so no fine-grid matrix is factored; any other is
-factored and certified by its pivots. It is rebuilt only when CG runs
-past its budget. Each step is solved only as far as Newton needs
-(inexact Newton, `_forcing_term`); the stopping test reads the true
-residual. CG keeps its curvature check, so every path raises
-IndefiniteOperator on an indefinite Jacobian.
+Under the sign assumption N' >= 0 every Jacobian is the stiffness plus
+a positive semidefinite mass term, so one proof that the stiffness is
+positive definite covers them all. The stiffness is proven once per
+solve, by assembly's local certificate or else by the pivots of its
+factor, and the two-level preconditioner is built from it once. A
+Jacobian whose mass weights are nonnegative runs one PCG loop
+(`solve_spd`) with it; any other is factored, and its own pivots prove
+it positive definite or raise IndefiniteOperator. Each step is solved
+only as far as Newton needs (inexact Newton, `_forcing_term`); the
+stopping test reads the true residual.
 """
 
 import warnings
@@ -24,22 +25,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
-                       assemble_bilinear)
+from .assembly import (AssemblyConfig, NewtonKernel, SparseSymMatrix,
+                       _nonlinear_load, assemble_bilinear)
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
-from .linear_solver import (FACTOR_SOLVES, solve_spd, symmetric_factor,
+from .linear_solver import (solve_spd, symmetric_factor,
                             two_level_preconditioner)
 from .problems import Problem
 from .space import DGSpace, DGVector, interpolate, p1_prolongation
 
 
-# CG iterations on a later Jacobian, preconditioned by the factor of an
-# earlier one, before that Jacobian is factored itself. The sine problem
-# needs 5-6; at P3, n = 64, 25 factor solves cost about one factorization.
-REFACTOR_ITERATIONS = 25
-# the same budget for a lagged two-level preconditioner: a fresh one
-# needs about 34 (P1), 128 (P2) and 140 (P3) iterations to 1e-12
-REBUILD_ITERATIONS = 200
 # bounds of the forcing terms
 LINEAR_TOL = 1e-12
 FORCING_MAX = 1e-3
@@ -101,33 +95,6 @@ def _forcing_term(res_norm, first_norm, threshold):
         (res_norm / first_norm) ** 2, FORCING_SAFETY * threshold / res_norm)))
 
 
-def _lagged_step(jac, rhs, tol, lagged, space):
-    """Solve jac delta = rhs to relative residual `tol` by CG with the
-    lagged preconditioner (apply, budget) of an earlier Jacobian. When
-    there is none, or CG runs past its budget, build one from `jac`: the
-    two-level cycle if `jac` is certified, else its factor, whose pivots
-    certify it. Returns (delta, report, preconditioner to keep).
-    """
-    if lagged is not None:
-        apply, budget = lagged
-        try:
-            delta, lin = solve_spd(jac, rhs, tol=tol, max_iter=budget,
-                                   preconditioner=apply)
-            return delta, lin, lagged
-        except NotConverged:
-            pass
-    if jac.certified:
-        apply = two_level_preconditioner(jac, p1_prolongation(space))
-        cap, budget, certificate = None, REBUILD_ITERATIONS, "local"
-    else:
-        lu, certificate = symmetric_factor(jac)
-        apply, cap, budget = lu.solve, FACTOR_SOLVES, REFACTOR_ITERATIONS
-    delta, lin = solve_spd(jac, rhs, tol=tol, max_iter=cap,
-                           preconditioner=apply)
-    lin.certificate = certificate
-    return delta, lin, (apply, budget)
-
-
 def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
                      ncfg: Optional[NewtonConfig] = None):
     """Solve a(u_h, v) = (f(u_h), v) by damped Newton.
@@ -138,7 +105,12 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
+    if not stiffness.certified:
+        # the pivots prove it positive definite, or this raises
+        symmetric_factor(stiffness)
+        stiffness = SparseSymMatrix(stiffness.csr, True)
     kernel = NewtonKernel(space, problem, cfg, stiffness)
+    precondition = two_level_preconditioner(stiffness, p1_prolongation(space))
 
     if ncfg.initial_guess == "zero":
         u = np.zeros(space.total_dofs)
@@ -151,7 +123,6 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         return stiffness @ vec - _nonlinear_load(kernel, vec)
 
     report = NewtonReport()
-    lagged = None
     res = residual(u)
     res_norm = first_norm = float(np.linalg.norm(res))
     report.residual_norms.append(res_norm)
@@ -161,10 +132,12 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         if res_norm <= threshold:
             report.converged = True
             break
-        delta, lin, lagged = _lagged_step(
-            kernel.jacobian(u), -res,
-            _forcing_term(res_norm, first_norm, threshold), lagged, space)
+        jac = kernel.jacobian(u)
+        delta, lin = solve_spd(
+            jac, -res, tol=_forcing_term(res_norm, first_norm, threshold),
+            preconditioner=precondition if jac.certified else None)
         report.linear_reports.append(lin)
+        del jac  # else the next Jacobian is built while this one is alive
 
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS + 1):

@@ -57,10 +57,6 @@ class DGSpace:
                     self.inv_jacobians, self.node_coords):
             arr.setflags(write=False)
 
-    def element_slice(self, element: int):
-        d = self.dofs_per_element
-        return slice(element * d, (element + 1) * d)
-
     def physical_points(self, ref_points):
         """Map reference points into every element, shape (E, npts, 2)."""
         ref = np.atleast_2d(ref_points)
@@ -126,23 +122,6 @@ def p1_prolongation(space: DGSpace):
     return sparse.csr_matrix(
         (weights.ravel()[keep], (rows[keep], columns.ravel()[keep])),
         shape=(space.total_dofs, len(used)))
-
-
-def evaluate(space: DGSpace, v: DGVector, element: int, points, gradients=False):
-    """Evaluate a field on one element at reference points.
-
-    Returns values (npts,), or (values, grads) with grads (npts, 2) in
-    physical coordinates when `gradients` is set.
-    """
-    if not 0 <= element < space.num_elements:
-        raise IndexError(f"element {element} out of range")
-    coeffs = v.coeffs[space.element_slice(element)]
-    vals = space.basis.values(points) @ coeffs
-    if not gradients:
-        return vals
-    ref_g = np.einsum("pia,i->pa", space.basis.gradients(points), coeffs)
-    grads = ref_g @ space.inv_jacobians[element]
-    return vals, grads
 
 
 def edge_traces(space: DGSpace, params):

@@ -6,7 +6,7 @@ by brute force, independent of the EdgeSet construction path.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -357,6 +357,55 @@ def assert_edge_set_matches_oracle(mesh):
                     atol=1e-14)
     assert np.all((edges.normal[edges.boundary] * (mid[edges.boundary] - 0.5))
                   .sum(axis=1) > 0)
+
+
+def fan_vertices(count, step, radii):
+    """A centre vertex and `count` + 1 outer ones, `step` radians apart,
+    at the given radii (so outer vertices at one angle stay apart)."""
+    theta = step * np.arange(count + 1)
+    return np.vstack([[0.0, 0.0], np.column_stack(
+        [radii * np.cos(theta), radii * np.sin(theta)])])
+
+
+def test_double_fan_around_interior_vertex_rejected():
+    # 12 triangles of 60 degrees close around the centre after two turns:
+    # every spoke is shared by two triangles on opposite sides, so the
+    # edge-wise overlap test passes, and the triangle areas equal the
+    # boundary shoelace, but the centre's angles sum to 4 pi
+    radii = np.where(np.arange(13) < 6, 1.0, 2.0)
+    vertices = fan_vertices(12, np.pi / 3, radii)[:13]
+    triangles = [[0, 1 + j, 1 + (j + 1) % 12] for j in range(12)]
+    with pytest.raises(NonConformingMesh, match="vertex 0 turn through 720"):
+        dgsl.TriMesh(vertices, triangles)
+    # one turn of the same fan is a valid hexagon
+    mesh = dgsl.TriMesh(vertices[:7], [[0, 1 + j, 1 + (j + 1) % 6]
+                                       for j in range(6)])
+    assert edge_counts(mesh) == (6, 6)
+
+
+def test_open_fan_past_a_full_turn_rejected():
+    # 7 triangles of 60 degrees around a boundary vertex overlap the first
+    radii = np.where(np.arange(8) < 6, 1.0, 2.0)
+    vertices = fan_vertices(7, np.pi / 3, radii)
+    triangles = [[0, 1 + j, 2 + j] for j in range(7)]
+    with pytest.raises(NonConformingMesh,
+                       match="boundary vertex 0 turn through 420"):
+        dgsl.TriMesh(vertices, triangles)
+    # 5 of them (300 degrees) are a valid non-convex domain
+    mesh = dgsl.TriMesh(vertices[:7], triangles[:5])
+    assert_allclose(mesh.total_area(), 5 * np.sqrt(3) / 4, rtol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), amplitude=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2 ** 16))
+def test_perturbed_meshes_pass_the_vertex_fan_check(n, amplitude, seed):
+    try:
+        mesh = build_perturbed(n, amplitude, seed)
+    except PerturbationFoldover:
+        assume(False)
+    # the same mesh through import, with nothing shared with the generator
+    assert import_mesh(export_mesh(mesh)).num_triangles == 2 * n * n
 
 
 # amplitudes up to 0.15 cannot fold a structured triangle, so every draw

@@ -123,11 +123,13 @@ def indefinite_problem():
     )
 
 
-def test_lagged_cg_curvature_guard_raises():
-    # N'(u) = 1 - 3 u^2 is positive at u = 0, so the first Jacobian passes
-    # the factor's certificate; the first step takes u to about 4.8, where
-    # N' < 0 and the next Jacobian is indefinite. CG preconditioned by the
-    # old factor must say so, not a refactor's pivot certificate.
+def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads):
+    # N'(u) = 1 - 3 u^2 is positive at u = 0, so the first Jacobian is
+    # covered by the stiffness's certificate and runs PCG; the first step
+    # takes u to about 4.8, where N' < 0 and the next Jacobian is
+    # indefinite. It is outside the stiffness's proof, so it is factored
+    # and its own pivots must say so. (CG's curvature guard is covered by
+    # test_small_penalty_operator_is_detected_indefinite.)
     softening = Problem(
         name="softening",
         nonlinearity=lambda u: u - u ** 3,
@@ -135,8 +137,9 @@ def test_lagged_cg_curvature_guard_raises():
         source=lambda x, y: 100.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
     )
     space = space_on(8, 1)
-    with pytest.raises(IndefiniteOperator, match="non-positive curvature"):
+    with pytest.raises(IndefiniteOperator, match="1 negative pivots"):
         solve_semilinear(space, softening, AssemblyConfig(penalty=100.0))
+    assert factor_reads == ["U"]
 
 
 def test_strongly_indefinite_propagates_from_direct_solver():
@@ -206,38 +209,16 @@ def test_jacobian_factored_once_per_solve(sine, monkeypatch,
     assert not any(isinstance(value, SuperLU) for lin in report.linear_reports
                    for value in vars(lin).values())
     # reference: a fresh factorization of every Jacobian, each solved
-    # within the budget of a direct solve
+    # within the budget of a direct solve; the stiffness stays certified,
+    # so the solve still sets up its one (unused) two-level preconditioner
     strip_certificates(monkeypatch)
-    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 0)
     u_ref, ref = solve_sine(sine, n, r)
-    assert len(count_two_level) == 1
-    assert len(count_factorizations) == 1 + ref.iterations
+    assert len(count_two_level) == 2
+    assert len(count_factorizations) == 2 + ref.iterations
     assert [lin.certificate for lin in ref.linear_reports] \
         == ["pivots"] * ref.iterations
     assert all(lin.iterations <= FACTOR_SOLVES for lin in ref.linear_reports)
     assert report.iterations == ref.iterations
-    assert_close(u, u_ref)
-
-
-def test_slow_preconditioned_cg_triggers_refactor(sine, monkeypatch,
-                                                  count_factorizations,
-                                                  count_two_level):
-    u_ref, _ = solve_sine(sine, 16, 1)
-    assert len(count_two_level) == 1
-    # later steps need more CG iterations than this on either path, so
-    # some rebuild the preconditioner from their own Jacobian
-    monkeypatch.setattr(dgsl.newton, "REBUILD_ITERATIONS", 1)
-    u, report = solve_sine(sine, 16, 1)
-    assert report.converged and len(count_two_level) > 2
-    assert "local" in [lin.certificate for lin in report.linear_reports[1:]]
-    assert_close(u, u_ref)
-
-    strip_certificates(monkeypatch)
-    monkeypatch.setattr(dgsl.newton, "REFACTOR_ITERATIONS", 1)
-    factored = len(count_factorizations)
-    u, report = solve_sine(sine, 16, 1)
-    assert report.converged and len(count_factorizations) > factored + 1
-    assert "pivots" in [lin.certificate for lin in report.linear_reports[1:]]
     assert_close(u, u_ref)
 
 
@@ -268,7 +249,10 @@ def factor_reads(monkeypatch):
 def test_certified_newton_solve_never_reads_the_factors(sine, factor_reads):
     # the one factor of a certified solve is the two-level coarse operator
     _, report = solve_sine(sine, 4, 3)
-    assert report.converged and report.linear_reports[0].certificate == "local"
+    assert report.converged
+    # every step ran PCG with the solve's one preconditioner
+    assert [lin.certificate for lin in report.linear_reports] \
+        == [None] * report.iterations
     assert factor_reads == []
 
 
@@ -281,12 +265,37 @@ def test_small_penalty_reads_the_pivots_once(sine, factor_reads):
 def test_newton_reports_how_each_factor_was_certified(sine):
     _, report = solve_sine(sine, 8, 1)
     certificates = [lin.certificate for lin in report.linear_reports]
-    assert certificates == ["local"] + [None] * (report.iterations - 1)
-    # with N' < 0 only the pivots can show that the Jacobian is SPD
+    assert certificates == [None] * report.iterations
+    # with N' < 0 the stiffness's proof does not cover the Jacobian, so
+    # every step is factored and only its pivots show that it is SPD
     with pytest.warns(UserWarning, match="N'"):
         _, report = solve_semilinear(space_on(4, 1), wrong_sign_problem(),
                                      AssemblyConfig(penalty=100.0))
-    assert report.linear_reports[0].certificate == "pivots"
+    assert [lin.certificate for lin in report.linear_reports] \
+        == ["pivots"] * report.iterations
+
+
+def test_band_stiffness_is_proven_once_by_its_pivots(sine, monkeypatch,
+                                                     factor_reads,
+                                                     count_two_level):
+    # P1 at penalty 5 is SPD (smallest eigenvalue about 0.05) but not
+    # locally certified: its one factor proves it, and every step then
+    # runs PCG with the two-level preconditioner built from it
+    space, cfg = space_on(8, 1), AssemblyConfig(penalty=5.0)
+    assert not dgsl.assemble_bilinear(space, cfg).certified
+    ncfg = NewtonConfig(abs_tol=1e-11)
+    u, report = solve_semilinear(space, sine, cfg, ncfg)
+    assert factor_reads == ["U"]
+    assert len(count_two_level) == 1
+    assert [(lin.method, lin.certificate) for lin in report.linear_reports] \
+        == [("pcg", None)] * report.iterations
+    # reference: a fresh factorization of every Jacobian
+    strip_certificates(monkeypatch)
+    u_ref, ref = solve_semilinear(space, sine, cfg, ncfg)
+    assert [(lin.method, lin.certificate) for lin in ref.linear_reports] \
+        == [("direct", "pivots")] * ref.iterations
+    assert report.iterations == ref.iterations
+    assert_close(u, u_ref)
 
 
 def _nan_at_half(values):

@@ -1,11 +1,11 @@
-"""DG space layout, interpolation, evaluation, and edge traces."""
+"""DG space layout, interpolation, and edge traces."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import dgsl
-from dgsl import DGVector, edge_traces, evaluate, interpolate
+from dgsl import DGVector, edge_traces, interpolate
 from dgsl.analysis import l2_error, observed_orders
 from dgsl.basis import edge_reference_points
 from dgsl.errors import DegenerateElement
@@ -14,16 +14,28 @@ from dgsl.space import p1_prolongation
 from conftest import space_on
 
 
+def on_element(space, v, element, points):
+    """Values (npts,) and physical gradients (npts, 2) of `v` at reference
+    `points` of one element, straight from the basis and the element map."""
+    coeffs = v.by_element()[element]
+    ref_grads = np.einsum("pia,i->pa", space.basis.gradients(points), coeffs)
+    return (space.basis.values(points) @ coeffs,
+            ref_grads @ space.inv_jacobians[element])
+
+
 def test_dof_layout():
     space = space_on(3, 2)
     assert space.dofs_per_element == 6
     assert space.total_dofs == space.num_elements * 6
-    taken = [space.element_slice(e) for e in range(space.num_elements)]
-    # blocks are disjoint, contiguous, and cover everything
-    assert taken[0].start == 0
-    for prev, cur in zip(taken, taken[1:]):
-        assert prev.stop == cur.start
-    assert taken[-1].stop == space.total_dofs
+    # element e owns the contiguous block [6 e, 6 e + 6), and the
+    # per-element view writes through to the coefficients
+    v = DGVector(space, np.arange(space.total_dofs, dtype=float))
+    blocks = v.by_element()
+    assert blocks.shape == (space.num_elements, 6)
+    assert_array_equal(blocks[:, 0], 6 * np.arange(space.num_elements))
+    assert_array_equal(np.diff(blocks, axis=1), 1)
+    blocks[2] = -1.0
+    assert_array_equal(np.flatnonzero(v.coeffs == -1.0), np.arange(12, 18))
 
 
 def test_interpolate_zero_and_constant():
@@ -31,8 +43,7 @@ def test_interpolate_zero_and_constant():
     zero = interpolate(space, lambda x, y: 0.0 * x)
     assert not zero.coeffs.any()
     five = interpolate(space, lambda x, y: 5.0 + 0.0 * x)
-    vals, grads = evaluate(space, five, 3, [[0.3, 0.3], [0.1, 0.2]],
-                           gradients=True)
+    vals, grads = on_element(space, five, 3, np.array([[0.3, 0.3], [0.1, 0.2]]))
     assert_allclose(vals, 5.0, atol=1e-13)
     assert_allclose(grads, 0.0, atol=1e-12)
 
@@ -42,7 +53,7 @@ def test_interpolate_linear_reproduction(rng):
     v = interpolate(space, lambda x, y: x + y)
     for element in rng.integers(0, space.num_elements, 5):
         pts = rng.uniform(0.05, 0.4, (4, 2))
-        vals = evaluate(space, v, int(element), pts)
+        vals, _ = on_element(space, v, int(element), pts)
         phys = space.physical_points(pts)[int(element)]
         assert_allclose(vals, phys[:, 0] + phys[:, 1], atol=1e-12)
 
@@ -61,16 +72,8 @@ def test_evaluate_at_nodes_returns_coefficients(rng):
     space = space_on(2, 3)
     v = DGVector(space, rng.standard_normal(space.total_dofs))
     for element in (0, 5):
-        vals = evaluate(space, v, element, space.basis.nodes)
-        assert_allclose(vals, v.coeffs[space.element_slice(element)],
-                        atol=1e-12)
-
-
-def test_evaluate_bad_element_raises():
-    space = space_on(1, 1)
-    with pytest.raises(IndexError):
-        evaluate(space, DGVector(space, np.zeros(space.total_dofs)), 2,
-                 [[0.3, 0.3]])
+        vals, _ = on_element(space, v, element, space.basis.nodes)
+        assert_allclose(vals, v.by_element()[element], atol=1e-12)
 
 
 def test_overflowing_determinant_rejected():
@@ -113,7 +116,7 @@ def test_indicator_field_jump_and_average():
     edges = space.mesh.edges
     (edge,) = np.flatnonzero(~edges.boundary)
     v = DGVector(space, np.zeros(space.total_dofs))
-    v.coeffs[space.element_slice(edges.tri[edge, 0])] = 1.0
+    v.by_element()[edges.tri[edge, 0]] = 1.0
     t = np.array([0.25, 0.75])
     vals, _ = side_traces(space, v, t)
     jump = (vals[edge, 0] - vals[edge, 1])[:, None] * edges.normal[edge]
@@ -132,8 +135,7 @@ def test_jump_dot_normal_matches_trace_difference(rng):
     for e in range(len(edges)):
         for s in (0,) if edges.boundary[e] else (0, 1):
             ref = edge_reference_points(edges.local[e, s], t, edges.flipped[e, s])
-            want_v, want_g = evaluate(space, v, edges.tri[e, s], ref,
-                                      gradients=True)
+            want_v, want_g = on_element(space, v, edges.tri[e, s], ref)
             assert_allclose(vals[e, s], want_v, atol=1e-13)
             assert_allclose(grads[e, s], want_g, atol=1e-12)
 
