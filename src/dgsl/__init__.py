@@ -21,8 +21,7 @@ from .linear_solver import LinearSolveReport, block_jacobi_preconditioner, \
 from .mesh import (EdgeSet, TriMesh, build_perturbed, build_structured,
                    export_mesh, import_mesh)
 from .newton import NewtonConfig, NewtonReport, solve_semilinear
-from .problems import (ExactSolution, Problem, get_problem, register_problem,
-                       verify_manufactured)
+from .problems import ExactSolution, Problem, get_problem, verify_manufactured
 from .properties import CheckResult, run_property_suite
 from .quadrature import QuadRule, edge_rule, triangle_rule
 from .space import DGSpace, DGVector, edge_traces, interpolate

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, SparseSymMatrix, _volume_stiffness_blocks,
+from .assembly import (AssemblyConfig, _volume_stiffness_blocks,
                        _volume_tables, assemble_bilinear)
 from .errors import ConfigError, InsufficientLevels
 from .linear_solver import solve_spd
@@ -90,9 +90,11 @@ def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
     """Mesh-dependent norm of u - v_h, using the analytic gradient of u,
     or of v_h when `exact` is None."""
     rule = triangle_rule(_analysis_degree(space))
-    ref_g = np.einsum("ed,qda->eqa", v.by_element(),
-                      space.basis.gradients(rule.points))
-    diff = np.einsum("eqa,eab->eqb", ref_g, space.inv_jacobians)
+    gtab = space.basis.gradients(rule.points)           # (Q, D, 2)
+    q, d = gtab.shape[:2]
+    # matrix products, not einsum: numpy would run the einsums as loops
+    ref_g = v.by_element() @ gtab.transpose(1, 0, 2).reshape(d, -1)
+    diff = ref_g.reshape(-1, q, 2) @ space.inv_jacobians
     if exact is not None:
         pts = space.physical_points(rule.points)
         gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
@@ -152,10 +154,9 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
 
 
 def elliptic_project(space: DGSpace, exact: ExactSolution,
-                     cfg: AssemblyConfig,
-                     stiffness: Optional[SparseSymMatrix] = None) -> DGVector:
+                     cfg: AssemblyConfig) -> DGVector:
     """Energy projection: the discrete field with a(P w, v) = a(w, v)."""
-    a = stiffness if stiffness is not None else assemble_bilinear(space, cfg)
+    a = assemble_bilinear(space, cfg)
     rhs = apply_bilinear_to_field(space, exact.value, exact.gradient, cfg)
     x, _ = solve_spd(a, rhs, tol=1e-12)
     return DGVector(space, x)

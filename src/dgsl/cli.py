@@ -34,15 +34,6 @@ EXIT_SOLVER = 3
 EXIT_PROPERTIES = 4
 
 
-def _parse_bool(value):
-    lowered = value.lower()
-    if lowered in ("on", "true", "yes", "1"):
-        return True
-    if lowered in ("off", "false", "no", "0"):
-        return False
-    raise ValueError("expected on/off")
-
-
 # config key -> (RunConfig field, parser); an absent key keeps the
 # field's default. "penalty" and "mesh.levels" are parsed separately.
 _RUN_KEYS = {
@@ -59,10 +50,6 @@ _RUN_KEYS = {
 # the same for the NewtonConfig fields
 _NEWTON_KEYS = {
     "newton.abs_tol": ("abs_tol", float),
-    "newton.rel_tol": ("rel_tol", float),
-    "newton.max_iterations": ("max_iterations", int),
-    "newton.damping": ("damping", _parse_bool),
-    "newton.initial_guess": ("initial_guess", str),
 }
 KNOWN_KEYS = {"penalty", "mesh.levels", *_RUN_KEYS, *_NEWTON_KEYS}
 

@@ -8,7 +8,7 @@ levels report the maximum element diameter. Identical configurations
 (including seeds) produce byte-identical CSV output.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -42,8 +42,9 @@ class RunConfig:
     edge_degree: Optional[int] = None
     output_path: Optional[str] = None
     output_format: str = "csv"               # csv | markdown
-    # the meshes of a `files` run, parsed once when the config is built
-    _meshes: tuple = field(default=(), init=False, repr=False, compare=False)
+    # (path, mesh) pairs of a `files` run, parsed when the config is
+    # built; a config derived by dataclasses.replace reuses them
+    _meshes: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.mesh_kind not in ("structured", "perturbed", "files"):
@@ -69,17 +70,16 @@ class RunConfig:
             raise ConfigError(
                 f"problem {self.problem!r} has no exact solution; "
                 "convergence runs need a manufactured problem")
-        guess = self.newton.initial_guess
-        if isinstance(guess, str) and guess not in ("zero", "exact"):
-            raise ConfigError("newton.initial_guess must be 'zero' or 'exact'")
-        meshes = []
+        parsed, meshes = dict(self._meshes), []
         for index, level in enumerate(self.levels):
             if self.mesh_kind == "files":
                 # parsed now, so a bad file fails before any level runs
-                try:
-                    meshes.append(import_mesh(Path(str(level)).read_text()))
-                except (OSError, DgslError) as exc:
-                    raise ConfigError(f"mesh file {level}: {exc}") from exc
+                if level not in parsed:
+                    try:
+                        parsed[level] = import_mesh(Path(str(level)).read_text())
+                    except (OSError, DgslError) as exc:
+                        raise ConfigError(f"mesh file {level}: {exc}") from exc
+                meshes.append((level, parsed[level]))
             elif self.mesh_kind == "perturbed":
                 check_grid_args(level, self.amplitude, self.seed + index)
             else:
@@ -87,7 +87,7 @@ class RunConfig:
         object.__setattr__(self, "_meshes", tuple(meshes))
         # each level must refine the one before (a perturbed mesh's
         # measured size is checked once its level has run)
-        sizes = [mesh.h_max for mesh in meshes] or [-n for n in self.levels]
+        sizes = [mesh.h_max for _, mesh in meshes] or [-n for n in self.levels]
         if any(h2 >= h1 for h1, h2 in zip(sizes, sizes[1:])):
             raise ConfigError(f"mesh.levels {list(self.levels)} do not refine")
 
@@ -102,7 +102,7 @@ class RunConfig:
             return build_structured(level)
         if self.mesh_kind == "perturbed":
             return build_perturbed(level, self.amplitude, self.seed + index)
-        return self._meshes[index]
+        return self._meshes[index][1]
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,12 @@ def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
     """Solve on every level and tabulate errors and observed orders."""
     problem = get_problem(cfg.problem)
     acfg = cfg.assembly_config()
-    ncfg = cfg.newton
-    if ncfg.initial_guess == "exact":
-        ncfg = replace(ncfg, initial_guess=problem.exact.value)
 
     raw = []
     for index in range(len(cfg.levels)):
         mesh = cfg.build_level_mesh(index)
         space = DGSpace(mesh, cfg.degree)
-        solution, report = solve_semilinear(space, problem, acfg, ncfg)
+        solution, report = solve_semilinear(space, problem, acfg, cfg.newton)
         e_l2 = l2_error(space, solution, problem.exact)
         e_dg = dg_error(space, solution, problem.exact, cfg.penalty)
         raw.append((mesh.nominal_h, e_l2, e_dg, report.iterations,

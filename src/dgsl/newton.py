@@ -11,12 +11,12 @@ Under the sign assumption N' >= 0 every Jacobian is the stiffness plus
 a positive semidefinite mass term, so one proof that the stiffness is
 positive definite covers them all. The stiffness is proven once per
 solve, by assembly's local certificate or else by the pivots of its
-factor, and the two-level preconditioner is built from it once. A
-Jacobian whose mass weights are nonnegative runs one PCG loop
-(`solve_spd`) with it; any other is factored, and its own pivots prove
-it positive definite or raise IndefiniteOperator. Each step is solved
-only as far as Newton needs (inexact Newton, `_forcing_term`); the
-stopping test reads the true residual.
+factor, and the two-level preconditioner is built from it once, at the
+first step that uses it. A Jacobian whose mass weights are nonnegative
+runs one PCG loop (`solve_spd`) with it; any other is factored, and its
+own pivots prove it positive definite or raise IndefiniteOperator. Each
+step is solved only as far as Newton needs (inexact Newton,
+`_forcing_term`); the stopping test reads the true residual.
 """
 
 import warnings
@@ -34,6 +34,10 @@ from .problems import Problem
 from .space import DGSpace, DGVector, interpolate, p1_prolongation
 
 
+# stopping test: ||residual|| <= max(abs_tol, REL_TOL * initial residual),
+# within at most MAX_ITERATIONS steps
+REL_TOL = 1e-12
+MAX_ITERATIONS = 25
 # bounds of the forcing terms
 LINEAR_TOL = 1e-12
 FORCING_MAX = 1e-3
@@ -45,25 +49,21 @@ MAX_BACKTRACKS = 30
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Tolerances and stepping policy for the Newton loop.
+    """Absolute residual tolerance and start of the Newton loop.
 
-    Convergence is declared on the algebraic residual 2-norm:
-    ||residual|| <= max(abs_tol, rel_tol * initial residual).
     `initial_guess` is either "zero" or a scalar field callback whose
     interpolant seeds the iteration.
     """
 
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-12
-    max_iterations: int = 25
-    damping: bool = True
     initial_guess: object = "zero"
 
     def __post_init__(self):
-        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
-            raise ConfigError("tolerances must be positive and finite")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
+        if not 0.0 < self.abs_tol < np.inf:
+            raise ConfigError("abs_tol must be positive and finite")
+        guess = self.initial_guess
+        if not (callable(guess) or isinstance(guess, str) and guess == "zero"):
+            raise ConfigError("initial_guess must be 'zero' or a callable")
 
 
 @dataclass
@@ -100,8 +100,9 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """Solve a(u_h, v) = (f(u_h), v) by damped Newton.
 
     Returns (DGVector, NewtonReport). Raises NewtonDiverged when
-    backtracking cannot decrease the residual and NotConverged when the
-    iteration budget is exhausted; linear-solver errors propagate.
+    backtracking cannot decrease the residual and NotConverged when
+    MAX_ITERATIONS steps do not meet the stopping test; linear-solver
+    errors propagate.
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
@@ -110,7 +111,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         symmetric_factor(stiffness)
         stiffness = SparseSymMatrix(stiffness.csr, True)
     kernel = NewtonKernel(space, problem, cfg, stiffness)
-    precondition = two_level_preconditioner(stiffness, p1_prolongation(space))
+    precondition = None     # built at the first step that runs PCG
 
     if ncfg.initial_guess == "zero":
         u = np.zeros(space.total_dofs)
@@ -126,13 +127,15 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     res = residual(u)
     res_norm = first_norm = float(np.linalg.norm(res))
     report.residual_norms.append(res_norm)
-    threshold = max(ncfg.abs_tol, ncfg.rel_tol * res_norm)
+    threshold = max(ncfg.abs_tol, REL_TOL * res_norm)
 
-    for _ in range(ncfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if res_norm <= threshold:
-            report.converged = True
             break
         jac = kernel.jacobian(u)
+        if jac.certified and precondition is None:
+            precondition = two_level_preconditioner(stiffness,
+                                                    p1_prolongation(space))
         delta, lin = solve_spd(
             jac, -res, tol=_forcing_term(res_norm, first_norm, threshold),
             preconditioner=precondition if jac.certified else None)
@@ -147,10 +150,8 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
                 trial_norm = float(np.linalg.norm(trial_res))
             except NonFiniteValue:
                 # an overshooting trial left the callbacks' domain
-                if not ncfg.damping:
-                    raise
                 trial_norm = np.inf
-            if trial_norm < res_norm or not ncfg.damping:
+            if trial_norm < res_norm:
                 break
             alpha *= BACKTRACK_FACTOR
         else:
@@ -160,13 +161,11 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
 
         u, res, res_norm = trial, trial_res, trial_norm
         report.residual_norms.append(res_norm)
-    else:
-        if res_norm <= threshold:
-            report.converged = True
 
+    report.converged = res_norm <= threshold
     if not report.converged:
         raise NotConverged(
-            f"newton used {ncfg.max_iterations} iterations, residual "
+            f"newton used {MAX_ITERATIONS} iterations, residual "
             f"{res_norm:.3e} > {threshold:.3e}", report=report)
 
     _check_sign_assumption(kernel, u)

@@ -84,13 +84,6 @@ def _sine_problem():
 _REGISTRY = {"sine": _sine_problem()}
 
 
-def register_problem(problem: Problem):
-    """Add a code-defined problem to the registry (name must be new)."""
-    if problem.name in _REGISTRY:
-        raise ValueError(f"problem {problem.name!r} already registered")
-    _REGISTRY[problem.name] = problem
-
-
 def get_problem(name: str) -> Problem:
     try:
         return _REGISTRY[name]

@@ -101,11 +101,12 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--set", "degree=9"]) == EXIT_CONFIG
 
 
-def test_solver_failure_exit_code_and_partial_flush(tmp_path, capsys):
+def test_solver_failure_exit_code_and_partial_flush(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(dgsl.newton, "MAX_ITERATIONS", 1)
     conf = tmp_path / "study.conf"
     out = tmp_path / "partial.csv"
-    conf.write_text(BASIC_CONFIG + f"output.path = {out}\n"
-                    + "newton.max_iterations = 1\n")
+    conf.write_text(BASIC_CONFIG + f"output.path = {out}\n")
     assert main(["run", "--config", str(conf)]) == EXIT_SOLVER
     # the partial report (header, no completed rows) is still flushed
     assert out.read_text().startswith(CSV_HEADER)
@@ -210,6 +211,23 @@ def test_generated_mesh_feeds_files_run(tmp_path):
     assert len(out.read_text().strip().split("\n")) == 3
 
 
+def test_files_penalty_sweep_parses_each_mesh_once(tmp_path, monkeypatch):
+    paths = [tmp_path / f"m{n}.txt" for n in (2, 4)]
+    for n, path in zip((2, 4), paths):
+        main(["mesh", "gen", "--n", str(n), "--out", str(path)])
+    parsed = []
+    import_mesh = dgsl.convergence.import_mesh
+    monkeypatch.setattr(dgsl.convergence, "import_mesh",
+                        lambda text: parsed.append(text) or import_mesh(text))
+    assert main(["run", "--set", "mesh.kind=files",
+                 "--set", f"mesh.levels={paths[0]},{paths[1]}",
+                 "--set", "penalty=10,100",
+                 "--set", f"output.path={tmp_path / 'out.csv'}"]) == EXIT_OK
+    assert (tmp_path / "out_lam10.csv").exists()
+    assert (tmp_path / "out_lam100.csv").exists()
+    assert len(parsed) == 2
+
+
 def test_bad_second_mesh_file_exits_before_any_level(tmp_path, capsys):
     good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
     main(["mesh", "gen", "--kind", "structured", "--n", "2", "--out",
@@ -286,6 +304,7 @@ BAD_INPUTS = {
     "verify_text_penalty": ["verify", "--set", "penalty=abc"],
     "verify_nan_penalty": ["verify", "--set", "penalty=nan"],
     "verify_unknown_key": ["verify", "--set", "foo=1"],
+    "removed_newton_key": ["run", "--set", "newton.damping=off"],
 }
 
 

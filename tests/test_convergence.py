@@ -94,9 +94,13 @@ def test_files_run_parses_each_mesh_once(tmp_path, monkeypatch):
     cfg = tiny_config(mesh_kind="files", levels=tuple(paths))
     report = run_convergence(cfg)
     assert len(report.rows) == 2 and len(parsed) == 2
-    # a derived config, as each run of a sweep is, parses its own copy
+    # a derived config, as each run of a sweep is, reuses the meshes
     run_convergence(dataclasses.replace(cfg, penalty=10.0))
-    assert len(parsed) == 4
+    assert len(parsed) == 2
+    # and one with other levels parses only the paths it has not seen
+    finer = dataclasses.replace(cfg, levels=(paths[1],))
+    assert finer.build_level_mesh(0) is cfg.build_level_mesh(1)
+    assert len(parsed) == 2
 
 
 def test_bad_mesh_file_rejected_when_config_is_built(tmp_path):
@@ -135,11 +139,11 @@ def test_p3_perturbed_newton_counts(seed):
     assert newton_counts(cfg) == [4, 4, 4]
 
 
-def test_exact_initial_guess_accepted():
-    cfg = tiny_config(newton=dgsl.NewtonConfig(initial_guess="exact"),
-                      levels=(4,))
-    report = run_convergence(cfg)
-    assert report.rows[0].newton_iters <= 6
+def test_exact_initial_guess_rejected():
+    # an interpolant start is a callable (test_newton and the uniqueness
+    # suite start from the exact solution's values)
+    with pytest.raises(ConfigError, match="initial_guess"):
+        dgsl.NewtonConfig(initial_guess="exact")
 
 
 @pytest.mark.parametrize("bad", [
@@ -161,14 +165,11 @@ def test_config_validation(bad):
         tiny_config(**bad)
 
 
-def test_missing_exact_solution_rejected():
-    try:
-        dgsl.register_problem(dgsl.Problem(
-            name="no-exact",
-            nonlinearity=lambda u: 0.0 * u,
-            d_nonlinearity=lambda u: 0.0 * u,
-            source=lambda x, y: np.ones_like(x)))
-    except ValueError:
-        pass
+def test_missing_exact_solution_rejected(monkeypatch):
+    monkeypatch.setitem(dgsl.problems._REGISTRY, "no-exact", dgsl.Problem(
+        name="no-exact",
+        nonlinearity=lambda u: 0.0 * u,
+        d_nonlinearity=lambda u: 0.0 * u,
+        source=lambda x, y: np.ones_like(x)))
     with pytest.raises(ConfigError, match="exact"):
         run_convergence(tiny_config(problem="no-exact", levels=(2,)))

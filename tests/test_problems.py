@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dgsl import (Problem, get_problem, register_problem,
-                  verify_manufactured)
+from dgsl import Problem, get_problem, verify_manufactured
 
 
 def test_sine_source_formula(rng):
@@ -37,22 +36,6 @@ def test_registry_contents_and_errors():
     assert get_problem("sine").name == "sine"
     with pytest.raises(KeyError, match="unknown problem"):
         get_problem("nope")
-    with pytest.raises(ValueError, match="already registered"):
-        register_problem(get_problem("sine"))
-
-
-def test_register_new_problem():
-    fresh = Problem(
-        name="test-linear",
-        nonlinearity=lambda u: 0.0 * u,
-        d_nonlinearity=lambda u: 0.0 * u,
-        source=lambda x, y: np.ones_like(x),
-    )
-    try:
-        register_problem(fresh)
-    except ValueError:
-        return  # already registered earlier in this session
-    assert get_problem("test-linear") is fresh
 
 
 def test_nonlinearity_sign_witness(rng):
