@@ -23,7 +23,7 @@ from .errors import ConfigError, InsufficientLevels
 from .linear_solver import solve_spd
 from .problems import ExactSolution
 from .quadrature import edge_rule, triangle_rule
-from .space import DGSpace, DGVector, edge_traces
+from .space import DGSpace, DGVector, edge_fields, edge_tables, edge_traces
 
 
 def _analysis_degree(space):
@@ -37,11 +37,11 @@ def l2_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
     degree = quad_degree if quad_degree is not None else _analysis_degree(space)
     rule = triangle_rule(degree)
     btab = space.basis.values(rule.points)
-    diff = np.einsum("ed,qd->eq", v.by_element(), btab)
+    diff = v.by_element() @ btab.T
     if exact is not None:
         pts = space.physical_points(rule.points)
         diff = exact.value(pts[..., 0], pts[..., 1]) - diff
-    total = np.einsum("e,q,eq->", space.dets, rule.weights, diff ** 2)
+    total = space.dets @ (diff ** 2 @ rule.weights)
     return float(np.sqrt(total))
 
 
@@ -57,21 +57,13 @@ def _edge_points(mesh, params):
     return ends[:, None, 0] * (1.0 - t) + ends[:, None, 1] * t
 
 
-def _side_fields(v, table):
-    """A field's traces on both sides of every edge from basis traces
-    (m, 2, Q, D, ...) of `edge_traces`."""
-    coeffs = v.by_element()[np.maximum(v.space.mesh.edges.tri, 0)]
-    return np.einsum("msqd...,msd->msq...", table, coeffs)
-
-
 def _edge_error_terms(space, v, exact, penalty):
     """Average-gradient and jump contributions of the error norm."""
     rule = edge_rule(_analysis_degree(space))
     edges = space.mesh.edges
-    values, grads = edge_traces(space, rule.points)
-    side_v = _side_fields(v, values)
+    side_v, side_g = edge_fields(v, rule.points)
     weight = np.where(edges.boundary, 1.0, 0.5)
-    avg = weight[:, None, None] * _side_fields(v, grads).sum(axis=1)
+    avg = weight[:, None, None] * side_g.sum(axis=1)
     jump = side_v[:, 0] - side_v[:, 1]
     if exact is not None:
         pts = _edge_points(space.mesh, rule.points)
@@ -89,6 +81,8 @@ def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
              penalty: float) -> float:
     """Mesh-dependent norm of u - v_h, using the analytic gradient of u,
     or of v_h when `exact` is None."""
+    # edge terms first: their temporaries and the volume's never coexist
+    avg, jump = _edge_error_terms(space, v, exact, penalty)
     rule = triangle_rule(_analysis_degree(space))
     gtab = space.basis.gradients(rule.points)           # (Q, D, 2)
     q, d = gtab.shape[:2]
@@ -100,7 +94,6 @@ def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
         gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
         diff = np.stack([gx, gy], axis=-1) - diff
     vol = np.einsum("e,q,eqa->", space.dets, rule.weights, diff ** 2)
-    avg, jump = _edge_error_terms(space, v, exact, penalty)
     return float(np.sqrt(vol + avg + jump))
 
 
@@ -124,9 +117,11 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
     gx, gy = grad_fn(pts[..., 0], pts[..., 1])
     gw = np.stack([np.broadcast_to(gx, pts.shape[:2]),
                    np.broadcast_to(gy, pts.shape[:2])], axis=-1)
-    phys_g = np.einsum("qia,eab->eqib", gtab, space.inv_jacobians)
-    out = np.einsum("e,q,eqa,eqia->ei", space.dets, rule.weights, gw, phys_g)
-    out = out.ravel().copy()
+    # sum_q det w_q (invJ grad w) . ghat_i as matrix products, not einsum
+    ref_gw = gw @ space.inv_jacobians.transpose(0, 2, 1) \
+        * (space.dets[:, None] * rule.weights)[..., None]
+    out = (ref_gw.reshape(len(ref_gw), -1)
+           @ gtab.transpose(0, 2, 1).reshape(-1, space.dofs_per_element)).ravel()
 
     erule = edge_rule(degree)
     edges = space.mesh.edges
@@ -137,15 +132,15 @@ def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
     gw_n = np.broadcast_to(egx, shape) * edges.normal[:, 0, None] \
         + np.broadcast_to(egy, shape) * edges.normal[:, 1, None]
     jump = values * np.array([1.0, -1.0])[None, :, None, None]
-    side = -edges.length[:, None, None] * np.einsum(
-        "q,mq,msqi->msi", erule.weights, gw_n, jump)
+    side = -edges.length[:, None, None] \
+        * ((erule.weights * gw_n)[:, None, None] @ jump)[:, :, 0]
     # boundary edges add -int_e w grad phi . n + (penalty / h_e) int_e w phi
     wvals = np.broadcast_to(
         np.asarray(value_fn(epts[..., 0], epts[..., 1]), dtype=float), shape)
-    normal_grad = np.einsum("mqia,ma->mqi", grads[:, 0], edges.normal)
-    wall = np.einsum("q,mq,mqi->mi", erule.weights, wvals,
-                     cfg.penalty * values[:, 0]
-                     - edges.length[:, None, None] * normal_grad)
+    normal_grad = (grads[:, 0] @ edges.normal[:, None, :, None])[..., 0]
+    wall = ((erule.weights * wvals)[:, None]
+            @ (cfg.penalty * values[:, 0]
+               - edges.length[:, None, None] * normal_grad))[:, 0]
     side[:, 0] += np.where(edges.boundary[:, None], wall, 0.0)
     present = edges.tri >= 0
     np.add.at(out.reshape(space.num_elements, -1), edges.tri[present],
@@ -195,12 +190,13 @@ def estimate_trace_constant(space: DGSpace) -> float:
     stiff = _volume_stiffness_blocks(space, vol)
 
     edges = space.mesh.edges
-    values, _ = edge_traces(space, erule.points)
+    # a side's edge mass is h_e times one of six reference matrices
+    values, _ = edge_tables(r, tuple(erule.points))
+    ref_mass = (values.transpose(0, 2, 1) * erule.weights) @ values
     present = edges.tri >= 0
     tri = edges.tri[present]
     h_e = np.broadcast_to(edges.length[:, None], present.shape)[present][:, None, None]
-    tv = values[present]
-    edge_mass = h_e * np.einsum("q,kqi,kqj->kij", erule.weights, tv, tv)
+    edge_mass = h_e * ref_mass[(2 * edges.local + edges.flipped)[present]]
     denom = space.dets[tri, None, None] * mass_ref / h_e + h_e * stiff[tri]
     # the generalized eigenproblem reduces to a standard one through the
     # Cholesky factor L of denom: L^-1 edge_mass L^-T
@@ -219,10 +215,8 @@ def edge_identity_residual(space: DGSpace, v: DGVector, w1: DGVector,
     """
     rule = edge_rule(2 * space.degree + 2)
     edges = space.mesh.edges
-    values, _ = edge_traces(space, rule.points)
-    sv = _side_fields(v, values)
-    sw = _side_fields(w1, values) * edges.normal[:, None, None, 0] \
-        + _side_fields(w2, values) * edges.normal[:, None, None, 1]
+    sv, sw1, sw2 = (edge_fields(f, rule.points)[0] for f in (v, w1, w2))
+    sw = sw1 * edges.normal[:, None, None, 0] + sw2 * edges.normal[:, None, None, 1]
     ds = edges.length[:, None] * rule.weights[None, :]
     # boundary minus sides are zero, which reduces both sums to v w.n there
     lhs = float((ds * (sv[:, 0] * sw[:, 0] - sv[:, 1] * sw[:, 1])).sum())

@@ -290,20 +290,26 @@ class NewtonKernel:
         solution up to solver tolerance."""
         return self.stiffness @ u - _nonlinear_load(self, u)
 
-    def jacobian(self, u: np.ndarray) -> SparseSymMatrix:
-        """The stiffness plus the mass matrix weighted with N'(u_h)
-        (= -f_u, nonnegative under the sign assumption); certified when
-        the stiffness is and N'(u_h) x det x weight >= 0 at every point."""
-        weight = _finite(self.problem.d_nonlinearity(self.point_values(u)),
-                         "the mass weight N'(u)")
-        weighted = self.measure * weight
+    def mass_weights(self, u: np.ndarray) -> np.ndarray:
+        """N'(u_h) x det x weight at the quadrature points, (E, Q)."""
+        weight = self.problem.d_nonlinearity(self.point_values(u))
+        return self.measure * _finite(weight, "the mass weight N'(u)")
+
+    def certifies(self, weighted: np.ndarray) -> bool:
+        """Whether the stiffness and these mass weights prove the Jacobian SPD."""
+        return self.stiffness.certified and bool(weighted.min() >= 0.0)
+
+    def jacobian(self, u: np.ndarray, weighted=None) -> SparseSymMatrix:
+        """The stiffness plus the mass matrix weighted with N'(u_h) = -f_u,
+        certified by `certifies`; `weighted`, if given, is `mass_weights(u)`."""
+        weighted = self.mass_weights(u) if weighted is None else weighted
         mass = weighted @ self.value_pairs
         a = self.stiffness.csr
         data = a.data.copy()
         data[self.diagonal_positions] += mass.reshape(-1, *a.blocksize)
         return SparseSymMatrix(
             sparse.bsr_matrix((data, a.indices, a.indptr), shape=a.shape),
-            self.stiffness.certified and bool(weighted.min() >= 0.0))
+            self.certifies(weighted))
 
 
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:

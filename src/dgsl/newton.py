@@ -11,12 +11,12 @@ Under the sign assumption N' >= 0 every Jacobian is the stiffness plus
 a positive semidefinite mass term, so one proof that the stiffness is
 positive definite covers them all. The stiffness is proven once per
 solve, by assembly's local certificate or else by the pivots of its
-factor, and the two-level preconditioner is built from it once, at the
-first step that uses it. A Jacobian whose mass weights are nonnegative
-runs one PCG loop (`solve_spd`) with it; any other is factored, and its
-own pivots prove it positive definite or raise IndefiniteOperator. Each
-step is solved only as far as Newton needs (inexact Newton,
-`_forcing_term`); the stopping test reads the true residual.
+factor, and the two-level preconditioner is built from it once, before
+the Jacobian of the first step that uses it. A Jacobian whose mass
+weights are nonnegative runs one PCG loop (`solve_spd`) with it; any
+other is factored, and its pivots prove it positive definite or raise
+IndefiniteOperator. Steps are solved only as far as Newton needs (inexact
+Newton, `_forcing_term`); the stopping test reads the true residual.
 """
 
 import warnings
@@ -132,10 +132,12 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     for _ in range(MAX_ITERATIONS):
         if res_norm <= threshold:
             break
-        jac = kernel.jacobian(u)
-        if jac.certified and precondition is None:
+        weighted = kernel.mass_weights(u)   # certify before J exists
+        if precondition is None and kernel.certifies(weighted):
             precondition = two_level_preconditioner(stiffness,
                                                     p1_prolongation(space))
+        jac = kernel.jacobian(u, weighted)
+        del weighted
         delta, lin = solve_spd(
             jac, -res, tol=_forcing_term(res_norm, first_norm, threshold),
             preconditioner=precondition if jac.certified else None)

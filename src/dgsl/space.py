@@ -5,11 +5,12 @@ stored in contiguous per-element blocks: element e owns coefficients
 [e*dpe, (e+1)*dpe). There is no inter-element coupling in the layout;
 discontinuity is structural.
 
-Every edge term (the bilinear form, the error norms, the trace and
-edge-identity checks) reads its traces from `edge_traces`, which
-evaluates the basis on both sides of all mesh edges at once.
+Edge terms read the six (local edge, flipped) reference tables that
+`edge_tables` caches per degree and edge rule: `edge_traces` gives the
+operators basis traces on all edges, `edge_fields` a field's traces.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,20 @@ def p1_prolongation(space: DGSpace):
         shape=(space.total_dofs, len(used)))
 
 
+@functools.lru_cache(maxsize=16)
+def edge_tables(degree, t):
+    """Read-only basis values (6, Q, D) and reference gradients (6, Q, D, 2)
+    at the edge parameters `t` (a tuple) on the (local edge k, flipped)
+    point sets, indexed 2 k + flipped."""
+    basis = make_basis(degree)
+    ref = [edge_reference_points(k, t, fl) for k in range(3) for fl in (False, True)]
+    tables = (np.stack([basis.values(p) for p in ref]),
+              np.stack([basis.gradients(p) for p in ref]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def edge_traces(space: DGSpace, params):
     """Basis traces on both sides of every mesh edge.
 
@@ -135,15 +150,28 @@ def edge_traces(space: DGSpace, params):
     [v] . n_+ on interior edges and the trace v on boundary edges.
     """
     edges = space.mesh.edges
-    t = np.asarray(params, dtype=float)
-    # the six (local edge, flipped) reference tables, indexed 2 k + flipped
-    ref = [edge_reference_points(k, t, fl) for k in range(3) for fl in (False, True)]
-    ref_values = np.stack([space.basis.values(p) for p in ref])
-    ref_grads = np.stack([space.basis.gradients(p) for p in ref])
-    present = edges.tri >= 0
-    combo = np.where(present, 2 * edges.local + edges.flipped, 0)
-    tri = np.where(present, edges.tri, 0)
-    mask = present[:, :, None, None].astype(float)
+    ref_values, ref_grads = edge_tables(space.degree, tuple(params))
+    # a missing side (tri = local = -1) reads other entries, masked to zero
+    tri, combo = edges.tri, 2 * edges.local + edges.flipped
+    mask = (tri >= 0)[:, :, None, None].astype(float)
     values = ref_values[combo] * mask
     grads = (ref_grads[combo] @ space.inv_jacobians[tri][:, :, None]) * mask[..., None]
+    return values, grads
+
+
+def edge_fields(v: DGVector, params):
+    """A field's values (m, 2, Q) and physical gradients (m, 2, Q, 2) on
+    both sides of every edge, laid out as `edge_traces`: every element at
+    all six point sets by matrix products, then each side's set gathered."""
+    space, edges = v.space, v.space.mesh.edges
+    ref_v, ref_g = edge_tables(space.degree, tuple(params))
+    six, q, d = ref_v.shape
+    # a missing side (tri = local = -1) gathers another set, zeroed below
+    tri, combo = edges.tri, 2 * edges.local + edges.flipped
+    values = (v.by_element() @ ref_v.reshape(-1, d).T).reshape(-1, six, q)[tri, combo]
+    grads = v.by_element() @ ref_g.transpose(2, 0, 1, 3).reshape(d, -1)
+    grads = grads.reshape(-1, six * q, 2) @ space.inv_jacobians
+    grads = grads.reshape(-1, six, q, 2)[tri, combo]
+    values[tri < 0] = 0.0
+    grads[tri < 0] = 0.0
     return values, grads

@@ -12,7 +12,8 @@ from dgsl.analysis import (apply_bilinear_to_field, estimate_trace_constant,
                            l2_norm_discrete)
 from dgsl.errors import InsufficientLevels
 from dgsl.problems import ExactSolution
-from dgsl.quadrature import triangle_rule
+from dgsl.quadrature import edge_rule, triangle_rule
+from dgsl.space import edge_traces
 
 from conftest import space_on
 
@@ -88,22 +89,138 @@ def test_dg_error_dominates_volume_part(sine):
     assert full >= volume - 1e-13
 
 
-@pytest.mark.parametrize("r", [1, 3])
+def einsum_edge_terms(space, v, exact, penalty):
+    """Reference for the edge terms of the DG norm: the field's traces
+    contracted term by term from the per-edge basis tables."""
+    rule = edge_rule(2 * space.degree + 4)
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, rule.points)
+    coeffs = v.by_element()[np.maximum(edges.tri, 0)]
+    side_v = np.einsum("msqd,msd->msq", values, coeffs)
+    side_g = np.einsum("msqda,msd->msqa", grads, coeffs)
+    avg = np.where(edges.boundary, 1.0, 0.5)[:, None, None] * side_g.sum(axis=1)
+    jump = side_v[:, 0] - side_v[:, 1]
+    if exact is not None:
+        pts = dgsl.analysis._edge_points(space.mesh, rule.points)
+        gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
+        avg = np.stack([gx, gy], axis=-1) - avg
+        u = exact.value(pts[..., 0], pts[..., 1])
+        jump = np.where(edges.boundary[:, None], u - jump, -jump)
+    # the weights h_e / penalty and penalty / h_e times the edge measure h_e
+    return (np.einsum("m,q,mqa->", edges.length ** 2 / penalty, rule.weights,
+                      avg ** 2),
+            penalty * np.einsum("q,mq->", rule.weights, jump ** 2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_dg_error_matches_einsum_reference(sine, r):
-    # the volume gradients are matrix products; the reference contracts
-    # them term by term, so the two agree to rounding
+    # the volume gradients are matrix products and the edge traces come
+    # from the reference tables; the reference contracts both term by
+    # term from per-edge basis tables, so the two agree to rounding
     space = dgsl.DGSpace(dgsl.build_perturbed(6, 0.2, 3), r)
     v = interpolate(space, lambda x, y: np.exp(x) * np.cos(3 * y))
     rule = triangle_rule(2 * r + 4)
-    grads = np.einsum("ed,qda,eab->eqb", v.by_element(),
-                      space.basis.gradients(rule.points), space.inv_jacobians)
     pts = space.physical_points(rule.points)
-    gx, gy = sine.exact.gradient(pts[..., 0], pts[..., 1])
-    diff = np.stack([gx, gy], axis=-1) - grads
-    volume = np.einsum("e,q,eqa->", space.dets, rule.weights, diff ** 2)
-    avg, jump = dgsl.analysis._edge_error_terms(space, v, sine.exact, 100.0)
-    assert_allclose(dg_error(space, v, sine.exact, 100.0),
-                    np.sqrt(volume + avg + jump), rtol=1e-13)
+    for u in (sine.exact, None):
+        grads = np.einsum("ed,qda,eab->eqb", v.by_element(),
+                          space.basis.gradients(rule.points),
+                          space.inv_jacobians)
+        if u is not None:
+            gx, gy = u.gradient(pts[..., 0], pts[..., 1])
+            grads = np.stack([gx, gy], axis=-1) - grads
+        volume = np.einsum("e,q,eqa->", space.dets, rule.weights, grads ** 2)
+        avg, jump = einsum_edge_terms(space, v, u, 100.0)
+        assert_allclose(dg_error(space, v, u, 100.0),
+                        np.sqrt(volume + avg + jump), rtol=1e-13)
+
+
+def einsum_apply_bilinear(space, value_fn, grad_fn, cfg):
+    """Reference for `apply_bilinear_to_field`: its terms as einsum
+    contractions of the per-edge basis tables."""
+    degree = 2 * space.degree + 4
+    rule = triangle_rule(degree)
+    gtab = space.basis.gradients(rule.points)
+    pts = space.physical_points(rule.points)
+    gx, gy = grad_fn(pts[..., 0], pts[..., 1])
+    gw = np.stack([np.broadcast_to(gx, pts.shape[:2]),
+                   np.broadcast_to(gy, pts.shape[:2])], axis=-1)
+    phys_g = np.einsum("qia,eab->eqib", gtab, space.inv_jacobians)
+    out = np.einsum("e,q,eqa,eqia->ei", space.dets, rule.weights, gw, phys_g)
+    erule = edge_rule(degree)
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, erule.points)
+    epts = dgsl.analysis._edge_points(space.mesh, erule.points)
+    shape = epts.shape[:2]
+    egx, egy = grad_fn(epts[..., 0], epts[..., 1])
+    gw_n = np.broadcast_to(egx, shape) * edges.normal[:, 0, None] \
+        + np.broadcast_to(egy, shape) * edges.normal[:, 1, None]
+    jump = values * np.array([1.0, -1.0])[None, :, None, None]
+    side = -edges.length[:, None, None] * np.einsum(
+        "q,mq,msqi->msi", erule.weights, gw_n, jump)
+    wvals = np.broadcast_to(value_fn(epts[..., 0], epts[..., 1]), shape)
+    normal_grad = np.einsum("mqia,ma->mqi", grads[:, 0], edges.normal)
+    wall = np.einsum("q,mq,mqi->mi", erule.weights, wvals,
+                     cfg.penalty * values[:, 0]
+                     - edges.length[:, None, None] * normal_grad)
+    side[:, 0] += np.where(edges.boundary[:, None], wall, 0.0)
+    present = edges.tri >= 0
+    np.add.at(out, edges.tri[present], side[present])
+    return out.ravel()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_apply_bilinear_matches_einsum_reference(sine, r, perturbed):
+    mesh = dgsl.build_perturbed(5, 0.2, 7) if perturbed else dgsl.build_structured(5)
+    space = dgsl.DGSpace(mesh, r)
+    cfg = AssemblyConfig(penalty=37.0)
+    for w in (sine.exact, linear_exact()):
+        got = apply_bilinear_to_field(space, w.value, w.gradient, cfg)
+        want = einsum_apply_bilinear(space, w.value, w.gradient, cfg)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_norms_never_build_per_edge_basis_tables(monkeypatch, rng):
+    # the norms and the edge identity read a field's traces from the
+    # cached reference tables; a per-edge basis table would bring back a
+    # per-call cost that grows with the mesh
+    def forbidden(*args):
+        raise AssertionError("edge_traces called")
+
+    monkeypatch.setattr(dgsl.space, "edge_traces", forbidden)
+    monkeypatch.setattr(dgsl.analysis, "edge_traces", forbidden)
+    space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, 5), 2)
+    v, w1, w2 = (DGVector(space, rng.standard_normal(space.total_dofs))
+                 for _ in range(3))
+    tables = dgsl.space.edge_tables
+    dg_norm_discrete(space, v, 10.0)
+    first = tables.cache_info()
+    dg_error(space, v, linear_exact(), 10.0)
+    second = tables.cache_info()
+    assert second.misses == first.misses
+    assert second.hits > first.hits
+    assert dgsl.analysis.edge_identity_residual(space, v, w1, w2) <= 1e-11
+
+
+def test_trace_constant_matches_per_edge_einsum():
+    # the edge mass of each side is h_e times a reference matrix; the
+    # reference builds it per edge from the basis traces
+    space = dgsl.DGSpace(dgsl.build_perturbed(5, 0.25, 11), 3)
+    erule = edge_rule(2 * space.degree + 2)
+    values, _ = edge_traces(space, erule.points)
+    edges = space.mesh.edges
+    present = edges.tri >= 0
+    h_e = np.broadcast_to(edges.length[:, None], present.shape)[present]
+    mass = h_e[:, None, None] * np.einsum("q,kqi,kqj->kij", erule.weights,
+                                          values[present], values[present])
+    vol = dgsl.assembly._volume_tables(3, 8)
+    mass_ref = np.einsum("q,qi,qj->ij", vol.rule.weights, vol.values, vol.values)
+    tri = edges.tri[present]
+    denom = space.dets[tri, None, None] * mass_ref / h_e[:, None, None] \
+        + h_e[:, None, None] * dgsl.assembly._volume_stiffness_blocks(space, vol)[tri]
+    want = max(float(np.max(np.linalg.eigvals(np.linalg.solve(d, m)).real))
+               for d, m in zip(denom, mass))
+    assert_allclose(estimate_trace_constant(space), want, rtol=1e-10)
 
 
 def test_norms_of_a_field_are_its_errors_against_zero(rng):

@@ -11,7 +11,7 @@ import dgsl.linear_solver
 import dgsl.newton
 from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear, solve_spd
 from dgsl.analysis import l2_norm_discrete
-from dgsl.assembly import NewtonKernel, SparseSymMatrix
+from dgsl.assembly import NewtonKernel
 from dgsl.linear_solver import FACTOR_SOLVES
 from dgsl.errors import (ConfigError, IndefiniteOperator, NonFiniteValue,
                          NotConverged)
@@ -176,9 +176,7 @@ def count_two_level(monkeypatch):
 def strip_certificates(monkeypatch):
     """Drop assembly's certificate from every Newton Jacobian, so that
     each goes through the factor and its pivots."""
-    jacobian = NewtonKernel.jacobian
-    monkeypatch.setattr(NewtonKernel, "jacobian",
-                        lambda self, u: SparseSymMatrix(jacobian(self, u).csr))
+    monkeypatch.setattr(NewtonKernel, "certifies", lambda self, weighted: False)
 
 
 def solve_sine(sine, n, r):
@@ -260,6 +258,19 @@ def test_small_penalty_reads_the_pivots_once(sine, factor_reads):
     with pytest.raises(IndefiniteOperator, match="negative pivots"):
         solve_semilinear(space_on(4, 2), sine, AssemblyConfig(penalty=0.01))
     assert factor_reads == ["U"]
+
+
+def test_preconditioner_built_before_the_first_jacobian(sine, monkeypatch):
+    # the step's mass weights decide its certificate, so the two-level
+    # set-up never overlaps a live Jacobian
+    events = []
+    build, jacobian = dgsl.newton.two_level_preconditioner, NewtonKernel.jacobian
+    monkeypatch.setattr(dgsl.newton, "two_level_preconditioner",
+                        lambda *a: events.append("build") or build(*a))
+    monkeypatch.setattr(NewtonKernel, "jacobian",
+                        lambda self, *a: events.append("J") or jacobian(self, *a))
+    _, report = solve_sine(sine, 8, 2)
+    assert events == ["build"] + ["J"] * report.iterations
 
 
 def test_newton_reports_how_each_factor_was_certified(sine,

@@ -156,6 +156,27 @@ def test_boundary_trace_conventions(rng):
     assert np.abs(vals[~boundary, 1]).max() > 0
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_edge_fields_match_edge_traces_contraction(rng, r, perturbed):
+    # evaluating every element at the six reference point sets and
+    # gathering each side's set gives the contraction of the per-edge
+    # basis tables, and exact zeros on the missing boundary sides
+    mesh = dgsl.build_perturbed(4, 0.25, 9) if perturbed else dgsl.build_structured(4)
+    space = dgsl.DGSpace(mesh, r)
+    boundary = space.mesh.edges.boundary
+    for t in (np.array([0.15, 0.5, 0.7]), dgsl.quadrature.edge_rule(2 * r + 4).points):
+        for _ in range(3):
+            v = DGVector(space, rng.standard_normal(space.total_dofs))
+            vals, grads = dgsl.space.edge_fields(v, t)
+            want_v, want_g = side_traces(space, v, t)
+            assert vals.shape == want_v.shape and grads.shape == want_g.shape
+            assert np.abs(vals - want_v).max() <= 1e-13 * np.abs(want_v).max()
+            assert np.abs(grads - want_g).max() <= 1e-13 * np.abs(want_g).max()
+            assert not vals[boundary, 1].any()
+            assert not grads[boundary, 1].any()
+
+
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
 def test_element_boundary_edge_identity(n, r, rng):
     # the per-element boundary sum must telescope into edge jump/average sums
