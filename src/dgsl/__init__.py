@@ -9,9 +9,8 @@ for worked examples.
 
 from . import errors
 from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
-                       edge_identity_residual, elliptic_project,
-                       estimate_trace_constant, l2_error, l2_norm_discrete,
-                       observed_orders)
+                       elliptic_project, estimate_trace_constant, l2_error,
+                       l2_norm_discrete, observed_orders)
 from .assembly import AssemblyConfig, SparseSymMatrix, assemble_bilinear
 from .basis import ReferenceBasis, make_basis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,

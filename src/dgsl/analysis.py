@@ -11,6 +11,9 @@ over all edges. For the error w = u - u_h of a smooth u the interior
 jumps of u vanish, so [w] reduces to -[u_h] inside and (u - u_h) n on
 the boundary. Norm quadrature runs at degree 2r+4 so its error stays
 far below discretization error at every refinement level.
+
+`apply_bilinear_to_field` builds a(w, phi_i) for a smooth w from the
+scheme's consistency, with no interior-edge term.
 """
 
 from typing import Optional
@@ -102,57 +105,42 @@ def dg_norm_discrete(space: DGSpace, v: DGVector, penalty: float) -> float:
     return dg_error(space, v, None, penalty)
 
 
-def apply_bilinear_to_field(space: DGSpace, value_fn, grad_fn,
+def apply_bilinear_to_field(space: DGSpace, w: ExactSolution,
                             cfg: AssemblyConfig) -> np.ndarray:
-    """The functional a(w, phi_i) for a smooth field w given analytically.
+    """The functional a(w, phi_i) for a smooth field w, by the scheme's
+    consistency (Arnold, Brezzi, Cockburn & Marini, SINUM 2002): w in H^2
+    and its flux have no jumps across interior edges, so
 
-    Interior jumps of w vanish; boundary edges keep the full set of
-    terms so that fields with nonzero boundary trace (e.g. global
-    linears) are handled exactly.
+        a(w, phi) = (-Lap w, phi)
+                    + sum_{e on the boundary} int_e w (penalty / h_e phi - grad phi . n).
     """
     degree = _analysis_degree(space)
     rule = triangle_rule(degree)
-    gtab = space.basis.gradients(rule.points)
     pts = space.physical_points(rule.points)
-    gx, gy = grad_fn(pts[..., 0], pts[..., 1])
-    gw = np.stack([np.broadcast_to(gx, pts.shape[:2]),
-                   np.broadcast_to(gy, pts.shape[:2])], axis=-1)
-    # sum_q det w_q (invJ grad w) . ghat_i as matrix products, not einsum
-    ref_gw = gw @ space.inv_jacobians.transpose(0, 2, 1) \
-        * (space.dets[:, None] * rule.weights)[..., None]
-    out = (ref_gw.reshape(len(ref_gw), -1)
-           @ gtab.transpose(0, 2, 1).reshape(-1, space.dofs_per_element)).ravel()
+    lap = np.broadcast_to(w.laplacian(pts[..., 0], pts[..., 1]), pts.shape[:2])
+    out = -(space.dets[:, None] * rule.weights * lap) \
+        @ space.basis.values(rule.points)
 
     erule = edge_rule(degree)
     edges = space.mesh.edges
-    values, grads = edge_traces(space, erule.points)
-    epts = _edge_points(space.mesh, erule.points)
-    shape = epts.shape[:2]
-    egx, egy = grad_fn(epts[..., 0], epts[..., 1])
-    gw_n = np.broadcast_to(egx, shape) * edges.normal[:, 0, None] \
-        + np.broadcast_to(egy, shape) * edges.normal[:, 1, None]
-    jump = values * np.array([1.0, -1.0])[None, :, None, None]
-    side = -edges.length[:, None, None] \
-        * ((erule.weights * gw_n)[:, None, None] @ jump)[:, :, 0]
-    # boundary edges add -int_e w grad phi . n + (penalty / h_e) int_e w phi
+    wall_edges = np.flatnonzero(edges.boundary)
+    values, grads = (t[wall_edges, 0] for t in edge_traces(space, erule.points))
+    epts = _edge_points(space.mesh, erule.points)[wall_edges]
     wvals = np.broadcast_to(
-        np.asarray(value_fn(epts[..., 0], epts[..., 1]), dtype=float), shape)
-    normal_grad = (grads[:, 0] @ edges.normal[:, None, :, None])[..., 0]
+        np.asarray(w.value(epts[..., 0], epts[..., 1]), dtype=float), epts.shape[:2])
+    normal_grad = (grads @ edges.normal[wall_edges, None, :, None])[..., 0]
     wall = ((erule.weights * wvals)[:, None]
-            @ (cfg.penalty * values[:, 0]
-               - edges.length[:, None, None] * normal_grad))[:, 0]
-    side[:, 0] += np.where(edges.boundary[:, None], wall, 0.0)
-    present = edges.tri >= 0
-    np.add.at(out.reshape(space.num_elements, -1), edges.tri[present],
-              side[present])
-    return out
+            @ (cfg.penalty * values
+               - edges.length[wall_edges, None, None] * normal_grad))[:, 0]
+    np.add.at(out, edges.tri[wall_edges, 0], wall)
+    return out.ravel()
 
 
 def elliptic_project(space: DGSpace, exact: ExactSolution,
                      cfg: AssemblyConfig) -> DGVector:
     """Energy projection: the discrete field with a(P w, v) = a(w, v)."""
     a = assemble_bilinear(space, cfg)
-    rhs = apply_bilinear_to_field(space, exact.value, exact.gradient, cfg)
+    rhs = apply_bilinear_to_field(space, exact, cfg)
     x, _ = solve_spd(a, rhs, tol=1e-12)
     return DGVector(space, x)
 
@@ -203,25 +191,3 @@ def estimate_trace_constant(space: DGSpace) -> float:
     chol_inv = np.linalg.inv(np.linalg.cholesky(denom))
     reduced = chol_inv @ edge_mass @ chol_inv.transpose(0, 2, 1)
     return float(np.linalg.eigvalsh(reduced)[:, -1].max())
-
-
-def edge_identity_residual(space: DGSpace, v: DGVector, w1: DGVector,
-                           w2: DGVector) -> float:
-    """Relative mismatch of the element-boundary / edge-sum identity.
-
-    Checks sum_K int_{dK} v w.n against sum_e int_e {w}.[v] plus the
-    interior-edge sum of int_e {v}[w] for a scalar field v and a vector
-    field w = (w1, w2).
-    """
-    rule = edge_rule(2 * space.degree + 2)
-    edges = space.mesh.edges
-    sv, sw1, sw2 = (edge_fields(f, rule.points)[0] for f in (v, w1, w2))
-    sw = sw1 * edges.normal[:, None, None, 0] + sw2 * edges.normal[:, None, None, 1]
-    ds = edges.length[:, None] * rule.weights[None, :]
-    # boundary minus sides are zero, which reduces both sums to v w.n there
-    lhs = float((ds * (sv[:, 0] * sw[:, 0] - sv[:, 1] * sw[:, 1])).sum())
-    avg_w_jump_v = 0.5 * (sw[:, 0] + sw[:, 1]) * (sv[:, 0] - sv[:, 1])
-    avg_v_jump_w = 0.5 * (sv[:, 0] + sv[:, 1]) * (sw[:, 0] - sw[:, 1])
-    rhs = float((ds * (avg_w_jump_v + avg_v_jump_w)).sum())
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / scale

@@ -50,9 +50,9 @@ class LinearSolveReport:
 
 def symmetric_factor(a: SparseSymMatrix):
     """Sparse LU of `a` with a symmetric fill-reducing ordering and
-    diagonal pivots, certified positive definite; returns (lu, how).
+    diagonal pivots, certified positive definite.
 
-    `how` is "local" when `a.certified` (already proven), else "pivots":
+    A matrix not already proven (`a.certified`) is proven by its pivots:
     when the row and column permutations agree, P A P^T = L D L^T with
     D = diag(U), so by Sylvester's law of inertia `a` has as many
     negative eigenvalues as U has negative pivots. Exact zeros of the
@@ -71,14 +71,12 @@ def symmetric_factor(a: SparseSymMatrix):
         raise IndefiniteOperator(
             "sparse LU needed an off-diagonal pivot, so the operator is "
             "not positive definite")
-    if a.certified:
-        return lu, "local"
-    negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    negative = 0 if a.certified else np.count_nonzero(lu.U.diagonal() < 0.0)
     if negative:
         raise IndefiniteOperator(
             f"sparse LU met {negative} negative pivots, so the operator has "
             f"{negative} negative eigenvalues (penalty too small?)")
-    return lu, "pivots"
+    return lu
 
 
 def block_jacobi_preconditioner(a: SparseSymMatrix):
@@ -116,7 +114,7 @@ def two_level_preconditioner(a: SparseSymMatrix, prolongation):
     smoother = block_jacobi_preconditioner(a)
     restriction = prolongation.T.tocsr()
     coarse = (restriction @ (a.csr @ prolongation)).tobsr(blocksize=(1, 1))
-    lu, _ = symmetric_factor(SparseSymMatrix(coarse, a.certified))
+    lu = symmetric_factor(SparseSymMatrix(coarse, a.certified))
 
     def apply(r):
         return smoother(r) + prolongation @ lu.solve(restriction @ r)
@@ -154,7 +152,8 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
         return np.zeros_like(b), LinearSolveReport(0, 0.0, True, method)
     lu = certificate = None
     if preconditioner is None:
-        lu, certificate = symmetric_factor(a)
+        lu = symmetric_factor(a)
+        certificate = "local" if a.certified else "pivots"
         preconditioner = lu.solve
     if max_iter is None:
         max_iter = 10 * a.dim if lu is None else FACTOR_SOLVES

@@ -84,18 +84,10 @@ def triangle_rule(degree: int) -> QuadRule:
     s, ws = _gauss_legendre_01(m)
     # Gauss-Jacobi with weight (1 - t) on [-1, 1], mapped to [0, 1].
     t, wt = _gauss_jacobi_10(m)
-    t = (t + 1.0) / 2.0
-    wt = wt / 4.0
-    pts = np.empty((m * m, 2))
-    wgt = np.empty(m * m)
-    k = 0
-    for i in range(m):
-        for j in range(m):
-            pts[k, 0] = s[i] * (1.0 - t[j])
-            pts[k, 1] = t[j]
-            wgt[k] = ws[i] * wt[j]
-            k += 1
-    return QuadRule(pts, wgt, 2 * m - 1)
+    t, wt = (t + 1.0) / 2.0, wt / 4.0
+    # point i m + j pairs s[i] with t[j]
+    pts = np.column_stack([np.outer(s, 1.0 - t).ravel(), np.tile(t, m)])
+    return QuadRule(pts, np.outer(ws, wt).ravel(), 2 * m - 1)
 
 
 @functools.lru_cache(maxsize=None)

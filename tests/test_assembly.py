@@ -32,7 +32,7 @@ from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
 from dgsl.quadrature import MAX_TRIANGLE_DEGREE, edge_rule, triangle_rule
 
-from conftest import space_on
+from conftest import space_on, weak_form_load
 
 
 def traces_by_inverse_map(space, v, params):
@@ -232,18 +232,21 @@ def test_cubic_nonlinearity_jacobian_dominates_stiffness(sine, rng):
 
 
 def test_consistency_with_strong_form(sine):
-    # a(u, phi) computed from analytic traces equals (-Lap u, phi), here
-    # the Newton load of the linear problem with source -Lap u
-    space = space_on(8, 1)
-    cfg = AssemblyConfig(penalty=100.0, volume_degree=6)
-    lhs = apply_bilinear_to_field(space, sine.exact.value, sine.exact.gradient,
-                                  cfg)
+    # a(u, phi) from the weak form's volume gradients and edge traces
+    # equals the consistency form (-Lap u, phi) + boundary terms, and the
+    # Newton load of the linear problem with source -Lap u
     poisson = Problem(name="poisson", nonlinearity=lambda u: 0.0 * u,
                       d_nonlinearity=lambda u: 0.0 * u,
                       source=lambda x, y: -sine.exact.laplacian(x, y))
-    rhs = -NewtonKernel(space, poisson, cfg).residual(
-        np.zeros(space.total_dofs))
-    assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    cfg = AssemblyConfig(penalty=100.0, volume_degree=6)
+    for mesh in (dgsl.build_structured(8), dgsl.build_perturbed(8, 0.2, 7)):
+        space = dgsl.DGSpace(mesh, 1)
+        weak = weak_form_load(space, sine.exact, cfg)
+        strong = apply_bilinear_to_field(space, sine.exact, cfg)
+        load = -NewtonKernel(space, poisson, cfg).residual(
+            np.zeros(space.total_dofs))
+        for rhs in (strong, load):
+            assert np.linalg.norm(weak - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_load_vector_integrates_constant_exactly():
@@ -460,12 +463,12 @@ def test_bilinear_matches_coo_oracle(mesh, r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_bilinear_reproduces_the_form_on_polynomials(r):
     # a(p, phi_i) for p in P_r: wrong side traces (a flipped edge table)
-    # break this, while symmetry and the edge identity still hold
+    # break this, while symmetry still holds
     space = perturbed_space(r)
     cfg = AssemblyConfig(penalty=37.0)
-    value, gradient = polynomial_field(r)
-    exact = apply_bilinear_to_field(space, value, gradient, cfg)
-    via_matrix = assemble_bilinear(space, cfg) @ interpolate(space, value).coeffs
+    p = polynomial_field(r)
+    exact = apply_bilinear_to_field(space, p, cfg)
+    via_matrix = assemble_bilinear(space, cfg) @ interpolate(space, p.value).coeffs
     assert max_rel(via_matrix, exact) <= 1e-13
 
 

@@ -123,7 +123,7 @@ def test_factored_solve_stops_after_its_factor_solve_budget(rng, monkeypatch):
     # FACTOR_SOLVES iterations, where an unbounded CG would go on
     space = space_on(4, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=1000.0))
-    wrong, _ = linear_solver.symmetric_factor(
+    wrong = linear_solver.symmetric_factor(
         assemble_bilinear(space, AssemblyConfig(penalty=10.0)))
     solves = []
 
@@ -133,7 +133,7 @@ def test_factored_solve_stops_after_its_factor_solve_budget(rng, monkeypatch):
             return wrong.solve(r)
 
     monkeypatch.setattr(linear_solver, "symmetric_factor",
-                        lambda matrix: (Factor(), "local"))
+                        lambda matrix: Factor())
     with pytest.raises(NotConverged) as excinfo:
         solve_spd(a, rng.standard_normal(a.dim), tol=1e-12)
     report = excinfo.value.report
@@ -197,8 +197,7 @@ def test_symmetric_factor_is_certified_and_returned(rng):
     x, report = solve_spd(a, b)
     assert report.method == "direct"
     assert a.certified and report.certificate == "local"
-    lu, how = linear_solver.symmetric_factor(a)
-    assert how == "local"
+    lu = linear_solver.symmetric_factor(a)
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() > 0).all()
     # the returned factor solves the same system

@@ -10,13 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dgsl
 from dgsl import edge_rule, triangle_rule
 from dgsl.errors import UnsupportedDegree
-from dgsl.quadrature import _gauss_jacobi_10
+from dgsl.quadrature import _gauss_jacobi_10, _gauss_legendre_01
 
 
 def tri_integral(a, b):
@@ -67,6 +68,27 @@ def test_triangle_exactness_is_tight(degree):
         for a in range(probe + 1)
     )
     assert worst > 1e-13
+
+
+@pytest.mark.parametrize("degree", range(1, 15))
+def test_triangle_rule_matches_the_conical_product_loop(degree):
+    # the rule's arrays feed every integral, so a reordered or rounded
+    # point moves output bytes
+    m = (degree + 2) // 2
+    s, ws = _gauss_legendre_01(m)
+    t, wt = _gauss_jacobi_10(m)
+    t, wt = (t + 1.0) / 2.0, wt / 4.0
+    pts, wgt = np.empty((m * m, 2)), np.empty(m * m)
+    k = 0
+    for i in range(m):
+        for j in range(m):
+            pts[k, 0] = s[i] * (1.0 - t[j])
+            pts[k, 1] = t[j]
+            wgt[k] = ws[i] * wt[j]
+            k += 1
+    rule = triangle_rule(degree)
+    assert np.array_equal(rule.points, pts)
+    assert np.array_equal(rule.weights, wgt)
 
 
 def test_edge_midpoint_rule():

@@ -1,5 +1,8 @@
 """DG space layout, interpolation, and edge traces."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -9,6 +12,7 @@ from dgsl import DGVector, edge_traces, interpolate
 from dgsl.analysis import l2_error, observed_orders
 from dgsl.basis import edge_reference_points
 from dgsl.errors import DegenerateElement
+from dgsl.properties import bilinear_consistency
 from dgsl.space import p1_prolongation
 
 from conftest import space_on
@@ -177,18 +181,38 @@ def test_edge_fields_match_edge_traces_contraction(rng, r, perturbed):
             assert not grads[boundary, 1].any()
 
 
+def with_edges(mesh, **fields):
+    """A copy of `mesh` whose EdgeSet has `fields` replaced."""
+    out = copy.copy(mesh)
+    out.edges = dataclasses.replace(mesh.edges, **fields)
+    return out
+
+
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
-def test_element_boundary_edge_identity(n, r, rng):
-    # the per-element boundary sum must telescope into edge jump/average sums
-    space = space_on(n, r)
-    from dgsl.analysis import edge_identity_residual
-    for _ in range(9):
-        res = edge_identity_residual(
-            space,
-            DGVector(space, rng.standard_normal(space.total_dofs)),
-            DGVector(space, rng.standard_normal(space.total_dofs)),
-            DGVector(space, rng.standard_normal(space.total_dofs)))
-        assert res <= 1e-11
+def test_element_boundary_edge_identity(n, r):
+    # the operator sums each element's boundary integrals edge by edge;
+    # consistency on polynomials sees a wrong side, local edge or normal
+    # in those sums. Inverting `flipped` on both sides of an interior
+    # edge reverses both traces together and changes no integral, so it
+    # is inverted on the minus sides alone, and on every present side,
+    # which misaligns the boundary traces with the field's.
+    cfg = dgsl.AssemblyConfig(penalty=37.0)
+    for mesh in (dgsl.build_structured(n), dgsl.build_perturbed(n, 0.2, 3)):
+        e = mesh.edges
+        interior = ~e.boundary
+        minus_flipped = e.flipped.copy()
+        minus_flipped[interior, 1] ^= True
+        local = e.local.copy()
+        local[interior, 1] = (local[interior, 1] + 1) % 3
+        normal = e.normal.copy()
+        normal[interior] *= -1.0
+        corrupted = (with_edges(mesh, flipped=e.flipped ^ (e.tri >= 0)),
+                     with_edges(mesh, flipped=minus_flipped),
+                     with_edges(mesh, local=local),
+                     with_edges(mesh, normal=normal))
+        assert bilinear_consistency(dgsl.DGSpace(mesh, r), cfg) <= 1e-13
+        for bad in corrupted:
+            assert bilinear_consistency(dgsl.DGSpace(bad, r), cfg) > 1e-3
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
