@@ -53,10 +53,10 @@ def l2_norm_discrete(space: DGSpace, v: DGVector) -> float:
     return l2_error(space, v, None, 2 * space.degree + 2)
 
 
-def _edge_points(mesh, params):
-    """Physical edge points (m, Q, 2), from each low to each high endpoint."""
+def _edge_points(mesh, params, select=slice(None)):
+    """Physical points (m, Q, 2) on the `select`ed edges, low to high end."""
     t = np.asarray(params, dtype=float)[None, :, None]
-    ends = mesh.vertices[mesh.edges.endpoints]
+    ends = mesh.vertices[mesh.edges.endpoints[select]]
     return ends[:, None, 0] * (1.0 - t) + ends[:, None, 1] * t
 
 
@@ -124,8 +124,8 @@ def apply_bilinear_to_field(space: DGSpace, w: ExactSolution,
     erule = edge_rule(degree)
     edges = space.mesh.edges
     wall_edges = np.flatnonzero(edges.boundary)
-    values, grads = (t[wall_edges, 0] for t in edge_traces(space, erule.points))
-    epts = _edge_points(space.mesh, erule.points)[wall_edges]
+    values, grads = (t[:, 0] for t in edge_traces(space, erule.points, wall_edges))
+    epts = _edge_points(space.mesh, erule.points, wall_edges)
     wvals = np.broadcast_to(
         np.asarray(w.value(epts[..., 0], epts[..., 1]), dtype=float), epts.shape[:2])
     normal_grad = (grads @ edges.normal[wall_edges, None, :, None])[..., 0]

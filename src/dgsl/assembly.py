@@ -13,15 +13,15 @@ pattern of their two adjacent elements, so no term is double counted.
 
 Element integrals reduce to combinations of reference-element tensors
 contracted with per-element Jacobian data. Edge integrals contract the
-basis traces of `edge_traces` for all edges at once, one (D, D) block per
-pair of sides, as batched matrix products.
+basis traces of `edge_traces` as batched matrix products, one chunk of
+`EDGE_CHUNK` edges at a time, and each chunk's (D, D) blocks go straight
+into the BSR data, so assembly's peak stays within twice its matrix.
 
 The operator is kept in its element-block form, a `bsr_matrix` with one
 (D, D) block per element and two per interior edge; every block is
 stored in full. The Newton Jacobian only adds element-diagonal mass
 blocks to the stiffness, so `NewtonKernel` writes them into a copy of
-the stiffness blocks at fixed block positions and reuses the
-stiffness's index arrays.
+the stiffness blocks at fixed positions and reuses its index arrays.
 
 Assembly also certifies coercivity edge by edge (`_local_certificate`);
 the verdict travels as `SparseSymMatrix.certified`, which Newton also
@@ -129,22 +129,27 @@ def _volume_stiffness_blocks(space, vol):
     return (scaled @ vol.stiff_ref.reshape(4, d * d)).reshape(-1, d, d)
 
 
-def _edge_blocks(space, cfg):
-    """Flux and penalty blocks of every edge as (m, 2, D, 2, D): entry
-    [m, t, i, s, j] couples test function i on side t with trial
+# edges per assembly chunk: a chunk's arrays stay well below the matrix
+EDGE_CHUNK = 512
+
+
+def _edge_blocks(space, cfg, select=slice(None)):
+    """Flux and penalty blocks of the `select`ed edges as (m, 2, D, 2, D):
+    entry [m, t, i, s, j] couples test function i on side t with trial
     function j on side s (side 0 plus, side 1 minus)."""
     rule = edge_rule(cfg.resolved_edge_degree(space.degree))
     edges = space.mesh.edges
-    values, grads = edge_traces(space, rule.points)
+    values, grads = edge_traces(space, rule.points, select)
     m, _, q, d = values.shape
 
     # jump[m, q, (s, i)] = sign_s phi_i on side s; flux pairs jumps with
     # normal derivatives, whose averages weigh 1/2 inside
-    jump = (values * np.array([1.0, -1.0])[None, :, None, None]) \
+    values[:, 1] *= -1.0
+    jump = values.transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
+    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal[select]) \
         .transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
-    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal) \
-        .transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
-    half_h = (np.where(edges.boundary, 1.0, 0.5) * edges.length)[:, None, None]
+    half_h = (np.where(edges.boundary[select], 1.0, 0.5)
+              * edges.length[select])[:, None, None]
     # one product over the stacked quadrature points gives
     # J^T W (penalty J - h G) + G^T W (-h J): the penalty term and both
     # symmetric flux terms
@@ -161,24 +166,24 @@ def _edge_blocks(space, cfg):
 CERTIFICATE_MARGIN = 1e-10
 
 
-def _local_certificate(edges, blocks, volume):
-    """True when the edge forms Q_e prove a(v, v) > 0 for all v != 0.
+def _local_certificate(tri, blocks, third):
+    """True when the edge forms Q_e of the edges with (plus, minus)
+    triangles `tri` pass; passing on all edges proves a(v, v) > 0.
 
-    Q_e is the edge block plus a third of the `volume` stiffness of each
-    adjacent element, so sum_e Q_e = a. A boundary Q_e must be positive
-    definite. An interior Q_e maps the constant (all ones in a Lagrange
-    basis) to zero and must be positive definite once that is lifted by
-    a multiple of 1 1^T. Then a(v, v) = 0 makes v one constant on each
-    edge-connected part of the mesh and zero at its boundary, so v = 0.
-    Conservative: P1 at penalty 5, P2 at 10-20, P3 at 20-50 fail it.
+    Q_e is the edge block plus `third`, a third of the volume stiffness,
+    of each adjacent element, so sum_e Q_e = a. A boundary Q_e must be
+    positive definite. An interior Q_e maps the constant (all ones in a
+    Lagrange basis) to zero and must be positive definite once that is
+    lifted by a multiple of 1 1^T. Then a(v, v) = 0 makes v one constant
+    on each edge-connected part of the mesh and zero at its boundary, so
+    v = 0. Conservative: P1 at penalty 5, P2 at 10-20, P3 at 20-50 fail.
     """
-    third = volume / 3.0
-    d = volume.shape[1]
-    outer = edges.boundary
-    boundary_forms = blocks[outer, 0, :, 0, :] + third[edges.tri[outer, 0]]
+    d = third.shape[1]
+    outer = tri[:, 1] < 0
+    boundary_forms = blocks[outer, 0, :, 0, :] + third[tri[outer, 0]]
     interior_forms = blocks[~outer]
     for side in (0, 1):
-        interior_forms[:, side, :, side, :] += third[edges.tri[~outer, side]]
+        interior_forms[:, side, :, side, :] += third[tri[~outer, side]]
     for forms, lift in ((boundary_forms, 0.0),
                         (interior_forms.reshape(-1, 2 * d, 2 * d), 1.0)):
         k = forms.shape[1]
@@ -199,37 +204,49 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     each stored in full and each block row in column order."""
     r = space.degree
     vol = _volume_tables(r, cfg.resolved_volume_degree(r))
-    edges = space.mesh.edges
-    blocks = _edge_blocks(space, cfg)
-    num = space.num_elements
+    edges, num = space.mesh.edges, space.num_elements
 
-    # each element's three (edge, side) self-blocks, in edge order
+    # rank[e, s]: the place of edge e among its side-s element's edges in
+    # edge order, the order its self-blocks add in (3 on a missing side)
     sides = np.where(edges.tri >= 0, edges.tri, num).ravel()
-    own = np.argsort(sides, kind="stable")[:3 * num].reshape(num, 3)
-    em, es = np.divmod(own, 2)
-    volume = _volume_stiffness_blocks(space, vol)
-    diagonal = volume.copy()
-    for k in range(3):
-        diagonal += blocks[em[:, k], es[:, k], :, es[:, k], :]
+    rank = np.full(len(sides), 3)
+    rank[np.argsort(sides, kind="stable")[:3 * num]] = np.tile([0, 1, 2], num)
+    rank = rank.reshape(-1, 2)
 
     # the diagonal blocks, then each interior edge's (plus, minus) and
-    # (minus, plus) blocks, written at their block-row positions
-    inner = np.flatnonzero(~edges.boundary)
-    plus, minus = edges.tri[inner, 0], edges.tri[inner, 1]
+    # (minus, plus) blocks, at their block-row positions
+    plus, minus = edges.tri[~edges.boundary].T
     elements = np.arange(num)
     block_rows = np.concatenate([elements, plus, minus])
     block_cols = np.concatenate([elements, minus, plus])
     order = np.lexsort((block_cols, block_rows))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(block_rows,
                                                         minlength=num))])
+    indices = block_cols[order]
+    diagonal, upper, lower = np.split(np.argsort(order), [num, num + len(plus)])
+    del sides, block_rows, block_cols, order
+
     d, n = space.dofs_per_element, space.total_dofs
-    slot, m = np.argsort(order), num + len(inner)
-    data = np.empty((len(order), d, d))
-    data[slot[:num]] = diagonal
-    data[slot[num:m]] = blocks[inner, 0, :, 1, :]
-    data[slot[m:]] = blocks[inner, 1, :, 0, :]
-    a = sparse.bsr_matrix((data, block_cols[order], indptr), shape=(n, n))
-    return SparseSymMatrix(a, _local_certificate(edges, blocks, volume))
+    data = np.empty((len(indices), d, d))
+    third = _volume_stiffness_blocks(space, vol)
+    data[diagonal] = third
+    third /= 3.0
+    certified, placed = True, 0
+    for lo in range(0, len(edges), EDGE_CHUNK):
+        chunk = slice(lo, lo + EDGE_CHUNK)
+        blocks = _edge_blocks(space, cfg, chunk)
+        tri, inner = edges.tri[chunk], ~edges.boundary[chunk]
+        for k in range(3):
+            e, s = np.nonzero(rank[chunk] == k)
+            data[diagonal[tri[e, s]]] += blocks[e, s, :, s, :]
+        # the chunk's interior edges are the next ones in edge order
+        within = slice(placed, placed + np.count_nonzero(inner))
+        placed = within.stop
+        data[upper[within]] = blocks[inner, 0, :, 1, :]
+        data[lower[within]] = blocks[inner, 1, :, 0, :]
+        certified = certified and _local_certificate(tri, blocks, third)
+    a = sparse.bsr_matrix((data, indices, indptr), shape=(n, n))
+    return SparseSymMatrix(a, certified)
 
 
 def _finite(values, what):

@@ -17,11 +17,7 @@ SUPPORTED_DEGREES = (1, 2, 3)
 
 
 def _lattice_nodes(r):
-    nodes = []
-    for j in range(r + 1):
-        for i in range(r + 1 - j):
-            nodes.append((i / r, j / r))
-    return np.array(nodes)
+    return np.array([(i / r, j / r) for j in range(r + 1) for i in range(r + 1 - j)])
 
 
 def _monomial_exponents(r):
@@ -30,8 +26,7 @@ def _monomial_exponents(r):
 
 def _monomial_values(exponents, points):
     pts = np.atleast_2d(points)
-    cols = [pts[:, 0] ** a * pts[:, 1] ** b for a, b in exponents]
-    return np.column_stack(cols)
+    return np.column_stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exponents])
 
 
 def _monomial_gradients(exponents, points):

@@ -165,12 +165,10 @@ class ConvergenceReport:
 def report_from_raw(raw) -> ConvergenceReport:
     """Assemble a report from per-level (h, l2, dg, iters, dofs) tuples;
     also used to flush partial results when a level fails."""
+    l2_orders = dg_orders = [None] * len(raw)
     if len(raw) > 1:
         l2_orders = [None] + observed_orders([(row[0], row[1]) for row in raw])
         dg_orders = [None] + observed_orders([(row[0], row[2]) for row in raw])
-    else:
-        l2_orders = [None] * len(raw)
-        dg_orders = [None] * len(raw)
     rows = [ReportRow(h, e2, o2, ed, od, its, dofs)
             for (h, e2, ed, its, dofs), o2, od in zip(raw, l2_orders, dg_orders)]
     return ConvergenceReport(rows)

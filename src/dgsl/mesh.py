@@ -67,8 +67,7 @@ def _build_edges(vertices, triangles):
     # side s = 3 t + k of the flattened arrays is local edge k of triangle t
     start = triangles[:, [1, 2, 0]].ravel()
     end = triangles[:, [2, 0, 1]].ravel()
-    lo = np.minimum(start, end)
-    hi = np.maximum(start, end)
+    lo, hi = np.minimum(start, end), np.maximum(start, end)
     # stable sort: sides of one edge stay in (triangle, local edge) order
     order = np.lexsort((hi, lo))
     lo, hi = lo[order], hi[order]

@@ -263,12 +263,10 @@ def newton_contraction_slope(residuals, floor_ratio=1e-11):
     contraction curve."""
     floor = max(residuals) * floor_ratio
     usable = [x for x in residuals if x > floor]
-    pairs = [(math.log(a), math.log(b)) for a, b in zip(usable, usable[1:])]
-    pairs = pairs[-3:]
+    pairs = [(math.log(a), math.log(b)) for a, b in zip(usable, usable[1:])][-3:]
     if len(pairs) < 2:
         raise ValueError("not enough Newton iterations to fit a slope")
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
+    xs, ys = np.array(pairs).T
     return float(np.polyfit(xs, ys, 1)[0])
 
 
@@ -286,9 +284,8 @@ def check_newton_quadratic(overrides):
 
 
 def check_trace(overrides):
-    estimates = {}
-    for n in (8, 32):
-        estimates[n] = estimate_trace_constant(DGSpace(build_structured(n), 2))
+    estimates = {n: estimate_trace_constant(DGSpace(build_structured(n), 2))
+                 for n in (8, 32)}
     drift = abs(estimates[8] - estimates[32]) / estimates[8]
     return CheckResult("trace", drift < 0.10,
                        f"constants {estimates[8]:.4f} (n=8) vs "
@@ -321,20 +318,12 @@ def check_manufactured(overrides):
                        f"source consistency gap {gap:.2e}")
 
 
-SUITES = {
-    "quadrature": check_quadrature,
-    "mesh": check_mesh,
-    "symmetry": check_symmetry,
-    "edge_identity": check_edge_identity,
-    "continuity": check_continuity,
-    "coercivity": check_coercivity,
-    "jacobian_fd": check_jacobian_fd,
-    "rates": check_rates,
-    "newton_quadratic": check_newton_quadratic,
-    "trace": check_trace,
-    "uniqueness": check_uniqueness,
-    "manufactured": check_manufactured,
-}
+# each suite is named after its function, in this order
+SUITES = {check.__name__.removeprefix("check_"): check for check in (
+    check_quadrature, check_mesh, check_symmetry, check_edge_identity,
+    check_continuity, check_coercivity, check_jacobian_fd, check_rates,
+    check_newton_quadratic, check_trace, check_uniqueness,
+    check_manufactured)}
 
 
 def run_property_suite(selector: str = "all", overrides=None):

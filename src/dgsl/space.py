@@ -7,7 +7,7 @@ discontinuity is structural.
 
 Edge terms read the six (local edge, flipped) reference tables that
 `edge_tables` caches per degree and edge rule: `edge_traces` gives the
-operators basis traces on all edges, `edge_fields` a field's traces.
+basis traces on selected edges, `edge_fields` a field's on all edges.
 """
 
 import functools
@@ -139,8 +139,8 @@ def edge_tables(degree, t):
     return tables
 
 
-def edge_traces(space: DGSpace, params):
-    """Basis traces on both sides of every mesh edge.
+def edge_traces(space: DGSpace, params, select=slice(None)):
+    """Basis traces on both sides of the edges `select` picks (default all).
 
     `params` (Q,) parametrize each edge from its low-index to its
     high-index endpoint. Returns (values, gradients) with shapes
@@ -151,11 +151,13 @@ def edge_traces(space: DGSpace, params):
     """
     edges = space.mesh.edges
     ref_values, ref_grads = edge_tables(space.degree, tuple(params))
-    # a missing side (tri = local = -1) reads other entries, masked to zero
-    tri, combo = edges.tri, 2 * edges.local + edges.flipped
-    mask = (tri >= 0)[:, :, None, None].astype(float)
-    values = ref_values[combo] * mask
-    grads = (ref_grads[combo] @ space.inv_jacobians[tri][:, :, None]) * mask[..., None]
+    # a missing side (tri = local = -1) reads other entries, zeroed below
+    tri = edges.tri[select]
+    combo = 2 * edges.local[select] + edges.flipped[select]
+    values = ref_values[combo]
+    grads = ref_grads[combo] @ space.inv_jacobians[tri][:, :, None]
+    values[tri < 0] = 0.0
+    grads[tri < 0] = 0.0
     return values, grads
 
 

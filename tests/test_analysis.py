@@ -150,6 +150,23 @@ def test_apply_bilinear_matches_einsum_reference(r, perturbed):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_apply_bilinear_reads_traces_on_boundary_edges_only(monkeypatch):
+    # the consistency form has boundary terms alone, so it has no use for
+    # the traces of interior edges
+    selected = []
+    traces = dgsl.analysis.edge_traces
+
+    def recording(space, params, select=slice(None)):
+        selected.append(select)
+        return traces(space, params, select)
+
+    monkeypatch.setattr(dgsl.analysis, "edge_traces", recording)
+    space = dgsl.DGSpace(dgsl.build_perturbed(5, 0.2, 7), 2)
+    apply_bilinear_to_field(space, polynomial_field(3), AssemblyConfig(penalty=37.0))
+    select, = selected
+    assert np.array_equal(select, np.flatnonzero(space.mesh.edges.boundary))
+
+
 def test_norms_never_build_per_edge_basis_tables(monkeypatch, rng):
     # the norms read a field's traces from the cached reference tables;
     # a per-edge basis table would bring back a per-call cost that grows

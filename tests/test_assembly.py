@@ -8,6 +8,7 @@ the element map at physical edge points, so it shares neither the
 matrix assembly.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import dgsl
 from dgsl import AssemblyConfig, DGVector, assemble_bilinear, interpolate
 from dgsl import linear_solver
 from dgsl.analysis import apply_bilinear_to_field, l2_norm_discrete
-from dgsl.assembly import (NewtonKernel, _edge_blocks,
+from dgsl.assembly import (NewtonKernel, _edge_blocks, _local_certificate,
                            _volume_stiffness_blocks, _volume_tables)
 from dgsl.cli import build_run_config, parse_config_text
 from dgsl.convergence import RunConfig
@@ -458,6 +459,96 @@ def test_bilinear_matches_coo_oracle(mesh, r):
     a = assemble_bilinear(space, cfg).csr.toarray()
     oracle = oracle_bilinear(space, cfg).toarray()
     assert np.abs(a - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def whole_array_operator(space, cfg):
+    """The dense operator and its certificate from one array of every
+    edge's blocks: each diagonal block is its volume block plus its
+    edges' self-blocks, added in edge order, and each interior edge's two
+    coupling blocks are copied."""
+    r, d = space.degree, space.dofs_per_element
+    volume = _volume_stiffness_blocks(
+        space, _volume_tables(r, cfg.resolved_volume_degree(r)))
+    blocks = _edge_blocks(space, cfg)
+    edges = space.mesh.edges
+    certified = _local_certificate(edges.tri, blocks, volume / 3.0)
+    diagonal = volume.copy()
+    dense = np.zeros((space.total_dofs,) * 2)
+    for b, (plus, minus) in zip(blocks, edges.tri):
+        diagonal[plus] += b[0, :, 0, :]
+        if minus >= 0:
+            diagonal[minus] += b[1, :, 1, :]
+            dense[plus * d:(plus + 1) * d, minus * d:(minus + 1) * d] = b[0, :, 1, :]
+            dense[minus * d:(minus + 1) * d, plus * d:(plus + 1) * d] = b[1, :, 0, :]
+    for t, block in enumerate(diagonal):
+        dense[t * d:(t + 1) * d, t * d:(t + 1) * d] = block
+    return dense, certified
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_chunked_assembly_is_byte_identical_for_every_chunk_size(
+        mesh, r, monkeypatch):
+    # one edge per chunk sums every diagonal block in edge order; every
+    # other chunking must write the same bytes and reach the same verdict,
+    # on both sides of the certificate band (P1 and P2 fail it at
+    # penalty 5, P3 also at 30)
+    space = perturbed_space(r) if mesh == "perturbed" else space_on(5, r)
+    m = len(space.mesh.edges)
+    chunks = (1, 7, m, 3 * m)
+    verdicts = []
+    for penalty in (5.0, 30.0, 100.0):
+        cfg = AssemblyConfig(penalty=penalty)
+        runs = []
+        for chunk in chunks:
+            monkeypatch.setattr(dgsl.assembly, "EDGE_CHUNK", chunk)
+            runs.append(assemble_bilinear(space, cfg))
+        first = runs[0]
+        for chunk, a in zip(chunks[1:], runs[1:]):
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a.csr, name),
+                                      getattr(first.csr, name)), (chunk, name)
+            assert a.certified == first.certified
+        dense, certified = whole_array_operator(space, cfg)
+        assert np.array_equal(first.csr.toarray(), dense)
+        assert first.certified == certified
+        verdicts.append(certified)
+    assert verdicts == ([False, False, True] if r == 3 else [False, True, True])
+
+
+def test_a_failure_in_any_chunk_fails_the_certificate(monkeypatch):
+    # one vertex moved off the grid: at these penalties only a few
+    # low-index edges fail, so a verdict read from one chunk misses them
+    grid = dgsl.build_structured(5)
+    vertices = grid.vertices.copy()
+    vertices[7] += (0.12, 0.1)
+    mesh = dgsl.TriMesh(vertices, grid.triangles)
+    for r, penalty in ((2, 20.0), (3, 50.0)):
+        space, cfg = dgsl.DGSpace(mesh, r), AssemblyConfig(penalty=penalty)
+        assert not whole_array_operator(space, cfg)[1]
+        for chunk in (1, 7, len(mesh.edges)):
+            monkeypatch.setattr(dgsl.assembly, "EDGE_CHUNK", chunk)
+            assert not assemble_bilinear(space, cfg).certified, (r, chunk)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_assembly_peak_stays_within_twice_its_matrix(r):
+    # the traced peak growth of one assembly, the matrix included; an
+    # array over all edges' blocks made it 8.3x (P1) and 7.8x (P3)
+    space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
+        else dgsl.DGSpace(dgsl.build_structured(128), 1)
+    cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
+                         edge_degree=12 if r == 3 else None)
+    assemble_bilinear(space, cfg)   # fills the table caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        a = assemble_bilinear(space, cfg).csr
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    matrix = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert peak <= 2.0 * matrix, peak / matrix
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -106,6 +106,17 @@ def side_traces(space, v, params):
             np.einsum("msqda,msd->msqa", grads, coeffs))
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_edge_traces_of_a_selection_are_those_rows_of_all_edges(r):
+    space = dgsl.DGSpace(dgsl.build_perturbed(5, 0.2, 3), r)
+    params = dgsl.edge_rule(2 * r + 2).points
+    every = edge_traces(space, params)
+    for select in (slice(3, 17), slice(40, None),
+                   np.flatnonzero(space.mesh.edges.boundary), np.array([5, 0, 5])):
+        for part, whole in zip(edge_traces(space, params, select), every):
+            assert_array_equal(part, whole[select])
+
+
 def test_jump_of_continuous_interpolant_vanishes(sine):
     space = space_on(4, 2)
     v = interpolate(space, sine.exact.value)
