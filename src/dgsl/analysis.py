@@ -23,10 +23,11 @@ import numpy as np
 from .assembly import (AssemblyConfig, _volume_stiffness_blocks,
                        _volume_tables, assemble_bilinear)
 from .errors import ConfigError, InsufficientLevels
-from .linear_solver import solve_spd
+from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import ExactSolution
 from .quadrature import edge_rule, triangle_rule
-from .space import DGSpace, DGVector, edge_fields, edge_tables, edge_traces
+from .space import (DGSpace, DGVector, edge_fields, edge_tables, edge_traces,
+                    p1_prolongation)
 
 
 def _analysis_degree(space):
@@ -138,10 +139,11 @@ def apply_bilinear_to_field(space: DGSpace, w: ExactSolution,
 
 def elliptic_project(space: DGSpace, exact: ExactSolution,
                      cfg: AssemblyConfig) -> DGVector:
-    """Energy projection: the discrete field with a(P w, v) = a(w, v)."""
+    """Energy projection: the discrete field with a(P w, v) = a(w, v),
+    solved by two-level PCG."""
     a = assemble_bilinear(space, cfg)
     rhs = apply_bilinear_to_field(space, exact, cfg)
-    x, _ = solve_spd(a, rhs, tol=1e-12)
+    x, _ = solve_spd(a, rhs, two_level_preconditioner(a, p1_prolongation(space)))
     return DGVector(space, x)
 
 

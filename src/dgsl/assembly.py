@@ -24,8 +24,9 @@ blocks to the stiffness, so `NewtonKernel` writes them into a copy of
 the stiffness blocks at fixed positions and reuses its index arrays.
 
 Assembly also certifies coercivity edge by edge (`_local_certificate`);
-the verdict travels as `SparseSymMatrix.certified`, which Newton also
-sets on a stiffness that the pivots of its factor proved instead.
+the verdict travels as `SparseSymMatrix.certified`, and a stiffness
+without it is proven by its pivots when it is preconditioned
+(`linear_solver.two_level_preconditioner`).
 """
 
 import functools
@@ -76,8 +77,8 @@ class AssemblyConfig:
 class SparseSymMatrix:
     """Symmetric sparse operator; `csr` holds a `bsr_matrix`, with one
     (D, D) block per element when assembly built it, and `certified` is
-    True only when it is proven positive definite, by assembly's local
-    certificate or by the pivots of its factor."""
+    True only when it is proven positive definite: by assembly's local
+    certificate, or for a coarse operator by its fine one."""
 
     csr: sparse.bsr_matrix
     certified: bool = False
@@ -209,21 +210,23 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     # rank[e, s]: the place of edge e among its side-s element's edges in
     # edge order, the order its self-blocks add in (3 on a missing side)
     sides = np.where(edges.tri >= 0, edges.tri, num).ravel()
-    rank = np.full(len(sides), 3)
+    rank = np.full(len(sides), 3, dtype=np.int8)
     rank[np.argsort(sides, kind="stable")[:3 * num]] = np.tile([0, 1, 2], num)
     rank = rank.reshape(-1, 2)
 
     # the diagonal blocks, then each interior edge's (plus, minus) and
-    # (minus, plus) blocks, at their block-row positions
+    # (minus, plus) blocks, at their block-row positions; every index
+    # array is int32, so bsr_matrix keeps them without a copy
     plus, minus = edges.tri[~edges.boundary].T
     elements = np.arange(num)
-    block_rows = np.concatenate([elements, plus, minus])
-    block_cols = np.concatenate([elements, minus, plus])
+    block_rows = np.concatenate([elements, plus, minus], dtype=np.int32)
+    block_cols = np.concatenate([elements, minus, plus], dtype=np.int32)
     order = np.lexsort((block_cols, block_rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(block_rows,
-                                                        minlength=num))])
+    indptr = np.zeros(num + 1, dtype=np.int32)
+    np.cumsum(np.bincount(block_rows, minlength=num), out=indptr[1:])
     indices = block_cols[order]
-    diagonal, upper, lower = np.split(np.argsort(order), [num, num + len(plus)])
+    diagonal, upper, lower = np.split(np.argsort(order).astype(np.int32),
+                                      [num, num + len(plus)])
     del sides, block_rows, block_cols, order
 
     d, n = space.dofs_per_element, space.total_dofs
@@ -312,21 +315,16 @@ class NewtonKernel:
         weight = self.problem.d_nonlinearity(self.point_values(u))
         return self.measure * _finite(weight, "the mass weight N'(u)")
 
-    def certifies(self, weighted: np.ndarray) -> bool:
-        """Whether the stiffness and these mass weights prove the Jacobian SPD."""
-        return self.stiffness.certified and bool(weighted.min() >= 0.0)
-
     def jacobian(self, u: np.ndarray, weighted=None) -> SparseSymMatrix:
-        """The stiffness plus the mass matrix weighted with N'(u_h) = -f_u,
-        certified by `certifies`; `weighted`, if given, is `mass_weights(u)`."""
+        """The stiffness plus the mass matrix weighted with N'(u_h) = -f_u;
+        `weighted`, if given, is `mass_weights(u)`."""
         weighted = self.mass_weights(u) if weighted is None else weighted
         mass = weighted @ self.value_pairs
         a = self.stiffness.csr
         data = a.data.copy()
         data[self.diagonal_positions] += mass.reshape(-1, *a.blocksize)
         return SparseSymMatrix(
-            sparse.bsr_matrix((data, a.indices, a.indptr), shape=a.shape),
-            self.certifies(weighted))
+            sparse.bsr_matrix((data, a.indices, a.indptr), shape=a.shape))
 
 
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:

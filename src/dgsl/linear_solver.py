@@ -1,27 +1,24 @@
 """Solvers for the symmetric positive definite Newton-step systems.
 
-One entry point, `solve_spd`, runs one preconditioned conjugate
-gradient loop. Without a preconditioner it factors the matrix and uses
-the factor as an exact preconditioner, so CG takes the place of
-iterative refinement. With one it preconditions with that: the exact
-per-element block-Jacobi inverse of `block_jacobi_preconditioner`, or
-`two_level_preconditioner`, which adds an exact solve on the continuous
-P1 coarse space to it; both read the diagonal blocks, and their size,
-from the matrix's BSR form. The factorization certifies definiteness: it
-raises IndefiniteOperator on a negative pivot, the practical symptom of
-an insufficient penalty parameter. CG only checks: it raises the same
-when it meets a direction of non-positive curvature, which it may never
-meet, so a preconditioned solve is for a matrix already proven positive
-definite.
+One route: `two_level_preconditioner` proves a stiffness positive
+definite and preconditions it, and `solve_spd` runs one preconditioned
+conjugate gradient loop with it. A stiffness that assembly's local
+certificate does not cover (`SparseSymMatrix.certified`) is proven by
+the pivots of its `symmetric_factor`, which raises IndefiniteOperator on
+a negative pivot, the practical symptom of an insufficient penalty
+parameter. The preconditioner is the exact per-element block-Jacobi
+inverse of `block_jacobi_preconditioner` plus an exact solve on the
+continuous P1 coarse space; the blocks, and their size, come from the
+matrix's BSR form. CG only checks: it raises the same error when it
+meets a direction of non-positive curvature, which it may never meet,
+so it is for a matrix already proven positive definite.
 
-A matrix already proven positive definite (`SparseSymMatrix.certified`)
-is factored without reading its pivots: the first access to `lu.U` makes
-scipy build and cache CSC copies of both L and U for the factor's life
-(about 230 MB at P3 on a perturbed n = 64 mesh).
+A certified matrix is factored without reading its pivots: the first
+access to `lu.U` makes scipy build and cache CSC copies of both L and U
+for the factor's life (about 230 MB at P3 on a perturbed n = 64 mesh).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -31,21 +28,13 @@ from .assembly import SparseSymMatrix, _diagonal_block_positions
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
 
 
-# CG iterations, i.e. factor solves, of a direct solve: the first solve
-# plus up to three corrections that recover digits lost to conditioning.
-FACTOR_SOLVES = 4
-
-
 @dataclass
 class LinearSolveReport:
     iterations: int
     relative_residual: float
     converged: bool
+    # always "pcg"; the benchmark's traced solve counter still reads it
     method: str = "pcg"
-    # how a "direct" solve's factor was certified: "local" when the matrix
-    # came proven (`SparseSymMatrix.certified`), "pivots" when the factor's
-    # own pivots proved it; None for a "pcg" solve
-    certificate: Optional[str] = None
 
 
 def symmetric_factor(a: SparseSymMatrix):
@@ -103,18 +92,22 @@ def block_jacobi_preconditioner(a: SparseSymMatrix):
 
 def two_level_preconditioner(a: SparseSymMatrix, prolongation):
     """Additive two-level preconditioner B r + P A_c^-1 P^T r (Dobrev,
-    Lazarov, Vassilevski & Zikatanov, NLAA 2006): CG iterations do not
-    grow as h -> 0.
+    Lazarov, Vassilevski & Zikatanov, NLAA 2006) for `a`, proven positive
+    definite first: CG iterations do not grow as h -> 0.
 
-    B is `block_jacobi_preconditioner`, P the `prolongation` (continuous
-    P1 on the same mesh, `space.p1_prolongation`) and A_c = P^T a P,
-    factored by `symmetric_factor`. P has full column rank, so A_c is
-    certified positive definite when `a` is.
+    An `a` without assembly's certificate is proven by the pivots of its
+    `symmetric_factor`, which raises IndefiniteOperator otherwise; the
+    factor is then dropped. B is `block_jacobi_preconditioner`, P the
+    `prolongation` (continuous P1 on the same mesh,
+    `space.p1_prolongation`) and A_c = P^T a P, positive definite since
+    P has full column rank, and factored as such.
     """
+    if not a.certified:
+        symmetric_factor(a)
     smoother = block_jacobi_preconditioner(a)
     restriction = prolongation.T.tocsr()
     coarse = (restriction @ (a.csr @ prolongation)).tobsr(blocksize=(1, 1))
-    lu = symmetric_factor(SparseSymMatrix(coarse, a.certified))
+    lu = symmetric_factor(SparseSymMatrix(coarse, True))
 
     def apply(r):
         return smoother(r) + prolongation @ lu.solve(restriction @ r)
@@ -122,41 +115,29 @@ def two_level_preconditioner(a: SparseSymMatrix, prolongation):
     return apply
 
 
-def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
-              preconditioner=None):
-    """Solve a x = b to a relative residual of `tol` by preconditioned
-    conjugate gradients.
+def solve_spd(a: SparseSymMatrix, b, preconditioner, tol: float = 1e-12,
+              max_iter=None):
+    """Solve a x = b to a relative residual of `tol` by conjugate
+    gradients preconditioned with `preconditioner`, a symmetric positive
+    definite callable.
 
-    Without a `preconditioner` the solve is direct ("direct" in the
-    report): the certified `symmetric_factor` of `a` is the
-    preconditioner. Otherwise
-    `preconditioner` is a symmetric positive definite callable ("pcg").
-    CG runs for at most `max_iter` iterations, by default FACTOR_SOLVES
-    on the factor and 10 x dim otherwise. The answer is accepted when
-    its true relative residual is at most `tol` or its normwise
-    backward error is at roundoff level. Both methods are deterministic:
-    identical inputs give bit-identical results.
+    CG runs for at most `max_iter` iterations, 10 x dim by default. The
+    answer is accepted when its true relative residual is at most `tol`
+    or its normwise backward error is at roundoff level. The solve is
+    deterministic: identical inputs give bit-identical results.
 
     Returns (x, LinearSolveReport). Raises NotConverged (with the report
-    attached) when the iteration budget runs out, IndefiniteOperator
-    when CG detects non-positive curvature or the factorization a
-    negative pivot, and SingularOperator when the factorization meets
-    an exactly singular matrix.
+    attached) when the iteration budget runs out and IndefiniteOperator
+    when CG detects non-positive curvature.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (a.dim,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({a.dim},)")
-    method = "direct" if preconditioner is None else "pcg"
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return np.zeros_like(b), LinearSolveReport(0, 0.0, True, method)
-    lu = certificate = None
-    if preconditioner is None:
-        lu = symmetric_factor(a)
-        certificate = "local" if a.certified else "pivots"
-        preconditioner = lu.solve
+        return np.zeros_like(b), LinearSolveReport(0, 0.0, True)
     if max_iter is None:
-        max_iter = 10 * a.dim if lu is None else FACTOR_SOLVES
+        max_iter = 10 * a.dim
     a_max = None
 
     x = np.zeros_like(b)
@@ -189,7 +170,7 @@ def solve_spd(a: SparseSymMatrix, b, tol: float = 1e-12, max_iter=None,
             a_max = a.max_abs()
         if rel <= tol or rel * norm_b <= 100.0 * np.finfo(float).eps * (
                 a_max * float(np.linalg.norm(x)) + norm_b):
-            return x, LinearSolveReport(it, rel, True, method, certificate)
-    report = LinearSolveReport(max_iter, rel, False, method, certificate)
-    raise NotConverged(f"{method} solve did not reach tol {tol} in {max_iter} "
+            return x, LinearSolveReport(it, rel, True)
+    report = LinearSolveReport(max_iter, rel, False)
+    raise NotConverged(f"pcg solve did not reach tol {tol} in {max_iter} "
                        "iterations", report=report, x=x)

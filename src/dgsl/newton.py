@@ -9,14 +9,14 @@ and Jacobian is then one matrix product against its tables.
 
 Under the sign assumption N' >= 0 every Jacobian is the stiffness plus
 a positive semidefinite mass term, so one proof that the stiffness is
-positive definite covers them all. The stiffness is proven once per
-solve, by assembly's local certificate or else by the pivots of its
-factor, and the two-level preconditioner is built from it once, before
-the Jacobian of the first step that uses it. A Jacobian whose mass
-weights are nonnegative runs one PCG loop (`solve_spd`) with it; any
-other is factored, and its pivots prove it positive definite or raise
-IndefiniteOperator. Steps are solved only as far as Newton needs (inexact
-Newton, `_forcing_term`); the stopping test reads the true residual.
+positive definite covers them all. `two_level_preconditioner` gives
+that proof and the preconditioner, once per solve, before the loop, and
+every step runs one PCG loop (`solve_spd`) with it. A Jacobian whose
+mass weights dip below zero is outside that proof: the pivots of its
+`symmetric_factor` prove it positive definite or raise
+IndefiniteOperator before its step runs the same PCG. Steps are solved
+only as far as Newton needs (inexact Newton, `_forcing_term`); the
+stopping test reads the true residual.
 """
 
 import warnings
@@ -25,8 +25,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, NewtonKernel, SparseSymMatrix,
-                       _nonlinear_load, assemble_bilinear)
+from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
+                       assemble_bilinear)
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import (solve_spd, symmetric_factor,
                             two_level_preconditioner)
@@ -106,12 +106,8 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
-    if not stiffness.certified:
-        # the pivots prove it positive definite, or this raises
-        symmetric_factor(stiffness)
-        stiffness = SparseSymMatrix(stiffness.csr, True)
+    precondition = two_level_preconditioner(stiffness, p1_prolongation(space))
     kernel = NewtonKernel(space, problem, cfg, stiffness)
-    precondition = None     # built at the first step that runs PCG
 
     if ncfg.initial_guess == "zero":
         u = np.zeros(space.total_dofs)
@@ -132,15 +128,14 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     for _ in range(MAX_ITERATIONS):
         if res_norm <= threshold:
             break
-        weighted = kernel.mass_weights(u)   # certify before J exists
-        if precondition is None and kernel.certifies(weighted):
-            precondition = two_level_preconditioner(stiffness,
-                                                    p1_prolongation(space))
+        weighted = kernel.mass_weights(u)
         jac = kernel.jacobian(u, weighted)
+        if weighted.min() < 0.0:
+            symmetric_factor(jac)   # its pivots prove J, or this raises
         del weighted
         delta, lin = solve_spd(
-            jac, -res, tol=_forcing_term(res_norm, first_norm, threshold),
-            preconditioner=precondition if jac.certified else None)
+            jac, -res, precondition,
+            tol=_forcing_term(res_norm, first_norm, threshold))
         report.linear_reports.append(lin)
         del jac  # else the next Jacobian is built while this one is alive
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dgsl
+import dgsl.linear_solver
 from dgsl.quadrature import edge_rule, triangle_rule
 from dgsl.space import edge_traces
 
@@ -18,6 +19,44 @@ def rng():
 
 def space_on(n, r):
     return dgsl.DGSpace(dgsl.build_structured(n), r)
+
+
+class CountingFactor:
+    """A SuperLU factor that records every read of its L and U copies,
+    each of which makes scipy build both."""
+
+    def __init__(self, lu, reads):
+        self._lu = lu
+        self._reads = reads
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            self._reads.append(name)
+        return getattr(self._lu, name)
+
+
+@pytest.fixture
+def factor_reads(monkeypatch):
+    """Reads of L or U, in order, over every factor the solver makes."""
+    reads = []
+    original = dgsl.linear_solver.splu
+    monkeypatch.setattr(dgsl.linear_solver, "splu",
+                        lambda *a, **k: CountingFactor(original(*a, **k),
+                                                       reads))
+    return reads
+
+
+def counting(monkeypatch, module, name):
+    """Record one entry per call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture

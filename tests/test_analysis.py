@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import spsolve
 
 import dgsl
+import dgsl.linear_solver
 from dgsl import (AssemblyConfig, DGVector, assemble_bilinear, dg_error,
                   dg_norm_discrete, elliptic_project, interpolate, l2_error,
                   observed_orders)
@@ -14,7 +16,7 @@ from dgsl.errors import InsufficientLevels
 from dgsl.problems import ExactSolution
 from dgsl.properties import polynomial_field
 from dgsl.quadrature import edge_rule, triangle_rule
-from dgsl.space import edge_traces
+from dgsl.space import edge_traces, p1_prolongation
 
 from conftest import space_on, weak_form_load
 
@@ -300,6 +302,27 @@ def test_projection_is_linear(sine):
     p_combo = elliptic_project(space, combo, cfg)
     assert_allclose(p_combo.coeffs, 2.0 * p_sine.coeffs - 3.0 * p_lin.coeffs,
                     atol=1e-9)
+
+
+@pytest.mark.parametrize("r, penalty, reads", [
+    (2, 100.0, []),         # certified: the coarse factor alone
+    (1, 5.0, ["U"]),        # SPD, not certified: one fine factor proves it
+], ids=["certified", "pivots"])
+def test_projection_runs_two_level_pcg(sine, monkeypatch, factor_reads,
+                                       r, penalty, reads):
+    space, cfg = space_on(8, r), AssemblyConfig(penalty=penalty)
+    a = assemble_bilinear(space, cfg)
+    assert a.certified == (not reads)
+    factored = []
+    splu = dgsl.linear_solver.splu
+    monkeypatch.setattr(dgsl.linear_solver, "splu", lambda csc, **options:
+                        factored.append(csc.shape[0]) or splu(csc, **options))
+    proj = elliptic_project(space, sine.exact, cfg)
+    coarse = p1_prolongation(space).shape[1]
+    assert factored == ([a.dim] if reads else []) + [coarse]
+    assert factor_reads == reads
+    ref = spsolve(a.csr.tocsc(), apply_bilinear_to_field(space, sine.exact, cfg))
+    assert np.linalg.norm(proj.coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_observed_orders_power_law():

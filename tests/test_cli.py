@@ -113,7 +113,7 @@ def test_solver_failure_exit_code_and_partial_flush(tmp_path, capsys,
 
 
 def test_run_small_penalty_exits_solver_error(tmp_path, capsys):
-    # the direct solver's inertia certificate rejects the indefinite operator
+    # the pivots of the stiffness's factor reject the indefinite operator
     conf = tmp_path / "study.conf"
     out = tmp_path / "partial.csv"
     conf.write_text(BASIC_CONFIG + f"output.path = {out}\n")

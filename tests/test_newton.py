@@ -4,21 +4,21 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import SuperLU
+from scipy.sparse.linalg import SuperLU, spsolve
 
 import dgsl
 import dgsl.linear_solver
 import dgsl.newton
-from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear, solve_spd
+from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
 from dgsl.analysis import l2_norm_discrete
 from dgsl.assembly import NewtonKernel
-from dgsl.linear_solver import FACTOR_SOLVES
+from dgsl.linear_solver import LinearSolveReport
 from dgsl.errors import (ConfigError, IndefiniteOperator, NonFiniteValue,
                          NotConverged)
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
 
-from conftest import space_on
+from conftest import counting, space_on
 
 
 def linear_source_problem():
@@ -42,8 +42,8 @@ def test_linear_problem_takes_one_step_per_forcing_solve():
     assert report.converged
     assert report.iterations == 3
     kernel = NewtonKernel(space, problem, cfg)
-    exact, _ = solve_spd(kernel.stiffness,
-                         -kernel.residual(np.zeros(space.total_dofs)))
+    exact = spsolve(kernel.stiffness.csr.tocsc(),
+                    -kernel.residual(np.zeros(space.total_dofs)))
     assert np.linalg.norm(u.coeffs - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
@@ -128,7 +128,8 @@ def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads):
     # covered by the stiffness's certificate and runs PCG; the first step
     # takes u to about 4.8, where N' < 0 and the next Jacobian is
     # indefinite. It is outside the stiffness's proof, so it is factored
-    # and its own pivots must say so. (CG's curvature guard is covered by
+    # and its own pivots must say so before PCG runs. (CG's curvature
+    # guard is covered by
     # test_small_penalty_operator_is_detected_indefinite.)
     softening = Problem(
         name="softening",
@@ -143,24 +144,12 @@ def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads):
 
 
 def test_strongly_indefinite_propagates_from_direct_solver():
-    # the inertia certificate of the first factorization must say so
+    # N' = -50 < 0 everywhere: the pivots of the first Jacobian's factor
+    # must say that it is indefinite
     space = space_on(8, 1)
     with pytest.raises(IndefiniteOperator, match="negative pivots"):
         solve_semilinear(space, indefinite_problem(),
                          AssemblyConfig(penalty=100.0))
-
-
-def counting(monkeypatch, module, name):
-    """Record one entry per call of module.name."""
-    calls = []
-    original = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
 
 
 @pytest.fixture
@@ -173,10 +162,12 @@ def count_two_level(monkeypatch):
     return counting(monkeypatch, dgsl.newton, "two_level_preconditioner")
 
 
-def strip_certificates(monkeypatch):
-    """Drop assembly's certificate from every Newton Jacobian, so that
-    each goes through the factor and its pivots."""
-    monkeypatch.setattr(NewtonKernel, "certifies", lambda self, weighted: False)
+def direct_steps(monkeypatch):
+    """Solve every Newton step exactly with scipy's sparse direct solver,
+    as a reference for the preconditioned route."""
+    monkeypatch.setattr(
+        dgsl.newton, "solve_spd", lambda a, b, *args, **kwargs:
+        (spsolve(a.csr.tocsc(), b), LinearSolveReport(1, 0.0, True)))
 
 
 def solve_sine(sine, n, r):
@@ -206,42 +197,11 @@ def test_jacobian_factored_once_per_solve(sine, monkeypatch,
     # the reports keep no factor alive
     assert not any(isinstance(value, SuperLU) for lin in report.linear_reports
                    for value in vars(lin).values())
-    # reference: a fresh factorization of every Jacobian, each solved
-    # within the budget of a direct solve; no step runs PCG, so no
-    # two-level preconditioner is built
-    strip_certificates(monkeypatch)
+    # reference: every step solved exactly by a sparse direct solver
+    direct_steps(monkeypatch)
     u_ref, ref = solve_sine(sine, n, r)
-    assert len(count_two_level) == 1
-    assert len(count_factorizations) == 1 + ref.iterations
-    assert [lin.certificate for lin in ref.linear_reports] \
-        == ["pivots"] * ref.iterations
-    assert all(lin.iterations <= FACTOR_SOLVES for lin in ref.linear_reports)
     assert report.iterations == ref.iterations
     assert_close(u, u_ref)
-
-
-class CountingFactor:
-    """A SuperLU factor that records every read of its L and U copies,
-    each of which makes scipy build both."""
-
-    def __init__(self, lu, reads):
-        self._lu = lu
-        self._reads = reads
-
-    def __getattr__(self, name):
-        if name in ("L", "U"):
-            self._reads.append(name)
-        return getattr(self._lu, name)
-
-
-@pytest.fixture
-def factor_reads(monkeypatch):
-    reads = []
-    original = dgsl.linear_solver.splu
-    monkeypatch.setattr(dgsl.linear_solver, "splu",
-                        lambda *a, **k: CountingFactor(original(*a, **k),
-                                                       reads))
-    return reads
 
 
 def test_certified_newton_solve_never_reads_the_factors(sine, factor_reads):
@@ -249,8 +209,8 @@ def test_certified_newton_solve_never_reads_the_factors(sine, factor_reads):
     _, report = solve_sine(sine, 4, 3)
     assert report.converged
     # every step ran PCG with the solve's one preconditioner
-    assert [lin.certificate for lin in report.linear_reports] \
-        == [None] * report.iterations
+    assert [lin.method for lin in report.linear_reports] \
+        == ["pcg"] * report.iterations
     assert factor_reads == []
 
 
@@ -261,8 +221,8 @@ def test_small_penalty_reads_the_pivots_once(sine, factor_reads):
 
 
 def test_preconditioner_built_before_the_first_jacobian(sine, monkeypatch):
-    # the step's mass weights decide its certificate, so the two-level
-    # set-up never overlaps a live Jacobian
+    # the solve's one preconditioner is built before its loop, so the
+    # two-level set-up never overlaps a live Jacobian
     events = []
     build, jacobian = dgsl.newton.two_level_preconditioner, NewtonKernel.jacobian
     monkeypatch.setattr(dgsl.newton, "two_level_preconditioner",
@@ -273,21 +233,27 @@ def test_preconditioner_built_before_the_first_jacobian(sine, monkeypatch):
     assert events == ["build"] + ["J"] * report.iterations
 
 
-def test_newton_reports_how_each_factor_was_certified(sine,
+def test_wrong_sign_steps_are_proven_by_their_pivots(monkeypatch,
+                                                    count_factorizations,
+                                                    factor_reads,
                                                     count_two_level):
-    _, report = solve_sine(sine, 8, 1)
-    certificates = [lin.certificate for lin in report.linear_reports]
-    assert certificates == [None] * report.iterations
-    assert len(count_two_level) == 1
     # with N' < 0 the stiffness's proof does not cover the Jacobian, so
-    # every step is factored and only its pivots show that it is SPD;
-    # no step runs PCG, so no two-level preconditioner is built
+    # each step factors it once, only to read its pivots, and then runs
+    # PCG with the solve's one preconditioner, to its forcing term
+    space, cfg = space_on(4, 1), AssemblyConfig(penalty=100.0)
     with pytest.warns(UserWarning, match="N'"):
-        _, report = solve_semilinear(space_on(4, 1), wrong_sign_problem(),
-                                     AssemblyConfig(penalty=100.0))
-    assert [lin.certificate for lin in report.linear_reports] \
-        == ["pivots"] * report.iterations
+        u, report = solve_semilinear(space, wrong_sign_problem(), cfg)
+    assert report.iterations == 2
     assert len(count_two_level) == 1
+    assert len(count_factorizations) == 1 + report.iterations
+    assert factor_reads == ["U"] * report.iterations
+    assert [lin.method for lin in report.linear_reports] \
+        == ["pcg"] * report.iterations
+    # reference: every step solved exactly by a sparse direct solver
+    direct_steps(monkeypatch)
+    with pytest.warns(UserWarning, match="N'"):
+        u_ref, _ = solve_semilinear(space, wrong_sign_problem(), cfg)
+    assert_close(u, u_ref)
 
 
 def test_band_stiffness_is_proven_once_by_its_pivots(sine, monkeypatch,
@@ -302,13 +268,11 @@ def test_band_stiffness_is_proven_once_by_its_pivots(sine, monkeypatch,
     u, report = solve_semilinear(space, sine, cfg, ncfg)
     assert factor_reads == ["U"]
     assert len(count_two_level) == 1
-    assert [(lin.method, lin.certificate) for lin in report.linear_reports] \
-        == [("pcg", None)] * report.iterations
-    # reference: a fresh factorization of every Jacobian
-    strip_certificates(monkeypatch)
+    assert [lin.method for lin in report.linear_reports] \
+        == ["pcg"] * report.iterations
+    # reference: every step solved exactly by a sparse direct solver
+    direct_steps(monkeypatch)
     u_ref, ref = solve_semilinear(space, sine, cfg, ncfg)
-    assert [(lin.method, lin.certificate) for lin in ref.linear_reports] \
-        == [("direct", "pivots")] * ref.iterations
     assert report.iterations == ref.iterations
     assert_close(u, u_ref)
 
