@@ -12,6 +12,9 @@ jumps of u vanish, so [w] reduces to -[u_h] inside and (u - u_h) n on
 the boundary. Norm quadrature runs at degree 2r+4 so its error stays
 far below discretization error at every refinement level.
 
+Volume integrals read the cached tables of `assembly._volume_tables`,
+edge integrals `space.edge_fields` (a field) and `edge_traces` (basis).
+
 `apply_bilinear_to_field` builds a(w, phi_i) for a smooth w from the
 scheme's consistency, with no interior-edge term.
 """
@@ -25,9 +28,8 @@ from .assembly import (AssemblyConfig, _volume_stiffness_blocks,
 from .errors import ConfigError, InsufficientLevels
 from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import ExactSolution
-from .quadrature import edge_rule, triangle_rule
-from .space import (DGSpace, DGVector, edge_fields, edge_tables, edge_traces,
-                    p1_prolongation)
+from .quadrature import edge_rule
+from .space import DGSpace, DGVector, edge_fields, edge_traces, p1_prolongation
 
 
 def _analysis_degree(space):
@@ -39,13 +41,12 @@ def l2_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
     """Broken L2 distance between a field and an exact solution, or the
     L2 norm of the field when `exact` is None."""
     degree = quad_degree if quad_degree is not None else _analysis_degree(space)
-    rule = triangle_rule(degree)
-    btab = space.basis.values(rule.points)
-    diff = v.by_element() @ btab.T
+    vol = _volume_tables(space.degree, degree)
+    diff = v.by_element() @ vol.values.T
     if exact is not None:
-        pts = space.physical_points(rule.points)
+        pts = space.physical_points(vol.rule.points)
         diff = exact.value(pts[..., 0], pts[..., 1]) - diff
-    total = space.dets @ (diff ** 2 @ rule.weights)
+    total = space.dets @ (diff ** 2 @ vol.rule.weights)
     return float(np.sqrt(total))
 
 
@@ -87,18 +88,17 @@ def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
     or of v_h when `exact` is None."""
     # edge terms first: their temporaries and the volume's never coexist
     avg, jump = _edge_error_terms(space, v, exact, penalty)
-    rule = triangle_rule(_analysis_degree(space))
-    gtab = space.basis.gradients(rule.points)           # (Q, D, 2)
-    q, d = gtab.shape[:2]
+    vol = _volume_tables(space.degree, _analysis_degree(space))
+    q, d = vol.gradients.shape[:2]                      # (Q, D, 2)
     # matrix products, not einsum: numpy would run the einsums as loops
-    ref_g = v.by_element() @ gtab.transpose(1, 0, 2).reshape(d, -1)
+    ref_g = v.by_element() @ vol.gradients.transpose(1, 0, 2).reshape(d, -1)
     diff = ref_g.reshape(-1, q, 2) @ space.inv_jacobians
     if exact is not None:
-        pts = space.physical_points(rule.points)
+        pts = space.physical_points(vol.rule.points)
         gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
         diff = np.stack([gx, gy], axis=-1) - diff
-    vol = np.einsum("e,q,eqa->", space.dets, rule.weights, diff ** 2)
-    return float(np.sqrt(vol + avg + jump))
+    volume = np.einsum("e,q,eqa->", space.dets, vol.rule.weights, diff ** 2)
+    return float(np.sqrt(volume + avg + jump))
 
 
 def dg_norm_discrete(space: DGSpace, v: DGVector, penalty: float) -> float:
@@ -116,11 +116,10 @@ def apply_bilinear_to_field(space: DGSpace, w: ExactSolution,
                     + sum_{e on the boundary} int_e w (penalty / h_e phi - grad phi . n).
     """
     degree = _analysis_degree(space)
-    rule = triangle_rule(degree)
-    pts = space.physical_points(rule.points)
+    vol = _volume_tables(space.degree, degree)
+    pts = space.physical_points(vol.rule.points)
     lap = np.broadcast_to(w.laplacian(pts[..., 0], pts[..., 1]), pts.shape[:2])
-    out = -(space.dets[:, None] * rule.weights * lap) \
-        @ space.basis.values(rule.points)
+    out = -(space.dets[:, None] * vol.rule.weights * lap) @ vol.values
 
     erule = edge_rule(degree)
     edges = space.mesh.edges
@@ -180,13 +179,11 @@ def estimate_trace_constant(space: DGSpace) -> float:
     stiff = _volume_stiffness_blocks(space, vol)
 
     edges = space.mesh.edges
-    # a side's edge mass is h_e times one of six reference matrices
-    values, _ = edge_tables(r, tuple(erule.points))
-    ref_mass = (values.transpose(0, 2, 1) * erule.weights) @ values
     present = edges.tri >= 0
     tri = edges.tri[present]
     h_e = np.broadcast_to(edges.length[:, None], present.shape)[present][:, None, None]
-    edge_mass = h_e * ref_mass[(2 * edges.local + edges.flipped)[present]]
+    sides = edge_traces(space, erule.points)[0][present]     # (k, Q, D)
+    edge_mass = h_e * ((sides.transpose(0, 2, 1) * erule.weights) @ sides)
     denom = space.dets[tri, None, None] * mass_ref / h_e + h_e * stiff[tri]
     # the generalized eigenproblem reduces to a standard one through the
     # Cholesky factor L of denom: L^-1 edge_mass L^-T

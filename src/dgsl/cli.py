@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .assembly import AssemblyConfig
-from .convergence import (RunConfig, report_from_raw, run_convergence,
+from .convergence import (ConvergenceReport, RunConfig, run_convergence,
                           sweep_summary)
 from .errors import ConfigError, DgslError
 from .mesh import build_perturbed, build_structured, export_mesh
@@ -156,13 +156,13 @@ def cmd_run(args):
                               f"{out}, the table of an earlier penalty")
     finest = []
     for run_cfg, out in zip(runs, outputs):
-        raw = []
+        rows = []
         try:
             report = run_convergence(run_cfg,
-                                     progress=lambda i, row: raw.append(row))
+                                     progress=lambda i, row: rows.append(row))
         except DgslError:
             # flush the levels that finished; main reports the error
-            _write_output(report_from_raw(raw).serialize(cfg.output_format),
+            _write_output(ConvergenceReport(rows).serialize(cfg.output_format),
                           out)
             raise
         _write_output(report.serialize(cfg.output_format), out)

@@ -1,8 +1,9 @@
 """Mesh-refinement sweeps and their tabulated reports.
 
 A run solves the configured problem on each refinement level, measures
-both error norms against the manufactured solution, and tabulates
-(h, errors, observed orders, Newton iterations, unknown counts).
+both error norms against the manufactured solution, and builds that
+level's row (h, errors, orders against the level before, Newton
+iterations, unknown counts) once, when the level is done.
 Structured levels report the nominal size 1/n; perturbed and imported
 levels report the maximum element diameter. Identical configurations
 (including seeds) produce byte-identical CSV output.
@@ -162,38 +163,31 @@ class ConvergenceReport:
         return last.l2_order, last.dg_order
 
 
-def report_from_raw(raw) -> ConvergenceReport:
-    """Assemble a report from per-level (h, l2, dg, iters, dofs) tuples;
-    also used to flush partial results when a level fails."""
-    l2_orders = dg_orders = [None] * len(raw)
-    if len(raw) > 1:
-        l2_orders = [None] + observed_orders([(row[0], row[1]) for row in raw])
-        dg_orders = [None] + observed_orders([(row[0], row[2]) for row in raw])
-    rows = [ReportRow(h, e2, o2, ed, od, its, dofs)
-            for (h, e2, ed, its, dofs), o2, od in zip(raw, l2_orders, dg_orders)]
-    return ConvergenceReport(rows)
-
-
 def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
-    """Solve on every level and tabulate errors and observed orders."""
+    """Solve on every level and tabulate errors and observed orders;
+    `progress(index, row)` receives each level's ReportRow as it is done."""
     problem = get_problem(cfg.problem)
     acfg = cfg.assembly_config()
 
-    raw = []
+    rows = []
     for index in range(len(cfg.levels)):
         mesh = cfg.build_level_mesh(index)
         space = DGSpace(mesh, cfg.degree)
         solution, report = solve_semilinear(space, problem, acfg, cfg.newton)
         e_l2 = l2_error(space, solution, problem.exact)
         e_dg = dg_error(space, solution, problem.exact, cfg.penalty)
-        raw.append((mesh.nominal_h, e_l2, e_dg, report.iterations,
-                    space.total_dofs))
-        # ConfigError, before the level is reported, when a measured h
-        # fails to fall
-        table = report_from_raw(raw)
+        l2_order = dg_order = None
+        if rows:
+            # ConfigError, before the row is reported, if h fails to fall
+            prev = rows[-1]
+            h = mesh.nominal_h
+            l2_order, = observed_orders([(prev.h, prev.l2_error), (h, e_l2)])
+            dg_order, = observed_orders([(prev.h, prev.dg_error), (h, e_dg)])
+        rows.append(ReportRow(mesh.nominal_h, e_l2, l2_order, e_dg, dg_order,
+                              report.iterations, space.total_dofs))
         if progress is not None:
-            progress(index, raw[-1])
-    return table
+            progress(index, rows[-1])
+    return ConvergenceReport(rows)
 
 
 def sweep_summary(finest_rows) -> dict:

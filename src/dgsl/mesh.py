@@ -314,16 +314,18 @@ def import_mesh(text: str) -> TriMesh:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad coordinate") from exc
 
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for row, (lineno, toks) in enumerate(tokensets[1 + nv:]):
+    triangles = []
+    for lineno, toks in tokensets[1 + nv:]:
         if len(toks) != 3:
             raise ParseError(f"line {lineno}: expected 'i j k'")
         try:
-            triangles[row] = (int(toks[0]), int(toks[1]), int(toks[2]))
+            indices = [int(tok) for tok in toks]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad vertex index") from exc
-        if triangles[row].min() < 0 or triangles[row].max() >= nv:
+        # checked as Python ints, so an index past int64 cannot overflow
+        if not all(0 <= i < nv for i in indices):
             raise ParseError(f"line {lineno}: vertex index out of range")
+        triangles.append(indices)
 
     return TriMesh(vertices, triangles)
 

@@ -42,45 +42,35 @@ def _random_vector(space, rng):
     return DGVector(space, rng.standard_normal(space.total_dofs))
 
 
-def triangle_monomial_integral(a, b):
-    """Exact integral of x^a y^b over the reference triangle."""
-    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+def _monomial_defects(rule, total):
+    """Relative errors of `rule` on the monomials of total degree `total`
+    over its reference cell: t^a on [0, 1], with integral 1 / (a + 1), and
+    x^a y^b on the triangle, with integral a! b! / (a + b + 2)!."""
+    if rule.points.ndim == 1:
+        pairs = [(rule.points ** total, 1.0 / (total + 1))]
+    else:
+        x, y = rule.points.T
+        pairs = [(x ** a * y ** (total - a), math.factorial(a)
+                  * math.factorial(total - a) / math.factorial(total + 2))
+                 for a in range(total + 1)]
+    return [abs(float(rule.weights @ f) - exact) / exact for f, exact in pairs]
 
 
 def check_quadrature(overrides):
     worst = 0.0
     tight_ok = True
-    for degree in range(1, MAX_TRIANGLE_DEGREE + 1):
-        rule = triangle_rule(degree)
-        if rule.weights.min() <= 0.0:
-            return CheckResult("quadrature", False,
-                               f"negative weight at triangle degree {degree}")
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        for total in range(rule.exactness_degree + 1):
-            for a in range(total + 1):
-                b = total - a
-                exact = triangle_monomial_integral(a, b)
-                got = float(rule.weights @ (x ** a * y ** b))
-                worst = max(worst, abs(got - exact) / abs(exact))
-        probe = rule.exactness_degree + 2
-        devs = [abs(float(rule.weights @ (x ** a * y ** (probe - a)))
-                    - triangle_monomial_integral(a, probe - a))
-                / triangle_monomial_integral(a, probe - a)
-                for a in range(probe + 1)]
-        tight_ok = tight_ok and max(devs) > 1e-13
-    for degree in range(1, MAX_EDGE_DEGREE + 1):
-        rule = edge_rule(degree)
-        if rule.weights.min() <= 0.0:
-            return CheckResult("quadrature", False,
-                               f"negative weight at edge degree {degree}")
-        t = rule.points
-        for a in range(rule.exactness_degree + 1):
-            exact = 1.0 / (a + 1)
-            got = float(rule.weights @ t ** a)
-            worst = max(worst, abs(got - exact) / exact)
-        probe = rule.exactness_degree + 2
-        dev = abs(float(rule.weights @ t ** probe) - 1.0 / (probe + 1)) * (probe + 1)
-        tight_ok = tight_ok and dev > 1e-13
+    for family, make_rule, max_degree in (("triangle", triangle_rule, MAX_TRIANGLE_DEGREE),
+                                          ("edge", edge_rule, MAX_EDGE_DEGREE)):
+        for degree in range(1, max_degree + 1):
+            rule = make_rule(degree)
+            if rule.weights.min() <= 0.0:
+                return CheckResult("quadrature", False,
+                                   f"negative weight at {family} degree {degree}")
+            for total in range(rule.exactness_degree + 1):
+                worst = max(worst, *_monomial_defects(rule, total))
+            # a rule must miss some monomial two degrees above its claim
+            probe = rule.exactness_degree + 2
+            tight_ok = tight_ok and max(_monomial_defects(rule, probe)) > 1e-13
     passed = worst <= 1e-12 and tight_ok
     return CheckResult("quadrature", passed,
                        f"max relative exactness defect {worst:.2e}, "

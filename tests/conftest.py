@@ -3,6 +3,7 @@ import pytest
 
 import dgsl
 import dgsl.linear_solver
+import dgsl.newton
 from dgsl.quadrature import edge_rule, triangle_rule
 from dgsl.space import edge_traces
 
@@ -57,6 +58,19 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+@pytest.fixture
+def uphill_steps(monkeypatch):
+    """Negate every Newton step, so that no backtracking length lowers
+    the residual."""
+    solve = dgsl.newton.solve_spd
+
+    def negated(*args, **kwargs):
+        delta, report = solve(*args, **kwargs)
+        return -delta, report
+
+    monkeypatch.setattr(dgsl.newton, "solve_spd", negated)
 
 
 @pytest.fixture

@@ -189,6 +189,36 @@ def test_norms_never_build_per_edge_basis_tables(monkeypatch, rng):
     assert second.hits > first.hits
 
 
+def test_norms_reuse_the_cached_volume_tables(monkeypatch, rng):
+    # after one call at a degree, the volume rule's basis values and
+    # gradients come from assembly's cache, not from the basis again
+    space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, 5), 2)
+    v = DGVector(space, rng.standard_normal(space.total_dofs))
+    cfg = AssemblyConfig(penalty=10.0)
+    calls = [lambda: l2_error(space, v, linear_exact()),
+             lambda: dg_error(space, v, linear_exact(), 10.0),
+             lambda: dg_norm_discrete(space, v, 10.0),
+             lambda: apply_bilinear_to_field(space, linear_exact(), cfg)]
+    for call in calls:
+        call()
+    evaluated = []
+    basis = dgsl.basis.ReferenceBasis
+
+    def recording(name):
+        original = getattr(basis, name)
+
+        def wrapper(self, points):
+            evaluated.append(name)
+            return original(self, points)
+        return wrapper
+
+    for name in ("values", "gradients"):
+        monkeypatch.setattr(basis, name, recording(name))
+    for call in calls:
+        call()
+    assert evaluated == []
+
+
 def test_trace_constant_matches_per_edge_einsum():
     # the edge mass of each side is h_e times a reference matrix; the
     # reference builds it per edge from the basis traces

@@ -112,6 +112,16 @@ def test_solver_failure_exit_code_and_partial_flush(tmp_path, capsys,
     assert out.read_text().startswith(CSV_HEADER)
 
 
+def test_run_newton_divergence_exits_solver_error(tmp_path, capsys,
+                                                  uphill_steps):
+    # backtracking gives up on the first level, so no row is written
+    out = tmp_path / "partial.csv"
+    assert main(["run", "--set", "mesh.levels=4,8",
+                 "--set", f"output.path={out}"]) == EXIT_SOLVER
+    assert "NewtonDiverged" in capsys.readouterr().err
+    assert out.read_text() == CSV_HEADER + "\n"
+
+
 def test_run_small_penalty_exits_solver_error(tmp_path, capsys):
     # the pivots of the stiffness's factor reject the indefinite operator
     conf = tmp_path / "study.conf"
@@ -305,14 +315,23 @@ BAD_INPUTS = {
     "verify_nan_penalty": ["verify", "--set", "penalty=nan"],
     "verify_unknown_key": ["verify", "--set", "foo=1"],
     "removed_newton_key": ["run", "--set", "newton.damping=off"],
+    # {mesh} is a file whose triangle line holds an index of 2^63 + 1
+    "mesh_index_past_int64": ["run", "--set", "mesh.kind=files",
+                              "--set", "mesh.levels={mesh}"],
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_config_error_before_running(argv, tmp_path, capsys):
+def test_bad_input_exits_config_error_before_running(argv, tmp_path,
+                                                     tmp_path_factory, capsys):
     out = tmp_path / "out.csv"
+    mesh = tmp_path_factory.mktemp("mesh") / "index_overflow.txt"
+    mesh.write_text(f"3 1\n0 0\n1 0\n0 1\n0 1 {2 ** 63 + 1}\n")
+    argv = [arg.format(mesh=mesh) for arg in argv]
     if argv[0] == "run":
-        argv = argv + ["--set", "mesh.levels=4", "--set", f"output.path={out}"]
+        # the input's own settings come last, so they win
+        argv = argv[:1] + ["--set", "mesh.levels=4",
+                           "--set", f"output.path={out}"] + argv[1:]
     elif argv[0] == "mesh":
         argv = argv + ["--out", str(out)]
     assert main(argv) == EXIT_CONFIG

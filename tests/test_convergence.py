@@ -30,6 +30,15 @@ def test_single_level_has_no_orders():
     assert row.dofs == 2 * 16 * 3
 
 
+def test_progress_receives_the_report_rows_in_order():
+    seen = []
+    report = run_convergence(tiny_config(levels=(2, 4, 8)),
+                             progress=lambda index, row: seen.append((index, row)))
+    assert [index for index, _ in seen] == [0, 1, 2]
+    assert all(row is kept for (_, row), kept in zip(seen, report.rows))
+    assert len(seen) == len(report.rows)
+
+
 def test_csv_layout():
     report = run_convergence(tiny_config())
     lines = report.to_csv().strip().split("\n")

@@ -251,3 +251,19 @@ def test_two_level_pcg_agrees_with_direct_solve(sine, rng, r):
     x, report = solve_spd(jac, b, two_level(kernel.stiffness, space), tol=1e-12)
     assert report.converged and report.method == "pcg"
     assert np.linalg.norm(x - x_dir) <= 1e-9 * np.linalg.norm(x_dir)
+
+
+def test_symmetric_factor_rejects_an_off_diagonal_pivot():
+    # the zero diagonal of [[0, 1], [1, 0]] forces a row exchange
+    swap = sparse.bsr_matrix(sparse.block_diag(
+        [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]), blocksize=(2, 2))
+    with pytest.raises(IndefiniteOperator, match="off-diagonal pivot"):
+        linear_solver.symmetric_factor(SparseSymMatrix(swap))
+
+
+def test_solve_spd_rejects_an_indefinite_preconditioner():
+    a = assemble_bilinear(space_on(2, 1), AssemblyConfig(penalty=100.0))
+    b = np.ones(a.dim)
+    with pytest.raises(IndefiniteOperator,
+                       match="preconditioned residual product"):
+        linear_solver.solve_spd(a, b, lambda r: -r)

@@ -12,8 +12,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import dgsl
 from dgsl import build_perturbed, build_structured, export_mesh, import_mesh
-from dgsl.errors import (ConfigError, NonConformingMesh, ParseError,
-                         PerturbationFoldover)
+from dgsl.errors import (ConfigError, DgslError, NonConformingMesh,
+                         ParseError, PerturbationFoldover)
 
 UNIT_SQUARE_TWO_TRIANGLES = """\
 # unit square, two triangles
@@ -162,10 +162,27 @@ def test_import_reorients_clockwise():
     ("3 1\n0 0\n1 x\n0 1\n0 1 2\n", "bad coordinate"),
     ("3 1\n0 0\n1 0\n0 1\n0 1 2\n7 8 9\n", "content lines"),
     ("3 1\n0 0 5\n1 0\n0 1\n0 1 2\n", "expected 'x y'"),
+    ("3\n0 0\n1 0\n0 1\n0 1 2\n", "line 1: expected 'nv nt' header"),
+    ("3 one\n0 0\n1 0\n0 1\n0 1 2\n", "line 1: non-integer header"),
+    ("3 1\n0 0\n1 0\n0 1\n0 1\n", "line 5: expected 'i j k'"),
+    ("3 1\n0 0\n1 0\n0 1\n0 1 2.0\n", "line 5: bad vertex index"),
+    # an index past int64 is range-checked before it is stored
+    ("3 1\n0 0\n1 0\n0 1\n0 1 99999999999999999999\n",
+     "line 5: vertex index out of range"),
 ])
 def test_import_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         import_mesh(text)
+
+
+@pytest.mark.parametrize("vertices,triangles,fragment", [
+    (np.zeros((3, 3)), [[0, 1, 2]], r"vertices must be an \(nv, 2\) array"),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1]], r"triangles must be an \(nt, 3\) array"),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]], "triangle vertex index out of range"),
+])
+def test_trimesh_rejects_malformed_arrays(vertices, triangles, fragment):
+    with pytest.raises(ParseError, match=fragment):
+        dgsl.TriMesh(vertices, triangles)
 
 
 def test_non_finite_vertex_rejected():
@@ -189,6 +206,34 @@ def test_import_rejects_non_finite_coordinates(n, bad, data):
     lines[1 + vertex] = " ".join(coords)
     with pytest.raises(ParseError, match=f"vertex {vertex} has a non-finite"):
         import_mesh("\n".join(lines) + "\n")
+
+
+HUGE = st.integers(2 ** 62, 2 ** 70)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), data=st.data(), token=st.one_of(
+    HUGE.map(str), HUGE.map(lambda m: str(-m)),
+    st.sampled_from(["x", "1.5e", "--", "0x10", "1_0_"])))
+def test_import_survives_one_replaced_token(n, data, token):
+    # only a DgslError may escape, and a triangle line with an index no
+    # vertex has names the line
+    lines = export_mesh(build_perturbed(n, 0.1, n)).splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row].split()
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = token
+    lines[row] = " ".join(tokens)
+    try:
+        import_mesh("\n".join(lines) + "\n")
+    except DgslError as exc:
+        error = exc
+    else:
+        error = None
+    if row > (n + 1) ** 2:
+        numeric = token.lstrip("-").isdigit()
+        assert isinstance(error, ParseError)
+        assert str(error) == f"line {row + 1}: " + (
+            "vertex index out of range" if numeric else "bad vertex index")
 
 
 @settings(max_examples=40, deadline=None)

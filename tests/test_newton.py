@@ -13,8 +13,8 @@ from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
 from dgsl.analysis import l2_norm_discrete
 from dgsl.assembly import NewtonKernel
 from dgsl.linear_solver import LinearSolveReport
-from dgsl.errors import (ConfigError, IndefiniteOperator, NonFiniteValue,
-                         NotConverged)
+from dgsl.errors import (ConfigError, IndefiniteOperator, NewtonDiverged,
+                         NonFiniteValue, NotConverged)
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
 
@@ -322,3 +322,13 @@ def test_backtracking_steps_back_from_non_finite_trial():
     assert report.converged
     assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
         <= 1e-10 * np.linalg.norm(u_ref.coeffs)
+
+
+def test_newton_diverged_when_no_step_lowers_the_residual(sine, uphill_steps):
+    with pytest.raises(NewtonDiverged, match="after 30 backtracking steps") \
+            as info:
+        solve_semilinear(space_on(4, 1), sine, AssemblyConfig(penalty=100.0))
+    report = info.value.report
+    assert len(report.residual_norms) == 1
+    assert len(report.linear_reports) == 1
+    assert not report.converged

@@ -1,7 +1,11 @@
 """Property-suite plumbing: selectors, overrides, failure reporting."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import dgsl.properties
 from dgsl.properties import SUITES, run_property_suite
 
 
@@ -39,3 +43,32 @@ def test_result_line_format():
     line = result.line()
     assert line.startswith("PASS") or line.startswith("FAIL")
     assert "quadrature" in line
+
+
+# each fault is applied to the degree-3 rule of one family; the quadrature
+# suite must name it
+RULE_FAULTS = {
+    "weight_nudged": (lambda rule: dataclasses.replace(
+        rule, weights=rule.weights + 1e-9 * (np.arange(len(rule)) == 0)),
+        "tightness ok"),                 # the exactness defect alone fails
+    "negative_weight": (lambda rule: dataclasses.replace(
+        rule, weights=np.where(np.arange(len(rule)) == 0, -rule.weights,
+                               rule.weights)),
+        "negative weight at {family} degree 3"),
+    "claims_two_degrees_less": (lambda rule: dataclasses.replace(
+        rule, exactness_degree=rule.exactness_degree - 2),
+        "tightness violated"),
+}
+
+
+@pytest.mark.parametrize("family", ["triangle", "edge"])
+@pytest.mark.parametrize("fault", RULE_FAULTS)
+def test_quadrature_suite_fails_on_a_broken_rule(family, fault, monkeypatch):
+    breaks, detail = RULE_FAULTS[fault]
+    name = f"{family}_rule"
+    original = getattr(dgsl.properties, name)
+    monkeypatch.setattr(dgsl.properties, name, lambda degree: breaks(
+        original(degree)) if degree == 3 else original(degree))
+    (result,) = run_property_suite("quadrature")
+    assert not result.passed
+    assert detail.format(family=family) in result.detail
