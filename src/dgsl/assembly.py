@@ -20,8 +20,11 @@ into the BSR data, so assembly's peak stays within twice its matrix.
 The operator is kept in its element-block form, a `bsr_matrix` with one
 (D, D) block per element and two per interior edge; every block is
 stored in full. The Newton Jacobian only adds element-diagonal mass
-blocks to the stiffness, so `NewtonKernel` writes them into a copy of
-the stiffness blocks at fixed positions and reuses its index arrays.
+blocks to the stiffness, so `NewtonKernel.jacobian` adds them into the
+stiffness's own diagonal blocks, `ELEMENT_CHUNK` elements at a time,
+for the span of one `with` block, and copies the saved blocks back when
+it ends: a Newton step holds no second matrix, and the stiffness is
+bit-identical after every step.
 
 Assembly also certifies coercivity edge by edge (`_local_certificate`);
 the verdict travels as `SparseSymMatrix.certified`, and a stiffness
@@ -29,6 +32,7 @@ without it is proven by its pivots when it is preconditioned
 (`linear_solver.two_level_preconditioner`).
 """
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -96,7 +100,10 @@ class SparseSymMatrix:
         return float(np.abs(diff.data).max()) if diff.nnz else 0.0
 
     def max_abs(self):
-        return float(np.abs(self.csr.data).max()) if self.csr.nnz else 0.0
+        """max |a_ij| (0 for an empty matrix), without a temporary the
+        size of the matrix."""
+        data = self.csr.data
+        return float(max(data.max(), -data.min())) if data.size else 0.0
 
 
 class _VolumeTables:
@@ -272,16 +279,21 @@ def _diagonal_block_positions(a: SparseSymMatrix):
     return positions
 
 
+# elements per chunk of the source evaluation and the mass add: a
+# chunk's arrays stay far below the matrix
+ELEMENT_CHUNK = 2048
+
+
 class NewtonKernel:
     """Residual and Jacobian of one problem on one space, as matrix
     products against tables computed once per solve.
 
     Holds the volume tables V (Q, D) and V (x) V (Q, D^2), the measure
     dets x weights (E, Q), the source g at the quadrature points
-    (evaluated and checked once) and the positions of the
-    element-diagonal blocks in the stiffness. The Jacobian is a copy of
-    the stiffness values with the N'(u_h)-weighted mass blocks added in
-    place; it shares the stiffness's `indices` and `indptr`.
+    (evaluated in element chunks and checked once) and the positions of
+    the element-diagonal blocks in the stiffness. A Jacobian is the
+    stiffness itself with the N'(u_h)-weighted mass blocks added in
+    place, for the span of one `jacobian` block.
     """
 
     def __init__(self, space: DGSpace, problem, cfg: AssemblyConfig,
@@ -295,10 +307,12 @@ class NewtonKernel:
         self.values = vol.values
         self.value_pairs = vol.value_pairs
         self.measure = space.dets[:, None] * vol.rule.weights[None, :]
-        pts = space.physical_points(vol.rule.points)
-        self.source = np.broadcast_to(
-            _finite(problem.source(pts[..., 0], pts[..., 1]), "the source g(x, y)"),
-            self.measure.shape)
+        self.source = np.empty(self.measure.shape)
+        for lo in range(0, space.num_elements, ELEMENT_CHUNK):
+            chunk = slice(lo, lo + ELEMENT_CHUNK)
+            pts = space.physical_points(vol.rule.points, chunk)
+            self.source[chunk] = _finite(problem.source(
+                pts[..., 0], pts[..., 1]), "the source g(x, y)")
         self.diagonal_positions = _diagonal_block_positions(self.stiffness)
 
     def point_values(self, u: np.ndarray) -> np.ndarray:
@@ -307,7 +321,8 @@ class NewtonKernel:
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
-        solution up to solver tolerance."""
+        solution up to solver tolerance. Inside a `jacobian` block the
+        stiffness holds J, so call it outside one."""
         return self.stiffness @ u - _nonlinear_load(self, u)
 
     def mass_weights(self, u: np.ndarray) -> np.ndarray:
@@ -315,16 +330,37 @@ class NewtonKernel:
         weight = self.problem.d_nonlinearity(self.point_values(u))
         return self.measure * _finite(weight, "the mass weight N'(u)")
 
-    def jacobian(self, u: np.ndarray, weighted=None) -> SparseSymMatrix:
-        """The stiffness plus the mass matrix weighted with N'(u_h) = -f_u;
-        `weighted`, if given, is `mass_weights(u)`."""
-        weighted = self.mass_weights(u) if weighted is None else weighted
-        mass = weighted @ self.value_pairs
-        a = self.stiffness.csr
-        data = a.data.copy()
-        data[self.diagonal_positions] += mass.reshape(-1, *a.blocksize)
-        return SparseSymMatrix(
-            sparse.bsr_matrix((data, a.indices, a.indptr), shape=a.shape))
+    def add_mass(self, weighted: np.ndarray):
+        """Add the mass blocks with weights `weighted` (`mass_weights`)
+        into the stiffness's diagonal blocks, one element chunk at a
+        time, so no (E, D^2) temporary is built."""
+        data, positions = self.stiffness.csr.data, self.diagonal_positions
+        d = self.space.dofs_per_element
+        for lo in range(0, len(positions), ELEMENT_CHUNK):
+            chunk = slice(lo, lo + ELEMENT_CHUNK)
+            data[positions[chunk]] += \
+                (weighted[chunk] @ self.value_pairs).reshape(-1, d, d)
+
+    @contextlib.contextmanager
+    def jacobian(self, u: np.ndarray, weighted=None):
+        """Within the block, the stiffness plus the mass matrix weighted
+        with N'(u_h) = -f_u; `weighted`, if given, is `mass_weights(u)`.
+
+        Yields the stiffness's own matrix, uncertified, with the mass
+        added in place (`add_mass`); the diagonal blocks saved on entry
+        are copied back on exit, also when the block raises, so the
+        stiffness is bit-identical afterwards. A caller that needs J
+        past the block, or beside A, copies it inside.
+        """
+        data, positions = self.stiffness.csr.data, self.diagonal_positions
+        saved = data[positions]
+        try:
+            self.add_mass(self.mass_weights(u) if weighted is None
+                          else weighted)
+            del weighted   # the step's solve need not keep the weights
+            yield SparseSymMatrix(self.stiffness.csr)
+        finally:
+            data[positions] = saved
 
 
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:

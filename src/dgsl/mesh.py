@@ -153,8 +153,20 @@ class TriMesh:
     """
 
     def __init__(self, vertices, triangles, nominal_h=None):
-        self.vertices = np.array(vertices, dtype=float)
-        self.triangles = np.array(triangles, dtype=np.int64)
+        # Python lists may hold what numpy cannot store: ints past int64
+        # (OverflowError), strings or ragged rows (ValueError, TypeError)
+        try:
+            self.vertices = np.array(vertices, dtype=float)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ParseError(f"vertices must be an (nv, 2) array of "
+                             f"numbers: {exc}") from exc
+        try:
+            self.triangles = np.array(triangles, dtype=np.int64)
+        except OverflowError as exc:
+            raise ParseError("triangle vertex index out of range") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"triangles must be an (nt, 3) array of "
+                             f"integers: {exc}") from exc
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ParseError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:

@@ -5,7 +5,12 @@ Each step solves J(u^k) delta = -residual(u^k) with the exact Jacobian
 delta where alpha comes from residual-decrease backtracking. The
 stiffness, the source at the quadrature points and the block pattern
 are set up once per solve in an `assembly.NewtonKernel`; each residual
-and Jacobian is then one matrix product against its tables.
+is then one matrix product against its tables. Each step's Jacobian is
+the stiffness itself with its mass blocks added in place: the step's
+factor and solve run inside the kernel's `jacobian` block, which
+restores the stiffness exactly, and the residuals and backtracking run
+after it. The preconditioner, built from the stiffness before the loop,
+holds copies of what it needs.
 
 Under the sign assumption N' >= 0 every Jacobian is the stiffness plus
 a positive semidefinite mass term, so one proof that the stiffness is
@@ -129,15 +134,16 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         if res_norm <= threshold:
             break
         weighted = kernel.mass_weights(u)
-        jac = kernel.jacobian(u, weighted)
-        if weighted.min() < 0.0:
-            symmetric_factor(jac)   # its pivots prove J, or this raises
-        del weighted
-        delta, lin = solve_spd(
-            jac, -res, precondition,
-            tol=_forcing_term(res_norm, first_norm, threshold))
+        # J lives in the stiffness's storage until the block ends, so the
+        # residuals below run after it
+        with kernel.jacobian(u, weighted) as jac:
+            if weighted.min() < 0.0:
+                symmetric_factor(jac)   # its pivots prove J, or this raises
+            del weighted
+            delta, lin = solve_spd(
+                jac, -res, precondition,
+                tol=_forcing_term(res_norm, first_norm, threshold))
         report.linear_reports.append(lin)
-        del jac  # else the next Jacobian is built while this one is alive
 
         alpha = 1.0
         for _ in range(MAX_BACKTRACKS + 1):

@@ -109,9 +109,9 @@ def check_symmetry(overrides):
         cfg = AssemblyConfig(penalty=penalty)
         a = assemble_bilinear(space, cfg)
         worst = max(worst, a.max_asymmetry() / a.max_abs())
-        jac = NewtonKernel(space, problem, cfg, stiffness=a).jacobian(
-            _random_vector(space, rng).coeffs)
-        worst = max(worst, jac.max_asymmetry() / jac.max_abs())
+        kernel = NewtonKernel(space, problem, cfg, stiffness=a)
+        with kernel.jacobian(_random_vector(space, rng).coeffs) as jac:
+            worst = max(worst, jac.max_asymmetry() / jac.max_abs())
     return CheckResult("symmetry", worst <= 1e-12,
                        f"max relative asymmetry {worst:.2e}")
 
@@ -209,12 +209,13 @@ def check_jacobian_fd(overrides):
         kernel = NewtonKernel(space, problem, AssemblyConfig(penalty=100.0))
         u = interpolate(space, problem.exact.value)
         u.coeffs += 0.1 * rng.standard_normal(space.total_dofs)
-        jac = kernel.jacobian(u.coeffs)
         d = rng.standard_normal(space.total_dofs)
         eps = 1e-6
+        # the residuals read the stiffness, so they come before J's block
         fd = (kernel.residual(u.coeffs + eps * d)
               - kernel.residual(u.coeffs - eps * d)) / (2 * eps)
-        jd = jac @ d
+        with kernel.jacobian(u.coeffs) as jac:
+            jd = jac @ d
         worst = max(worst, float(np.linalg.norm(fd - jd) / np.linalg.norm(jd)))
     return CheckResult("jacobian_fd", worst <= 1e-6,
                        f"max relative FD mismatch {worst:.2e}")

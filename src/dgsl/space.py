@@ -58,15 +58,17 @@ class DGSpace:
                     self.inv_jacobians, self.node_coords):
             arr.setflags(write=False)
 
-    def physical_points(self, ref_points):
-        """Map reference points into every element, shape (E, npts, 2)."""
+    def physical_points(self, ref_points, select=slice(None)):
+        """Map reference points into the elements `select` picks (default
+        all), shape (m, npts, 2); each element's points do not depend on
+        the selection."""
         ref = np.atleast_2d(ref_points)
-        jac = self.jacobians
+        jac = self.jacobians[select]
         # J x as two broadcast products: four times faster than the
         # equivalent einsum, with the same rounding
         mapped = jac[:, None, :, 0] * ref[None, :, 0, None] \
             + jac[:, None, :, 1] * ref[None, :, 1, None]
-        return mapped + self.origins[:, None, :]
+        return mapped + self.origins[select][:, None, :]
 
 
 @dataclass

@@ -167,6 +167,22 @@ def zero_problem():
                    source=lambda x, y: 0.0 * x)
 
 
+def test_max_abs_reads_the_extremes_without_a_matrix_sized_temporary():
+    a = assemble_bilinear(space_on(16, 2), AssemblyConfig(penalty=100.0))
+    # the stiffness's largest entry is positive; its negation's is not
+    for m in (a, dgsl.SparseSymMatrix(-a.csr)):
+        tracemalloc.start()
+        try:
+            value = m.max_abs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == np.abs(m.csr.data).max()
+        assert peak <= 0.01 * m.csr.data.nbytes, peak
+    for empty in (sparse.bsr_matrix((0, 0)), sparse.bsr_matrix((4, 4))):
+        assert dgsl.SparseSymMatrix(empty).max_abs() == 0.0
+
+
 def test_zero_source_zero_state_residual_vanishes():
     space = space_on(2, 1)
     cfg = AssemblyConfig(penalty=100.0)
@@ -196,8 +212,9 @@ def test_jacobian_with_unit_weight_is_stiffness_plus_mass(rng):
                      d_nonlinearity=lambda u: np.ones_like(u),
                      source=lambda x, y: 0.0 * x)
     kernel = NewtonKernel(space, linear, cfg)
-    jac = kernel.jacobian(rng.standard_normal(space.total_dofs))
-    mass = jac.csr - kernel.stiffness.csr
+    stiffness = kernel.stiffness.csr.copy()
+    with kernel.jacobian(rng.standard_normal(space.total_dofs)) as jac:
+        mass = jac.csr - stiffness
     for _ in range(5):
         v = DGVector(space, rng.standard_normal(space.total_dofs))
         assert_allclose(float(v.coeffs @ (mass @ v.coeffs)),
@@ -211,12 +228,12 @@ def test_jacobian_matches_central_differences(sine, rng):
     u = interpolate(space, sine.exact.value)
     u.coeffs += 0.05 * rng.standard_normal(space.total_dofs)
     kernel = NewtonKernel(space, sine, cfg, stiffness=a)
-    jac = kernel.jacobian(u.coeffs)
     d = rng.standard_normal(space.total_dofs)
     eps = 1e-6
     fd = (kernel.residual(u.coeffs + eps * d)
           - kernel.residual(u.coeffs - eps * d)) / (2 * eps)
-    jd = jac @ d
+    with kernel.jacobian(u.coeffs) as jac:
+        jd = jac @ d
     assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
 
 
@@ -225,11 +242,14 @@ def test_cubic_nonlinearity_jacobian_dominates_stiffness(sine, rng):
     space = space_on(3, 1)
     cfg = AssemblyConfig(penalty=100.0)
     a = assemble_bilinear(space, cfg)
-    jac = NewtonKernel(space, sine, cfg, stiffness=a).jacobian(
-        rng.standard_normal(space.total_dofs))
-    for _ in range(20):
-        v = rng.standard_normal(space.total_dofs)
-        assert float(v @ (jac @ v)) >= float(v @ (a @ v)) - 1e-10
+    kernel = NewtonKernel(space, sine, cfg, stiffness=a)
+    u = rng.standard_normal(space.total_dofs)
+    vs = rng.standard_normal((20, space.total_dofs))
+    # a @ v reads the stiffness, so before J's block
+    quads = [float(v @ (a @ v)) for v in vs]
+    with kernel.jacobian(u) as jac:
+        for v, quad in zip(vs, quads):
+            assert float(v @ (jac @ v)) >= quad - 1e-10
 
 
 def test_consistency_with_strong_form(sine):
@@ -399,8 +419,9 @@ def test_kernel_matches_per_call_formulas(sine, r, rng):
         u = rng.standard_normal(space.total_dofs)
         assert max_rel(kernel.residual(u),
                        oracle_residual(space, u, sine, cfg, a)) <= 1e-13
-        assert max_rel(kernel.jacobian(u).csr.toarray(),
-                       oracle_jacobian(space, u, sine, cfg, a).toarray()) <= 1e-13
+        expected = oracle_jacobian(space, u, sine, cfg, a).toarray()
+        with kernel.jacobian(u) as jac:
+            assert max_rel(jac.csr.toarray(), expected) <= 1e-13
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -408,11 +429,12 @@ def test_jacobian_shares_the_stiffness_pattern(sine, r, rng):
     space = perturbed_space(r)
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=37.0))
     a = kernel.stiffness.csr
-    jac = kernel.jacobian(rng.standard_normal(space.total_dofs)).csr
-    assert np.array_equal(jac.indices, a.indices)
-    assert np.array_equal(jac.indptr, a.indptr)
-    assert np.shares_memory(jac.indices, a.indices)
-    assert not np.shares_memory(jac.data, a.data)
+    before = a.data.tobytes()
+    with kernel.jacobian(rng.standard_normal(space.total_dofs)) as jac:
+        # J is the stiffness's own storage, mass added in place
+        assert jac.csr is a and not jac.certified
+        assert a.data.tobytes() != before
+    assert a.data.tobytes() == before
 
 
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])
@@ -529,6 +551,27 @@ def test_a_failure_in_any_chunk_fails_the_certificate(monkeypatch):
         for chunk in (1, 7, len(mesh.edges)):
             monkeypatch.setattr(dgsl.assembly, "EDGE_CHUNK", chunk)
             assert not assemble_bilinear(space, cfg).certified, (r, chunk)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_element_chunks_cover_every_element_once(sine, r, rng, monkeypatch):
+    # the source is pointwise, so every chunking gives the same bytes; a
+    # chunk's mass product may round differently from a whole-array one
+    # in the last bit (BLAS picks its kernels and threads by size)
+    space = perturbed_space(r)
+    cfg = AssemblyConfig(penalty=37.0)
+    a = assemble_bilinear(space, cfg)
+    u = rng.standard_normal(space.total_dofs)
+    vol = _volume_tables(r, cfg.resolved_volume_degree(r))
+    pts = space.physical_points(vol.rule.points)
+    source = sine.source(pts[..., 0], pts[..., 1])
+    expected = oracle_jacobian(space, u, sine, cfg, a).toarray()
+    for chunk in (1, 7, space.num_elements, 3 * space.num_elements):
+        monkeypatch.setattr(dgsl.assembly, "ELEMENT_CHUNK", chunk)
+        kernel = NewtonKernel(space, sine, cfg, stiffness=a)
+        assert kernel.source.tobytes() == source.tobytes(), chunk
+        with kernel.jacobian(u) as jac:
+            assert max_rel(jac.csr.toarray(), expected) <= 1e-13, chunk
 
 
 @pytest.mark.parametrize("r", [1, 3])

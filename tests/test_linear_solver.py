@@ -111,13 +111,15 @@ def test_pcg_solve_accepted_at_rounding_floor(sine):
     space = space_on(16, 1)
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=2000.0))
     u = np.zeros(kernel.stiffness.dim)
-    a = CountingMatrix(kernel.jacobian(u).csr)
     b = -kernel.residual(u)
-    x, report = solve_spd(a, b, two_level(kernel.stiffness, space), tol=1e-12)
+    precondition = two_level(kernel.stiffness, space)
+    with kernel.jacobian(u) as jac:
+        a = CountingMatrix(jac.csr)
+        x, report = solve_spd(a, b, precondition, tol=1e-12)
+        x_ref = direct_reference(a, b)
     assert report.converged
     assert report.relative_residual > 1e-12
     assert a.max_abs_reads == 1
-    x_ref = direct_reference(a, b)
     assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
@@ -218,13 +220,13 @@ def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
     space = dgsl.DGSpace(mesh, r)
     # a Newton Jacobian: the mass weight N'(u) = 3 u^2 varies in space
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
-    a = kernel.jacobian(rng.standard_normal(space.total_dofs))
+    with kernel.jacobian(rng.standard_normal(space.total_dofs)) as a:
+        dense = a.csr.toarray()
+        apply = block_jacobi_preconditioner(a)
     d = space.dofs_per_element
     nblocks = a.dim // d
-    dense = a.csr.toarray()
     blocks = np.stack([dense[b * d:(b + 1) * d, b * d:(b + 1) * d]
                        for b in range(nblocks)])
-    apply = block_jacobi_preconditioner(a)
     # column j of every inverse block at once: a unit vector in each block
     columns = np.stack([apply(np.tile(np.eye(d)[j], nblocks)).reshape(nblocks, d)
                         for j in range(d)], axis=-1)
@@ -244,13 +246,32 @@ def test_two_level_preconditioner_is_spd(r):
 def test_two_level_pcg_agrees_with_direct_solve(sine, rng, r):
     space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
-    jac = kernel.jacobian(rng.standard_normal(space.total_dofs))
-    b = rng.standard_normal(jac.dim)
-    x_dir = direct_reference(jac, b)
     # Newton's preconditioner: built from the stiffness, applied to J
-    x, report = solve_spd(jac, b, two_level(kernel.stiffness, space), tol=1e-12)
+    precondition = two_level(kernel.stiffness, space)
+    u = rng.standard_normal(space.total_dofs)
+    b = rng.standard_normal(space.total_dofs)
+    with kernel.jacobian(u) as jac:
+        x_dir = direct_reference(jac, b)
+        x, report = solve_spd(jac, b, precondition, tol=1e-12)
     assert report.converged and report.method == "pcg"
     assert np.linalg.norm(x - x_dir) <= 1e-9 * np.linalg.norm(x_dir)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_preconditioners_built_before_a_jacobian_block_hold_copies(sine,
+                                                                   rng, r):
+    # Newton builds them from the stiffness before its loop and applies
+    # them while the stiffness's storage holds J
+    space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
+    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+    built = (block_jacobi_preconditioner(kernel.stiffness),
+             two_level(kernel.stiffness, space))
+    residual = rng.standard_normal(space.total_dofs)
+    before = [apply(residual).tobytes() for apply in built]
+    stiffness = kernel.stiffness.csr.data.copy()
+    with kernel.jacobian(rng.standard_normal(space.total_dofs)):
+        assert not np.array_equal(kernel.stiffness.csr.data, stiffness)
+        assert [apply(residual).tobytes() for apply in built] == before
 
 
 def test_symmetric_factor_rejects_an_off_diagonal_pivot():

@@ -236,6 +236,35 @@ def test_import_survives_one_replaced_token(n, data, token):
             "vertex index out of range" if numeric else "bad vertex index")
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data(), entry=st.one_of(
+    HUGE, HUGE.map(lambda m: -m),
+    st.sampled_from(["x", "1.5e", None, [1, 2], ()])))
+def test_trimesh_survives_one_replaced_list_entry(n, data, entry):
+    # the constructor is public and takes Python lists, which may hold
+    # ints past int64, strings, None or nested rows: only a DgslError may
+    # escape, and a bad triangle entry is a ParseError that says which
+    mesh = build_perturbed(n, 0.1, n)
+    vertices, triangles = mesh.vertices.tolist(), mesh.triangles.tolist()
+    rows = data.draw(st.sampled_from([vertices, triangles]))
+    row = rows[data.draw(st.integers(0, len(rows) - 1))]
+    row[data.draw(st.integers(0, len(row) - 1))] = entry
+    try:
+        dgsl.TriMesh(vertices, triangles)
+    except DgslError as exc:
+        error = exc
+    else:
+        error = None
+    numeric = isinstance(entry, int)
+    if rows is triangles:
+        assert isinstance(error, ParseError)
+        assert str(error).startswith(
+            "triangle vertex index out of range" if numeric
+            else "triangles must be an (nt, 3) array of integers")
+    elif not numeric:
+        assert isinstance(error, ParseError)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), data=st.data())
 def test_import_rejects_coincident_vertices(n, data):

@@ -1,6 +1,7 @@
 """Newton solver behavior on linear and semilinear problems."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.sparse.linalg import SuperLU, spsolve
 import dgsl
 import dgsl.linear_solver
 import dgsl.newton
-from dgsl import AssemblyConfig, NewtonConfig, solve_semilinear
+from dgsl import (AssemblyConfig, NewtonConfig, assemble_bilinear,
+                  solve_semilinear)
 from dgsl.analysis import l2_norm_discrete
 from dgsl.assembly import NewtonKernel
 from dgsl.linear_solver import LinearSolveReport
@@ -221,8 +223,8 @@ def test_small_penalty_reads_the_pivots_once(sine, factor_reads):
 
 
 def test_preconditioner_built_before_the_first_jacobian(sine, monkeypatch):
-    # the solve's one preconditioner is built before its loop, so the
-    # two-level set-up never overlaps a live Jacobian
+    # the solve's one preconditioner is built from the stiffness before
+    # its loop: inside each step's Jacobian block the storage holds J
     events = []
     build, jacobian = dgsl.newton.two_level_preconditioner, NewtonKernel.jacobian
     monkeypatch.setattr(dgsl.newton, "two_level_preconditioner",
@@ -231,6 +233,78 @@ def test_preconditioner_built_before_the_first_jacobian(sine, monkeypatch):
                         lambda self, *a: events.append("J") or jacobian(self, *a))
     _, report = solve_sine(sine, 8, 2)
     assert events == ["build"] + ["J"] * report.iterations
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every NewtonKernel the solver builds, in order."""
+    built = []
+
+    def build(*args):
+        built.append(NewtonKernel(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dgsl.newton, "NewtonKernel", build)
+    return built
+
+
+def test_stiffness_is_bit_identical_after_a_solve(sine, kernels):
+    # each step adds its mass blocks into the stiffness and copies the
+    # saved blocks back, also on the N' < 0 path that factors J
+    space, cfg = space_on(4, 2), AssemblyConfig(penalty=100.0)
+    assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
+    solve_semilinear(space, sine, cfg)
+    with pytest.warns(UserWarning, match="N'"):
+        solve_semilinear(space, wrong_sign_problem(), cfg)
+    assert len(kernels) == 2
+    for kernel in kernels:
+        assert kernel.stiffness.csr.data.tobytes() == assembled
+
+
+def test_stiffness_is_restored_when_a_step_raises(sine, kernels, monkeypatch):
+    space, cfg = space_on(4, 2), AssemblyConfig(penalty=100.0)
+    assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
+    inside = []
+
+    def failing(a, b, *args, **kwargs):
+        # the step's J is the stiffness's own storage, mass added
+        stiffness = kernels[0].stiffness.csr
+        inside.append(a.csr is stiffness
+                      and stiffness.data.tobytes() != assembled)
+        raise NotConverged("patched", report=LinearSolveReport(0, 1.0, False))
+
+    monkeypatch.setattr(dgsl.newton, "solve_spd", failing)
+    with pytest.raises(NotConverged, match="patched"):
+        solve_semilinear(space, sine, cfg,
+                         NewtonConfig(initial_guess=sine.exact.value))
+    assert inside == [True]
+    assert kernels[0].stiffness.csr.data.tobytes() == assembled
+
+
+def test_newton_loop_peak_stays_within_its_matrix(sine, monkeypatch):
+    # the traced peak growth of the Newton loop over its built kernel, at
+    # perfbench's P3 settings; a copy of the stiffness per step made it
+    # 1.73x the matrix, the step in place about 0.6x
+    space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3)
+    cfg = AssemblyConfig(penalty=100.0, volume_degree=14, edge_degree=12)
+    built = []
+
+    def traced(*args):
+        built.append(NewtonKernel(*args))
+        tracemalloc.start()
+        return built[-1]
+
+    monkeypatch.setattr(dgsl.newton, "NewtonKernel", traced)
+    try:
+        _, report = solve_semilinear(space, sine, cfg,
+                                     NewtonConfig(abs_tol=1e-11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a = built[0].stiffness.csr
+    matrix = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert report.iterations == 4
+    assert peak <= 1.0 * matrix, peak / matrix
 
 
 def test_wrong_sign_steps_are_proven_by_their_pivots(monkeypatch,
