@@ -41,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from .basis import make_basis
-from .errors import ConfigError, NonFiniteValue
+from .errors import ConfigError, NonFiniteValue, SignAssumptionViolated
 from .quadrature import edge_rule, triangle_rule
 from .space import DGSpace, edge_traces
 
@@ -315,49 +315,49 @@ class NewtonKernel:
                 pts[..., 0], pts[..., 1]), "the source g(x, y)")
         self.diagonal_positions = _diagonal_block_positions(self.stiffness)
 
-    def point_values(self, u: np.ndarray) -> np.ndarray:
-        """The field with coefficients `u` at the quadrature points, (E, Q)."""
-        return u.reshape(self.space.num_elements, -1) @ self.values.T
-
     def residual(self, u: np.ndarray) -> np.ndarray:
         """a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
         solution up to solver tolerance. Inside a `jacobian` block the
         stiffness holds J, so call it outside one."""
         return self.stiffness @ u - _nonlinear_load(self, u)
 
-    def mass_weights(self, u: np.ndarray) -> np.ndarray:
-        """N'(u_h) x det x weight at the quadrature points, (E, Q)."""
-        weight = self.problem.d_nonlinearity(self.point_values(u))
-        return self.measure * _finite(weight, "the mass weight N'(u)")
-
-    def add_mass(self, weighted: np.ndarray):
-        """Add the mass blocks with weights `weighted` (`mass_weights`)
-        into the stiffness's diagonal blocks, one element chunk at a
-        time, so no (E, D^2) temporary is built."""
+    def add_mass(self, u: np.ndarray):
+        """Add the N'(u_h)-weighted mass blocks into the stiffness's
+        diagonal blocks one element chunk at a time, building no (E, Q)
+        or (E, D^2) array. SignAssumptionViolated names the first element
+        where N'(u_h) < 0; the chunks before it have added their mass."""
         data, positions = self.stiffness.csr.data, self.diagonal_positions
         d = self.space.dofs_per_element
+        coeffs = u.reshape(self.space.num_elements, -1)
         for lo in range(0, len(positions), ELEMENT_CHUNK):
             chunk = slice(lo, lo + ELEMENT_CHUNK)
-            data[positions[chunk]] += \
-                (weighted[chunk] @ self.value_pairs).reshape(-1, d, d)
+            weight = _finite(self.problem.d_nonlinearity(
+                coeffs[chunk] @ self.values.T), "the mass weight N'(u)")
+            low = weight.min(axis=1)
+            if low.min() < 0.0:
+                e = int(np.argmax(low < 0.0))
+                raise SignAssumptionViolated(
+                    f"N'(u_h) = {low[e]:.6e} < 0 on element {lo + e}; the "
+                    "scheme is well posed only for N' >= 0")
+            data[positions[chunk]] += ((self.measure[chunk] * weight)
+                                       @ self.value_pairs).reshape(-1, d, d)
 
     @contextlib.contextmanager
-    def jacobian(self, u: np.ndarray, weighted=None):
+    def jacobian(self, u: np.ndarray):
         """Within the block, the stiffness plus the mass matrix weighted
-        with N'(u_h) = -f_u; `weighted`, if given, is `mass_weights(u)`.
+        with N'(u_h) = -f_u >= 0.
 
         Yields the stiffness's own matrix, uncertified, with the mass
-        added in place (`add_mass`); the diagonal blocks saved on entry
-        are copied back on exit, also when the block raises, so the
-        stiffness is bit-identical afterwards. A caller that needs J
-        past the block, or beside A, copies it inside.
+        added in place (`add_mass`, which raises SignAssumptionViolated
+        where N'(u_h) < 0); the diagonal blocks saved on entry are copied
+        back on exit, also when the mass add or the block raises, so the
+        stiffness is bit-identical afterwards. A caller that needs J past
+        the block, or beside A, copies it inside.
         """
         data, positions = self.stiffness.csr.data, self.diagonal_positions
         saved = data[positions]
         try:
-            self.add_mass(self.mass_weights(u) if weighted is None
-                          else weighted)
-            del weighted   # the step's solve need not keep the weights
+            self.add_mass(u)
             yield SparseSymMatrix(self.stiffness.csr)
         finally:
             data[positions] = saved
@@ -366,5 +366,6 @@ class NewtonKernel:
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:
     """int_K (g(x) - N(u_h)) phi_i, i.e. the f(x, u_h) pairing."""
     fvals = kernel.source - _finite(kernel.problem.nonlinearity(
-        kernel.point_values(u)), "the nonlinearity N(u)")
+        u.reshape(kernel.space.num_elements, -1) @ kernel.values.T),
+        "the nonlinearity N(u)")
     return ((kernel.measure * fvals) @ kernel.values).ravel()

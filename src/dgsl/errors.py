@@ -44,6 +44,11 @@ class NonFiniteValue(DgslError):
     """A problem callback returned NaN or inf at a quadrature point."""
 
 
+class SignAssumptionViolated(DgslError):
+    """N'(u_h) < 0 at a quadrature point, outside the assumption N' >= 0
+    under which the discrete problem is proven well posed."""
+
+
 class NewtonDiverged(DgslError):
     """Backtracking could not find a residual-decreasing step."""
 

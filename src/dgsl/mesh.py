@@ -161,12 +161,18 @@ class TriMesh:
             raise ParseError(f"vertices must be an (nv, 2) array of "
                              f"numbers: {exc}") from exc
         try:
-            self.triangles = np.array(triangles, dtype=np.int64)
+            with np.errstate(invalid="ignore"):   # NaN, inf: caught below
+                self.triangles = np.array(triangles, dtype=np.int64)
         except OverflowError as exc:
             raise ParseError("triangle vertex index out of range") from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"triangles must be an (nt, 3) array of "
                              f"integers: {exc}") from exc
+        # the cast truncates floats toward zero: 2.0 is 2, 2.9 is no index
+        raw = np.asarray(triangles)
+        if raw.dtype.kind == "f" and np.any(self.triangles != raw):
+            raise ParseError("triangles must be an (nt, 3) array of "
+                             f"integers: got {raw[self.triangles != raw][0]}")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise ParseError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:

@@ -7,24 +7,24 @@ stiffness, the source at the quadrature points and the block pattern
 are set up once per solve in an `assembly.NewtonKernel`; each residual
 is then one matrix product against its tables. Each step's Jacobian is
 the stiffness itself with its mass blocks added in place: the step's
-factor and solve run inside the kernel's `jacobian` block, which
-restores the stiffness exactly, and the residuals and backtracking run
-after it. The preconditioner, built from the stiffness before the loop,
-holds copies of what it needs.
+solve runs inside the kernel's `jacobian` block, which restores the
+stiffness exactly, and the residuals and backtracking run after it. The
+preconditioner, built from the stiffness before the loop, holds copies
+of what it needs.
 
-Under the sign assumption N' >= 0 every Jacobian is the stiffness plus
+The paper proves the discrete problem well posed under the sign
+assumption N' >= 0, and only there is every Jacobian the stiffness plus
 a positive semidefinite mass term, so one proof that the stiffness is
 positive definite covers them all. `two_level_preconditioner` gives
 that proof and the preconditioner, once per solve, before the loop, and
-every step runs one PCG loop (`solve_spd`) with it. A Jacobian whose
-mass weights dip below zero is outside that proof: the pivots of its
-`symmetric_factor` prove it positive definite or raise
-IndefiniteOperator before its step runs the same PCG. Steps are solved
-only as far as Newton needs (inexact Newton, `_forcing_term`); the
-stopping test reads the true residual.
+every step runs one PCG loop (`solve_spd`) with it. Each Jacobian's mass
+add checks N'(u_h) >= 0 at every quadrature point and raises
+SignAssumptionViolated otherwise, before its step solves anything; the
+converged iterate is not checked again. Steps are solved only as far as
+Newton needs (inexact Newton, `_forcing_term`); the stopping test reads
+the true residual.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -33,8 +33,7 @@ import numpy as np
 from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
                        assemble_bilinear)
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
-from .linear_solver import (solve_spd, symmetric_factor,
-                            two_level_preconditioner)
+from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import Problem
 from .space import DGSpace, DGVector, interpolate, p1_prolongation
 
@@ -82,16 +81,6 @@ class NewtonReport:
         return max(len(self.residual_norms) - 1, 0)
 
 
-def _check_sign_assumption(kernel, u):
-    worst = float(kernel.problem.d_nonlinearity(kernel.point_values(u)).min())
-    if worst < -1e-13:
-        warnings.warn(
-            f"N'(u) dips to {worst:.3e} over the iterate range; the "
-            "well-posedness assumption N' >= 0 does not hold here",
-            stacklevel=3,
-        )
-
-
 def _forcing_term(res_norm, first_norm, threshold):
     """Relative tolerance of the step from residual `res_norm`: quadratic
     in the residual reduction, so Newton stays quadratic, but no tighter
@@ -106,8 +95,8 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
 
     Returns (DGVector, NewtonReport). Raises NewtonDiverged when
     backtracking cannot decrease the residual and NotConverged when
-    MAX_ITERATIONS steps do not meet the stopping test; linear-solver
-    errors propagate.
+    MAX_ITERATIONS steps do not meet the stopping test; the Jacobian's
+    SignAssumptionViolated and linear-solver errors propagate.
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
@@ -133,13 +122,9 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     for _ in range(MAX_ITERATIONS):
         if res_norm <= threshold:
             break
-        weighted = kernel.mass_weights(u)
         # J lives in the stiffness's storage until the block ends, so the
         # residuals below run after it
-        with kernel.jacobian(u, weighted) as jac:
-            if weighted.min() < 0.0:
-                symmetric_factor(jac)   # its pivots prove J, or this raises
-            del weighted
+        with kernel.jacobian(u) as jac:
             delta, lin = solve_spd(
                 jac, -res, precondition,
                 tol=_forcing_term(res_norm, first_norm, threshold))
@@ -171,5 +156,4 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
             f"newton used {MAX_ITERATIONS} iterations, residual "
             f"{res_norm:.3e} > {threshold:.3e}", report=report)
 
-    _check_sign_assumption(kernel, u)
     return DGVector(space, u), report

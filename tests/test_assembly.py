@@ -28,7 +28,7 @@ from dgsl.assembly import (NewtonKernel, _edge_blocks, _local_certificate,
 from dgsl.cli import build_run_config, parse_config_text
 from dgsl.convergence import RunConfig
 from dgsl.errors import (ConfigError, NonFiniteValue, PerturbationFoldover,
-                         UnsupportedDegree)
+                         SignAssumptionViolated, UnsupportedDegree)
 from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
 from dgsl.quadrature import MAX_TRIANGLE_DEGREE, edge_rule, triangle_rule
@@ -437,6 +437,41 @@ def test_jacobian_shares_the_stiffness_pattern(sine, r, rng):
     assert a.data.tobytes() == before
 
 
+def test_stiffness_is_restored_when_the_sign_check_raises_mid_add(
+        monkeypatch):
+    # chunks of 4 elements, and N' = 1 - 2 u < 0 only on element 9, where
+    # u = 1: the first two chunks have added their mass when the third
+    # raises
+    monkeypatch.setattr(dgsl.assembly, "ELEMENT_CHUNK", 4)
+    space, cfg = perturbed_space(2), AssemblyConfig(penalty=37.0)
+    assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
+    added = []
+
+    def d_nonlinearity(u):
+        added.append(kernel.stiffness.csr.data.tobytes() != assembled)
+        return 1.0 - 2.0 * u
+
+    problem = Problem(name="sign-flip", nonlinearity=lambda u: u - u ** 2,
+                      d_nonlinearity=d_nonlinearity,
+                      source=lambda x, y: 0.0 * x)
+    kernel = NewtonKernel(space, problem, cfg)
+    u = np.zeros((space.num_elements, space.dofs_per_element))
+    u[9] = 1.0
+    with pytest.raises(SignAssumptionViolated,
+                       match=r"N'\(u_h\) = -1\.0+e\+00 < 0 on element 9;"):
+        with kernel.jacobian(u.ravel()):
+            pass
+    assert added == [False, True, True]
+    assert kernel.stiffness.csr.data.tobytes() == assembled
+    # the restored stiffness gives a fresh kernel's Jacobian
+    zero = np.zeros(space.total_dofs)
+    with NewtonKernel(space, problem, cfg).jacobian(zero) as fresh:
+        expected = fresh.csr.data.tobytes()
+    with kernel.jacobian(zero) as jac:
+        assert jac.csr.data.tobytes() == expected
+    assert kernel.stiffness.csr.data.tobytes() == assembled
+
+
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r,
@@ -730,9 +765,9 @@ def test_certificate_is_sound_on_random_perturbed_meshes(n, amplitude, seed,
 
 @pytest.mark.parametrize("degree", range(1, MAX_TRIANGLE_DEGREE + 1))
 def test_kernel_measure_is_positive_at_every_volume_degree(sine, degree):
-    # Newton reads no pivots of a Jacobian whose mass weights
-    # N'(u) x det x weight are all >= 0: each mass block is then a sum of
-    # positive semidefinite rank-one terms, which needs det x weight > 0
+    # with N'(u) >= 0 at every quadrature point, which the mass add
+    # checks, each mass block is a sum of positive semidefinite rank-one
+    # terms N'(u) x det x weight V V^T, which needs det x weight > 0
     kernel = NewtonKernel(perturbed_space(1), sine,
                           AssemblyConfig(penalty=100.0, volume_degree=degree))
     assert kernel.measure.min() > 0.0

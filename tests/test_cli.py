@@ -136,17 +136,25 @@ def test_run_small_penalty_exits_solver_error(tmp_path, capsys):
 
 def test_run_non_finite_source_exits_solver_error(tmp_path, capsys,
                                                   monkeypatch):
+    # a NaN source, and a problem outside the assumption N' >= 0 (sine's
+    # exact solution kept, so only the sign check can stop it)
     sine = dgsl.get_problem("sine")
-    broken = dataclasses.replace(sine, name="nan-source",
-                                 source=lambda x, y: np.nan * x)
-    monkeypatch.setitem(dgsl.problems._REGISTRY, broken.name, broken)
-    conf = tmp_path / "study.conf"
-    out = tmp_path / "partial.csv"
-    conf.write_text(BASIC_CONFIG.replace("sine", broken.name)
-                    + f"output.path = {out}\n")
-    assert main(["run", "--config", str(conf)]) == EXIT_SOLVER
-    assert "NonFiniteValue" in capsys.readouterr().err
-    assert out.read_text().startswith(CSV_HEADER)
+    broken = [(dataclasses.replace(sine, name="nan-source",
+                                   source=lambda x, y: np.nan * x),
+               "NonFiniteValue"),
+              (dataclasses.replace(sine, name="wrong-sign",
+                                   nonlinearity=lambda u: -u,
+                                   d_nonlinearity=lambda u: -np.ones_like(u)),
+               "SignAssumptionViolated")]
+    for problem, error in broken:
+        monkeypatch.setitem(dgsl.problems._REGISTRY, problem.name, problem)
+        conf = tmp_path / f"{problem.name}.conf"
+        out = tmp_path / f"{problem.name}.csv"
+        conf.write_text(BASIC_CONFIG.replace("sine", problem.name)
+                        + f"output.path = {out}\n")
+        assert main(["run", "--config", str(conf)]) == EXIT_SOLVER, error
+        assert error in capsys.readouterr().err
+        assert out.read_text().startswith(CSV_HEADER)
 
 
 def test_verify_quadrature_suite(capsys):

@@ -179,10 +179,22 @@ def test_import_parse_errors(text, fragment):
     (np.zeros((3, 3)), [[0, 1, 2]], r"vertices must be an \(nv, 2\) array"),
     ([[0, 0], [1, 0], [0, 1]], [[0, 1]], r"triangles must be an \(nt, 3\) array"),
     ([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]], "triangle vertex index out of range"),
+    # a float index is not truncated: 2.9 is not vertex 2
+    ([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, 2], [1, 3, 2.9]],
+     "array of integers: got 2.9"),
+    ([[0, 0], [1, 0], [0, 1]], np.array([[0.0, 1.0, np.nan]]),
+     "array of integers: got nan"),
 ])
 def test_trimesh_rejects_malformed_arrays(vertices, triangles, fragment):
     with pytest.raises(ParseError, match=fragment):
         dgsl.TriMesh(vertices, triangles)
+
+
+def test_trimesh_accepts_integral_float_indices():
+    mesh = dgsl.TriMesh([[0, 0], [1, 0], [0, 1], [1, 1]],
+                        [[0.0, 1.0, 2.0], [1, 3, 2.0]])
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
 
 
 def test_non_finite_vertex_rejected():

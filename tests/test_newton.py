@@ -16,7 +16,7 @@ from dgsl.analysis import l2_norm_discrete
 from dgsl.assembly import NewtonKernel
 from dgsl.linear_solver import LinearSolveReport
 from dgsl.errors import (ConfigError, IndefiniteOperator, NewtonDiverged,
-                         NonFiniteValue, NotConverged)
+                         NonFiniteValue, NotConverged, SignAssumptionViolated)
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
 
@@ -97,7 +97,7 @@ def test_budget_exhaustion_raises(sine, monkeypatch):
 
 
 def wrong_sign_problem():
-    # N'(u) = -1 < 0 breaks the monotonicity assumption, but the
+    # N'(u) = -1 < 0 breaks the monotonicity assumption, though the
     # Jacobian stays SPD on the unit square (-1 > -2 pi^2)
     return Problem(
         name="wrong-sign",
@@ -105,14 +105,6 @@ def wrong_sign_problem():
         d_nonlinearity=lambda u: -np.ones_like(u),
         source=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
     )
-
-
-def test_sign_assumption_violation_warns():
-    # the solve still runs on a coarse mesh but must warn
-    space = space_on(4, 1)
-    with pytest.warns(UserWarning, match="N'"):
-        solve_semilinear(space, wrong_sign_problem(),
-                         AssemblyConfig(penalty=100.0))
 
 
 def indefinite_problem():
@@ -125,13 +117,35 @@ def indefinite_problem():
     )
 
 
-def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads):
-    # N'(u) = 1 - 3 u^2 is positive at u = 0, so the first Jacobian is
-    # covered by the stiffness's certificate and runs PCG; the first step
-    # takes u to about 4.8, where N' < 0 and the next Jacobian is
-    # indefinite. It is outside the stiffness's proof, so it is factored
-    # and its own pivots must say so before PCG runs. (CG's curvature
-    # guard is covered by
+@pytest.fixture
+def count_solves(monkeypatch):
+    return counting(monkeypatch, dgsl.newton, "solve_spd")
+
+
+def assert_stopped_before_solving(problem, n, value, solves, factorizations):
+    # the first Jacobian's mass add names element 0 and its N', before
+    # the step solves anything; the one factor is the two-level coarse one
+    with pytest.raises(SignAssumptionViolated,
+                       match=rf"N'\(u_h\) = {value} < 0 on element 0;"):
+        solve_semilinear(space_on(n, 1), problem,
+                         AssemblyConfig(penalty=100.0))
+    assert solves == []
+    assert len(factorizations) == 1
+
+
+def test_sign_assumption_violation_warns(count_solves, count_factorizations):
+    # outside N' >= 0 the solve stops, even though this Jacobian is SPD
+    assert_stopped_before_solving(wrong_sign_problem(), 4,
+                                  r"-1\.000000e\+00", count_solves,
+                                  count_factorizations)
+
+
+def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads,
+                                                              count_solves):
+    # N'(u) = 1 - 3 u^2 is positive at u = 0, so the first step runs; it
+    # takes u to about 4.8, where N' < 0 and the next Jacobian would be
+    # indefinite. Its mass add stops it before any pivot is read. (CG's
+    # curvature guard is covered by
     # test_small_penalty_operator_is_detected_indefinite.)
     softening = Problem(
         name="softening",
@@ -140,18 +154,18 @@ def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads):
         source=lambda x, y: 100.0 * np.sin(np.pi * x) * np.sin(np.pi * y),
     )
     space = space_on(8, 1)
-    with pytest.raises(IndefiniteOperator, match="1 negative pivots"):
+    with pytest.raises(SignAssumptionViolated, match="< 0 on element"):
         solve_semilinear(space, softening, AssemblyConfig(penalty=100.0))
-    assert factor_reads == ["U"]
+    assert len(count_solves) == 1
+    assert factor_reads == []
 
 
-def test_strongly_indefinite_propagates_from_direct_solver():
-    # N' = -50 < 0 everywhere: the pivots of the first Jacobian's factor
-    # must say that it is indefinite
-    space = space_on(8, 1)
-    with pytest.raises(IndefiniteOperator, match="negative pivots"):
-        solve_semilinear(space, indefinite_problem(),
-                         AssemblyConfig(penalty=100.0))
+def test_strongly_indefinite_propagates_from_direct_solver(
+        count_solves, count_factorizations):
+    # N' = -50 < 0 everywhere: the first Jacobian stops at its mass add
+    assert_stopped_before_solving(indefinite_problem(), 8,
+                                  r"-5\.000000e\+01", count_solves,
+                                  count_factorizations)
 
 
 @pytest.fixture
@@ -250,11 +264,11 @@ def kernels(monkeypatch):
 
 def test_stiffness_is_bit_identical_after_a_solve(sine, kernels):
     # each step adds its mass blocks into the stiffness and copies the
-    # saved blocks back, also on the N' < 0 path that factors J
+    # saved blocks back, also when the mass add stops at N' < 0
     space, cfg = space_on(4, 2), AssemblyConfig(penalty=100.0)
     assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
     solve_semilinear(space, sine, cfg)
-    with pytest.warns(UserWarning, match="N'"):
+    with pytest.raises(SignAssumptionViolated):
         solve_semilinear(space, wrong_sign_problem(), cfg)
     assert len(kernels) == 2
     for kernel in kernels:
@@ -284,7 +298,8 @@ def test_stiffness_is_restored_when_a_step_raises(sine, kernels, monkeypatch):
 def test_newton_loop_peak_stays_within_its_matrix(sine, monkeypatch):
     # the traced peak growth of the Newton loop over its built kernel, at
     # perfbench's P3 settings; a copy of the stiffness per step made it
-    # 1.73x the matrix, the step in place about 0.6x
+    # 1.73x the matrix, the step in place about 0.6x, and the mass
+    # weights built chunk by chunk 0.53x
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14, edge_degree=12)
     built = []
@@ -305,29 +320,6 @@ def test_newton_loop_peak_stays_within_its_matrix(sine, monkeypatch):
     matrix = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
     assert report.iterations == 4
     assert peak <= 1.0 * matrix, peak / matrix
-
-
-def test_wrong_sign_steps_are_proven_by_their_pivots(monkeypatch,
-                                                    count_factorizations,
-                                                    factor_reads,
-                                                    count_two_level):
-    # with N' < 0 the stiffness's proof does not cover the Jacobian, so
-    # each step factors it once, only to read its pivots, and then runs
-    # PCG with the solve's one preconditioner, to its forcing term
-    space, cfg = space_on(4, 1), AssemblyConfig(penalty=100.0)
-    with pytest.warns(UserWarning, match="N'"):
-        u, report = solve_semilinear(space, wrong_sign_problem(), cfg)
-    assert report.iterations == 2
-    assert len(count_two_level) == 1
-    assert len(count_factorizations) == 1 + report.iterations
-    assert factor_reads == ["U"] * report.iterations
-    assert [lin.method for lin in report.linear_reports] \
-        == ["pcg"] * report.iterations
-    # reference: every step solved exactly by a sparse direct solver
-    direct_steps(monkeypatch)
-    with pytest.warns(UserWarning, match="N'"):
-        u_ref, _ = solve_semilinear(space, wrong_sign_problem(), cfg)
-    assert_close(u, u_ref)
 
 
 def test_band_stiffness_is_proven_once_by_its_pivots(sine, monkeypatch,
