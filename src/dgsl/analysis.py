@@ -14,6 +14,10 @@ far below discretization error at every refinement level.
 
 Volume integrals read the cached tables of `assembly._volume_tables`,
 edge integrals `space.edge_fields` (a field) and `edge_traces` (basis).
+Every sweep runs over element chunks of `assembly.ELEMENT_CHUNK` and
+edge chunks of `assembly.EDGE_CHUNK`, and the norms add scalar partial
+sums, so no array here grows with the mesh beyond the coefficient
+vector.
 
 `apply_bilinear_to_field` builds a(w, phi_i) for a smooth w from the
 scheme's consistency, with no interior-edge term.
@@ -23,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, _volume_stiffness_blocks,
-                       _volume_tables, assemble_bilinear)
+from .assembly import (AssemblyConfig, _edge_chunks, _element_chunks,
+                       _volume_stiffness_blocks, _volume_tables,
+                       assemble_bilinear)
 from .errors import ConfigError, InsufficientLevels
 from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import ExactSolution
@@ -36,17 +41,25 @@ def _analysis_degree(space):
     return 2 * space.degree + 4
 
 
+def _l2_sum(space, v, exact, vol, chunk):
+    """The `chunk` elements' share of the squared L2 error. Each chunk
+    is summed in a call of its own, so its arrays are freed before the
+    next chunk's are built."""
+    diff = v.by_element()[chunk] @ vol.values.T
+    if exact is not None:
+        pts = space.physical_points(vol.rule.points, chunk)
+        diff = exact.value(pts[..., 0], pts[..., 1]) - diff
+    return space.dets[chunk] @ (diff ** 2 @ vol.rule.weights)
+
+
 def l2_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
              quad_degree: Optional[int] = None) -> float:
     """Broken L2 distance between a field and an exact solution, or the
     L2 norm of the field when `exact` is None."""
     degree = quad_degree if quad_degree is not None else _analysis_degree(space)
     vol = _volume_tables(space.degree, degree)
-    diff = v.by_element() @ vol.values.T
-    if exact is not None:
-        pts = space.physical_points(vol.rule.points)
-        diff = exact.value(pts[..., 0], pts[..., 1]) - diff
-    total = space.dets @ (diff ** 2 @ vol.rule.weights)
+    total = sum(_l2_sum(space, v, exact, vol, chunk)
+                for chunk in _element_chunks(space.num_elements))
     return float(np.sqrt(total))
 
 
@@ -62,43 +75,62 @@ def _edge_points(mesh, params, select=slice(None)):
     return ends[:, None, 0] * (1.0 - t) + ends[:, None, 1] * t
 
 
-def _edge_error_terms(space, v, exact, penalty):
-    """Average-gradient and jump contributions of the error norm."""
-    rule = edge_rule(_analysis_degree(space))
+def _edge_sums(space, v, exact, penalty, rule, chunk):
+    """The `chunk` edges' sums of (h_e^2 / penalty) ||{grad w}||^2 and
+    ||[w]||^2 over the edge rule, for w = u - v_h (w = v_h when `exact`
+    is None)."""
     edges = space.mesh.edges
-    side_v, side_g = edge_fields(v, rule.points)
-    weight = np.where(edges.boundary, 1.0, 0.5)
-    avg = weight[:, None, None] * side_g.sum(axis=1)
+    side_v, side_g = edge_fields(v, rule.points, chunk)
+    boundary = edges.boundary[chunk]
+    avg = np.where(boundary, 1.0, 0.5)[:, None, None] \
+        * (side_g[:, 0] + side_g[:, 1])
+    avg_x, avg_y = avg[..., 0], avg[..., 1]
     jump = side_v[:, 0] - side_v[:, 1]
     if exact is not None:
-        pts = _edge_points(space.mesh, rule.points)
+        pts = _edge_points(space.mesh, rule.points, chunk)
         gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
-        avg = np.stack([gx, gy], axis=-1) - avg
-        # interior jumps of u vanish; on the boundary [u - v] = (u - v) n
-        u = exact.value(pts[..., 0], pts[..., 1])
-        jump = np.where(edges.boundary[:, None], u - jump, -jump)
-    avg_term = (edges.length ** 2 / penalty) @ ((avg ** 2).sum(axis=2) @ rule.weights)
-    jump_term = penalty * float(((jump ** 2) @ rule.weights).sum())
-    return float(avg_term), jump_term
+        avg_x, avg_y = gx - avg_x, gy - avg_y
+        # interior jumps of u vanish; on the boundary [u - v] = (u - v) n,
+        # whose square is that of v - u
+        wall = np.flatnonzero(boundary)
+        jump[wall] -= exact.value(pts[wall, :, 0], pts[wall, :, 1])
+    # squares added term by term, not by .sum(axis=-1): the same
+    # rounding, several times faster on a length-2 axis
+    return ((edges.length[chunk] ** 2 / penalty)
+            @ ((avg_x ** 2 + avg_y ** 2) @ rule.weights),
+            ((jump ** 2) @ rule.weights).sum())
+
+
+def _gradient_sum(space, v, exact, vol, chunk):
+    """The `chunk` elements' share of the squared broken H1 seminorm of
+    w = u - v_h (w = v_h when `exact` is None)."""
+    q, d = vol.gradients.shape[:2]                      # (Q, D, 2)
+    # matrix products, not einsum: numpy would run the einsums as loops
+    ref_grads = vol.gradients.transpose(1, 0, 2).reshape(d, -1)
+    grads = (v.by_element()[chunk] @ ref_grads).reshape(-1, q, 2) \
+        @ space.inv_jacobians[chunk]
+    diff_x, diff_y = grads[..., 0], grads[..., 1]
+    if exact is not None:
+        pts = space.physical_points(vol.rule.points, chunk)
+        gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
+        diff_x, diff_y = gx - diff_x, gy - diff_y
+    return space.dets[chunk] @ ((diff_x ** 2 + diff_y ** 2) @ vol.rule.weights)
 
 
 def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
              penalty: float) -> float:
     """Mesh-dependent norm of u - v_h, using the analytic gradient of u,
     or of v_h when `exact` is None."""
-    # edge terms first: their temporaries and the volume's never coexist
-    avg, jump = _edge_error_terms(space, v, exact, penalty)
+    rule = edge_rule(_analysis_degree(space))
+    avg = jump = 0.0
+    for chunk in _edge_chunks(len(space.mesh.edges)):
+        chunk_avg, chunk_jump = _edge_sums(space, v, exact, penalty,
+                                           rule, chunk)
+        avg, jump = avg + chunk_avg, jump + chunk_jump
     vol = _volume_tables(space.degree, _analysis_degree(space))
-    q, d = vol.gradients.shape[:2]                      # (Q, D, 2)
-    # matrix products, not einsum: numpy would run the einsums as loops
-    ref_g = v.by_element() @ vol.gradients.transpose(1, 0, 2).reshape(d, -1)
-    diff = ref_g.reshape(-1, q, 2) @ space.inv_jacobians
-    if exact is not None:
-        pts = space.physical_points(vol.rule.points)
-        gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
-        diff = np.stack([gx, gy], axis=-1) - diff
-    volume = np.einsum("e,q,eqa->", space.dets, vol.rule.weights, diff ** 2)
-    return float(np.sqrt(volume + avg + jump))
+    volume = sum(_gradient_sum(space, v, exact, vol, chunk)
+                 for chunk in _element_chunks(space.num_elements))
+    return float(np.sqrt(volume + avg + penalty * jump))
 
 
 def dg_norm_discrete(space: DGSpace, v: DGVector, penalty: float) -> float:
@@ -117,9 +149,13 @@ def apply_bilinear_to_field(space: DGSpace, w: ExactSolution,
     """
     degree = _analysis_degree(space)
     vol = _volume_tables(space.degree, degree)
-    pts = space.physical_points(vol.rule.points)
-    lap = np.broadcast_to(w.laplacian(pts[..., 0], pts[..., 1]), pts.shape[:2])
-    out = -(space.dets[:, None] * vol.rule.weights * lap) @ vol.values
+    out = np.empty((space.num_elements, space.dofs_per_element))
+    for chunk in _element_chunks(space.num_elements):
+        pts = space.physical_points(vol.rule.points, chunk)
+        lap = np.broadcast_to(w.laplacian(pts[..., 0], pts[..., 1]),
+                              pts.shape[:2])
+        out[chunk] = -(space.dets[chunk, None] * vol.rule.weights * lap) \
+            @ vol.values
 
     erule = edge_rule(degree)
     edges = space.mesh.edges
@@ -176,17 +212,21 @@ def estimate_trace_constant(space: DGSpace) -> float:
     erule = edge_rule(2 * r + 2)
     vol = _volume_tables(r, 2 * r + 2)
     mass_ref = np.einsum("q,qi,qj->ij", vol.rule.weights, vol.values, vol.values)
-    stiff = _volume_stiffness_blocks(space, vol)
-
     edges = space.mesh.edges
-    present = edges.tri >= 0
-    tri = edges.tri[present]
-    h_e = np.broadcast_to(edges.length[:, None], present.shape)[present][:, None, None]
-    sides = edge_traces(space, erule.points)[0][present]     # (k, Q, D)
-    edge_mass = h_e * ((sides.transpose(0, 2, 1) * erule.weights) @ sides)
-    denom = space.dets[tri, None, None] * mass_ref / h_e + h_e * stiff[tri]
-    # the generalized eigenproblem reduces to a standard one through the
-    # Cholesky factor L of denom: L^-1 edge_mass L^-T
-    chol_inv = np.linalg.inv(np.linalg.cholesky(denom))
-    reduced = chol_inv @ edge_mass @ chol_inv.transpose(0, 2, 1)
-    return float(np.linalg.eigvalsh(reduced)[:, -1].max())
+    largest = 0.0
+    for chunk in _edge_chunks(len(edges)):
+        present = edges.tri[chunk] >= 0
+        tri = edges.tri[chunk][present]
+        h_e = np.broadcast_to(edges.length[chunk, None],
+                              present.shape)[present][:, None, None]
+        sides = edge_traces(space, erule.points, chunk,
+                            gradients=False)[0][present]      # (k, Q, D)
+        edge_mass = h_e * ((sides.transpose(0, 2, 1) * erule.weights) @ sides)
+        denom = space.dets[tri, None, None] * mass_ref / h_e \
+            + h_e * _volume_stiffness_blocks(space, vol, tri)
+        # the generalized eigenproblem reduces to a standard one through
+        # the Cholesky factor L of denom: L^-1 edge_mass L^-T
+        chol_inv = np.linalg.inv(np.linalg.cholesky(denom))
+        reduced = chol_inv @ edge_mass @ chol_inv.transpose(0, 2, 1)
+        largest = max(largest, float(np.linalg.eigvalsh(reduced)[:, -1].max()))
+    return largest

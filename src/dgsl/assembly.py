@@ -128,17 +128,35 @@ def _volume_tables(r, degree):
     return _VolumeTables(r, degree)
 
 
-def _volume_stiffness_blocks(space, vol):
+def _volume_stiffness_blocks(space, vol, select=slice(None)):
     # grad phi_i . grad phi_j contracts the reference tensor with
     # invJ invJ^T per element; det converts reference to physical measure.
-    metric = np.einsum("eab,ecb->eac", space.inv_jacobians, space.inv_jacobians)
+    inv = space.inv_jacobians[select]
+    metric = np.einsum("eab,ecb->eac", inv, inv)
     d = space.dofs_per_element
-    scaled = space.dets[:, None] * metric.reshape(-1, 4)
+    scaled = space.dets[select, None] * metric.reshape(-1, 4)
     return (scaled @ vol.stiff_ref.reshape(4, d * d)).reshape(-1, d, d)
 
 
-# edges per assembly chunk: a chunk's arrays stay well below the matrix
+# edges per chunk of assembly and of the norms' edge terms: a chunk's
+# arrays stay well below the matrix
 EDGE_CHUNK = 512
+# elements per chunk of the source, the residual, the mass add and the
+# norms' volume terms: a chunk's arrays stay far below the matrix
+ELEMENT_CHUNK = 2048
+
+
+def _edge_chunks(count):
+    """Slices of at most `EDGE_CHUNK` edges that cover range(count) in
+    order; the size is read when the sweep starts."""
+    return (slice(lo, lo + EDGE_CHUNK) for lo in range(0, count, EDGE_CHUNK))
+
+
+def _element_chunks(count):
+    """Slices of at most `ELEMENT_CHUNK` elements that cover range(count)
+    in order; the size is read when the sweep starts."""
+    return (slice(lo, lo + ELEMENT_CHUNK)
+            for lo in range(0, count, ELEMENT_CHUNK))
 
 
 def _edge_blocks(space, cfg, select=slice(None)):
@@ -242,8 +260,7 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     data[diagonal] = third
     third /= 3.0
     certified, placed = True, 0
-    for lo in range(0, len(edges), EDGE_CHUNK):
-        chunk = slice(lo, lo + EDGE_CHUNK)
+    for chunk in _edge_chunks(len(edges)):
         blocks = _edge_blocks(space, cfg, chunk)
         tri, inner = edges.tri[chunk], ~edges.boundary[chunk]
         for k in range(3):
@@ -279,21 +296,17 @@ def _diagonal_block_positions(a: SparseSymMatrix):
     return positions
 
 
-# elements per chunk of the source evaluation and the mass add: a
-# chunk's arrays stay far below the matrix
-ELEMENT_CHUNK = 2048
-
-
 class NewtonKernel:
     """Residual and Jacobian of one problem on one space, as matrix
     products against tables computed once per solve.
 
-    Holds the volume tables V (Q, D) and V (x) V (Q, D^2), the measure
-    dets x weights (E, Q), the source g at the quadrature points
-    (evaluated in element chunks and checked once) and the positions of
-    the element-diagonal blocks in the stiffness. A Jacobian is the
-    stiffness itself with the N'(u_h)-weighted mass blocks added in
-    place, for the span of one `jacobian` block.
+    Holds the volume tables V (Q, D) and V (x) V (Q, D^2), the rule's
+    weights, the source g at the quadrature points (evaluated in element
+    chunks and checked once) and the positions of the element-diagonal
+    blocks in the stiffness; the measure dets x weights is formed one
+    element chunk at a time (`measure`). A Jacobian is the stiffness
+    itself with the N'(u_h)-weighted mass blocks added in place, for the
+    span of one `jacobian` block.
     """
 
     def __init__(self, space: DGSpace, problem, cfg: AssemblyConfig,
@@ -306,14 +319,17 @@ class NewtonKernel:
                              cfg.resolved_volume_degree(space.degree))
         self.values = vol.values
         self.value_pairs = vol.value_pairs
-        self.measure = space.dets[:, None] * vol.rule.weights[None, :]
-        self.source = np.empty(self.measure.shape)
-        for lo in range(0, space.num_elements, ELEMENT_CHUNK):
-            chunk = slice(lo, lo + ELEMENT_CHUNK)
+        self.weights = vol.rule.weights
+        self.source = np.empty((space.num_elements, len(self.weights)))
+        for chunk in _element_chunks(space.num_elements):
             pts = space.physical_points(vol.rule.points, chunk)
             self.source[chunk] = _finite(problem.source(
                 pts[..., 0], pts[..., 1]), "the source g(x, y)")
         self.diagonal_positions = _diagonal_block_positions(self.stiffness)
+
+    def measure(self, chunk):
+        """dets x weights (m, Q) on the elements `chunk` picks."""
+        return self.space.dets[chunk, None] * self.weights[None, :]
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
@@ -329,17 +345,17 @@ class NewtonKernel:
         data, positions = self.stiffness.csr.data, self.diagonal_positions
         d = self.space.dofs_per_element
         coeffs = u.reshape(self.space.num_elements, -1)
-        for lo in range(0, len(positions), ELEMENT_CHUNK):
-            chunk = slice(lo, lo + ELEMENT_CHUNK)
+        for chunk in _element_chunks(len(positions)):
             weight = _finite(self.problem.d_nonlinearity(
                 coeffs[chunk] @ self.values.T), "the mass weight N'(u)")
             low = weight.min(axis=1)
             if low.min() < 0.0:
                 e = int(np.argmax(low < 0.0))
                 raise SignAssumptionViolated(
-                    f"N'(u_h) = {low[e]:.6e} < 0 on element {lo + e}; the "
-                    "scheme is well posed only for N' >= 0")
-            data[positions[chunk]] += ((self.measure[chunk] * weight)
+                    f"N'(u_h) = {low[e]:.6e} < 0 on element "
+                    f"{chunk.start + e}; the scheme is well posed only "
+                    "for N' >= 0")
+            data[positions[chunk]] += ((self.measure(chunk) * weight)
                                        @ self.value_pairs).reshape(-1, d, d)
 
     @contextlib.contextmanager
@@ -364,8 +380,12 @@ class NewtonKernel:
 
 
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:
-    """int_K (g(x) - N(u_h)) phi_i, i.e. the f(x, u_h) pairing."""
-    fvals = kernel.source - _finite(kernel.problem.nonlinearity(
-        u.reshape(kernel.space.num_elements, -1) @ kernel.values.T),
-        "the nonlinearity N(u)")
-    return ((kernel.measure * fvals) @ kernel.values).ravel()
+    """int_K (g(x) - N(u_h)) phi_i, i.e. the f(x, u_h) pairing, one
+    element chunk at a time."""
+    coeffs = u.reshape(kernel.space.num_elements, -1)
+    load = np.empty(coeffs.shape)
+    for chunk in _element_chunks(len(coeffs)):
+        fvals = kernel.source[chunk] - _finite(kernel.problem.nonlinearity(
+            coeffs[chunk] @ kernel.values.T), "the nonlinearity N(u)")
+        load[chunk] = (kernel.measure(chunk) * fvals) @ kernel.values
+    return load.ravel()

@@ -7,7 +7,9 @@ discontinuity is structural.
 
 Edge terms read the six (local edge, flipped) reference tables that
 `edge_tables` caches per degree and edge rule: `edge_traces` gives the
-basis traces on selected edges, `edge_fields` a field's on all edges.
+basis traces on selected edges, `edge_fields` a field's traces on
+selected edges. Both decode each side's (local edge, flipped) point set
+here, so callers sweep edge chunks without knowing the encoding.
 """
 
 import functools
@@ -131,51 +133,71 @@ def p1_prolongation(space: DGSpace):
 def edge_tables(degree, t):
     """Read-only basis values (6, Q, D) and reference gradients (6, Q, D, 2)
     at the edge parameters `t` (a tuple) on the (local edge k, flipped)
-    point sets, indexed 2 k + flipped."""
+    point sets, indexed 2 k + flipped, and both side by side as (6, D, 3 Q)
+    (values, then gradients as (Q, 2)), so that one product with a side's
+    coefficients gives its value and gradient on its set."""
     basis = make_basis(degree)
     ref = [edge_reference_points(k, t, fl) for k in range(3) for fl in (False, True)]
-    tables = (np.stack([basis.values(p) for p in ref]),
-              np.stack([basis.gradients(p) for p in ref]))
+    values = np.stack([basis.values(p) for p in ref])
+    grads = np.stack([basis.gradients(p) for p in ref])
+    six, q, d = values.shape
+    fused = np.concatenate([values.transpose(0, 2, 1),
+                            grads.transpose(0, 2, 1, 3).reshape(six, d, 2 * q)],
+                           axis=2)
+    tables = (values, grads, fused)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def edge_traces(space: DGSpace, params, select=slice(None)):
+def edge_traces(space: DGSpace, params, select=slice(None), gradients=True):
     """Basis traces on both sides of the edges `select` picks (default all).
 
     `params` (Q,) parametrize each edge from its low-index to its
     high-index endpoint. Returns (values, gradients) with shapes
     (m, 2, Q, D) and (m, 2, Q, D, 2): side 0 is the plus triangle, side
-    1 the minus triangle, and gradients are physical. The minus side of
-    a boundary edge is all zeros, so the side difference is the jump
-    [v] . n_+ on interior edges and the trace v on boundary edges.
+    1 the minus triangle, and gradients are physical, or None when
+    `gradients` is False. The minus side of a boundary edge is all
+    zeros, so the side difference is the jump [v] . n_+ on interior
+    edges and the trace v on boundary edges.
     """
     edges = space.mesh.edges
-    ref_values, ref_grads = edge_tables(space.degree, tuple(params))
+    ref_values, ref_grads, _ = edge_tables(space.degree, tuple(params))
     # a missing side (tri = local = -1) reads other entries, zeroed below
     tri = edges.tri[select]
     combo = 2 * edges.local[select] + edges.flipped[select]
     values = ref_values[combo]
-    grads = ref_grads[combo] @ space.inv_jacobians[tri][:, :, None]
     values[tri < 0] = 0.0
+    if not gradients:
+        return values, None
+    grads = ref_grads[combo] @ space.inv_jacobians[tri][:, :, None]
     grads[tri < 0] = 0.0
     return values, grads
 
 
-def edge_fields(v: DGVector, params):
+def edge_fields(v: DGVector, params, select=slice(None)):
     """A field's values (m, 2, Q) and physical gradients (m, 2, Q, 2) on
-    both sides of every edge, laid out as `edge_traces`: every element at
-    all six point sets by matrix products, then each side's set gathered."""
+    both sides of the edges `select` picks (default all), laid out as
+    `edge_traces`. The sides are grouped by their point set, one matrix
+    product each, so no element is evaluated on a set it does not use."""
     space, edges = v.space, v.space.mesh.edges
-    ref_v, ref_g = edge_tables(space.degree, tuple(params))
-    six, q, d = ref_v.shape
-    # a missing side (tri = local = -1) gathers another set, zeroed below
-    tri, combo = edges.tri, 2 * edges.local + edges.flipped
-    values = (v.by_element() @ ref_v.reshape(-1, d).T).reshape(-1, six, q)[tri, combo]
-    grads = v.by_element() @ ref_g.transpose(2, 0, 1, 3).reshape(d, -1)
-    grads = grads.reshape(-1, six * q, 2) @ space.inv_jacobians
-    grads = grads.reshape(-1, six, q, 2)[tri, combo]
-    values[tri < 0] = 0.0
-    grads[tri < 0] = 0.0
+    table = edge_tables(space.degree, tuple(params))[2]
+    q = table.shape[2] // 3
+    tri = edges.tri[select]
+    # a missing side (tri = -1) takes set 6, which sorts last and stays
+    # zero, so its gradient maps to zero too
+    combo = np.where(tri >= 0, 2 * edges.local[select] + edges.flipped[select],
+                     6).ravel()
+    order = np.argsort(combo, kind="stable")
+    starts = np.searchsorted(combo[order], np.arange(7))
+    present = order[:starts[6]]
+    coeffs = v.by_element()[tri.ravel()[present]]
+    grouped = np.empty((len(present), 3 * q))
+    for k in range(6):
+        rows = slice(starts[k], starts[k + 1])
+        np.matmul(coeffs[rows], table[k], out=grouped[rows])
+    sides = np.zeros((combo.size, 3 * q))
+    sides[present] = grouped
+    values = sides[:, :q].reshape(tri.shape + (q,))
+    grads = sides[:, q:].reshape(tri.shape + (q, 2)) @ space.inv_jacobians[tri]
     return values, grads

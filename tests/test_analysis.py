@@ -1,5 +1,7 @@
 """Error norms, energy projection, observed orders, trace constant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from dgsl import (AssemblyConfig, DGVector, assemble_bilinear, dg_error,
                   observed_orders)
 from dgsl.analysis import (apply_bilinear_to_field, estimate_trace_constant,
                            l2_norm_discrete)
+from dgsl.assembly import NewtonKernel, _nonlinear_load
 from dgsl.errors import InsufficientLevels
 from dgsl.problems import ExactSolution
 from dgsl.properties import polynomial_field
@@ -393,3 +396,79 @@ def test_trace_constant_bounds():
 def test_trace_constant_mesh_independent():
     vals = [estimate_trace_constant(space_on(n, 2)) for n in (8, 32)]
     assert abs(vals[0] - vals[1]) / vals[0] < 0.10
+
+
+def chunked_and_whole(monkeypatch, compute):
+    """`compute()` in chunks of 5 elements and 7 edges, then in one chunk."""
+    results = []
+    for elements, edges in ((5, 7), (10 ** 9, 10 ** 9)):
+        monkeypatch.setattr(dgsl.assembly, "ELEMENT_CHUNK", elements)
+        monkeypatch.setattr(dgsl.assembly, "EDGE_CHUNK", edges)
+        results.append(np.asarray(compute()))
+    return results
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_chunked_sweeps_match_one_chunk(monkeypatch, rng, sine, r, perturbed):
+    # each sweep adds its chunks' partial results; the split must not
+    # matter beyond rounding, wherever boundary edges and the two sides
+    # of an edge fall
+    mesh = dgsl.build_perturbed(4, 0.2, 7) if perturbed else dgsl.build_structured(4)
+    edges = mesh.edges
+    assert len(np.unique(np.flatnonzero(edges.boundary) // 7)) > 1
+    inner = edges.tri[~edges.boundary]
+    assert (inner[:, 0] // 5 != inner[:, 1] // 5).any()
+    space = dgsl.DGSpace(mesh, r)
+    v = DGVector(space, rng.standard_normal(space.total_dofs))
+    cfg = AssemblyConfig(penalty=37.0)
+    stiffness = assemble_bilinear(space, cfg)
+    calls = {
+        "l2_error": lambda: l2_error(space, v, sine.exact),
+        "l2_norm": lambda: l2_error(space, v, None),
+        "dg_error": lambda: dg_error(space, v, sine.exact, 37.0),
+        "dg_norm_discrete": lambda: dg_norm_discrete(space, v, 37.0),
+        "apply_bilinear_to_field": lambda: apply_bilinear_to_field(
+            space, polynomial_field(r + 2), cfg),
+        "estimate_trace_constant": lambda: estimate_trace_constant(space),
+        "_nonlinear_load": lambda: _nonlinear_load(
+            NewtonKernel(space, sine, cfg, stiffness), v.coeffs),
+    }
+    for name, call in calls.items():
+        chunked, whole = chunked_and_whole(monkeypatch, call)
+        assert np.abs(chunked - whole).max() <= 1e-13 * np.abs(whole).max(), name
+    # the edge terms really ran in chunks of 7 edges
+    selected = []
+    fields = dgsl.analysis.edge_fields
+
+    def recording(v, params, select=slice(None)):
+        selected.append(select)
+        return fields(v, params, select)
+
+    monkeypatch.setattr(dgsl.analysis, "edge_fields", recording)
+    chunked_and_whole(monkeypatch, calls["dg_norm_discrete"])
+    assert len(selected) == -(-len(edges) // 7) + 1
+
+
+def test_norm_peaks_stop_growing_with_the_mesh(sine):
+    # past one chunk the norms' temporaries keep the size of a chunk: an
+    # array over every element or edge grew the peak four times from
+    # n = 32 to n = 64
+    peaks = {}
+    for n in (32, 64):
+        space = space_on(n, 1)
+        v = interpolate(space, sine.exact.value)
+        norms = {"dg_error": lambda: dg_error(space, v, sine.exact, 100.0),
+                 "l2_error": lambda: l2_error(space, v, sine.exact)}
+        for name, norm in norms.items():
+            norm()   # fills the table caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                norm()
+                peaks[name, n] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+    for name in ("dg_error", "l2_error"):
+        assert peaks[name, 64] <= 1.25 * peaks[name, 32], \
+            (name, peaks[name, 32], peaks[name, 64])

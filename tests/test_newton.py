@@ -133,15 +133,15 @@ def assert_stopped_before_solving(problem, n, value, solves, factorizations):
     assert len(factorizations) == 1
 
 
-def test_sign_assumption_violation_warns(count_solves, count_factorizations):
+def test_wrong_sign_stops_before_any_solve(count_solves, count_factorizations):
     # outside N' >= 0 the solve stops, even though this Jacobian is SPD
     assert_stopped_before_solving(wrong_sign_problem(), 4,
                                   r"-1\.000000e\+00", count_solves,
                                   count_factorizations)
 
 
-def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads,
-                                                              count_solves):
+def test_jacobian_turning_indefinite_stops_at_its_mass_add(factor_reads,
+                                                           count_solves):
     # N'(u) = 1 - 3 u^2 is positive at u = 0, so the first step runs; it
     # takes u to about 4.8, where N' < 0 and the next Jacobian would be
     # indefinite. Its mass add stops it before any pivot is read. (CG's
@@ -160,7 +160,7 @@ def test_jacobian_turning_indefinite_is_caught_by_its_pivots(factor_reads,
     assert factor_reads == []
 
 
-def test_strongly_indefinite_propagates_from_direct_solver(
+def test_strongly_indefinite_stops_at_the_first_mass_add(
         count_solves, count_factorizations):
     # N' = -50 < 0 everywhere: the first Jacobian stops at its mass add
     assert_stopped_before_solving(indefinite_problem(), 8,

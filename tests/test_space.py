@@ -107,14 +107,23 @@ def side_traces(space, v, params):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
-def test_edge_traces_of_a_selection_are_those_rows_of_all_edges(r):
+def test_edge_traces_of_a_selection_are_those_rows_of_all_edges(rng, r):
     space = dgsl.DGSpace(dgsl.build_perturbed(5, 0.2, 3), r)
     params = dgsl.edge_rule(2 * r + 2).points
     every = edge_traces(space, params)
+    v = DGVector(space, rng.standard_normal(space.total_dofs))
+    every_field = dgsl.space.edge_fields(v, params)
     for select in (slice(3, 17), slice(40, None),
                    np.flatnonzero(space.mesh.edges.boundary), np.array([5, 0, 5])):
         for part, whole in zip(edge_traces(space, params, select), every):
             assert_array_equal(part, whole[select])
+        values, _ = edge_traces(space, params, select, gradients=False)
+        assert_array_equal(values, every[0][select])
+        # a field's products group other rows, so they may round apart
+        for part, whole in zip(dgsl.space.edge_fields(v, params, select),
+                               every_field):
+            assert_allclose(part, whole[select], rtol=0,
+                            atol=1e-13 * np.abs(whole).max())
 
 
 def test_jump_of_continuous_interpolant_vanishes(sine):
@@ -174,9 +183,9 @@ def test_boundary_trace_conventions(rng):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_edge_fields_match_edge_traces_contraction(rng, r, perturbed):
-    # evaluating every element at the six reference point sets and
-    # gathering each side's set gives the contraction of the per-edge
-    # basis tables, and exact zeros on the missing boundary sides
+    # evaluating each side on its own reference point set gives the
+    # contraction of the per-edge basis tables, and exact zeros on the
+    # missing boundary sides
     mesh = dgsl.build_perturbed(4, 0.25, 9) if perturbed else dgsl.build_structured(4)
     space = dgsl.DGSpace(mesh, r)
     boundary = space.mesh.edges.boundary
