@@ -14,8 +14,11 @@ pattern of their two adjacent elements, so no term is double counted.
 Element integrals reduce to combinations of reference-element tensors
 contracted with per-element Jacobian data. Edge integrals contract the
 basis traces of `edge_traces` as batched matrix products, one chunk of
-`EDGE_CHUNK` edges at a time, and each chunk's (D, D) blocks go straight
-into the BSR data, so assembly's peak stays within twice its matrix.
+`EDGE_CHUNK` edges at a time. The volume blocks are written into the
+BSR data one `ELEMENT_CHUNK` at a time, each edge chunk's (D, D) blocks
+go straight in after them, and the certificate computes the volume
+blocks of each edge chunk's sides only, so assembly's peak stays within
+1.5 times its matrix.
 
 The operator is kept in its element-block form, a `bsr_matrix` with one
 (D, D) block per element and two per interior edge; every block is
@@ -196,29 +199,35 @@ def _local_certificate(tri, blocks, third):
     """True when the edge forms Q_e of the edges with (plus, minus)
     triangles `tri` pass; passing on all edges proves a(v, v) > 0.
 
-    Q_e is the edge block plus `third`, a third of the volume stiffness,
-    of each adjacent element, so sum_e Q_e = a. A boundary Q_e must be
-    positive definite. An interior Q_e maps the constant (all ones in a
-    Lagrange basis) to zero and must be positive definite once that is
-    lifted by a multiple of 1 1^T. Then a(v, v) = 0 makes v one constant
-    on each edge-connected part of the mesh and zero at its boundary, so
-    v = 0. Conservative: P1 at penalty 5, P2 at 10-20, P3 at 20-50 fail.
+    Q_e is the edge block plus `third` (m, 2, D, D), a third of the
+    volume stiffness of each adjacent element (side 0 plus, side 1
+    minus; a boundary edge's side 1 is not read), so sum_e Q_e = a. A
+    boundary Q_e must be positive definite. An interior Q_e maps the
+    constant (all ones in a Lagrange basis) to zero and must be positive
+    definite once that is lifted by a multiple of 1 1^T. Then
+    a(v, v) = 0 makes v one constant on each edge-connected part of the
+    mesh and zero at its boundary, so v = 0. Conservative: P1 at penalty
+    5, P2 at 10-20, P3 at 20-50 fail.
     """
-    d = third.shape[1]
+    d = third.shape[2]
     outer = tri[:, 1] < 0
-    boundary_forms = blocks[outer, 0, :, 0, :] + third[tri[outer, 0]]
+    boundary_forms = blocks[outer, 0, :, 0, :] + third[outer, 0]
     interior_forms = blocks[~outer]
     for side in (0, 1):
-        interior_forms[:, side, :, side, :] += third[tri[~outer, side]]
+        interior_forms[:, side, :, side, :] += third[~outer, side]
     for forms, lift in ((boundary_forms, 0.0),
                         (interior_forms.reshape(-1, 2 * d, 2 * d), 1.0)):
         k = forms.shape[1]
-        scale = np.abs(np.diagonal(forms, axis1=1, axis2=2)) \
-            .max(axis=1)[:, None, None]
-        # (scale / k) 1 1^T lifts the constant to the eigenvalue `scale`
+        scale = np.abs(np.diagonal(forms, axis1=1, axis2=2)).max(axis=1)
+        # lifted and shifted in place: (scale / k) 1 1^T lifts the
+        # constant to the eigenvalue `scale`, then the margin comes off
+        # the diagonal
+        if lift:
+            forms += (lift * scale / k)[:, None, None]
+        forms.reshape(len(forms), k * k)[:, ::k + 1] \
+            -= (CERTIFICATE_MARGIN * scale)[:, None]
         try:
-            np.linalg.cholesky(forms + lift * scale / k
-                               - CERTIFICATE_MARGIN * scale * np.eye(k))
+            np.linalg.cholesky(forms)
         except np.linalg.LinAlgError:
             return False
     return True
@@ -256,13 +265,19 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
 
     d, n = space.dofs_per_element, space.total_dofs
     data = np.empty((len(indices), d, d))
-    third = _volume_stiffness_blocks(space, vol)
-    data[diagonal] = third
-    third /= 3.0
+    for chunk in _element_chunks(num):
+        data[diagonal[chunk]] = _volume_stiffness_blocks(space, vol, chunk)
     certified, placed = True, 0
     for chunk in _edge_chunks(len(edges)):
         blocks = _edge_blocks(space, cfg, chunk)
         tri, inner = edges.tri[chunk], ~edges.boundary[chunk]
+        if certified:
+            # a third of each side's volume block; a missing side (-1)
+            # reads the last element's, which the certificate skips
+            third = _volume_stiffness_blocks(space, vol, tri.ravel())
+            third /= 3.0
+            certified = _local_certificate(
+                tri, blocks, third.reshape(len(tri), 2, d, d))
         for k in range(3):
             e, s = np.nonzero(rank[chunk] == k)
             data[diagonal[tri[e, s]]] += blocks[e, s, :, s, :]
@@ -271,7 +286,6 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
         placed = within.stop
         data[upper[within]] = blocks[inner, 0, :, 1, :]
         data[lower[within]] = blocks[inner, 1, :, 0, :]
-        certified = certified and _local_certificate(tri, blocks, third)
     a = sparse.bsr_matrix((data, indices, indptr), shape=(n, n))
     return SparseSymMatrix(a, certified)
 
@@ -337,26 +351,44 @@ class NewtonKernel:
         stiffness holds J, so call it outside one."""
         return self.stiffness @ u - _nonlinear_load(self, u)
 
-    def add_mass(self, u: np.ndarray):
-        """Add the N'(u_h)-weighted mass blocks into the stiffness's
-        diagonal blocks one element chunk at a time, building no (E, Q)
-        or (E, D^2) array. SignAssumptionViolated names the first element
-        where N'(u_h) < 0; the chunks before it have added their mass."""
+    def _mass_weight(self, coeffs, chunk):
+        """N'(u_h) (m, Q) on the elements `chunk` picks, from the
+        per-element `coeffs`; SignAssumptionViolated names the first
+        element where N'(u_h) < 0."""
+        weight = _finite(self.problem.d_nonlinearity(
+            coeffs[chunk] @ self.values.T), "the mass weight N'(u)")
+        low = weight.min(axis=1)
+        if low.min() < 0.0:
+            e = int(np.argmax(low < 0.0))
+            raise SignAssumptionViolated(
+                f"N'(u_h) = {low[e]:.6e} < 0 on element "
+                f"{chunk.start + e}; the scheme is well posed only "
+                "for N' >= 0")
+        return weight
+
+    def check_sign(self, u: np.ndarray):
+        """Raise SignAssumptionViolated, as `add_mass` does, if N'(u_h) < 0
+        at some volume quadrature point; one element chunk at a time."""
+        coeffs = u.reshape(self.space.num_elements, -1)
+        for chunk in _element_chunks(len(coeffs)):
+            self._mass_weight(coeffs, chunk)
+
+    def add_mass(self, u: np.ndarray, saved: np.ndarray):
+        """Write `saved` (E, D, D), the stiffness's diagonal blocks, plus
+        the N'(u_h)-weighted mass blocks into the diagonal blocks one
+        element chunk at a time, building no (E, Q) or (E, D^2) array.
+        SignAssumptionViolated names the first element where N'(u_h) < 0;
+        the chunks before it have added their mass."""
         data, positions = self.stiffness.csr.data, self.diagonal_positions
         d = self.space.dofs_per_element
         coeffs = u.reshape(self.space.num_elements, -1)
         for chunk in _element_chunks(len(positions)):
-            weight = _finite(self.problem.d_nonlinearity(
-                coeffs[chunk] @ self.values.T), "the mass weight N'(u)")
-            low = weight.min(axis=1)
-            if low.min() < 0.0:
-                e = int(np.argmax(low < 0.0))
-                raise SignAssumptionViolated(
-                    f"N'(u_h) = {low[e]:.6e} < 0 on element "
-                    f"{chunk.start + e}; the scheme is well posed only "
-                    "for N' >= 0")
-            data[positions[chunk]] += ((self.measure(chunk) * weight)
-                                       @ self.value_pairs).reshape(-1, d, d)
+            weight = self._mass_weight(coeffs, chunk)
+            if not weight.flags.writeable:
+                weight = weight.copy()
+            weight *= self.measure(chunk)
+            data[positions[chunk]] = saved[chunk] + (
+                weight @ self.value_pairs).reshape(-1, d, d)
 
     @contextlib.contextmanager
     def jacobian(self, u: np.ndarray):
@@ -373,7 +405,7 @@ class NewtonKernel:
         data, positions = self.stiffness.csr.data, self.diagonal_positions
         saved = data[positions]
         try:
-            self.add_mass(u)
+            self.add_mass(u, saved)
             yield SparseSymMatrix(self.stiffness.csr)
         finally:
             data[positions] = saved

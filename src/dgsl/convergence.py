@@ -185,6 +185,8 @@ def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
             dg_order, = observed_orders([(prev.h, prev.dg_error), (h, e_dg)])
         rows.append(ReportRow(mesh.nominal_h, e_l2, l2_order, e_dg, dg_order,
                               report.iterations, space.total_dofs))
+        # the next level's mesh is built without this one's arrays
+        del mesh, space, solution
         if progress is not None:
             progress(index, rows[-1])
     return ConvergenceReport(rows)

@@ -24,7 +24,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import SparseSymMatrix, _diagonal_block_positions
+from .assembly import (SparseSymMatrix, _diagonal_block_positions,
+                       _element_chunks)
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
 
 
@@ -72,17 +73,23 @@ def block_jacobi_preconditioner(a: SparseSymMatrix):
     """Exact inverse of the diagonal blocks of `a`, one per element.
 
     Blocks are small ((r+1)(r+2)/2 <= 10), so exact inverses are cheap.
-    `a` must store every diagonal block, as assembly's matrices do.
-    Raises IndefiniteOperator if any block is not positive definite.
+    They are gathered, checked and inverted one `ELEMENT_CHUNK` at a
+    time into one (E, D, D) array; LAPACK inverts each block on its own,
+    so the chunks do not change a bit. `a` must store every diagonal
+    block, as assembly's matrices do. Raises IndefiniteOperator if any
+    block is not positive definite.
     """
-    dense = a.csr.data[_diagonal_block_positions(a)]
-    try:
-        np.linalg.cholesky(dense)
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteOperator(
-            "a diagonal block is not positive definite (penalty too small?)"
-        ) from exc
-    inv = np.linalg.inv(dense)
+    data, positions = a.csr.data, _diagonal_block_positions(a)
+    inv = np.empty((len(positions),) + data.shape[1:])
+    for chunk in _element_chunks(len(positions)):
+        dense = data[positions[chunk]]
+        try:
+            np.linalg.cholesky(dense)
+        except np.linalg.LinAlgError as exc:
+            raise IndefiniteOperator(
+                "a diagonal block is not positive definite (penalty too "
+                "small?)") from exc
+        inv[chunk] = np.linalg.inv(dense)
 
     def apply(r):
         return np.einsum("bij,bj->bi", inv, r.reshape(len(inv), -1)).ravel()
@@ -100,17 +107,25 @@ def two_level_preconditioner(a: SparseSymMatrix, prolongation):
     factor is then dropped. B is `block_jacobi_preconditioner`, P the
     `prolongation` (continuous P1 on the same mesh,
     `space.p1_prolongation`) and A_c = P^T a P, positive definite since
-    P has full column rank, and factored as such.
+    P has full column rank, and factored as such. P^T is used as
+    `prolongation.T`, a CSC view of P, so no transposed copy is kept.
     """
     if not a.certified:
         symmetric_factor(a)
     smoother = block_jacobi_preconditioner(a)
-    restriction = prolongation.T.tocsr()
-    coarse = (restriction @ (a.csr @ prolongation)).tobsr(blocksize=(1, 1))
+    restriction = prolongation.T
+    # P^T (A P) as ((A P)^T P)^T: scipy runs the CSC view (A P)^T times
+    # P as the CSR product of P^T and A P, so the coarse matrix has the
+    # bytes a CSR copy of P^T gives, while only a transient CSC copy of P
+    # is made, not one of A P
+    coarse = ((a.csr @ prolongation).tocsr().T @ prolongation).T \
+        .tobsr(blocksize=(1, 1))
     lu = symmetric_factor(SparseSymMatrix(coarse, True))
 
     def apply(r):
-        return smoother(r) + prolongation @ lu.solve(restriction @ r)
+        out = smoother(r)
+        out += prolongation @ lu.solve(restriction @ r)
+        return out
 
     return apply
 
@@ -140,15 +155,22 @@ def solve_spd(a: SparseSymMatrix, b, preconditioner, tol: float = 1e-12,
         max_iter = 10 * a.dim
     a_max = None
 
+    # p, x and r are updated in place, through one scratch vector;
+    # p *= beta; p += z has the bits of z + beta * p
     x = np.zeros_like(b)
     r = b.copy()
-    p, rz, rel = None, 0.0, 1.0
+    p, scratch = None, np.empty_like(b)
+    rz, rel = 0.0, 1.0
     for it in range(1, max_iter + 1):
         z = preconditioner(r)
         rz, rz_old = float(r @ z), rz
         if rz <= 0.0:
             raise IndefiniteOperator("preconditioned residual product is not positive")
-        p = z if p is None else z + (rz / rz_old) * p
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rz / rz_old
+            p += z
         ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -156,8 +178,8 @@ def solve_spd(a: SparseSymMatrix, b, preconditioner, tol: float = 1e-12,
                 f"non-positive curvature direction at iteration {it}"
             )
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, ap, out=ap)
         if np.linalg.norm(r) > tol * norm_b and it < max_iter:
             continue
         # The recursive residual drifts from the true one, so x is judged
@@ -165,7 +187,8 @@ def solve_spd(a: SparseSymMatrix, b, preconditioner, tol: float = 1e-12,
         # floor eps * ||A|| ||x|| / ||b|| when the penalty is large; a
         # backward-stable answer is accepted too, which still keeps
         # algebraic error far below discretization error.
-        rel = float(np.linalg.norm(b - a @ x)) / norm_b
+        rel = float(np.linalg.norm(np.subtract(b, a @ x, out=scratch))) \
+            / norm_b
         if rel > tol and a_max is None:
             a_max = a.max_abs()
         if rel <= tol or rel * norm_b <= 100.0 * np.finfo(float).eps * (

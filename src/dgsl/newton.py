@@ -9,8 +9,9 @@ is then one matrix product against its tables. Each step's Jacobian is
 the stiffness itself with its mass blocks added in place: the step's
 solve runs inside the kernel's `jacobian` block, which restores the
 stiffness exactly, and the residuals and backtracking run after it. The
-preconditioner, built from the stiffness before the loop, holds copies
-of what it needs.
+preconditioner, built from the stiffness before the loop, keeps the
+inverses of its diagonal blocks and the factored coarse matrix; it
+reads P^T through a view of P.
 
 The paper proves the discrete problem well posed under the sign
 assumption N' >= 0, and only there is every Jacobian the stiffness plus
@@ -19,8 +20,9 @@ positive definite covers them all. `two_level_preconditioner` gives
 that proof and the preconditioner, once per solve, before the loop, and
 every step runs one PCG loop (`solve_spd`) with it. Each Jacobian's mass
 add checks N'(u_h) >= 0 at every quadrature point and raises
-SignAssumptionViolated otherwise, before its step solves anything; the
-converged iterate is not checked again. Steps are solved only as far as
+SignAssumptionViolated otherwise, before its step solves anything, and
+the converged iterate, which no Jacobian is built at, is swept once
+more by the same check. Steps are solved only as far as
 Newton needs (inexact Newton, `_forcing_term`); the stopping test reads
 the true residual.
 """
@@ -95,8 +97,9 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
 
     Returns (DGVector, NewtonReport). Raises NewtonDiverged when
     backtracking cannot decrease the residual and NotConverged when
-    MAX_ITERATIONS steps do not meet the stopping test; the Jacobian's
-    SignAssumptionViolated and linear-solver errors propagate.
+    MAX_ITERATIONS steps do not meet the stopping test, and
+    SignAssumptionViolated when a Jacobian's iterate or the converged
+    one has N'(u_h) < 0 somewhere; linear-solver errors propagate.
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
@@ -155,5 +158,6 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         raise NotConverged(
             f"newton used {MAX_ITERATIONS} iterations, residual "
             f"{res_norm:.3e} > {threshold:.3e}", report=report)
+    kernel.check_sign(u)
 
     return DGVector(space, u), report

@@ -27,8 +27,8 @@ class DGSpace:
     """Piecewise P_r space over a triangulation.
 
     Precomputes the per-element affine maps (Jacobians, inverses,
-    determinants) and the physical coordinates of all interpolation
-    nodes. Immutable after construction.
+    determinants); `physical_points` maps reference points through them.
+    Immutable after construction.
     """
 
     def __init__(self, mesh: TriMesh, degree: int):
@@ -55,9 +55,8 @@ class DGSpace:
         inv[:, 1, 1] = jac[:, 0, 0]
         self.inv_jacobians = inv / self.dets[:, None, None]
 
-        self.node_coords = self.physical_points(self.basis.nodes)
         for arr in (self.origins, self.jacobians, self.dets,
-                    self.inv_jacobians, self.node_coords):
+                    self.inv_jacobians):
             arr.setflags(write=False)
 
     def physical_points(self, ref_points, select=slice(None)):
@@ -100,12 +99,16 @@ def interpolate(space: DGSpace, u) -> DGVector:
     The callback must broadcast over numpy arrays. Polynomials of degree
     up to the space degree are reproduced exactly; interpolating a
     globally continuous function yields (up to roundoff) matching traces
-    on shared edges.
+    on shared edges. The nodes are mapped and `u` evaluated one element
+    chunk at a time.
     """
-    x = space.node_coords[..., 0]
-    y = space.node_coords[..., 1]
-    values = np.asarray(u(x, y), dtype=float)
-    return DGVector(space, values.ravel().copy())
+    # imported here: assembly imports this module
+    from .assembly import _element_chunks
+    values = np.empty((space.num_elements, space.dofs_per_element))
+    for chunk in _element_chunks(space.num_elements):
+        nodes = space.physical_points(space.basis.nodes, chunk)
+        values[chunk] = u(nodes[..., 0], nodes[..., 1])
+    return DGVector(space, values.ravel())
 
 
 def p1_prolongation(space: DGSpace):

@@ -528,7 +528,9 @@ def whole_array_operator(space, cfg):
         space, _volume_tables(r, cfg.resolved_volume_degree(r)))
     blocks = _edge_blocks(space, cfg)
     edges = space.mesh.edges
-    certified = _local_certificate(edges.tri, blocks, volume / 3.0)
+    # each edge's (plus, minus) thirds; a boundary edge's minus is unread
+    certified = _local_certificate(edges.tri, blocks,
+                                   (volume / 3.0)[edges.tri])
     diagonal = volume.copy()
     dense = np.zeros((space.total_dofs,) * 2)
     for b, (plus, minus) in zip(blocks, edges.tri):
@@ -612,7 +614,9 @@ def test_element_chunks_cover_every_element_once(sine, r, rng, monkeypatch):
 @pytest.mark.parametrize("r", [1, 3])
 def test_assembly_peak_stays_within_twice_its_matrix(r):
     # the traced peak growth of one assembly, the matrix included; an
-    # array over all edges' blocks made it 8.3x (P1) and 7.8x (P3)
+    # array over all edges' blocks made it 8.3x (P1) and 7.8x (P3), and
+    # whole-mesh volume blocks and certificate thirds 1.61x and 1.59x;
+    # with both per chunk it reads 1.27x and 1.37x
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
         else dgsl.DGSpace(dgsl.build_structured(128), 1)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
@@ -626,7 +630,7 @@ def test_assembly_peak_stays_within_twice_its_matrix(r):
     finally:
         tracemalloc.stop()
     matrix = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-    assert peak <= 2.0 * matrix, peak / matrix
+    assert peak <= 1.5 * matrix, peak / matrix
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

@@ -94,7 +94,7 @@ def test_affine_map_hits_vertices():
 def test_linear_field_gradient_reproduction(r, rng):
     # nodal interpolation of 3x + 2y has gradient (3, 2) everywhere
     space = one_element_space((0.1, 0.2), (0.7, 0.25), (0.3, 0.9), r)
-    x, y = space.node_coords[0].T
+    x, y = space.physical_points(space.basis.nodes)[0].T
     nodal = 3 * x + 2 * y
     pts = random_ref_points(rng)
     grads = np.einsum("pia,i->pa", element_gradients(space, pts), nodal)
@@ -114,7 +114,7 @@ def test_polynomial_reproduction(r, rng):
                 out = out + coef[i, j] * x ** i * y ** j
         return out
 
-    xn, yn = space.node_coords[0].T
+    xn, yn = space.physical_points(space.basis.nodes)[0].T
     nodal = poly(xn, yn)
     pts = random_ref_points(rng)
     xq, yq = space.physical_points(pts)[0].T

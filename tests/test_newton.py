@@ -160,6 +160,28 @@ def test_jacobian_turning_indefinite_stops_at_its_mass_add(factor_reads,
     assert factor_reads == []
 
 
+def test_converged_iterate_with_negative_derivative_is_refused(
+        count_solves):
+    # N = u^2 / 2 has N' = u, zero at the start u = 0, so the first
+    # Jacobian passes its check; the source changes sign, so the one step
+    # lands on an iterate with u < 0 somewhere. A loose abs_tol accepts
+    # that iterate, which no Jacobian is built at: the sweep of the
+    # converged iterate refuses it
+    halves = Problem(
+        name="half-square",
+        nonlinearity=lambda u: 0.5 * u * u,
+        d_nonlinearity=lambda u: u,
+        source=lambda x, y: np.sin(2 * np.pi * x) * np.sin(np.pi * y),
+    )
+    space, cfg = space_on(8, 1), AssemblyConfig(penalty=100.0)
+    start = float(np.linalg.norm(NewtonKernel(space, halves, cfg).residual(
+        np.zeros(space.total_dofs))))
+    with pytest.raises(SignAssumptionViolated, match="< 0 on element"):
+        solve_semilinear(space, halves, cfg,
+                         NewtonConfig(abs_tol=0.5 * start))
+    assert len(count_solves) == 1
+
+
 def test_strongly_indefinite_stops_at_the_first_mass_add(
         count_solves, count_factorizations):
     # N' = -50 < 0 everywhere: the first Jacobian stops at its mass add

@@ -245,7 +245,7 @@ def test_p1_prolongation_reproduces_continuous_p1_fields(rng, r):
     # oracle: barycentric coordinates of each node, solved from geometry
     v = rng.standard_normal(mesh.num_vertices)
     corners = mesh.vertices[mesh.triangles]
-    offsets = space.node_coords - corners[:, None, 0]
+    offsets = space.physical_points(space.basis.nodes) - corners[:, None, 0]
     local = np.linalg.solve(space.jacobians[:, None], offsets[..., None])
     bary = np.concatenate([1.0 - local.sum(axis=2), local[..., 0]], axis=-1)
     expected = np.einsum("edk,ek->ed", bary, v[mesh.triangles])
