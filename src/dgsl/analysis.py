@@ -17,7 +17,10 @@ edge integrals `space.edge_fields` (a field) and `edge_traces` (basis).
 Every sweep runs over element chunks of `assembly.ELEMENT_CHUNK` and
 edge chunks of `assembly.EDGE_CHUNK`, and the norms add scalar partial
 sums, so no array here grows with the mesh beyond the coefficient
-vector.
+vector. The edge chunk stays at `EDGE_CHUNK` edges at every degree:
+a norm's edge arrays hold Q values per side, not (D, D) blocks, so a
+smaller chunk only adds per-chunk work (assembly's 46-edge P3 chunk
+made P3 n = 32 `dg_error` about 40% slower).
 
 `apply_bilinear_to_field` builds a(w, phi_i) for a smooth w from the
 scheme's consistency, with no interior-edge term.

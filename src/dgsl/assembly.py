@@ -13,12 +13,15 @@ pattern of their two adjacent elements, so no term is double counted.
 
 Element integrals reduce to combinations of reference-element tensors
 contracted with per-element Jacobian data. Edge integrals contract the
-basis traces of `edge_traces` as batched matrix products, one chunk of
-`EDGE_CHUNK` edges at a time. The volume blocks are written into the
-BSR data one `ELEMENT_CHUNK` at a time, each edge chunk's (D, D) blocks
-go straight in after them, and the certificate computes the volume
-blocks of each edge chunk's sides only, so assembly's peak stays within
-1.5 times its matrix.
+basis traces of `edge_traces` as batched matrix products, one edge chunk
+at a time; the chunk is sized by the element block
+(`_assembly_edge_chunk`: `EDGE_CHUNK` edges at P1, 9 / D^2 of that at
+D dofs per element), so it holds about as many block entries at every
+degree. The volume blocks are written into the BSR data one
+`ELEMENT_CHUNK` at a time, each edge chunk's (D, D) blocks go straight
+in after them, and the certificate computes the volume blocks of each
+edge chunk's sides only, so assembly's peak stays within 1.5 times its
+matrix at P1-P3.
 
 The operator is kept in its element-block form, a `bsr_matrix` with one
 (D, D) block per element and two per interior edge; every block is
@@ -141,18 +144,26 @@ def _volume_stiffness_blocks(space, vol, select=slice(None)):
     return (scaled @ vol.stiff_ref.reshape(4, d * d)).reshape(-1, d, d)
 
 
-# edges per chunk of assembly and of the norms' edge terms: a chunk's
-# arrays stay well below the matrix
+# edges per chunk of the norms' edge terms, and of assembly at P1: a
+# chunk's arrays stay well below the matrix
 EDGE_CHUNK = 512
 # elements per chunk of the source, the residual, the mass add and the
 # norms' volume terms: a chunk's arrays stay far below the matrix
 ELEMENT_CHUNK = 2048
 
 
-def _edge_chunks(count):
-    """Slices of at most `EDGE_CHUNK` edges that cover range(count) in
-    order; the size is read when the sweep starts."""
-    return (slice(lo, lo + EDGE_CHUNK) for lo in range(0, count, EDGE_CHUNK))
+def _edge_chunks(count, size=None):
+    """Slices of at most `size` edges (default `EDGE_CHUNK`) that cover
+    range(count) in order; the size is read when the sweep starts."""
+    size = size or EDGE_CHUNK
+    return (slice(lo, lo + size) for lo in range(0, count, size))
+
+
+def _assembly_edge_chunk(d):
+    """Edges per chunk of assembly at D dofs per element: `EDGE_CHUNK`
+    scaled by 9 / D^2, so that a chunk holds about as many block entries
+    as a P1 chunk (512, 128 and 46 edges at P1-P3), and at least one."""
+    return max(1, EDGE_CHUNK * 9 // (d * d))
 
 
 def _element_chunks(count):
@@ -268,7 +279,7 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     for chunk in _element_chunks(num):
         data[diagonal[chunk]] = _volume_stiffness_blocks(space, vol, chunk)
     certified, placed = True, 0
-    for chunk in _edge_chunks(len(edges)):
+    for chunk in _edge_chunks(len(edges), _assembly_edge_chunk(d)):
         blocks = _edge_blocks(space, cfg, chunk)
         tri, inner = edges.tri[chunk], ~edges.boundary[chunk]
         if certified:

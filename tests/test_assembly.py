@@ -544,6 +544,44 @@ def whole_array_operator(space, cfg):
     return dense, certified
 
 
+def forced_edge_chunks(monkeypatch):
+    """Let `assemble_bilinear` sweep edge chunks of the length set by
+    `force(chunk)`, whatever the degree, and return `force` with the list
+    of the chunk lengths it swept since."""
+    lengths = []
+    edge_blocks = dgsl.assembly._edge_blocks
+
+    def recording(space, cfg, select=slice(None)):
+        blocks = edge_blocks(space, cfg, select)
+        lengths.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(dgsl.assembly, "_edge_blocks", recording)
+
+    def force(chunk):
+        monkeypatch.setattr(dgsl.assembly, "_assembly_edge_chunk",
+                            lambda d: chunk)
+        lengths.clear()
+
+    return force, lengths
+
+
+def chunk_lengths(count, chunk):
+    return [min(chunk, count - lo) for lo in range(0, count, chunk)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_assembly_edge_chunks_hold_about_a_p1_chunks_entries(r, monkeypatch):
+    # 512 edges at P1, scaled by 9 / D^2: 128 at P2, 46 at P3
+    space = space_on(16, r)
+    m = len(space.mesh.edges)
+    chunk = {1: 512, 2: 128, 3: 46}[r]
+    assert dgsl.assembly._assembly_edge_chunk(space.dofs_per_element) == chunk
+    lengths = forced_edge_chunks(monkeypatch)[1]
+    assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    assert lengths == chunk_lengths(m, chunk) and len(lengths) > 1
+
+
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_chunked_assembly_is_byte_identical_for_every_chunk_size(
@@ -555,13 +593,15 @@ def test_chunked_assembly_is_byte_identical_for_every_chunk_size(
     space = perturbed_space(r) if mesh == "perturbed" else space_on(5, r)
     m = len(space.mesh.edges)
     chunks = (1, 7, m, 3 * m)
+    force, lengths = forced_edge_chunks(monkeypatch)
     verdicts = []
     for penalty in (5.0, 30.0, 100.0):
         cfg = AssemblyConfig(penalty=penalty)
         runs = []
         for chunk in chunks:
-            monkeypatch.setattr(dgsl.assembly, "EDGE_CHUNK", chunk)
+            force(chunk)
             runs.append(assemble_bilinear(space, cfg))
+            assert lengths == chunk_lengths(m, chunk), chunk
         first = runs[0]
         for chunk, a in zip(chunks[1:], runs[1:]):
             for name in ("data", "indices", "indptr"):
@@ -582,12 +622,14 @@ def test_a_failure_in_any_chunk_fails_the_certificate(monkeypatch):
     vertices = grid.vertices.copy()
     vertices[7] += (0.12, 0.1)
     mesh = dgsl.TriMesh(vertices, grid.triangles)
+    force, lengths = forced_edge_chunks(monkeypatch)
     for r, penalty in ((2, 20.0), (3, 50.0)):
         space, cfg = dgsl.DGSpace(mesh, r), AssemblyConfig(penalty=penalty)
         assert not whole_array_operator(space, cfg)[1]
         for chunk in (1, 7, len(mesh.edges)):
-            monkeypatch.setattr(dgsl.assembly, "EDGE_CHUNK", chunk)
+            force(chunk)
             assert not assemble_bilinear(space, cfg).certified, (r, chunk)
+            assert lengths == chunk_lengths(len(mesh.edges), chunk)
 
 
 @pytest.mark.parametrize("r", [1, 3])
@@ -611,16 +653,23 @@ def test_element_chunks_cover_every_element_once(sine, r, rng, monkeypatch):
             assert max_rel(jac.csr.toarray(), expected) <= 1e-13, chunk
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_assembly_peak_stays_within_twice_its_matrix(r):
+@pytest.mark.parametrize("r, n, perturbed", [
+    pytest.param(1, 128, False, id="P1-structured-128"),
+    pytest.param(3, 64, True, id="P3-perturbed-64"),
+    pytest.param(2, 32, False, id="P2-structured-32"),
+    pytest.param(3, 32, False, id="P3-structured-32")])
+def test_assembly_peak_stays_within_one_and_a_half_times_its_matrix(
+        r, n, perturbed):
     # the traced peak growth of one assembly, the matrix included; an
     # array over all edges' blocks made it 8.3x (P1) and 7.8x (P3), and
     # whole-mesh volume blocks and certificate thirds 1.61x and 1.59x;
-    # with both per chunk it reads 1.27x and 1.37x
-    space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
-        else dgsl.DGSpace(dgsl.build_structured(128), 1)
-    cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
-                         edge_degree=12 if r == 3 else None)
+    # a fixed 512-edge chunk read 1.27x, 1.37x, 2.42x and 2.22x here,
+    # and a chunk scaled by 9 / D^2 reads 1.27x, 1.08x, 1.39x and 1.29x
+    mesh = dgsl.build_perturbed(n, 0.2, 42) if perturbed \
+        else dgsl.build_structured(n)
+    space = dgsl.DGSpace(mesh, r)
+    cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if perturbed else None,
+                         edge_degree=12 if perturbed else None)
     assemble_bilinear(space, cfg)   # fills the table caches
     tracemalloc.start()
     try:
