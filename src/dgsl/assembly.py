@@ -17,20 +17,21 @@ basis traces of `edge_traces` as batched matrix products, one edge chunk
 at a time; the chunk is sized by the element block
 (`_assembly_edge_chunk`: `EDGE_CHUNK` edges at P1, 9 / D^2 of that at
 D dofs per element), so it holds about as many block entries at every
-degree. The volume blocks are written into the BSR data one
+degree. The volume blocks are written into the element blocks one
 `ELEMENT_CHUNK` at a time, each edge chunk's (D, D) blocks go straight
 in after them, and the certificate computes the volume blocks of each
 edge chunk's sides only, so assembly's peak stays within 1.5 times its
-matrix at P1-P3.
+matrix, both parts, at P1-P3.
 
-The operator is kept in its element-block form, a `bsr_matrix` with one
-(D, D) block per element and two per interior edge; every block is
-stored in full. The Newton Jacobian only adds element-diagonal mass
-blocks to the stiffness, so `NewtonKernel.jacobian` adds them into the
-stiffness's own diagonal blocks, `ELEMENT_CHUNK` elements at a time,
-for the span of one `with` block, and copies the saved blocks back when
-it ends: a Newton step holds no second matrix, and the stiffness is
-bit-identical after every step.
+The operator is kept in two element-block parts that share no entry
+(`SparseSymMatrix`): the couplings, a `bsr_matrix` with two (D, D)
+blocks per interior edge, and the element blocks, a block-diagonal
+`bsr_matrix` over one (E, D, D) array. The Newton Jacobian only adds
+element-diagonal mass blocks to the stiffness, so
+`NewtonKernel.jacobian` returns the stiffness's own couplings beside a
+new diagonal, the stiffness's element blocks plus the mass blocks,
+formed `ELEMENT_CHUNK` elements at a time: a Newton step holds no second
+matrix of couplings, and the stiffness is never written after assembly.
 
 Assembly also certifies coercivity edge by edge (`_local_certificate`);
 the verdict travels as `SparseSymMatrix.certified`, and a stiffness
@@ -38,7 +39,6 @@ without it is proven by its pivots when it is preconditioned
 (`linear_solver.two_level_preconditioner`).
 """
 
-import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -85,12 +85,15 @@ class AssemblyConfig:
 
 @dataclass(frozen=True)
 class SparseSymMatrix:
-    """Symmetric sparse operator; `csr` holds a `bsr_matrix`, with one
-    (D, D) block per element when assembly built it, and `certified` is
-    True only when it is proven positive definite: by assembly's local
-    certificate, or for a coarse operator by its fine one."""
+    """Symmetric sparse operator csr + diagonal, in two `bsr_matrix`
+    parts that share no entry: `csr` holds the couplings between
+    elements, two (D, D) blocks per interior edge, and `diagonal` the
+    element blocks (`_block_diagonal`). `certified` is True only when
+    the operator is proven positive definite by assembly's local
+    certificate."""
 
     csr: sparse.bsr_matrix
+    diagonal: sparse.bsr_matrix
     certified: bool = False
 
     @property
@@ -98,18 +101,35 @@ class SparseSymMatrix:
         return self.csr.shape[0]
 
     def __matmul__(self, x):
-        return self.csr @ x
+        out = self.csr @ x
+        out += self.diagonal @ x
+        return out
+
+    def full(self):
+        """One `bsr_matrix` of both parts, exact: they share no entry."""
+        return self.csr + self.diagonal
 
     def max_asymmetry(self):
         """max |A - A^T| over all entries (0 for an empty matrix)."""
-        diff = (self.csr - self.csr.T).tocoo()
+        full = self.full()
+        diff = (full - full.T).tocoo()
         return float(np.abs(diff.data).max()) if diff.nnz else 0.0
 
     def max_abs(self):
         """max |a_ij| (0 for an empty matrix), without a temporary the
         size of the matrix."""
-        data = self.csr.data
-        return float(max(data.max(), -data.min())) if data.size else 0.0
+        return max((float(max(data.max(), -data.min()))
+                    for data in (self.csr.data, self.diagonal.data)
+                    if data.size), default=0.0)
+
+
+def _block_diagonal(blocks):
+    """The block-diagonal `bsr_matrix` over `blocks` (E, D, D), which it
+    wraps without a copy."""
+    num, d = len(blocks), blocks.shape[1]
+    indptr = np.arange(num + 1, dtype=np.int32)
+    return sparse.bsr_matrix((blocks, indptr[:-1], indptr),
+                             shape=(num * d, num * d))
 
 
 class _VolumeTables:
@@ -147,8 +167,8 @@ def _volume_stiffness_blocks(space, vol, select=slice(None)):
 # edges per chunk of the norms' edge terms, and of assembly at P1: a
 # chunk's arrays stay well below the matrix
 EDGE_CHUNK = 512
-# elements per chunk of the source, the residual, the mass add and the
-# norms' volume terms: a chunk's arrays stay far below the matrix
+# elements per chunk of the source, the residual, the Jacobian's blocks
+# and the norms' volume terms: a chunk's arrays stay far below the matrix
 ELEMENT_CHUNK = 2048
 
 
@@ -245,9 +265,9 @@ def _local_certificate(tri, blocks, third):
 
 
 def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
-    """Assemble the full interior penalty operator, certified locally,
-    in BSR form: one (D, D) block per element and two per interior edge,
-    each stored in full and each block row in column order."""
+    """Assemble the full interior penalty operator, certified locally:
+    one (D, D) block per element in `diagonal` and two per interior edge
+    in `csr`, each stored in full and each block row in column order."""
     r = space.degree
     vol = _volume_tables(r, cfg.resolved_volume_degree(r))
     edges, num = space.mesh.edges, space.num_elements
@@ -259,25 +279,24 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     rank[np.argsort(sides, kind="stable")[:3 * num]] = np.tile([0, 1, 2], num)
     rank = rank.reshape(-1, 2)
 
-    # the diagonal blocks, then each interior edge's (plus, minus) and
-    # (minus, plus) blocks, at their block-row positions; every index
-    # array is int32, so bsr_matrix keeps them without a copy
+    # each interior edge's (plus, minus) and (minus, plus) coupling
+    # blocks at their block-row positions; every index array is int32, so
+    # bsr_matrix keeps them without a copy
     plus, minus = edges.tri[~edges.boundary].T
-    elements = np.arange(num)
-    block_rows = np.concatenate([elements, plus, minus], dtype=np.int32)
-    block_cols = np.concatenate([elements, minus, plus], dtype=np.int32)
+    block_rows = np.concatenate([plus, minus], dtype=np.int32)
+    block_cols = np.concatenate([minus, plus], dtype=np.int32)
     order = np.lexsort((block_cols, block_rows))
     indptr = np.zeros(num + 1, dtype=np.int32)
     np.cumsum(np.bincount(block_rows, minlength=num), out=indptr[1:])
     indices = block_cols[order]
-    diagonal, upper, lower = np.split(np.argsort(order).astype(np.int32),
-                                      [num, num + len(plus)])
+    upper, lower = np.split(np.argsort(order).astype(np.int32), [len(plus)])
     del sides, block_rows, block_cols, order
 
     d, n = space.dofs_per_element, space.total_dofs
-    data = np.empty((len(indices), d, d))
+    diagonal = np.empty((num, d, d))
     for chunk in _element_chunks(num):
-        data[diagonal[chunk]] = _volume_stiffness_blocks(space, vol, chunk)
+        diagonal[chunk] = _volume_stiffness_blocks(space, vol, chunk)
+    data = np.empty((len(indices), d, d))
     certified, placed = True, 0
     for chunk in _edge_chunks(len(edges), _assembly_edge_chunk(d)):
         blocks = _edge_blocks(space, cfg, chunk)
@@ -291,14 +310,14 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
                 tri, blocks, third.reshape(len(tri), 2, d, d))
         for k in range(3):
             e, s = np.nonzero(rank[chunk] == k)
-            data[diagonal[tri[e, s]]] += blocks[e, s, :, s, :]
+            diagonal[tri[e, s]] += blocks[e, s, :, s, :]
         # the chunk's interior edges are the next ones in edge order
         within = slice(placed, placed + np.count_nonzero(inner))
         placed = within.stop
         data[upper[within]] = blocks[inner, 0, :, 1, :]
         data[lower[within]] = blocks[inner, 1, :, 0, :]
-    a = sparse.bsr_matrix((data, indices, indptr), shape=(n, n))
-    return SparseSymMatrix(a, certified)
+    couplings = sparse.bsr_matrix((data, indices, indptr), shape=(n, n))
+    return SparseSymMatrix(couplings, _block_diagonal(diagonal), certified)
 
 
 def _finite(values, what):
@@ -309,29 +328,16 @@ def _finite(values, what):
     return values
 
 
-def _diagonal_block_positions(a: SparseSymMatrix):
-    """Positions in `a.csr.data` of the element-diagonal blocks, in
-    element order; every such block must be stored."""
-    counts = np.diff(a.csr.indptr)
-    positions = np.flatnonzero(
-        a.csr.indices == np.repeat(np.arange(len(counts)), counts))
-    if len(positions) != len(counts):
-        raise ValueError("the matrix does not store every "
-                         "element-diagonal block")
-    return positions
-
-
 class NewtonKernel:
     """Residual and Jacobian of one problem on one space, as matrix
     products against tables computed once per solve.
 
     Holds the volume tables V (Q, D) and V (x) V (Q, D^2), the rule's
-    weights, the source g at the quadrature points (evaluated in element
-    chunks and checked once) and the positions of the element-diagonal
-    blocks in the stiffness; the measure dets x weights is formed one
-    element chunk at a time (`measure`). A Jacobian is the stiffness
-    itself with the N'(u_h)-weighted mass blocks added in place, for the
-    span of one `jacobian` block.
+    weights and the source g at the quadrature points (evaluated in
+    element chunks and checked once); the measure dets x weights is
+    formed one element chunk at a time (`measure`). A Jacobian is the
+    stiffness's couplings beside its element blocks plus the
+    N'(u_h)-weighted mass blocks (`jacobian`).
     """
 
     def __init__(self, space: DGSpace, problem, cfg: AssemblyConfig,
@@ -350,7 +356,6 @@ class NewtonKernel:
             pts = space.physical_points(vol.rule.points, chunk)
             self.source[chunk] = _finite(problem.source(
                 pts[..., 0], pts[..., 1]), "the source g(x, y)")
-        self.diagonal_positions = _diagonal_block_positions(self.stiffness)
 
     def measure(self, chunk):
         """dets x weights (m, Q) on the elements `chunk` picks."""
@@ -358,8 +363,7 @@ class NewtonKernel:
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
-        solution up to solver tolerance. Inside a `jacobian` block the
-        stiffness holds J, so call it outside one."""
+        solution up to solver tolerance."""
         return self.stiffness @ u - _nonlinear_load(self, u)
 
     def _mass_weight(self, coeffs, chunk):
@@ -378,48 +382,28 @@ class NewtonKernel:
         return weight
 
     def check_sign(self, u: np.ndarray):
-        """Raise SignAssumptionViolated, as `add_mass` does, if N'(u_h) < 0
+        """Raise SignAssumptionViolated, as `jacobian` does, if N'(u_h) < 0
         at some volume quadrature point; one element chunk at a time."""
         coeffs = u.reshape(self.space.num_elements, -1)
         for chunk in _element_chunks(len(coeffs)):
             self._mass_weight(coeffs, chunk)
 
-    def add_mass(self, u: np.ndarray, saved: np.ndarray):
-        """Write `saved` (E, D, D), the stiffness's diagonal blocks, plus
-        the N'(u_h)-weighted mass blocks into the diagonal blocks one
-        element chunk at a time, building no (E, Q) or (E, D^2) array.
-        SignAssumptionViolated names the first element where N'(u_h) < 0;
-        the chunks before it have added their mass."""
-        data, positions = self.stiffness.csr.data, self.diagonal_positions
+    def jacobian(self, u: np.ndarray) -> SparseSymMatrix:
+        """The stiffness plus the mass matrix weighted with
+        N'(u_h) = -f_u >= 0, uncertified: the stiffness's own couplings
+        beside new element blocks, the stiffness's plus the mass blocks,
+        formed one element chunk at a time without an (E, Q) or (E, D^2)
+        array. SignAssumptionViolated names the first element where
+        N'(u_h) < 0; the stiffness is not written either way."""
+        stiffness_blocks = self.stiffness.diagonal.data
         d = self.space.dofs_per_element
         coeffs = u.reshape(self.space.num_elements, -1)
-        for chunk in _element_chunks(len(positions)):
-            weight = self._mass_weight(coeffs, chunk)
-            if not weight.flags.writeable:
-                weight = weight.copy()
-            weight *= self.measure(chunk)
-            data[positions[chunk]] = saved[chunk] + (
+        blocks = np.empty_like(stiffness_blocks)
+        for chunk in _element_chunks(len(blocks)):
+            weight = self._mass_weight(coeffs, chunk) * self.measure(chunk)
+            blocks[chunk] = stiffness_blocks[chunk] + (
                 weight @ self.value_pairs).reshape(-1, d, d)
-
-    @contextlib.contextmanager
-    def jacobian(self, u: np.ndarray):
-        """Within the block, the stiffness plus the mass matrix weighted
-        with N'(u_h) = -f_u >= 0.
-
-        Yields the stiffness's own matrix, uncertified, with the mass
-        added in place (`add_mass`, which raises SignAssumptionViolated
-        where N'(u_h) < 0); the diagonal blocks saved on entry are copied
-        back on exit, also when the mass add or the block raises, so the
-        stiffness is bit-identical afterwards. A caller that needs J past
-        the block, or beside A, copies it inside.
-        """
-        data, positions = self.stiffness.csr.data, self.diagonal_positions
-        saved = data[positions]
-        try:
-            self.add_mass(u, saved)
-            yield SparseSymMatrix(self.stiffness.csr)
-        finally:
-            data[positions] = saved
+        return SparseSymMatrix(self.stiffness.csr, _block_diagonal(blocks))
 
 
 def _nonlinear_load(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:

@@ -4,14 +4,14 @@ One route: `two_level_preconditioner` proves a stiffness positive
 definite and preconditions it, and `solve_spd` runs one preconditioned
 conjugate gradient loop with it. A stiffness that assembly's local
 certificate does not cover (`SparseSymMatrix.certified`) is proven by
-the pivots of its `symmetric_factor`, which raises IndefiniteOperator on
-a negative pivot, the practical symptom of an insufficient penalty
-parameter. The preconditioner is the exact per-element block-Jacobi
-inverse of `block_jacobi_preconditioner` plus an exact solve on the
-continuous P1 coarse space; the blocks, and their size, come from the
-matrix's BSR form. CG only checks: it raises the same error when it
-meets a direction of non-positive curvature, which it may never meet,
-so it is for a matrix already proven positive definite.
+the pivots of the `symmetric_factor` of its `full` matrix, which raises
+IndefiniteOperator on a negative pivot, the practical symptom of an
+insufficient penalty parameter. The preconditioner is the exact
+per-element block-Jacobi inverse of `block_jacobi_preconditioner`, read
+from the operator's element blocks, plus an exact solve on the
+continuous P1 coarse space. CG only checks: it raises the same error
+when it meets a direction of non-positive curvature, which it may never
+meet, so it is for a matrix already proven positive definite.
 
 A certified matrix is factored without reading its pivots: the first
 access to `lu.U` makes scipy build and cache CSC copies of both L and U
@@ -24,8 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import (SparseSymMatrix, _diagonal_block_positions,
-                       _element_chunks)
+from .assembly import SparseSymMatrix, _element_chunks
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
 
 
@@ -38,19 +37,19 @@ class LinearSolveReport:
     method: str = "pcg"
 
 
-def symmetric_factor(a: SparseSymMatrix):
-    """Sparse LU of `a` with a symmetric fill-reducing ordering and
-    diagonal pivots, certified positive definite.
+def symmetric_factor(matrix, certified: bool):
+    """Sparse LU of the symmetric `matrix` with a symmetric fill-reducing
+    ordering and diagonal pivots, certified positive definite.
 
-    A matrix not already proven (`a.certified`) is proven by its pivots:
+    A matrix not already proven (`certified`) is proven by its pivots:
     when the row and column permutations agree, P A P^T = L D L^T with
-    D = diag(U), so by Sylvester's law of inertia `a` has as many
+    D = diag(U), so by Sylvester's law of inertia `matrix` has as many
     negative eigenvalues as U has negative pivots. Exact zeros of the
-    stored blocks are left out of the factored pattern. Raises
+    stored entries are left out of the factored pattern. Raises
     SingularOperator on an exactly singular matrix and IndefiniteOperator
     on an off-diagonal or negative pivot.
     """
-    csc = sparse.csc_matrix(a.csr)
+    csc = sparse.csc_matrix(matrix)
     csc.eliminate_zeros()
     try:
         lu = splu(csc, permc_spec="MMD_AT_PLUS_A",
@@ -61,7 +60,7 @@ def symmetric_factor(a: SparseSymMatrix):
         raise IndefiniteOperator(
             "sparse LU needed an off-diagonal pivot, so the operator is "
             "not positive definite")
-    negative = 0 if a.certified else np.count_nonzero(lu.U.diagonal() < 0.0)
+    negative = 0 if certified else np.count_nonzero(lu.U.diagonal() < 0.0)
     if negative:
         raise IndefiniteOperator(
             f"sparse LU met {negative} negative pivots, so the operator has "
@@ -70,19 +69,18 @@ def symmetric_factor(a: SparseSymMatrix):
 
 
 def block_jacobi_preconditioner(a: SparseSymMatrix):
-    """Exact inverse of the diagonal blocks of `a`, one per element.
+    """Exact inverse of the element blocks of `a` (`a.diagonal`).
 
     Blocks are small ((r+1)(r+2)/2 <= 10), so exact inverses are cheap.
-    They are gathered, checked and inverted one `ELEMENT_CHUNK` at a
-    time into one (E, D, D) array; LAPACK inverts each block on its own,
-    so the chunks do not change a bit. `a` must store every diagonal
-    block, as assembly's matrices do. Raises IndefiniteOperator if any
-    block is not positive definite.
+    They are checked and inverted one `ELEMENT_CHUNK` at a time into one
+    (E, D, D) array; LAPACK inverts each block on its own, so the chunks
+    do not change a bit. Raises IndefiniteOperator if any block is not
+    positive definite.
     """
-    data, positions = a.csr.data, _diagonal_block_positions(a)
-    inv = np.empty((len(positions),) + data.shape[1:])
-    for chunk in _element_chunks(len(positions)):
-        dense = data[positions[chunk]]
+    blocks = a.diagonal.data
+    inv = np.empty_like(blocks)
+    for chunk in _element_chunks(len(blocks)):
+        dense = blocks[chunk]
         try:
             np.linalg.cholesky(dense)
         except np.linalg.LinAlgError as exc:
@@ -102,25 +100,26 @@ def two_level_preconditioner(a: SparseSymMatrix, prolongation):
     Lazarov, Vassilevski & Zikatanov, NLAA 2006) for `a`, proven positive
     definite first: CG iterations do not grow as h -> 0.
 
-    An `a` without assembly's certificate is proven by the pivots of its
-    `symmetric_factor`, which raises IndefiniteOperator otherwise; the
-    factor is then dropped. B is `block_jacobi_preconditioner`, P the
-    `prolongation` (continuous P1 on the same mesh,
-    `space.p1_prolongation`) and A_c = P^T a P, positive definite since
-    P has full column rank, and factored as such. P^T is used as
+    An `a` without assembly's certificate is proven by the pivots of the
+    `symmetric_factor` of `a.full()`, which raises IndefiniteOperator
+    otherwise; the factor is then dropped. B is
+    `block_jacobi_preconditioner`, P the `prolongation` (continuous P1 on
+    the same mesh, `space.p1_prolongation`) and A_c = P^T C P + P^T D P
+    for a's couplings C and element blocks D, positive definite since P
+    has full column rank, and factored as such. P^T is used as
     `prolongation.T`, a CSC view of P, so no transposed copy is kept.
     """
     if not a.certified:
-        symmetric_factor(a)
+        symmetric_factor(a.full(), False)
     smoother = block_jacobi_preconditioner(a)
     restriction = prolongation.T
-    # P^T (A P) as ((A P)^T P)^T: scipy runs the CSC view (A P)^T times
-    # P as the CSR product of P^T and A P, so the coarse matrix has the
-    # bytes a CSR copy of P^T gives, while only a transient CSC copy of P
-    # is made, not one of A P
+    # P^T (X P) as ((X P)^T P)^T for X = C, then D, one X P at a time:
+    # scipy runs the CSC view (X P)^T times P as the CSR product of P^T
+    # and X P, so each has the bytes a CSR copy of P^T gives, while only
+    # a transient CSC copy of P is made, not one of X P
     coarse = ((a.csr @ prolongation).tocsr().T @ prolongation).T \
-        .tobsr(blocksize=(1, 1))
-    lu = symmetric_factor(SparseSymMatrix(coarse, True))
+        + ((a.diagonal @ prolongation).tocsr().T @ prolongation).T
+    lu = symmetric_factor(coarse, True)
 
     def apply(r):
         out = smoother(r)

@@ -5,21 +5,21 @@ Each step solves J(u^k) delta = -residual(u^k) with the exact Jacobian
 delta where alpha comes from residual-decrease backtracking. The
 stiffness, the source at the quadrature points and the block pattern
 are set up once per solve in an `assembly.NewtonKernel`; each residual
-is then one matrix product against its tables. Each step's Jacobian is
-the stiffness itself with its mass blocks added in place: the step's
-solve runs inside the kernel's `jacobian` block, which restores the
-stiffness exactly, and the residuals and backtracking run after it. The
+is then one matrix product against its tables. Each step's Jacobian
+(`NewtonKernel.jacobian`) holds the stiffness's own couplings beside
+new element blocks, the stiffness's plus the mass blocks, and lives only
+for the step's solve; the stiffness is never written. The
 preconditioner, built from the stiffness before the loop, keeps the
-inverses of its diagonal blocks and the factored coarse matrix; it
-reads P^T through a view of P.
+inverses of its element blocks and the factored coarse matrix; it reads
+P^T through a view of P.
 
 The paper proves the discrete problem well posed under the sign
 assumption N' >= 0, and only there is every Jacobian the stiffness plus
 a positive semidefinite mass term, so one proof that the stiffness is
 positive definite covers them all. `two_level_preconditioner` gives
 that proof and the preconditioner, once per solve, before the loop, and
-every step runs one PCG loop (`solve_spd`) with it. Each Jacobian's mass
-add checks N'(u_h) >= 0 at every quadrature point and raises
+every step runs one PCG loop (`solve_spd`) with it. Each Jacobian
+checks N'(u_h) >= 0 at every quadrature point and raises
 SignAssumptionViolated otherwise, before its step solves anything, and
 the converged iterate, which no Jacobian is built at, is swept once
 more by the same check. Steps are solved only as far as
@@ -125,12 +125,9 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     for _ in range(MAX_ITERATIONS):
         if res_norm <= threshold:
             break
-        # J lives in the stiffness's storage until the block ends, so the
-        # residuals below run after it
-        with kernel.jacobian(u) as jac:
-            delta, lin = solve_spd(
-                jac, -res, precondition,
-                tol=_forcing_term(res_norm, first_norm, threshold))
+        delta, lin = solve_spd(
+            kernel.jacobian(u), -res, precondition,
+            tol=_forcing_term(res_norm, first_norm, threshold))
         report.linear_reports.append(lin)
 
         alpha = 1.0

@@ -119,7 +119,8 @@ def p1_prolongation(space: DGSpace):
     e, without exact zeros, so it has at most 3 entries, in column
     order. Columns are the vertices some triangle uses, in index order.
     Every element has the same pattern, so the CSR arrays are written
-    directly, one node's row at a time over all elements.
+    element by element in corner order and each row is then sorted in
+    place.
     """
     r, num = space.degree, space.num_elements
     lattice = np.rint(space.basis.nodes * r)
@@ -128,41 +129,17 @@ def p1_prolongation(space: DGSpace):
     used = np.zeros(len(space.mesh.vertices), dtype=bool)
     used[triangles] = True
     column = np.cumsum(used, dtype=np.int32) - 1   # vertex -> column
-    supports = [np.flatnonzero(weights) for weights in bary]
-    starts = np.cumsum([0] + [len(support) for support in supports])
-    width = int(starts[-1])   # entries per element
-    # row e D + i starts at entry e * width + starts[i]
-    indptr = np.empty(space.total_dofs + 1, dtype=np.int32)
-    row_starts = indptr[:-1].reshape(num, -1)
-    row_starts[:] = starts[:-1]
-    row_starts += (np.arange(num, dtype=np.int32) * width)[:, None]
-    indptr[-1] = num * width
-    data = np.empty((num, width))
-    indices = np.empty(data.shape, dtype=np.int32)
-    for weights, support, start in zip(bary, supports, starts):
-        slots = slice(start, start + len(support))
-        _write_sorted_row(indices[:, slots], data[:, slots],
-                          [column[triangles[:, j]] for j in support],
-                          weights[support])
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr),
-                             shape=(space.total_dofs, np.count_nonzero(used)))
-
-
-def _write_sorted_row(indices, data, cols, weights):
-    """Write one node's row on every element: `cols` holds the columns
-    (E,) of its k vertices and `weights` (k,) their barycentric weights,
-    and each element's k entries go into the k slots of `indices` and
-    `data` (E, k) in increasing column order, as a COO conversion sorts
-    them. The columns of one element's vertices are distinct. A function
-    of its own, so that one row's arrays are freed before the next's."""
-    for c, w in zip(cols, weights):
-        rank = np.zeros(len(c), dtype=np.int8)
-        for other in cols:
-            rank += other < c
-        for place in range(len(cols)):
-            at = rank == place
-            np.copyto(indices[:, place], c, where=at)
-            np.copyto(data[:, place], w, where=at)
+    # indices, then indptr, then data, so that the temporaries of each
+    # fit beside the arrays built before it
+    corners = np.nonzero(bary)[1]   # row by row, as bary[bary != 0]
+    indices = column[triangles][:, corners].ravel()
+    counts = np.count_nonzero(bary, axis=1).astype(np.int32)
+    indptr = np.zeros(space.total_dofs + 1, dtype=np.int32)
+    np.cumsum(np.tile(counts, num), dtype=np.int32, out=indptr[1:])
+    p = sparse.csr_matrix((np.tile(bary[bary != 0], num), indices, indptr),
+                          shape=(space.total_dofs, np.count_nonzero(used)))
+    p.sort_indices()
+    return p
 
 
 @functools.lru_cache(maxsize=16)

@@ -22,6 +22,19 @@ def space_on(n, r):
     return dgsl.DGSpace(dgsl.build_structured(n), r)
 
 
+def part_bytes(a):
+    """The bytes of each array of both parts of the operator `a`."""
+    return [getattr(part, name).tobytes() for part in (a.csr, a.diagonal)
+            for name in ("data", "indices", "indptr")]
+
+
+def matrix_bytes(a):
+    """The bytes of both parts of the operator `a`, index arrays
+    included."""
+    return sum(array.nbytes for part in (a.csr, a.diagonal)
+               for array in (part.data, part.indices, part.indptr))
+
+
 class CountingFactor:
     """A SuperLU factor that records every read of its L and U copies,
     each of which makes scipy build both."""

@@ -354,7 +354,8 @@ def test_projection_runs_two_level_pcg(sine, monkeypatch, factor_reads,
     coarse = p1_prolongation(space).shape[1]
     assert factored == ([a.dim] if reads else []) + [coarse]
     assert factor_reads == reads
-    ref = spsolve(a.csr.tocsc(), apply_bilinear_to_field(space, sine.exact, cfg))
+    ref = spsolve(a.full().tocsc(),
+                  apply_bilinear_to_field(space, sine.exact, cfg))
     assert np.linalg.norm(proj.coeffs - ref) <= 1e-10 * np.linalg.norm(ref)
 
 

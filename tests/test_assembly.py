@@ -33,7 +33,7 @@ from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
 from dgsl.quadrature import MAX_TRIANGLE_DEGREE, edge_rule, triangle_rule
 
-from conftest import space_on, weak_form_load
+from conftest import matrix_bytes, part_bytes, space_on, weak_form_load
 
 
 def traces_by_inverse_map(space, v, params):
@@ -131,8 +131,8 @@ def test_volume_term_for_linear_field(rng):
     assert_allclose(float(v.coeffs @ (a @ w.coeffs)), direct, rtol=1e-11)
     # and the remaining (edge) part is what the full form adds
     edge_part = direct - volume
-    pen_only = dgsl.SparseSymMatrix(
-        assemble_bilinear(space, AssemblyConfig(penalty=100.0)).csr - a.csr)
+    b = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    pen_only = dgsl.SparseSymMatrix(b.csr - a.csr, b.diagonal - a.diagonal)
     assert np.isfinite(edge_part)
     assert pen_only.max_asymmetry() <= 1e-12 * pen_only.max_abs()
 
@@ -143,7 +143,7 @@ def test_doubling_penalty_adds_penalty_matrix(rng):
     cfg = AssemblyConfig(penalty=80.0)
     a1 = assemble_bilinear(space, cfg)
     a2 = assemble_bilinear(space, AssemblyConfig(penalty=160.0))
-    pen = a2.csr - a1.csr
+    pen = a2.full() - a1.full()
     vdeg, edeg = cfg.resolved_volume_degree(2), cfg.resolved_edge_degree(2)
     for _ in range(5):
         w = DGVector(space, rng.standard_normal(space.total_dofs))
@@ -170,17 +170,24 @@ def zero_problem():
 def test_max_abs_reads_the_extremes_without_a_matrix_sized_temporary():
     a = assemble_bilinear(space_on(16, 2), AssemblyConfig(penalty=100.0))
     # the stiffness's largest entry is positive; its negation's is not
-    for m in (a, dgsl.SparseSymMatrix(-a.csr)):
+    for m in (a, dgsl.SparseSymMatrix(-a.csr, -a.diagonal)):
         tracemalloc.start()
         try:
             value = m.max_abs()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert value == np.abs(m.csr.data).max()
-        assert peak <= 0.01 * m.csr.data.nbytes, peak
+        assert value == np.abs(m.full().toarray()).max()
+        assert peak <= 0.01 * (m.csr.data.nbytes + m.diagonal.data.nbytes), \
+            peak
+    # either part may hold the extreme, or be empty
+    empty = sparse.bsr_matrix(a.csr.shape, blocksize=a.csr.blocksize)
+    assert dgsl.SparseSymMatrix(a.csr, empty).max_abs() \
+        == np.abs(a.csr.data).max()
+    assert dgsl.SparseSymMatrix(empty, -a.diagonal).max_abs() \
+        == np.abs(a.diagonal.data).max()
     for empty in (sparse.bsr_matrix((0, 0)), sparse.bsr_matrix((4, 4))):
-        assert dgsl.SparseSymMatrix(empty).max_abs() == 0.0
+        assert dgsl.SparseSymMatrix(empty, empty).max_abs() == 0.0
 
 
 def test_zero_source_zero_state_residual_vanishes():
@@ -212,9 +219,8 @@ def test_jacobian_with_unit_weight_is_stiffness_plus_mass(rng):
                      d_nonlinearity=lambda u: np.ones_like(u),
                      source=lambda x, y: 0.0 * x)
     kernel = NewtonKernel(space, linear, cfg)
-    stiffness = kernel.stiffness.csr.copy()
-    with kernel.jacobian(rng.standard_normal(space.total_dofs)) as jac:
-        mass = jac.csr - stiffness
+    jac = kernel.jacobian(rng.standard_normal(space.total_dofs))
+    mass = jac.full() - kernel.stiffness.full()
     for _ in range(5):
         v = DGVector(space, rng.standard_normal(space.total_dofs))
         assert_allclose(float(v.coeffs @ (mass @ v.coeffs)),
@@ -232,8 +238,7 @@ def test_jacobian_matches_central_differences(sine, rng):
     eps = 1e-6
     fd = (kernel.residual(u.coeffs + eps * d)
           - kernel.residual(u.coeffs - eps * d)) / (2 * eps)
-    with kernel.jacobian(u.coeffs) as jac:
-        jd = jac @ d
+    jd = kernel.jacobian(u.coeffs) @ d
     assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
 
 
@@ -244,12 +249,9 @@ def test_cubic_nonlinearity_jacobian_dominates_stiffness(sine, rng):
     a = assemble_bilinear(space, cfg)
     kernel = NewtonKernel(space, sine, cfg, stiffness=a)
     u = rng.standard_normal(space.total_dofs)
-    vs = rng.standard_normal((20, space.total_dofs))
-    # a @ v reads the stiffness, so before J's block
-    quads = [float(v @ (a @ v)) for v in vs]
-    with kernel.jacobian(u) as jac:
-        for v, quad in zip(vs, quads):
-            assert float(v @ (jac @ v)) >= quad - 1e-10
+    jac = kernel.jacobian(u)
+    for v in rng.standard_normal((20, space.total_dofs)):
+        assert float(v @ (jac @ v)) >= float(v @ (a @ v)) - 1e-10
 
 
 def test_consistency_with_strong_form(sine):
@@ -315,17 +317,20 @@ def test_volume_tables_are_built_once_per_degree_pair():
 def test_csr_fields_exposed():
     space = space_on(1, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=10.0))
-    # the element-block form: one block row per element
-    assert a.csr.blocksize == (3, 3)
-    assert a.csr.indptr.shape == (space.num_elements + 1,)
-    assert a.csr.data.shape == a.csr.indices.shape + (3, 3)
-    dense = a.csr.toarray()
+    # the element-block form: one block row per element in both parts,
+    # one block per row in the diagonal
+    for part in (a.csr, a.diagonal):
+        assert part.blocksize == (3, 3)
+        assert part.indptr.shape == (space.num_elements + 1,)
+        assert part.data.shape == part.indices.shape + (3, 3)
+    assert np.array_equal(a.diagonal.indices, np.arange(space.num_elements))
+    dense = a.full().toarray()
     assert dense.shape == (6, 6)
     # block sparsity: the two elements share an edge, so all blocks exist here;
     # on a 2x2 mesh non-neighbouring blocks must be structurally zero
     space2 = space_on(2, 1)
     a2 = assemble_bilinear(space2, AssemblyConfig(penalty=10.0))
-    dense2 = a2.csr.toarray()
+    dense2 = a2.full().toarray()
     edges = space2.mesh.edges
     inner = edges.tri[~edges.boundary]
     neighbours = set(map(tuple, np.concatenate([inner, inner[:, ::-1]]).tolist()))
@@ -363,14 +368,18 @@ def oracle_residual(space, u, problem, cfg, a):
     return a @ u - np.einsum("eq,qi->ei", scaled, vals).ravel()
 
 
-def oracle_jacobian(space, u, problem, cfg, a):
+def oracle_mass_blocks(space, u, problem, cfg):
     rule, vals, _ = _oracle_tables(space, cfg)
     uvals = np.einsum("ed,qd->eq", u.reshape(space.num_elements, -1), vals)
     scaled = space.dets[:, None] * rule.weights[None, :] \
         * problem.d_nonlinearity(uvals)
-    blocks = np.einsum("eq,qi,qj->eij", scaled, vals, vals)
+    return np.einsum("eq,qi,qj->eij", scaled, vals, vals)
+
+
+def oracle_jacobian(space, u, problem, cfg, a):
     elements = np.arange(space.num_elements)
-    return a.csr + _coo_blocks(space, elements, elements, blocks)
+    return a.full() + _coo_blocks(space, elements, elements,
+                                  oracle_mass_blocks(space, u, problem, cfg))
 
 
 def oracle_bilinear(space, cfg):
@@ -420,56 +429,66 @@ def test_kernel_matches_per_call_formulas(sine, r, rng):
         assert max_rel(kernel.residual(u),
                        oracle_residual(space, u, sine, cfg, a)) <= 1e-13
         expected = oracle_jacobian(space, u, sine, cfg, a).toarray()
-        with kernel.jacobian(u) as jac:
-            assert max_rel(jac.csr.toarray(), expected) <= 1e-13
+        assert max_rel(kernel.jacobian(u).full().toarray(), expected) \
+            <= 1e-13
+
+
+def stiffness_state(kernel, u, v):
+    """The bytes of a kernel's residual at u, of its stiffness applied to
+    v, and of both parts of its stiffness."""
+    return [kernel.residual(u).tobytes(),
+            (kernel.stiffness @ v).tobytes()] + part_bytes(kernel.stiffness)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_jacobian_shares_the_stiffness_pattern(sine, r, rng):
-    space = perturbed_space(r)
-    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=37.0))
-    a = kernel.stiffness.csr
-    before = a.data.tobytes()
-    with kernel.jacobian(rng.standard_normal(space.total_dofs)) as jac:
-        # J is the stiffness's own storage, mass added in place
-        assert jac.csr is a and not jac.certified
-        assert a.data.tobytes() != before
-    assert a.data.tobytes() == before
+    # J holds the stiffness's own couplings beside new element blocks,
+    # the stiffness's plus the weighted mass; holding it changes nothing
+    # the stiffness computes
+    space, cfg = perturbed_space(r), AssemblyConfig(penalty=37.0)
+    kernel = NewtonKernel(space, sine, cfg)
+    a = kernel.stiffness
+    u, v, w = rng.standard_normal((3, space.total_dofs))
+    before = stiffness_state(kernel, u, v)
+    jac = kernel.jacobian(w)
+    assert jac.csr is a.csr and not jac.certified
+    assert not np.shares_memory(jac.diagonal.data, a.diagonal.data)
+    assert max_rel(jac.diagonal.data, a.diagonal.data
+                   + oracle_mass_blocks(space, w, sine, cfg)) <= 1e-13
+    assert stiffness_state(kernel, u, v) == before
 
 
-def test_stiffness_is_restored_when_the_sign_check_raises_mid_add(
-        monkeypatch):
+def test_a_jacobian_that_raises_mid_chunk_leaves_the_stiffness_as_it_was(
+        rng, monkeypatch):
     # chunks of 4 elements, and N' = 1 - 2 u < 0 only on element 9, where
-    # u = 1: the first two chunks have added their mass when the third
-    # raises
+    # u = 1: the first two chunks have formed their blocks when the third
+    # raises, and no chunk writes the stiffness
     monkeypatch.setattr(dgsl.assembly, "ELEMENT_CHUNK", 4)
     space, cfg = perturbed_space(2), AssemblyConfig(penalty=37.0)
-    assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
-    added = []
+    x, v = rng.standard_normal((2, space.total_dofs))
+    written = []
 
     def d_nonlinearity(u):
-        added.append(kernel.stiffness.csr.data.tobytes() != assembled)
+        written.append(stiffness_state(kernel, x, v)[2:] != before[2:])
         return 1.0 - 2.0 * u
 
     problem = Problem(name="sign-flip", nonlinearity=lambda u: u - u ** 2,
                       d_nonlinearity=d_nonlinearity,
                       source=lambda x, y: 0.0 * x)
     kernel = NewtonKernel(space, problem, cfg)
+    before = stiffness_state(kernel, x, v)
     u = np.zeros((space.num_elements, space.dofs_per_element))
     u[9] = 1.0
     with pytest.raises(SignAssumptionViolated,
                        match=r"N'\(u_h\) = -1\.0+e\+00 < 0 on element 9;"):
-        with kernel.jacobian(u.ravel()):
-            pass
-    assert added == [False, True, True]
-    assert kernel.stiffness.csr.data.tobytes() == assembled
-    # the restored stiffness gives a fresh kernel's Jacobian
+        kernel.jacobian(u.ravel())
+    assert written == [False, False, False]
+    assert stiffness_state(kernel, x, v) == before
+    # and it still gives a fresh kernel's Jacobian
     zero = np.zeros(space.total_dofs)
-    with NewtonKernel(space, problem, cfg).jacobian(zero) as fresh:
-        expected = fresh.csr.data.tobytes()
-    with kernel.jacobian(zero) as jac:
-        assert jac.csr.data.tobytes() == expected
-    assert kernel.stiffness.csr.data.tobytes() == assembled
+    fresh = NewtonKernel(space, problem, cfg).jacobian(zero)
+    assert kernel.jacobian(zero).diagonal.data.tobytes() \
+        == fresh.diagonal.data.tobytes()
 
 
 @pytest.mark.parametrize("mesh", ["structured", "perturbed"])
@@ -479,18 +498,21 @@ def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r,
     space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
     cfg = AssemblyConfig(penalty=37.0)
     a = assemble_bilinear(space, cfg)
-    bsr, d = a.csr, space.dofs_per_element
-    # exactly the E diagonal blocks and both blocks of each interior
-    # edge, each (D, D) block in full and each block row in column order
+    d = space.dofs_per_element
+    # exactly the E diagonal blocks, and in the couplings both blocks of
+    # each interior edge, each (D, D) block in full and each block row in
+    # column order
     edges = space.mesh.edges
     inner = edges.tri[~edges.boundary]
     elements = np.arange(space.num_elements)
-    expected = sorted(zip(np.concatenate([elements, inner[:, 0], inner[:, 1]]),
-                          np.concatenate([elements, inner[:, 1], inner[:, 0]])))
-    rows = np.repeat(elements, np.diff(bsr.indptr))
-    assert list(zip(rows, bsr.indices)) == expected
-    assert bsr.blocksize == (d, d) and bsr.data.shape == (len(expected), d, d)
-    dense = bsr.toarray()
+    expected = sorted(zip(np.concatenate([inner[:, 0], inner[:, 1]]),
+                          np.concatenate([inner[:, 1], inner[:, 0]])))
+    for bsr, blocks in ((a.csr, expected),
+                        (a.diagonal, zip(elements, elements))):
+        rows = np.repeat(elements, np.diff(bsr.indptr))
+        assert list(zip(rows, bsr.indices)) == list(blocks)
+        assert bsr.blocksize == (d, d) and bsr.data.shape == (len(rows), d, d)
+    dense = a.full().toarray()
     oracle = oracle_bilinear(space, cfg).toarray()
     assert np.abs(dense - oracle).max() <= 1e-15 * np.abs(oracle).max()
     # the factored CSC holds exactly the nonzero entries
@@ -502,7 +524,7 @@ def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r,
         return splu(csc, **options)
 
     monkeypatch.setattr(linear_solver, "splu", recording_splu)
-    linear_solver.symmetric_factor(a)
+    linear_solver.symmetric_factor(a.full(), a.certified)
     csc, = factored
     assert csc.nnz == np.count_nonzero(dense)
     assert np.array_equal(csc.toarray(), dense)
@@ -513,7 +535,7 @@ def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r,
 def test_bilinear_matches_coo_oracle(mesh, r):
     space = perturbed_space(r) if mesh == "perturbed" else space_on(6, r)
     cfg = AssemblyConfig(penalty=37.0)
-    a = assemble_bilinear(space, cfg).csr.toarray()
+    a = assemble_bilinear(space, cfg).full().toarray()
     oracle = oracle_bilinear(space, cfg).toarray()
     assert np.abs(a - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
@@ -604,12 +626,14 @@ def test_chunked_assembly_is_byte_identical_for_every_chunk_size(
             assert lengths == chunk_lengths(m, chunk), chunk
         first = runs[0]
         for chunk, a in zip(chunks[1:], runs[1:]):
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(a.csr, name),
-                                      getattr(first.csr, name)), (chunk, name)
+            for part in ("csr", "diagonal"):
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(
+                        getattr(getattr(a, part), name),
+                        getattr(getattr(first, part), name)), (chunk, name)
             assert a.certified == first.certified
         dense, certified = whole_array_operator(space, cfg)
-        assert np.array_equal(first.csr.toarray(), dense)
+        assert np.array_equal(first.full().toarray(), dense)
         assert first.certified == certified
         verdicts.append(certified)
     assert verdicts == ([False, False, True] if r == 3 else [False, True, True])
@@ -649,8 +673,8 @@ def test_element_chunks_cover_every_element_once(sine, r, rng, monkeypatch):
         monkeypatch.setattr(dgsl.assembly, "ELEMENT_CHUNK", chunk)
         kernel = NewtonKernel(space, sine, cfg, stiffness=a)
         assert kernel.source.tobytes() == source.tobytes(), chunk
-        with kernel.jacobian(u) as jac:
-            assert max_rel(jac.csr.toarray(), expected) <= 1e-13, chunk
+        assert max_rel(kernel.jacobian(u).full().toarray(), expected) \
+            <= 1e-13, chunk
 
 
 @pytest.mark.parametrize("r, n, perturbed", [
@@ -660,11 +684,13 @@ def test_element_chunks_cover_every_element_once(sine, r, rng, monkeypatch):
     pytest.param(3, 32, False, id="P3-structured-32")])
 def test_assembly_peak_stays_within_one_and_a_half_times_its_matrix(
         r, n, perturbed):
-    # the traced peak growth of one assembly, the matrix included; an
-    # array over all edges' blocks made it 8.3x (P1) and 7.8x (P3), and
-    # whole-mesh volume blocks and certificate thirds 1.61x and 1.59x;
-    # a fixed 512-edge chunk read 1.27x, 1.37x, 2.42x and 2.22x here,
-    # and a chunk scaled by 9 / D^2 reads 1.27x, 1.08x, 1.39x and 1.29x
+    # the traced peak growth of one assembly over the matrix, both parts,
+    # which it includes; an array over all edges' blocks made it 8.3x
+    # (P1) and 7.8x (P3), and whole-mesh volume blocks and certificate
+    # thirds 1.61x and 1.59x; a fixed 512-edge chunk read 1.27x, 1.37x,
+    # 2.42x and 2.22x here, a chunk scaled by 9 / D^2 1.27x, 1.08x, 1.39x
+    # and 1.29x, and the element blocks held apart from the couplings
+    # read 1.20x, 1.04x, 1.37x and 1.12x
     mesh = dgsl.build_perturbed(n, 0.2, 42) if perturbed \
         else dgsl.build_structured(n)
     space = dgsl.DGSpace(mesh, r)
@@ -674,11 +700,11 @@ def test_assembly_peak_stays_within_one_and_a_half_times_its_matrix(
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        a = assemble_bilinear(space, cfg).csr
+        a = assemble_bilinear(space, cfg)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    matrix = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    matrix = matrix_bytes(a)
     assert peak <= 1.5 * matrix, peak / matrix
 
 
@@ -700,16 +726,6 @@ def test_non_finite_source_raises_when_the_kernel_is_built(sine):
                      source=lambda x, y: np.where(x > 0.5, np.nan, 0.0))
     with pytest.raises(NonFiniteValue, match="source"):
         NewtonKernel(space_on(4, 1), broken, AssemblyConfig(penalty=100.0))
-
-
-def test_kernel_rejects_a_stiffness_without_full_diagonal_blocks(sine):
-    space = space_on(2, 1)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0)).csr.copy()
-    a.data[0] = 0.0
-    a.eliminate_zeros()
-    with pytest.raises(ValueError, match="element-diagonal"):
-        NewtonKernel(space, sine, AssemblyConfig(penalty=100.0),
-                     stiffness=dgsl.SparseSymMatrix(a))
 
 
 # ---------------------------------------------------------------- the local
@@ -749,7 +765,7 @@ def test_local_forms_sum_to_the_operator_and_annihilate_constants(mesh, r):
                      (minus if minus >= 0 else plus) * d + np.arange(d)]
         half = 2 * d if minus >= 0 else d
         total[np.ix_(dofs[:half], dofs[:half])] += form[:half, :half]
-    a = assemble_bilinear(space, cfg).csr.toarray()
+    a = assemble_bilinear(space, cfg).full().toarray()
     assert np.abs(total - a).max() <= 1e-13 * np.abs(a).max()
     inner = forms[~edges.boundary]
     assert np.abs(inner @ np.ones(2 * d)).max() \
@@ -767,7 +783,7 @@ def test_certificate_never_passes_an_indefinite_operator(mesh, r):
     verdicts = []
     for penalty in PENALTIES:
         a = assemble_bilinear(space, AssemblyConfig(penalty=penalty))
-        smallest = eigvalsh(a.csr.toarray()).min()
+        smallest = eigvalsh(a.full().toarray()).min()
         if a.certified:
             assert smallest > 0.0, (penalty, smallest)
         verdicts.append(a.certified)
@@ -813,7 +829,7 @@ def test_certificate_is_sound_on_random_perturbed_meshes(n, amplitude, seed,
     a = assemble_bilinear(dgsl.DGSpace(mesh, r),
                           AssemblyConfig(penalty=10.0 ** log_penalty))
     if a.certified:
-        assert eigvalsh(a.csr.toarray()).min() > 0.0
+        assert eigvalsh(a.full().toarray()).min() > 0.0
 
 
 @pytest.mark.parametrize("degree", range(1, MAX_TRIANGLE_DEGREE + 1))

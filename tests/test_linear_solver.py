@@ -20,18 +20,24 @@ from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
     SingularOperator
 
-from conftest import counting, space_on
+from conftest import counting, matrix_bytes, space_on
 
 
 def as_matrix(dense, block_size):
-    """A hand-made operator in the block form assembly produces."""
-    return SparseSymMatrix(sparse.bsr_matrix(
-        np.asarray(dense), blocksize=(block_size, block_size)))
+    """A hand-made operator in the two-part block form assembly
+    produces: its diagonal blocks, and the rest as couplings."""
+    dense = np.asarray(dense)
+    blocks = np.stack([dense[i:i + block_size, i:i + block_size]
+                       for i in range(0, len(dense), block_size)])
+    block_diagonal = dgsl.assembly._block_diagonal(blocks)
+    couplings = sparse.bsr_matrix(dense - block_diagonal.toarray(),
+                                  blocksize=(block_size, block_size))
+    return SparseSymMatrix(couplings, block_diagonal)
 
 
 def direct_reference(a, b):
     """x with a x = b from scipy's sparse direct solver."""
-    return spsolve(a.csr.tocsc(), b)
+    return spsolve(a.full().tocsc(), b)
 
 
 def two_level(a, space):
@@ -63,7 +69,7 @@ def test_small_penalty_operator_is_detected_indefinite(rng):
     space = space_on(4, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
     # oracle: the operator genuinely has negative eigenvalues here
-    assert eigvalsh(a.csr.toarray()).min() < 0
+    assert eigvalsh(a.full().toarray()).min() < 0
     # an SPD preconditioner (from the well-posed operator), so that CG's
     # own curvature check must catch it
     spd = block_jacobi_preconditioner(
@@ -88,7 +94,7 @@ def test_direct_and_pcg_agree(rng):
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
     x_ref = direct_reference(a, b)
-    assert np.linalg.norm(x_ref - np.linalg.solve(a.csr.toarray(), b)) \
+    assert np.linalg.norm(x_ref - np.linalg.solve(a.full().toarray(), b)) \
         <= 1e-12 * np.linalg.norm(x_ref)
     for precondition in (block_jacobi_preconditioner(a), two_level(a, space)):
         x, report = solve_spd(a, b, precondition, tol=1e-13)
@@ -115,10 +121,10 @@ def test_pcg_solve_accepted_at_rounding_floor(sine):
     u = np.zeros(kernel.stiffness.dim)
     b = -kernel.residual(u)
     precondition = two_level(kernel.stiffness, space)
-    with kernel.jacobian(u) as jac:
-        a = CountingMatrix(jac.csr)
-        x, report = solve_spd(a, b, precondition, tol=1e-12)
-        x_ref = direct_reference(a, b)
+    jac = kernel.jacobian(u)
+    a = CountingMatrix(jac.csr, jac.diagonal)
+    x, report = solve_spd(a, b, precondition, tol=1e-12)
+    x_ref = direct_reference(a, b)
     assert report.converged
     assert report.relative_residual > 1e-12
     assert a.max_abs_reads == 1
@@ -156,7 +162,7 @@ def test_singular_matrix_raises_named_error(rng):
     dense = np.diag(rng.uniform(0.5, 4.0, 6))
     dense[2, 2] = 0.0  # a zero row makes the matrix exactly singular
     with pytest.raises(SingularOperator) as excinfo:
-        linear_solver.symmetric_factor(as_matrix(dense, 2))
+        linear_solver.symmetric_factor(sparse.csr_matrix(dense), False)
     assert isinstance(excinfo.value, DgslError)
     # the preconditioner proves an uncertified matrix by that factor first
     with pytest.raises(SingularOperator):
@@ -167,12 +173,12 @@ def test_singular_matrix_raises_named_error(rng):
 def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
     space = space_on(4, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
-    negative = int((eigvalsh(a.csr.toarray()) < 0).sum())
+    negative = int((eigvalsh(a.full().toarray()) < 0).sum())
     assert negative > 0 and not a.certified
     # Sylvester's law of inertia: one negative pivot per negative eigenvalue
     with pytest.raises(IndefiniteOperator,
                        match=f"met {negative} negative pivots"):
-        linear_solver.symmetric_factor(a)
+        linear_solver.symmetric_factor(a.full(), a.certified)
     # the preconditioner reads the pivots before its block-Jacobi
     # Cholesky, which would fail on a diagonal block here
     with pytest.raises(IndefiniteOperator,
@@ -187,7 +193,7 @@ def test_symmetric_factor_is_certified_and_returned(rng, factor_reads):
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
     assert a.certified
-    lu = linear_solver.symmetric_factor(a)
+    lu = linear_solver.symmetric_factor(a.full(), a.certified)
     assert factor_reads == []       # a certified matrix's pivots stay unread
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() > 0).all()
@@ -196,7 +202,7 @@ def test_symmetric_factor_is_certified_and_returned(rng, factor_reads):
     x_ref = direct_reference(a, b)
     assert np.linalg.norm(lu.solve(b) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     factor_reads.clear()
-    proven = linear_solver.symmetric_factor(SparseSymMatrix(a.csr))
+    proven = linear_solver.symmetric_factor(a.full(), False)
     assert factor_reads == ["U"]
     assert proven.solve(b).tobytes() == lu.solve(b).tobytes()
 
@@ -211,7 +217,7 @@ def test_two_level_preconditioner_proves_an_uncertified_matrix(
     factors = counting(monkeypatch, linear_solver, "splu")
     certified = two_level(a, space)(r)
     assert (len(factors), factor_reads) == (1, [])
-    uncertified = two_level(SparseSymMatrix(a.csr), space)(r)
+    uncertified = two_level(SparseSymMatrix(a.csr, a.diagonal), space)(r)
     assert (len(factors), factor_reads) == (3, ["U"])
     assert uncertified.tobytes() == certified.tobytes()
 
@@ -222,9 +228,9 @@ def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
     space = dgsl.DGSpace(mesh, r)
     # a Newton Jacobian: the mass weight N'(u) = 3 u^2 varies in space
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
-    with kernel.jacobian(rng.standard_normal(space.total_dofs)) as a:
-        dense = a.csr.toarray()
-        apply = block_jacobi_preconditioner(a)
+    a = kernel.jacobian(rng.standard_normal(space.total_dofs))
+    dense = a.full().toarray()
+    apply = block_jacobi_preconditioner(a)
     d = space.dofs_per_element
     nblocks = a.dim // d
     blocks = np.stack([dense[b * d:(b + 1) * d, b * d:(b + 1) * d]
@@ -252,36 +258,18 @@ def test_two_level_pcg_agrees_with_direct_solve(sine, rng, r):
     precondition = two_level(kernel.stiffness, space)
     u = rng.standard_normal(space.total_dofs)
     b = rng.standard_normal(space.total_dofs)
-    with kernel.jacobian(u) as jac:
-        x_dir = direct_reference(jac, b)
-        x, report = solve_spd(jac, b, precondition, tol=1e-12)
+    jac = kernel.jacobian(u)
+    x_dir = direct_reference(jac, b)
+    x, report = solve_spd(jac, b, precondition, tol=1e-12)
     assert report.converged and report.method == "pcg"
     assert np.linalg.norm(x - x_dir) <= 1e-9 * np.linalg.norm(x_dir)
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_preconditioners_built_before_a_jacobian_block_hold_copies(sine,
-                                                                   rng, r):
-    # Newton builds them from the stiffness before its loop and applies
-    # them while the stiffness's storage holds J
-    space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
-    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
-    built = (block_jacobi_preconditioner(kernel.stiffness),
-             two_level(kernel.stiffness, space))
-    residual = rng.standard_normal(space.total_dofs)
-    before = [apply(residual).tobytes() for apply in built]
-    stiffness = kernel.stiffness.csr.data.copy()
-    with kernel.jacobian(rng.standard_normal(space.total_dofs)):
-        assert not np.array_equal(kernel.stiffness.csr.data, stiffness)
-        assert [apply(residual).tobytes() for apply in built] == before
-
-
 def test_symmetric_factor_rejects_an_off_diagonal_pivot():
     # the zero diagonal of [[0, 1], [1, 0]] forces a row exchange
-    swap = sparse.bsr_matrix(sparse.block_diag(
-        [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]), blocksize=(2, 2))
+    swap = sparse.block_diag([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
     with pytest.raises(IndefiniteOperator, match="off-diagonal pivot"):
-        linear_solver.symmetric_factor(SparseSymMatrix(swap))
+        linear_solver.symmetric_factor(swap, False)
 
 
 def test_solve_spd_rejects_an_indefinite_preconditioner():
@@ -302,21 +290,27 @@ def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch):
     coarse = []
     factor = linear_solver.symmetric_factor
     monkeypatch.setattr(linear_solver, "symmetric_factor",
-                        lambda m: coarse.append(m.csr) or factor(m))
+                        lambda m, certified: coarse.append((m, certified))
+                        or factor(m, certified))
     two_level_preconditioner(a, p)
-    expected = (p.T.tocsr() @ (a.csr @ p)).tobsr(blocksize=(1, 1))
+    (matrix, certified), = coarse
+    assert certified
+    expected = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
     for name in ("data", "indices", "indptr"):
-        assert getattr(coarse[0], name).tobytes() == \
+        assert getattr(matrix, name).tobytes() == \
             getattr(expected, name).tobytes(), name
 
 
 @pytest.mark.parametrize("r", [1, 3])
 def test_two_level_set_up_memory_over_its_matrix(r):
-    # tracemalloc growth of one set-up over the stiffness's bytes, P
-    # built before; SuperLU's own arrays are not traced. With a kept CSR
-    # copy of P^T and all blocks inverted at once it kept 0.32 (P3) and
-    # 0.36 (P1) and peaked at 0.74 and 1.92; reading P^T through views
-    # of P and inverting in chunks, 0.25 and 0.24, and 0.65 and 1.54
+    # tracemalloc growth of one set-up over the stiffness's bytes, both
+    # parts, P built before; SuperLU's own arrays are not traced. With a
+    # kept CSR copy of P^T and all blocks inverted at once it kept 0.32
+    # (P3) and 0.36 (P1) and peaked at 0.74 and 1.92; reading P^T through
+    # views of P and inverting in chunks, 0.25 and 0.24, and 0.65 and
+    # 1.54; with the coarse product formed part by part, P^T C P + P^T D P,
+    # 0.25 and 0.23, and 0.65 and 1.52 (P^T (C P + D P) peaked at 0.73
+    # and 1.89)
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
         else dgsl.DGSpace(dgsl.build_structured(128), 1)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
@@ -330,7 +324,7 @@ def test_two_level_set_up_memory_over_its_matrix(r):
         kept, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    matrix = a.csr.data.nbytes + a.csr.indices.nbytes + a.csr.indptr.nbytes
+    matrix = matrix_bytes(a)
     assert callable(built)
     assert kept <= 0.28 * matrix, kept / matrix
     assert peak <= (0.7 if r == 3 else 1.75) * matrix, peak / matrix

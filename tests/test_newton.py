@@ -20,7 +20,7 @@ from dgsl.errors import (ConfigError, IndefiniteOperator, NewtonDiverged,
 from dgsl.problems import Problem
 from dgsl.properties import newton_contraction_slope
 
-from conftest import counting, space_on
+from conftest import counting, matrix_bytes, part_bytes, space_on
 
 
 def linear_source_problem():
@@ -44,7 +44,7 @@ def test_linear_problem_takes_one_step_per_forcing_solve():
     assert report.converged
     assert report.iterations == 3
     kernel = NewtonKernel(space, problem, cfg)
-    exact = spsolve(kernel.stiffness.csr.tocsc(),
+    exact = spsolve(kernel.stiffness.full().tocsc(),
                     -kernel.residual(np.zeros(space.total_dofs)))
     assert np.linalg.norm(u.coeffs - exact) <= 1e-10 * np.linalg.norm(exact)
 
@@ -205,7 +205,7 @@ def direct_steps(monkeypatch):
     as a reference for the preconditioned route."""
     monkeypatch.setattr(
         dgsl.newton, "solve_spd", lambda a, b, *args, **kwargs:
-        (spsolve(a.csr.tocsc(), b), LinearSolveReport(1, 0.0, True)))
+        (spsolve(a.full().tocsc(), b), LinearSolveReport(1, 0.0, True)))
 
 
 def solve_sine(sine, n, r):
@@ -260,7 +260,7 @@ def test_small_penalty_reads_the_pivots_once(sine, factor_reads):
 
 def test_preconditioner_built_before_the_first_jacobian(sine, monkeypatch):
     # the solve's one preconditioner is built from the stiffness before
-    # its loop: inside each step's Jacobian block the storage holds J
+    # its loop, and each step forms its own Jacobian
     events = []
     build, jacobian = dgsl.newton.two_level_preconditioner, NewtonKernel.jacobian
     monkeypatch.setattr(dgsl.newton, "two_level_preconditioner",
@@ -285,28 +285,30 @@ def kernels(monkeypatch):
 
 
 def test_stiffness_is_bit_identical_after_a_solve(sine, kernels):
-    # each step adds its mass blocks into the stiffness and copies the
-    # saved blocks back, also when the mass add stops at N' < 0
+    # no step writes the stiffness, also when a Jacobian stops at N' < 0
     space, cfg = space_on(4, 2), AssemblyConfig(penalty=100.0)
-    assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
+    assembled = part_bytes(assemble_bilinear(space, cfg))
     solve_semilinear(space, sine, cfg)
     with pytest.raises(SignAssumptionViolated):
         solve_semilinear(space, wrong_sign_problem(), cfg)
     assert len(kernels) == 2
     for kernel in kernels:
-        assert kernel.stiffness.csr.data.tobytes() == assembled
+        assert part_bytes(kernel.stiffness) == assembled
 
 
-def test_stiffness_is_restored_when_a_step_raises(sine, kernels, monkeypatch):
+def test_a_step_that_raises_leaves_the_stiffness_as_it_was(sine, kernels,
+                                                          monkeypatch):
     space, cfg = space_on(4, 2), AssemblyConfig(penalty=100.0)
-    assembled = assemble_bilinear(space, cfg).csr.data.tobytes()
+    assembled = part_bytes(assemble_bilinear(space, cfg))
     inside = []
 
     def failing(a, b, *args, **kwargs):
-        # the step's J is the stiffness's own storage, mass added
-        stiffness = kernels[0].stiffness.csr
-        inside.append(a.csr is stiffness
-                      and stiffness.data.tobytes() != assembled)
+        # the step's J shares the stiffness's couplings, beside its own
+        # element blocks
+        stiffness = kernels[0].stiffness
+        inside.append(a.csr is stiffness.csr
+                      and a.diagonal is not stiffness.diagonal
+                      and part_bytes(stiffness) == assembled)
         raise NotConverged("patched", report=LinearSolveReport(0, 1.0, False))
 
     monkeypatch.setattr(dgsl.newton, "solve_spd", failing)
@@ -314,14 +316,15 @@ def test_stiffness_is_restored_when_a_step_raises(sine, kernels, monkeypatch):
         solve_semilinear(space, sine, cfg,
                          NewtonConfig(initial_guess=sine.exact.value))
     assert inside == [True]
-    assert kernels[0].stiffness.csr.data.tobytes() == assembled
+    assert part_bytes(kernels[0].stiffness) == assembled
 
 
 def test_newton_loop_peak_stays_within_its_matrix(sine, monkeypatch):
     # the traced peak growth of the Newton loop over its built kernel, at
-    # perfbench's P3 settings; a copy of the stiffness per step made it
-    # 1.73x the matrix, the step in place about 0.6x, and the mass
-    # weights built chunk by chunk 0.53x
+    # perfbench's P3 settings, against the matrix, both parts; a copy of
+    # the stiffness per step made it 1.73x the matrix, the step in place
+    # about 0.6x, the mass weights built chunk by chunk 0.53x, and each
+    # step's own element blocks beside the stiffness's couplings 0.55x
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14, edge_degree=12)
     built = []
@@ -338,8 +341,7 @@ def test_newton_loop_peak_stays_within_its_matrix(sine, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    a = built[0].stiffness.csr
-    matrix = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    matrix = matrix_bytes(built[0].stiffness)
     assert report.iterations == 4
     assert peak <= 1.0 * matrix, peak / matrix
 
