@@ -18,8 +18,8 @@ print("newton residual history:")
 for k, r in enumerate(report.residual_norms):
     print(f"  iter {k}: {r:.3e}")
 
-l2 = dgsl.l2_error(space, solution, problem.exact)
-dg = dgsl.dg_error(space, solution, problem.exact, penalty)
+l2 = dgsl.l2_error(solution, problem.exact)
+dg = dgsl.dg_error(solution, problem.exact, penalty)
 print(f"\nerror in L2:          {l2:.4e}")
 print(f"error in energy norm: {dg:.4e}")
 
@@ -36,6 +36,6 @@ print(f"\nzero-start vs interpolant-start coefficient gap: {gap:.2e}")
 interp = dgsl.interpolate(space, problem.exact.value)
 diff = dgsl.DGVector(space, interp.coeffs - solution.coeffs)
 from dgsl.analysis import dg_norm_discrete, l2_norm_discrete
-print(f"\ndistance to interpolant, L2:     {l2_norm_discrete(space, diff):.4e}")
+print(f"\ndistance to interpolant, L2:     {l2_norm_discrete(diff):.4e}")
 print(f"distance to interpolant, energy: "
-      f"{dg_norm_discrete(space, diff, penalty):.4e}")
+      f"{dg_norm_discrete(diff, penalty):.4e}")

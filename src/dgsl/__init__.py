@@ -15,14 +15,13 @@ from .assembly import AssemblyConfig, SparseSymMatrix, assemble_bilinear
 from .basis import ReferenceBasis, make_basis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,
                           run_convergence)
-from .linear_solver import LinearSolveReport, block_jacobi_preconditioner, \
-    solve_spd
+from .linear_solver import LinearSolveReport, solve_spd
 from .mesh import (EdgeSet, TriMesh, build_perturbed, build_structured,
                    export_mesh, import_mesh)
 from .newton import NewtonConfig, NewtonReport, solve_semilinear
 from .problems import ExactSolution, Problem, get_problem, verify_manufactured
 from .properties import CheckResult, run_property_suite
 from .quadrature import QuadRule, edge_rule, triangle_rule
-from .space import DGSpace, DGVector, edge_traces, interpolate
+from .space import DGSpace, DGVector, interpolate
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ The mesh-dependent norm is
 
 over all edges. For the error w = u - u_h of a smooth u the interior
 jumps of u vanish, so [w] reduces to -[u_h] inside and (u - u_h) n on
-the boundary. Norm quadrature runs at degree 2r+4 so its error stays
-far below discretization error at every refinement level.
+the boundary. Each norm reads the space of the field it measures and
+integrates at degree 2r+4, exact for a discrete field and far below
+discretization error at every refinement level.
 
 Volume integrals read the cached tables of `assembly._volume_tables`,
 edge integrals `space.edge_fields` (a field) and `edge_traces` (basis).
@@ -44,31 +45,29 @@ def _analysis_degree(space):
     return 2 * space.degree + 4
 
 
-def _l2_sum(space, v, exact, vol, chunk):
+def _l2_sum(v, exact, vol, chunk):
     """The `chunk` elements' share of the squared L2 error. Each chunk
     is summed in a call of its own, so its arrays are freed before the
     next chunk's are built."""
     diff = v.by_element()[chunk] @ vol.values.T
     if exact is not None:
-        pts = space.physical_points(vol.rule.points, chunk)
+        pts = v.space.physical_points(vol.rule.points, chunk)
         diff = exact.value(pts[..., 0], pts[..., 1]) - diff
-    return space.dets[chunk] @ (diff ** 2 @ vol.rule.weights)
+    return v.space.dets[chunk] @ (diff ** 2 @ vol.rule.weights)
 
 
-def l2_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
-             quad_degree: Optional[int] = None) -> float:
+def l2_error(v: DGVector, exact: Optional[ExactSolution]) -> float:
     """Broken L2 distance between a field and an exact solution, or the
     L2 norm of the field when `exact` is None."""
-    degree = quad_degree if quad_degree is not None else _analysis_degree(space)
-    vol = _volume_tables(space.degree, degree)
-    total = sum(_l2_sum(space, v, exact, vol, chunk)
-                for chunk in _element_chunks(space.num_elements))
+    vol = _volume_tables(v.space.degree, _analysis_degree(v.space))
+    total = sum(_l2_sum(v, exact, vol, chunk)
+                for chunk in _element_chunks(v.space.num_elements))
     return float(np.sqrt(total))
 
 
-def l2_norm_discrete(space: DGSpace, v: DGVector) -> float:
-    """Broken L2 norm of a discrete field (exact at degree 2r)."""
-    return l2_error(space, v, None, 2 * space.degree + 2)
+def l2_norm_discrete(v: DGVector) -> float:
+    """Broken L2 norm of a discrete field."""
+    return l2_error(v, None)
 
 
 def _edge_points(mesh, params, select=slice(None)):
@@ -78,11 +77,11 @@ def _edge_points(mesh, params, select=slice(None)):
     return ends[:, None, 0] * (1.0 - t) + ends[:, None, 1] * t
 
 
-def _edge_sums(space, v, exact, penalty, rule, chunk):
+def _edge_sums(v, exact, penalty, rule, chunk):
     """The `chunk` edges' sums of (h_e^2 / penalty) ||{grad w}||^2 and
     ||[w]||^2 over the edge rule, for w = u - v_h (w = v_h when `exact`
     is None)."""
-    edges = space.mesh.edges
+    edges = v.space.mesh.edges
     side_v, side_g = edge_fields(v, rule.points, chunk)
     boundary = edges.boundary[chunk]
     avg = np.where(boundary, 1.0, 0.5)[:, None, None] \
@@ -90,7 +89,7 @@ def _edge_sums(space, v, exact, penalty, rule, chunk):
     avg_x, avg_y = avg[..., 0], avg[..., 1]
     jump = side_v[:, 0] - side_v[:, 1]
     if exact is not None:
-        pts = _edge_points(space.mesh, rule.points, chunk)
+        pts = _edge_points(v.space.mesh, rule.points, chunk)
         gx, gy = exact.gradient(pts[..., 0], pts[..., 1])
         avg_x, avg_y = gx - avg_x, gy - avg_y
         # interior jumps of u vanish; on the boundary [u - v] = (u - v) n,
@@ -104,9 +103,10 @@ def _edge_sums(space, v, exact, penalty, rule, chunk):
             ((jump ** 2) @ rule.weights).sum())
 
 
-def _gradient_sum(space, v, exact, vol, chunk):
+def _gradient_sum(v, exact, vol, chunk):
     """The `chunk` elements' share of the squared broken H1 seminorm of
     w = u - v_h (w = v_h when `exact` is None)."""
+    space = v.space
     q, d = vol.gradients.shape[:2]                      # (Q, D, 2)
     # matrix products, not einsum: numpy would run the einsums as loops
     ref_grads = vol.gradients.transpose(1, 0, 2).reshape(d, -1)
@@ -120,25 +120,24 @@ def _gradient_sum(space, v, exact, vol, chunk):
     return space.dets[chunk] @ ((diff_x ** 2 + diff_y ** 2) @ vol.rule.weights)
 
 
-def dg_error(space: DGSpace, v: DGVector, exact: Optional[ExactSolution],
+def dg_error(v: DGVector, exact: Optional[ExactSolution],
              penalty: float) -> float:
     """Mesh-dependent norm of u - v_h, using the analytic gradient of u,
     or of v_h when `exact` is None."""
-    rule = edge_rule(_analysis_degree(space))
+    rule = edge_rule(_analysis_degree(v.space))
     avg = jump = 0.0
-    for chunk in _edge_chunks(len(space.mesh.edges)):
-        chunk_avg, chunk_jump = _edge_sums(space, v, exact, penalty,
-                                           rule, chunk)
+    for chunk in _edge_chunks(len(v.space.mesh.edges)):
+        chunk_avg, chunk_jump = _edge_sums(v, exact, penalty, rule, chunk)
         avg, jump = avg + chunk_avg, jump + chunk_jump
-    vol = _volume_tables(space.degree, _analysis_degree(space))
-    volume = sum(_gradient_sum(space, v, exact, vol, chunk)
-                 for chunk in _element_chunks(space.num_elements))
+    vol = _volume_tables(v.space.degree, _analysis_degree(v.space))
+    volume = sum(_gradient_sum(v, exact, vol, chunk)
+                 for chunk in _element_chunks(v.space.num_elements))
     return float(np.sqrt(volume + avg + penalty * jump))
 
 
-def dg_norm_discrete(space: DGSpace, v: DGVector, penalty: float) -> float:
+def dg_norm_discrete(v: DGVector, penalty: float) -> float:
     """Mesh-dependent norm of a discrete field."""
-    return dg_error(space, v, None, penalty)
+    return dg_error(v, None, penalty)
 
 
 def apply_bilinear_to_field(space: DGSpace, w: ExactSolution,

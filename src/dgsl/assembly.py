@@ -329,8 +329,8 @@ def _finite(values, what):
 
 
 class NewtonKernel:
-    """Residual and Jacobian of one problem on one space, as matrix
-    products against tables computed once per solve.
+    """The stiffness and tables of one problem on one space, built once
+    per solve for its residuals (`newton.residual`) and Jacobians.
 
     Holds the volume tables V (Q, D) and V (x) V (Q, D^2), the rule's
     weights and the source g at the quadrature points (evaluated in
@@ -360,11 +360,6 @@ class NewtonKernel:
     def measure(self, chunk):
         """dets x weights (m, Q) on the elements `chunk` picks."""
         return self.space.dets[chunk, None] * self.weights[None, :]
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """a(u_h, phi_i) - (f(., u_h), phi_i); zero at the discrete
-        solution up to solver tolerance."""
-        return self.stiffness @ u - _nonlinear_load(self, u)
 
     def _mass_weight(self, coeffs, chunk):
         """N'(u_h) (m, Q) on the elements `chunk` picks, from the

@@ -174,8 +174,8 @@ def run_convergence(cfg: RunConfig, progress=None) -> ConvergenceReport:
         mesh = cfg.build_level_mesh(index)
         space = DGSpace(mesh, cfg.degree)
         solution, report = solve_semilinear(space, problem, acfg, cfg.newton)
-        e_l2 = l2_error(space, solution, problem.exact)
-        e_dg = dg_error(space, solution, problem.exact, cfg.penalty)
+        e_l2 = l2_error(solution, problem.exact)
+        e_dg = dg_error(solution, problem.exact, cfg.penalty)
         l2_order = dg_order = None
         if rows:
             # ConfigError, before the row is reported, if h fails to fall

@@ -4,11 +4,11 @@ Each step solves J(u^k) delta = -residual(u^k) with the exact Jacobian
 (stiffness plus N'-weighted mass), then updates u^{k+1} = u^k + alpha
 delta where alpha comes from residual-decrease backtracking. The
 stiffness, the source at the quadrature points and the block pattern
-are set up once per solve in an `assembly.NewtonKernel`; each residual
-is then one matrix product against its tables. Each step's Jacobian
-(`NewtonKernel.jacobian`) holds the stiffness's own couplings beside
-new element blocks, the stiffness's plus the mass blocks, and lives only
-for the step's solve; the stiffness is never written. The
+are set up once per solve in an `assembly.NewtonKernel`; `residual` adds
+one matrix product against its tables to the stiffness's. Each step's
+Jacobian (`NewtonKernel.jacobian`) holds the stiffness's own couplings
+beside new element blocks, the stiffness's plus the mass blocks, and
+lives only for the step's solve; the stiffness is never written. The
 preconditioner, built from the stiffness before the loop, keeps the
 inverses of its element blocks and the factored coarse matrix; it reads
 P^T through a view of P.
@@ -91,6 +91,12 @@ def _forcing_term(res_norm, first_norm, threshold):
         (res_norm / first_norm) ** 2, FORCING_SAFETY * threshold / res_norm)))
 
 
+def residual(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:
+    """a(u_h, phi_i) - (f(., u_h), phi_i); outside the kernel, so that a
+    profiler can wrap the load it calls."""
+    return kernel.stiffness @ u - _nonlinear_load(kernel, u)
+
+
 def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
                      ncfg: Optional[NewtonConfig] = None):
     """Solve a(u_h, v) = (f(u_h), v) by damped Newton.
@@ -111,13 +117,8 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     else:
         u = interpolate(space, ncfg.initial_guess).coeffs.copy()
 
-    # the stiffness and the load are called here, not inside the kernel,
-    # so that each stays a module-level boundary a profiler can wrap
-    def residual(vec):
-        return stiffness @ vec - _nonlinear_load(kernel, vec)
-
     report = NewtonReport()
-    res = residual(u)
+    res = residual(kernel, u)
     res_norm = first_norm = float(np.linalg.norm(res))
     report.residual_norms.append(res_norm)
     threshold = max(ncfg.abs_tol, REL_TOL * res_norm)
@@ -134,7 +135,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         for _ in range(MAX_BACKTRACKS + 1):
             trial = u + alpha * delta
             try:
-                trial_res = residual(trial)
+                trial_res = residual(kernel, trial)
                 trial_norm = float(np.linalg.norm(trial_res))
             except NonFiniteValue:
                 # an overshooting trial left the callbacks' domain

@@ -11,6 +11,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+MANUFACTURED_POINTS = 50
+MANUFACTURED_SEED = 0
+MANUFACTURED_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ExactSolution:
@@ -32,21 +36,20 @@ class Problem:
     exact: Optional[ExactSolution] = None
 
 
-def verify_manufactured(problem: Problem, n_points: int = 50, seed: int = 0,
-                        tol: float = 1e-10) -> float:
+def verify_manufactured(problem: Problem) -> float:
     """Max |g - (-Delta u + N(u))| at random interior points.
 
     Raises ValueError when the problem has no exact solution attached or
-    the discrepancy exceeds `tol`.
+    the discrepancy exceeds MANUFACTURED_TOL.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.05, 0.95, n_points)
-    y = rng.uniform(0.05, 0.95, n_points)
+    rng = np.random.default_rng(MANUFACTURED_SEED)
+    x = rng.uniform(0.05, 0.95, MANUFACTURED_POINTS)
+    y = rng.uniform(0.05, 0.95, MANUFACTURED_POINTS)
     lhs = -problem.exact.laplacian(x, y) + problem.nonlinearity(problem.exact.value(x, y))
     gap = float(np.abs(problem.source(x, y) - lhs).max())
-    if gap > tol:
+    if gap > MANUFACTURED_TOL:
         raise ValueError(
             f"problem {problem.name!r} is not manufactured-consistent: gap {gap:.3e}"
         )

@@ -21,7 +21,7 @@ from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
 from .assembly import AssemblyConfig, NewtonKernel, assemble_bilinear
 from .errors import DgslError
 from .mesh import build_perturbed, build_structured
-from .newton import NewtonConfig, solve_semilinear
+from .newton import NewtonConfig, residual, solve_semilinear
 from .problems import ExactSolution, get_problem, verify_manufactured
 from .quadrature import (MAX_EDGE_DEGREE, MAX_TRIANGLE_DEGREE, edge_rule,
                          triangle_rule)
@@ -173,8 +173,8 @@ def check_continuity(overrides):
                 w = _random_vector(space, rng)
                 v = _random_vector(space, rng)
                 lhs = abs(float(v.coeffs @ (a @ w.coeffs)))
-                bound = 3.0 * dg_norm_discrete(space, w, penalty) \
-                    * dg_norm_discrete(space, v, penalty)
+                bound = 3.0 * dg_norm_discrete(w, penalty) \
+                    * dg_norm_discrete(v, penalty)
                 worst = max(worst, lhs / bound)
     return CheckResult("continuity", worst <= 1.0 + 1e-12,
                        f"max |a(w,v)| / (3 |||w||| |||v|||) = {worst:.4f}")
@@ -192,7 +192,7 @@ def check_coercivity(overrides):
         for _ in range(34):
             v = _random_vector(space, rng)
             quad = float(v.coeffs @ (a @ v.coeffs))
-            norm2 = dg_norm_discrete(space, v, penalty) ** 2
+            norm2 = dg_norm_discrete(v, penalty) ** 2
             worst = min(worst, quad / norm2)
     return CheckResult("coercivity", worst >= 0.25 and certified,
                        f"min a(v,v) / |||v|||^2 = {worst:.4f} "
@@ -211,8 +211,8 @@ def check_jacobian_fd(overrides):
         u.coeffs += 0.1 * rng.standard_normal(space.total_dofs)
         d = rng.standard_normal(space.total_dofs)
         eps = 1e-6
-        fd = (kernel.residual(u.coeffs + eps * d)
-              - kernel.residual(u.coeffs - eps * d)) / (2 * eps)
+        fd = (residual(kernel, u.coeffs + eps * d)
+              - residual(kernel, u.coeffs - eps * d)) / (2 * eps)
         jd = kernel.jacobian(u.coeffs) @ d
         worst = max(worst, float(np.linalg.norm(fd - jd) / np.linalg.norm(jd)))
     return CheckResult("jacobian_fd", worst <= 1e-6,
@@ -230,10 +230,10 @@ def check_rates(overrides):
             space = DGSpace(build_structured(n), r)
             cfg = AssemblyConfig(penalty=penalty)
             proj = elliptic_project(space, problem.exact, cfg)
-            proj_pts.append((1.0 / n, l2_error(space, proj, problem.exact)))
+            proj_pts.append((1.0 / n, l2_error(proj, problem.exact)))
             interp = interpolate(space, problem.exact.value)
             interp_pts.append((1.0 / n,
-                               dg_error(space, interp, problem.exact, penalty)))
+                               dg_error(interp, problem.exact, penalty)))
         proj_order = observed_orders(proj_pts)[-1]
         interp_order = observed_orders(interp_pts)[-1]
         ok = abs(proj_order - (r + 1)) <= 0.15 and abs(interp_order - r) <= 0.15
@@ -243,14 +243,16 @@ def check_rates(overrides):
     return CheckResult("rates", passed, "; ".join(details))
 
 
-def newton_contraction_slope(residuals, floor_ratio=1e-11):
+CONTRACTION_FLOOR = 1e-11
+
+
+def newton_contraction_slope(residuals):
     """Least-squares slope of log r_{k+1} against log r_k over the last
     quadratic-regime pairs of a residual history.
 
-    Residuals within `floor_ratio` of the initial one are discarded:
-    they sit on the linear-algebra noise floor, not the Newton
-    contraction curve."""
-    floor = max(residuals) * floor_ratio
+    Residuals below CONTRACTION_FLOOR times the largest one sit on the
+    linear-algebra noise floor, off the contraction curve, and are dropped."""
+    floor = max(residuals) * CONTRACTION_FLOOR
     usable = [x for x in residuals if x > floor]
     pairs = [(math.log(a), math.log(b)) for a, b in zip(usable, usable[1:])][-3:]
     if len(pairs) < 2:
@@ -293,7 +295,7 @@ def check_uniqueness(overrides):
             space, problem, cfg,
             NewtonConfig(initial_guess=problem.exact.value))
         diff = DGVector(space, u0.coeffs - u1.coeffs)
-        worst = max(worst, l2_norm_discrete(space, diff))
+        worst = max(worst, l2_norm_discrete(diff))
     return CheckResult("uniqueness", worst <= 1e-8,
                        f"max L2 gap between starts {worst:.2e}")
 

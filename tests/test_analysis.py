@@ -37,17 +37,17 @@ ZERO = ExactSolution(value=lambda x, y: 0.0 * x,
                      laplacian=lambda x, y: 0.0 * x)
 
 
-def test_l2_error_definitional_cases(sine):
+def test_l2_error_definitional_cases(sine, monkeypatch):
     space = space_on(8, 1)
     zero = DGVector(space, np.zeros(space.total_dofs))
-    assert l2_error(space, zero, ZERO) == 0.0
+    assert l2_error(zero, ZERO) == 0.0
     v = interpolate(space, sine.exact.value)
-    err = l2_error(space, v, sine.exact)
+    err = l2_error(v, sine.exact)
     assert err > 0.0
     # the default analysis degree leaves quadrature error far below the
     # value itself; a much finer rule must agree to many digits
-    assert_allclose(err, l2_error(space, v, sine.exact, quad_degree=12),
-                    rtol=1e-7)
+    monkeypatch.setattr(dgsl.analysis, "_analysis_degree", lambda space: 12)
+    assert_allclose(err, l2_error(v, sine.exact), rtol=1e-7)
 
 
 def test_exact_solution_gradient_self_consistency(sine, rng):
@@ -65,7 +65,7 @@ def test_dg_error_exact_reproduction_is_zero():
     # linear exact, r = 1: interpolant reproduces it, every term vanishes
     space = space_on(3, 1)
     v = interpolate(space, linear_exact().value)
-    assert dg_error(space, v, linear_exact(), 100.0) <= 1e-11
+    assert dg_error(v, linear_exact(), 100.0) <= 1e-11
 
 
 def test_interpolant_energy_rate_is_one(sine):
@@ -73,7 +73,7 @@ def test_interpolant_energy_rate_is_one(sine):
     for n in (8, 16, 32):
         space = space_on(n, 1)
         v = interpolate(space, sine.exact.value)
-        errors.append((1.0 / n, dg_error(space, v, sine.exact, 100.0)))
+        errors.append((1.0 / n, dg_error(v, sine.exact, 100.0)))
     for order in observed_orders(errors):
         assert abs(order - 1.0) <= 0.15
 
@@ -82,7 +82,7 @@ def test_dg_error_dominates_volume_part(sine):
     # edge terms are nonnegative, so dropping them cannot increase the value
     space = space_on(8, 1)
     v = interpolate(space, sine.exact.value)
-    full = dg_error(space, v, sine.exact, 100.0)
+    full = dg_error(v, sine.exact, 100.0)
     rule = triangle_rule(8)
     gtab = space.basis.gradients(rule.points)
     grads = np.einsum("ed,qda,eab->eqb", v.by_element(), gtab,
@@ -136,7 +136,7 @@ def test_dg_error_matches_einsum_reference(sine, r):
             grads = np.stack([gx, gy], axis=-1) - grads
         volume = np.einsum("e,q,eqa->", space.dets, rule.weights, grads ** 2)
         avg, jump = einsum_edge_terms(space, v, u, 100.0)
-        assert_allclose(dg_error(space, v, u, 100.0),
+        assert_allclose(dg_error(v, u, 100.0),
                         np.sqrt(volume + avg + jump), rtol=1e-13)
 
 
@@ -184,9 +184,9 @@ def test_norms_never_build_per_edge_basis_tables(monkeypatch, rng):
     space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, 5), 2)
     v = DGVector(space, rng.standard_normal(space.total_dofs))
     tables = dgsl.space.edge_tables
-    dg_norm_discrete(space, v, 10.0)
+    dg_norm_discrete(v, 10.0)
     first = tables.cache_info()
-    dg_error(space, v, linear_exact(), 10.0)
+    dg_error(v, linear_exact(), 10.0)
     second = tables.cache_info()
     assert second.misses == first.misses
     assert second.hits > first.hits
@@ -198,9 +198,9 @@ def test_norms_reuse_the_cached_volume_tables(monkeypatch, rng):
     space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, 5), 2)
     v = DGVector(space, rng.standard_normal(space.total_dofs))
     cfg = AssemblyConfig(penalty=10.0)
-    calls = [lambda: l2_error(space, v, linear_exact()),
-             lambda: dg_error(space, v, linear_exact(), 10.0),
-             lambda: dg_norm_discrete(space, v, 10.0),
+    calls = [lambda: l2_error(v, linear_exact()),
+             lambda: dg_error(v, linear_exact(), 10.0),
+             lambda: dg_norm_discrete(v, 10.0),
              lambda: apply_bilinear_to_field(space, linear_exact(), cfg)]
     for call in calls:
         call()
@@ -247,26 +247,24 @@ def test_norms_of_a_field_are_its_errors_against_zero(rng):
     # exact=None measures the field itself, bit for bit as against u = 0
     space = space_on(3, 2)
     v = DGVector(space, rng.standard_normal(space.total_dofs))
-    assert dg_norm_discrete(space, v, 100.0) == dg_error(space, v, ZERO, 100.0)
-    assert l2_error(space, v, None) == l2_error(space, v, ZERO)
-    assert l2_norm_discrete(space, v) == l2_error(space, v, ZERO, quad_degree=6)
+    assert dg_norm_discrete(v, 100.0) == dg_error(v, ZERO, 100.0)
+    assert l2_error(v, None) == l2_error(v, ZERO)
+    assert l2_norm_discrete(v) == l2_error(v, ZERO)
 
 
 def test_discrete_norm_axioms(rng):
     space = space_on(3, 2)
-    zero = dg_norm_discrete(
-        space, DGVector(space, np.zeros(space.total_dofs)), 100.0)
+    zero = dg_norm_discrete(DGVector(space, np.zeros(space.total_dofs)), 100.0)
     assert zero == 0.0
     for _ in range(20):
         v = DGVector(space, rng.standard_normal(space.total_dofs))
         w = DGVector(space, rng.standard_normal(space.total_dofs))
         c = float(rng.uniform(-3, 3))
-        nv = dg_norm_discrete(space, v, 100.0)
-        nw = dg_norm_discrete(space, w, 100.0)
-        scaled = dg_norm_discrete(space, DGVector(space, c * v.coeffs), 100.0)
+        nv = dg_norm_discrete(v, 100.0)
+        nw = dg_norm_discrete(w, 100.0)
+        scaled = dg_norm_discrete(DGVector(space, c * v.coeffs), 100.0)
         assert_allclose(scaled, abs(c) * nv, rtol=1e-13)
-        both = dg_norm_discrete(space, DGVector(space, v.coeffs + w.coeffs),
-                                100.0)
+        both = dg_norm_discrete(DGVector(space, v.coeffs + w.coeffs), 100.0)
         assert both <= nv + nw + 1e-12
 
 
@@ -279,11 +277,10 @@ def test_l2_dominated_by_energy_norm_mesh_independently(sine, rng):
         worst = 0.0
         for _ in range(50):
             v = DGVector(space, rng.standard_normal(space.total_dofs))
-            worst = max(worst, l2_norm_discrete(space, v)
-                        / dg_norm_discrete(space, v, 100.0))
+            worst = max(worst, l2_norm_discrete(v) / dg_norm_discrete(v, 100.0))
         smooth = interpolate(space, sine.exact.value)
-        worst = max(worst, l2_norm_discrete(space, smooth)
-                    / dg_norm_discrete(space, smooth, 100.0))
+        worst = max(worst,
+                    l2_norm_discrete(smooth) / dg_norm_discrete(smooth, 100.0))
         ratios[n] = worst
     drift = abs(ratios[8] - ratios[32]) / ratios[8]
     assert drift < 0.20
@@ -293,7 +290,7 @@ def test_l2_dominated_by_energy_norm_mesh_independently(sine, rng):
 def test_projection_reproduces_linears(r):
     space = space_on(3, r)
     proj = elliptic_project(space, linear_exact(), AssemblyConfig(penalty=100.0))
-    assert l2_error(space, proj, linear_exact()) <= 1e-10
+    assert l2_error(proj, linear_exact()) <= 1e-10
 
 
 def test_projection_l2_rate(sine):
@@ -301,7 +298,7 @@ def test_projection_l2_rate(sine):
     for n in (8, 16, 32):
         space = space_on(n, 1)
         proj = elliptic_project(space, sine.exact, AssemblyConfig(penalty=100.0))
-        errors.append((1.0 / n, l2_error(space, proj, sine.exact)))
+        errors.append((1.0 / n, l2_error(proj, sine.exact)))
     for order in observed_orders(errors):
         assert abs(order - 2.0) <= 0.1
 
@@ -425,10 +422,10 @@ def test_chunked_sweeps_match_one_chunk(monkeypatch, rng, sine, r, perturbed):
     cfg = AssemblyConfig(penalty=37.0)
     stiffness = assemble_bilinear(space, cfg)
     calls = {
-        "l2_error": lambda: l2_error(space, v, sine.exact),
-        "l2_norm": lambda: l2_error(space, v, None),
-        "dg_error": lambda: dg_error(space, v, sine.exact, 37.0),
-        "dg_norm_discrete": lambda: dg_norm_discrete(space, v, 37.0),
+        "l2_error": lambda: l2_error(v, sine.exact),
+        "l2_norm": lambda: l2_error(v, None),
+        "dg_error": lambda: dg_error(v, sine.exact, 37.0),
+        "dg_norm_discrete": lambda: dg_norm_discrete(v, 37.0),
         "apply_bilinear_to_field": lambda: apply_bilinear_to_field(
             space, polynomial_field(r + 2), cfg),
         "estimate_trace_constant": lambda: estimate_trace_constant(space),
@@ -459,8 +456,8 @@ def test_norm_peaks_stop_growing_with_the_mesh(sine):
     for n in (32, 64):
         space = space_on(n, 1)
         v = interpolate(space, sine.exact.value)
-        norms = {"dg_error": lambda: dg_error(space, v, sine.exact, 100.0),
-                 "l2_error": lambda: l2_error(space, v, sine.exact)}
+        norms = {"dg_error": lambda: dg_error(v, sine.exact, 100.0),
+                 "l2_error": lambda: l2_error(v, sine.exact)}
         for name, norm in norms.items():
             norm()   # fills the table caches
             tracemalloc.start()
