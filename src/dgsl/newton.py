@@ -10,8 +10,13 @@ Jacobian (`NewtonKernel.jacobian`) holds the stiffness's own couplings
 beside new element blocks, the stiffness's plus the mass blocks, and
 lives only for the step's solve; the stiffness is never written. The
 preconditioner, built from the stiffness before the loop, keeps the
-inverses of its element blocks and the factored coarse matrix; it reads
-P^T through a view of P.
+inverses of its element blocks, the factored continuous P1 coarse
+matrix, and at r >= 2 the inverse diagonal of the stiffness on
+continuous P_r with the node map that gathers it; it reads P^T through
+a view of P. The first two terms keep the step counts flat in h, the
+third in the penalty: without it the P3 ladder's four steps took
+36-37, 36-37, 80-85 and 35-37 CG iterations at every level, with it
+18-19, 18-19, 40-42 and 18-19.
 
 The paper proves the discrete problem well posed under the sign
 assumption N' >= 0, and only there is every Jacobian the stiffness plus
@@ -37,7 +42,8 @@ from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import Problem
-from .space import DGSpace, DGVector, interpolate, p1_prolongation
+from .space import (DGSpace, DGVector, conforming_nodes, interpolate,
+                    p1_prolongation)
 
 
 # stopping test: ||residual|| <= max(abs_tol, REL_TOL * initial residual),
@@ -109,7 +115,8 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
-    precondition = two_level_preconditioner(stiffness, p1_prolongation(space))
+    precondition = two_level_preconditioner(
+        stiffness, p1_prolongation(space), conforming_nodes(space))
     kernel = NewtonKernel(space, problem, cfg, stiffness)
 
     if ncfg.initial_guess == "zero":

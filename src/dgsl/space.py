@@ -126,9 +126,7 @@ def p1_prolongation(space: DGSpace):
     lattice = np.rint(space.basis.nodes * r)
     bary = np.column_stack([r - lattice.sum(axis=1), lattice]) / r  # (D, 3)
     triangles = space.mesh.triangles
-    used = np.zeros(len(space.mesh.vertices), dtype=bool)
-    used[triangles] = True
-    column = np.cumsum(used, dtype=np.int32) - 1   # vertex -> column
+    column, columns = _vertex_columns(space.mesh)
     # indices, then indptr, then data, so that the temporaries of each
     # fit beside the arrays built before it
     corners = np.nonzero(bary)[1]   # row by row, as bary[bary != 0]
@@ -137,9 +135,60 @@ def p1_prolongation(space: DGSpace):
     indptr = np.zeros(space.total_dofs + 1, dtype=np.int32)
     np.cumsum(np.tile(counts, num), dtype=np.int32, out=indptr[1:])
     p = sparse.csr_matrix((np.tile(bary[bary != 0], num), indices, indptr),
-                          shape=(space.total_dofs, np.count_nonzero(used)))
+                          shape=(space.total_dofs, columns))
     p.sort_indices()
     return p
+
+
+def _vertex_columns(mesh: TriMesh):
+    """(int32 vertex -> column map, number of columns): the vertices some
+    triangle uses, numbered in index order; an unused vertex maps to the
+    column before it, which nothing reads."""
+    used = np.zeros(len(mesh.vertices), dtype=bool)
+    used[mesh.triangles] = True
+    return np.cumsum(used, dtype=np.int32) - 1, int(np.count_nonzero(used))
+
+
+def conforming_nodes(space: DGSpace):
+    """int32 map node[e D + i] from each DG node to its node of continuous
+    P_r on the same mesh, from connectivity alone, so that the 0/1 matrix
+    Pi with Pi[e D + i, node[e D + i]] = 1 maps continuous P_r node values
+    to their DG field.
+
+    The continuous nodes are the used vertices, numbered as the columns
+    of `p1_prolongation`; then r - 1 nodes on each edge, edge by edge,
+    from its low-index to its high-index endpoint; then each element's
+    interior nodes, element by element. At r = 1 this is P's column map,
+    and Pi = P.
+    """
+    r, d = space.degree, space.dofs_per_element
+    mesh, edges = space.mesh, space.mesh.edges
+    column, num_vertices = _vertex_columns(mesh)
+    # the local node at each integer lattice point (r x, r y)
+    position = {tuple(p): i for i, p in
+                enumerate(np.rint(space.basis.nodes * r).astype(int))}
+    ref = np.array([[0, 0], [1, 0], [0, 1]])
+    # along[k, t]: node t of local edge k, counted from its local vertex
+    # (k + 1) % 3 towards (k + 2) % 3
+    along = np.array([[position[tuple((r - t) * ref[(k + 1) % 3]
+                                      + t * ref[(k + 2) % 3])]
+                       for t in range(r + 1)] for k in range(3)])
+    inner = [i for (x, y), i in position.items() if x and y and x + y < r]
+
+    node = np.empty((space.num_elements, d), dtype=np.int32)
+    node[:, [position[tuple(r * v)] for v in ref]] = column[mesh.triangles]
+    # every side of every edge, in edge order; a side whose local
+    # direction is flipped counts the edge's nodes from its other end
+    edge, side = np.nonzero(edges.tri >= 0)
+    tri, local = edges.tri[edge, side], edges.local[edge, side]
+    flipped = edges.flipped[edge, side]
+    for t in range(1, r):
+        node[tri, along[local, t]] = num_vertices + (r - 1) * edge \
+            + np.where(flipped, r - 1 - t, t - 1)
+    first = num_vertices + (r - 1) * len(edges)
+    node[:, inner] = first + len(inner) * np.arange(space.num_elements)[:, None] \
+        + np.arange(len(inner))
+    return node.ravel()
 
 
 @functools.lru_cache(maxsize=16)

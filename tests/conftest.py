@@ -22,6 +22,33 @@ def space_on(n, r):
     return dgsl.DGSpace(dgsl.build_structured(n), r)
 
 
+def with_unused_vertex(mesh, index):
+    """`mesh` with a vertex no triangle uses inserted at `index`."""
+    vertices = np.insert(mesh.vertices, index, [0.5, 7.0], axis=0)
+    triangles = mesh.triangles + (mesh.triangles >= index)
+    return dgsl.TriMesh(vertices, triangles)
+
+
+def renumbered_import(mesh, seed):
+    """`mesh` written out with its vertices renumbered at random and each
+    triangle's corners rotated, then read back by `import_mesh`: other
+    low and high endpoints, local edges and flips on every edge."""
+    perm = np.random.default_rng(seed).permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[perm] = mesh.vertices
+    triangles = np.roll(perm[mesh.triangles], 1, axis=1)
+    return dgsl.import_mesh(dgsl.export_mesh(dgsl.TriMesh(vertices, triangles)))
+
+
+MESH_KINDS = {
+    "structured": lambda: dgsl.build_structured(6),
+    "perturbed": lambda: dgsl.build_perturbed(6, 0.2, seed=3),
+    "imported": lambda: renumbered_import(dgsl.build_perturbed(6, 0.2, seed=3), 5),
+    "unused vertex": lambda: with_unused_vertex(
+        dgsl.build_perturbed(6, 0.2, seed=3), 11),
+}
+
+
 def part_bytes(a):
     """The bytes of each array of both parts of the operator `a`."""
     return [getattr(part, name).tobytes() for part in (a.csr, a.diagonal)

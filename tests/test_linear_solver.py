@@ -15,13 +15,13 @@ from dgsl import AssemblyConfig, assemble_bilinear, solve_spd
 from dgsl import linear_solver
 from dgsl.linear_solver import (block_jacobi_preconditioner,
                                 two_level_preconditioner)
-from dgsl.space import p1_prolongation
+from dgsl.space import conforming_nodes, p1_prolongation
 from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.newton import residual
 from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
     SingularOperator
 
-from conftest import counting, matrix_bytes, space_on
+from conftest import MESH_KINDS, counting, matrix_bytes, space_on
 
 
 def as_matrix(dense, block_size):
@@ -42,7 +42,8 @@ def direct_reference(a, b):
 
 
 def two_level(a, space):
-    return two_level_preconditioner(a, p1_prolongation(space))
+    return two_level_preconditioner(a, p1_prolongation(space),
+                                    conforming_nodes(space))
 
 
 def test_diagonal_system_solved_exactly(rng):
@@ -168,7 +169,8 @@ def test_singular_matrix_raises_named_error(rng):
     # the preconditioner proves an uncertified matrix by that factor first
     with pytest.raises(SingularOperator):
         two_level_preconditioner(as_matrix(dense, 2),
-                                 sparse.identity(6, format="csr"))
+                                 sparse.identity(6, format="csr"),
+                                 np.arange(6, dtype=np.int32))
 
 
 def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
@@ -293,7 +295,7 @@ def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch):
     monkeypatch.setattr(linear_solver, "symmetric_factor",
                         lambda m, certified: coarse.append((m, certified))
                         or factor(m, certified))
-    two_level_preconditioner(a, p)
+    two_level_preconditioner(a, p, conforming_nodes(space))
     (matrix, certified), = coarse
     assert certified
     expected = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
@@ -305,23 +307,24 @@ def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch):
 @pytest.mark.parametrize("r", [1, 3])
 def test_two_level_set_up_memory_over_its_matrix(r):
     # tracemalloc growth of one set-up over the stiffness's bytes, both
-    # parts, P built before; SuperLU's own arrays are not traced. With a
-    # kept CSR copy of P^T and all blocks inverted at once it kept 0.32
-    # (P3) and 0.36 (P1) and peaked at 0.74 and 1.92; reading P^T through
-    # views of P and inverting in chunks, 0.25 and 0.24, and 0.65 and
-    # 1.54; with the coarse product formed part by part, P^T C P + P^T D P,
-    # 0.25 and 0.23, and 0.65 and 1.52 (P^T (C P + D P) peaked at 0.73
-    # and 1.89)
+    # parts, P and the node map built before; SuperLU's own arrays are
+    # not traced. With a kept CSR copy of P^T and all blocks inverted at
+    # once it kept 0.32 (P3) and 0.36 (P1) and peaked at 0.74 and 1.92;
+    # reading P^T through views of P and inverting in chunks, 0.25 and
+    # 0.24, and 0.65 and 1.54; with the coarse product formed part by
+    # part, P^T C P + P^T D P, 0.25 and 0.23, and 0.65 and 1.52
+    # (P^T (C P + D P) peaked at 0.73 and 1.89); with the Jacobi term on
+    # continuous P_r at P3, 0.26 and 0.64
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
         else dgsl.DGSpace(dgsl.build_structured(128), 1)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
                          edge_degree=12 if r == 3 else None)
     a = assemble_bilinear(space, cfg)
-    p = p1_prolongation(space)
+    p, node = p1_prolongation(space), conforming_nodes(space)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        built = two_level_preconditioner(a, p)
+        built = two_level_preconditioner(a, p, node)
         kept, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -329,3 +332,47 @@ def test_two_level_set_up_memory_over_its_matrix(r):
     assert callable(built)
     assert kept <= 0.28 * matrix, kept / matrix
     assert peak <= (0.7 if r == 3 else 1.75) * matrix, peak / matrix
+
+
+@pytest.mark.parametrize("mesh", list(MESH_KINDS))
+@pytest.mark.parametrize("r", [2, 3])
+def test_conforming_diagonal_is_that_of_the_gathered_matrix(sine, rng, r, mesh):
+    space = dgsl.DGSpace(MESH_KINDS[mesh](), r)
+    node = conforming_nodes(space)
+    # oracle: Pi as an explicit 0/1 matrix, and Pi^T A Pi from A in full
+    pi = sparse.csr_matrix((np.ones(len(node)), node, np.arange(len(node) + 1)))
+    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+    for a in (kernel.stiffness,
+              kernel.jacobian(rng.standard_normal(space.total_dofs))):
+        expected = (pi.T @ a.full() @ pi).diagonal()
+        assert_allclose(linear_solver._conforming_diagonal(a, node), expected,
+                        rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_conforming_term_is_used_exactly_at_r_of_2_and_more(r, monkeypatch):
+    # at r = 1 continuous P1 is the coarse space itself, and the
+    # preconditioner is B + P A_c^-1 P^T alone
+    space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, seed=1), r)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    built = counting(monkeypatch, linear_solver, "_conforming_diagonal")
+    two_level(a, space)
+    assert len(built) == (r >= 2)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_cg_count_stays_flat_in_the_penalty(sine, r):
+    # one Newton Jacobian on a perturbed n = 32 mesh, preconditioned as
+    # Newton does, to 1e-8. B + P A_c^-1 P^T alone took 86, 171 and 245
+    # (P2) and 93, 191 and 278 (P3) iterations at penalty 100, 1000 and
+    # 10000; with the Jacobi term on continuous P_r 29, 31 and 32, and
+    # 46, 48 and 51
+    space = dgsl.DGSpace(dgsl.build_perturbed(32, 0.2, 42), r)
+    counts = []
+    for penalty in (100.0, 1000.0):
+        kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=penalty))
+        u = np.zeros(space.total_dofs)
+        _, report = solve_spd(kernel.jacobian(u), -residual(kernel, u),
+                              two_level(kernel.stiffness, space), tol=1e-8)
+        counts.append(report.iterations)
+    assert counts[1] <= 1.3 * counts[0], counts

@@ -15,9 +15,9 @@ from dgsl.analysis import l2_error, observed_orders
 from dgsl.basis import edge_reference_points
 from dgsl.errors import DegenerateElement
 from dgsl.properties import bilinear_consistency
-from dgsl.space import edge_traces, p1_prolongation
+from dgsl.space import conforming_nodes, edge_traces, p1_prolongation
 
-from conftest import space_on
+from conftest import MESH_KINDS, space_on
 
 
 def on_element(space, v, element, points):
@@ -287,20 +287,10 @@ def coo_prolongation(space):
         shape=(space.total_dofs, len(used)))
 
 
-def with_unused_vertex(mesh, index):
-    """`mesh` with a vertex no triangle uses inserted at `index`."""
-    vertices = np.insert(mesh.vertices, index, [0.5, 7.0], axis=0)
-    triangles = mesh.triangles + (mesh.triangles >= index)
-    return dgsl.TriMesh(vertices, triangles)
-
-
 @pytest.mark.parametrize("mesh", ["structured", "perturbed", "unused vertex"])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_p1_prolongation_has_the_bytes_of_the_coo_build(r, mesh):
-    grid = {"structured": lambda: dgsl.build_structured(6),
-            "perturbed": lambda: dgsl.build_perturbed(6, 0.2, seed=3),
-            "unused vertex": lambda: with_unused_vertex(
-                dgsl.build_perturbed(6, 0.2, seed=3), 11)}[mesh]()
+    grid = MESH_KINDS[mesh]()
     # some triangle lists its vertices out of index order, so the rows
     # need the sort
     assert (np.diff(grid.triangles, axis=1) < 0).any()
@@ -328,3 +318,38 @@ def test_p1_prolongation_peak_stays_within_a_quarter_above_its_bytes(r):
         tracemalloc.stop()
     size = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
     assert peak <= 1.25 * size, peak / size
+
+
+@pytest.mark.parametrize("mesh", list(MESH_KINDS))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_conforming_nodes_partition_the_nodes_as_their_coordinates_do(r, mesh):
+    space = dgsl.DGSpace(MESH_KINDS[mesh](), r)
+    node = conforming_nodes(space)
+    assert node.dtype == np.int32 and node.shape == (space.total_dofs,)
+    # oracle: DG nodes at one physical point are one continuous node
+    points = space.physical_points(space.basis.nodes).reshape(-1, 2)
+    _, by_point = np.unique(np.round(points, 10), axis=0, return_inverse=True)
+    count = by_point.max() + 1
+    assert node.max() + 1 == count
+    assert len(np.unique(node * np.int64(count) + by_point.ravel())) == count
+    # the used vertices first, numbered as P's columns; a corner row of P
+    # holds the one entry 1 in its vertex's column
+    p = p1_prolongation(space)
+    first_edge_node = p.shape[1]
+    corners = np.flatnonzero(np.diff(p.indptr) == 1)
+    assert np.array_equal(node[corners], p.indices[p.indptr[corners]])
+    assert node[corners].max() + 1 == first_edge_node
+    # then r - 1 nodes per edge, from the low to the high endpoint, then
+    # the element interiors
+    edges = space.mesh.edges
+    inner = first_edge_node + (r - 1) * len(edges)
+    assert count == inner + (r - 1) * (r - 2) // 2 * space.num_elements
+    on_edge = (node >= first_edge_node) & (node < inner)
+    edge, t = np.divmod(node[on_edge] - first_edge_node, max(r - 1, 1))
+    low, high = (space.mesh.vertices[edges.endpoints[edge, k]] for k in (0, 1))
+    assert_allclose(points[on_edge], low + ((t + 1) / r)[:, None] * (high - low),
+                    rtol=0, atol=1e-13)
+    if r == 1:
+        pi = sparse.csr_matrix((np.ones(len(node)), node,
+                                np.arange(len(node) + 1)), shape=p.shape)
+        assert (pi != p).nnz == 0
