@@ -33,7 +33,7 @@ print(f"\ndegree-9 edge rule: {len(erule)} points; "
 # The nodal basis has the Kronecker property on the principal lattice and
 # sums to one everywhere.
 for r in (1, 2, 3):
-    basis = dgsl.make_basis(r)
+    basis = dgsl.ReferenceBasis(r)
     vals = basis.values(basis.nodes)
     pou = basis.values([[0.21, 0.33]]).sum()
     print(f"\nP{r}: dim {basis.dim}, "

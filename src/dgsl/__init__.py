@@ -10,9 +10,9 @@ for worked examples.
 from . import errors
 from .analysis import (apply_bilinear_to_field, dg_error, dg_norm_discrete,
                        elliptic_project, estimate_trace_constant, l2_error,
-                       l2_norm_discrete, observed_orders)
+                       observed_orders)
 from .assembly import AssemblyConfig, SparseSymMatrix, assemble_bilinear
-from .basis import ReferenceBasis, make_basis
+from .basis import ReferenceBasis
 from .convergence import (ConvergenceReport, ReportRow, RunConfig,
                           run_convergence)
 from .linear_solver import LinearSolveReport, solve_spd

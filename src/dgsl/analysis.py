@@ -66,11 +66,6 @@ def l2_error(v: DGVector, exact: Optional[ExactSolution]) -> float:
     return float(np.sqrt(total))
 
 
-def l2_norm_discrete(v: DGVector) -> float:
-    """Broken L2 norm of a discrete field."""
-    return l2_error(v, None)
-
-
 def _edge_points(mesh, params, select=slice(None)):
     """Physical points (m, Q, 2) on the `select`ed edges, low to high end."""
     t = np.asarray(params, dtype=float)[None, :, None]

@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .basis import make_basis
+from .basis import ReferenceBasis
 from .errors import ConfigError, NonFiniteValue, SignAssumptionViolated
 from .quadrature import edge_rule, triangle_rule
 from .space import DGSpace, edge_traces
@@ -136,7 +136,7 @@ class _VolumeTables:
     """Reference tables for element integrals at one quadrature degree."""
 
     def __init__(self, r, degree):
-        basis = make_basis(r)
+        basis = ReferenceBasis(r)
         self.rule = triangle_rule(degree)
         self.values = basis.values(self.rule.points)          # (Q, D)
         self.gradients = basis.gradients(self.rule.points)    # (Q, D, 2)

@@ -77,11 +77,6 @@ class ReferenceBasis:
         return np.einsum("pka,ik->pia", mg, self._coeffs)
 
 
-def make_basis(r: int) -> ReferenceBasis:
-    """Build the degree-r nodal basis (r in {1, 2, 3})."""
-    return ReferenceBasis(r)
-
-
 def edge_reference_points(local_edge: int, params, flipped: bool = False):
     """Reference coordinates of points on a local edge.
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from .analysis import dg_error, l2_error, observed_orders
 from .assembly import AssemblyConfig
-from .basis import make_basis
+from .basis import ReferenceBasis
 from .errors import ConfigError, DgslError
 from .mesh import (build_perturbed, build_structured, check_grid_args,
                    import_mesh)
@@ -61,7 +61,7 @@ class RunConfig:
                               "existing directory")
         # the basis, AssemblyConfig and the quadrature rules own the
         # degree, penalty and quadrature-degree rules
-        make_basis(self.degree)
+        ReferenceBasis(self.degree)
         self.assembly_config()
         try:
             exact = get_problem(self.problem).exact

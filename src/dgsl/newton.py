@@ -42,8 +42,7 @@ from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import Problem
-from .space import (DGSpace, DGVector, conforming_nodes, interpolate,
-                    p1_prolongation)
+from .space import DGSpace, DGVector, conforming_nodes, p1_prolongation
 
 
 # stopping test: ||residual|| <= max(abs_tol, REL_TOL * initial residual),
@@ -61,21 +60,13 @@ MAX_BACKTRACKS = 30
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Absolute residual tolerance and start of the Newton loop.
-
-    `initial_guess` is either "zero" or a scalar field callback whose
-    interpolant seeds the iteration.
-    """
+    """Absolute residual tolerance of the Newton loop."""
 
     abs_tol: float = 1e-10
-    initial_guess: object = "zero"
 
     def __post_init__(self):
         if not 0.0 < self.abs_tol < np.inf:
             raise ConfigError("abs_tol must be positive and finite")
-        guess = self.initial_guess
-        if not (callable(guess) or isinstance(guess, str) and guess == "zero"):
-            raise ConfigError("initial_guess must be 'zero' or a callable")
 
 
 @dataclass
@@ -104,8 +95,10 @@ def residual(kernel: NewtonKernel, u: np.ndarray) -> np.ndarray:
 
 
 def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
-                     ncfg: Optional[NewtonConfig] = None):
-    """Solve a(u_h, v) = (f(u_h), v) by damped Newton.
+                     ncfg: Optional[NewtonConfig] = None,
+                     start: Optional[DGVector] = None):
+    """Solve a(u_h, v) = (f(u_h), v) by damped Newton from the field
+    `start` on `space`, or from zero when it is None.
 
     Returns (DGVector, NewtonReport). Raises NewtonDiverged when
     backtracking cannot decrease the residual and NotConverged when
@@ -119,10 +112,8 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         stiffness, p1_prolongation(space), conforming_nodes(space))
     kernel = NewtonKernel(space, problem, cfg, stiffness)
 
-    if ncfg.initial_guess == "zero":
-        u = np.zeros(space.total_dofs)
-    else:
-        u = interpolate(space, ncfg.initial_guess).coeffs.copy()
+    u = np.zeros(space.total_dofs) if start is None \
+        else DGVector(space, start.coeffs).coeffs.copy()
 
     report = NewtonReport()
     res = residual(kernel, u)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import edge_reference_points, make_basis
+from .basis import ReferenceBasis, edge_reference_points
 from .errors import DegenerateElement
 from .mesh import TriMesh
 
@@ -34,7 +34,7 @@ class DGSpace:
     def __init__(self, mesh: TriMesh, degree: int):
         self.mesh = mesh
         self.degree = degree
-        self.basis = make_basis(degree)
+        self.basis = ReferenceBasis(degree)
         self.dofs_per_element = self.basis.dim
         self.num_elements = mesh.num_triangles
         self.total_dofs = self.num_elements * self.dofs_per_element
@@ -150,7 +150,7 @@ def _vertex_columns(mesh: TriMesh):
 
 
 def conforming_nodes(space: DGSpace):
-    """int32 map node[e D + i] from each DG node to its node of continuous
+    """intp map node[e D + i] from each DG node to its node of continuous
     P_r on the same mesh, from connectivity alone, so that the 0/1 matrix
     Pi with Pi[e D + i, node[e D + i]] = 1 maps continuous P_r node values
     to their DG field.
@@ -175,7 +175,7 @@ def conforming_nodes(space: DGSpace):
                        for t in range(r + 1)] for k in range(3)])
     inner = [i for (x, y), i in position.items() if x and y and x + y < r]
 
-    node = np.empty((space.num_elements, d), dtype=np.int32)
+    node = np.empty((space.num_elements, d), dtype=np.intp)
     node[:, [position[tuple(r * v)] for v in ref]] = column[mesh.triangles]
     # every side of every edge, in edge order; a side whose local
     # direction is flipped counts the edge's nodes from its other end
@@ -198,7 +198,7 @@ def edge_tables(degree, t):
     point sets, indexed 2 k + flipped, and both side by side as (6, D, 3 Q)
     (values, then gradients as (Q, 2)), so that one product with a side's
     coefficients gives its value and gradient on its set."""
-    basis = make_basis(degree)
+    basis = ReferenceBasis(degree)
     ref = [edge_reference_points(k, t, fl) for k in range(3) for fl in (False, True)]
     values = np.stack([basis.values(p) for p in ref])
     grads = np.stack([basis.gradients(p) for p in ref])

@@ -22,7 +22,7 @@ from scipy.linalg import eigvalsh
 import dgsl
 from dgsl import AssemblyConfig, DGVector, assemble_bilinear, interpolate
 from dgsl import linear_solver
-from dgsl.analysis import apply_bilinear_to_field, l2_norm_discrete
+from dgsl.analysis import apply_bilinear_to_field, l2_error
 from dgsl.assembly import (NewtonKernel, _edge_blocks, _local_certificate,
                            _volume_stiffness_blocks, _volume_tables)
 from dgsl.cli import build_run_config, parse_config_text
@@ -226,7 +226,7 @@ def test_jacobian_with_unit_weight_is_stiffness_plus_mass(rng):
     for _ in range(5):
         v = DGVector(space, rng.standard_normal(space.total_dofs))
         assert_allclose(float(v.coeffs @ (mass @ v.coeffs)),
-                        l2_norm_discrete(v) ** 2, rtol=1e-12)
+                        l2_error(v, None) ** 2, rtol=1e-12)
 
 
 def test_jacobian_matches_central_differences(sine, rng):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dgsl
-from dgsl import make_basis
+from dgsl import ReferenceBasis
 from dgsl.basis import edge_reference_points
 from dgsl.errors import UnsupportedDegree
 
@@ -29,14 +29,14 @@ def random_ref_points(rng, m=20):
 
 
 def test_p1_dimensions_and_centroid():
-    basis = make_basis(1)
+    basis = ReferenceBasis(1)
     assert basis.dim == 3
     assert_allclose(basis.values([[1 / 3, 1 / 3]]), [[1 / 3, 1 / 3, 1 / 3]],
                     atol=1e-14)
 
 
 def test_p2_vertex_function_vanishes_at_opposite_edge_midpoint():
-    basis = make_basis(2)
+    basis = ReferenceBasis(2)
     assert basis.dim == 6
     # node 0 is the vertex (0, 0); the opposite edge is x + y = 1
     idx = int(np.flatnonzero((basis.nodes == [0.0, 0.0]).all(axis=1))[0])
@@ -49,18 +49,18 @@ def test_p2_vertex_function_vanishes_at_opposite_edge_midpoint():
 
 
 def test_p3_dimension():
-    assert make_basis(3).dim == 10
+    assert ReferenceBasis(3).dim == 10
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_kronecker_property(r):
-    basis = make_basis(r)
+    basis = ReferenceBasis(r)
     assert_allclose(basis.values(basis.nodes), np.eye(basis.dim), atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_partition_of_unity(r, rng):
-    basis = make_basis(r)
+    basis = ReferenceBasis(r)
     pts = random_ref_points(rng)
     assert_allclose(basis.values(pts).sum(axis=1), 1.0, atol=1e-13)
     assert_allclose(basis.gradients(pts).sum(axis=1), 0.0, atol=1e-12)
@@ -68,7 +68,7 @@ def test_partition_of_unity(r, rng):
 
 def test_unsupported_basis_degree():
     with pytest.raises(UnsupportedDegree):
-        make_basis(4)
+        ReferenceBasis(4)
 
 
 def test_affine_map_identity_and_scaling(rng):
@@ -122,7 +122,7 @@ def test_polynomial_reproduction(r, rng):
 
 
 def test_trace_opposite_vertex_vanishes_on_edge():
-    basis = make_basis(1)
+    basis = ReferenceBasis(1)
     t = np.linspace(0, 1, 7)
     for k in range(3):
         vals = basis.values(edge_reference_points(k, t))
@@ -131,7 +131,7 @@ def test_trace_opposite_vertex_vanishes_on_edge():
 
 
 def test_trace_flip_reverses_parametrization():
-    basis = make_basis(2)
+    basis = ReferenceBasis(2)
     t = np.array([0.2, 0.7])
     fwd = basis.values(edge_reference_points(0, t))
     bwd = basis.values(edge_reference_points(0, 1.0 - t, flipped=True))

@@ -148,13 +148,6 @@ def test_p3_perturbed_newton_counts(seed):
     assert newton_counts(cfg) == [4, 4, 4]
 
 
-def test_exact_initial_guess_rejected():
-    # an interpolant start is a callable (test_newton and the uniqueness
-    # suite start from the exact solution's values)
-    with pytest.raises(ConfigError, match="initial_guess"):
-        dgsl.NewtonConfig(initial_guess="exact")
-
-
 @pytest.mark.parametrize("bad", [
     dict(levels=()),
     dict(mesh_kind="hexagons"),

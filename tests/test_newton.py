@@ -12,7 +12,7 @@ import dgsl.linear_solver
 import dgsl.newton
 from dgsl import (AssemblyConfig, NewtonConfig, assemble_bilinear,
                   solve_semilinear)
-from dgsl.analysis import l2_norm_discrete
+from dgsl.analysis import l2_error
 from dgsl.assembly import NewtonKernel
 from dgsl.linear_solver import LinearSolveReport
 from dgsl.errors import (ConfigError, IndefiniteOperator, NewtonDiverged,
@@ -81,11 +81,29 @@ def test_residuals_strictly_decrease(sine):
 def test_zero_and_interpolant_starts_agree(sine):
     space = space_on(8, 1)
     cfg = AssemblyConfig(penalty=100.0)
-    u0, _ = solve_semilinear(space, sine, cfg, NewtonConfig())
+    u0, _ = solve_semilinear(space, sine, cfg)
     u1, _ = solve_semilinear(space, sine, cfg,
-                             NewtonConfig(initial_guess=sine.exact.value))
-    gap = l2_norm_discrete(dgsl.DGVector(space, u0.coeffs - u1.coeffs))
+                             start=dgsl.interpolate(space, sine.exact.value))
+    gap = l2_error(dgsl.DGVector(space, u0.coeffs - u1.coeffs), None)
     assert gap <= 1e-8
+
+
+def test_start_at_the_solution_takes_no_step(sine):
+    space = space_on(8, 1)
+    cfg = AssemblyConfig(penalty=100.0)
+    u, _ = solve_semilinear(space, sine, cfg)
+    again, report = solve_semilinear(space, sine, cfg, start=u)
+    assert report.iterations == 0
+    assert np.array_equal(again.coeffs, u.coeffs)
+    assert again.coeffs is not u.coeffs
+
+
+def test_start_of_another_length_raises(sine):
+    coarse = space_on(4, 1)
+    other = dgsl.DGVector(coarse, np.zeros(coarse.total_dofs))
+    with pytest.raises(ValueError, match="length"):
+        solve_semilinear(space_on(8, 1), sine, AssemblyConfig(penalty=100.0),
+                         start=other)
 
 
 def test_budget_exhaustion_raises(sine, monkeypatch):
@@ -314,7 +332,7 @@ def test_a_step_that_raises_leaves_the_stiffness_as_it_was(sine, kernels,
     monkeypatch.setattr(dgsl.newton, "solve_spd", failing)
     with pytest.raises(NotConverged, match="patched"):
         solve_semilinear(space, sine, cfg,
-                         NewtonConfig(initial_guess=sine.exact.value))
+                         start=dgsl.interpolate(space, sine.exact.value))
     assert inside == [True]
     assert part_bytes(kernels[0].stiffness) == assembled
 
@@ -385,16 +403,15 @@ def test_non_finite_callback_raises_named_error(sine, callback):
     # u = 1 at every quadrature point exposes the u-dependent callbacks
     with pytest.raises(NonFiniteValue):
         solve_semilinear(space, problem, AssemblyConfig(penalty=100.0),
-                         NewtonConfig(initial_guess=lambda x, y: 1.0 + 0 * x))
+                         start=dgsl.DGVector(space, np.ones(space.total_dofs)))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         NewtonConfig(abs_tol=0.0)
-    for bad in (dict(abs_tol=np.nan), dict(abs_tol=np.inf),
-                dict(initial_guess="exact"), dict(initial_guess=1.0)):
+    for bad in (np.nan, np.inf):
         with pytest.raises(ConfigError):
-            NewtonConfig(**bad)
+            NewtonConfig(abs_tol=bad)
 
 
 def test_backtracking_steps_back_from_non_finite_trial():
