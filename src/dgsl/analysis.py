@@ -38,8 +38,7 @@ from .errors import ConfigError, InsufficientLevels
 from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import ExactSolution
 from .quadrature import edge_rule
-from .space import (DGSpace, DGVector, conforming_nodes, edge_fields,
-                    edge_traces, p1_prolongation)
+from .space import DGSpace, DGVector, edge_fields, edge_traces
 
 
 def _analysis_degree(space):
@@ -176,8 +175,7 @@ def elliptic_project(space: DGSpace, exact: ExactSolution,
     solved by two-level PCG."""
     a = assemble_bilinear(space, cfg)
     rhs = apply_bilinear_to_field(space, exact, cfg)
-    x, _ = solve_spd(a, rhs, two_level_preconditioner(
-        a, p1_prolongation(space), conforming_nodes(space)))
+    x, _ = solve_spd(a, rhs, two_level_preconditioner(a, space))
     return DGVector(space, x)
 
 

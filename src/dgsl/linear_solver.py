@@ -4,29 +4,30 @@ One route: `two_level_preconditioner` proves a stiffness positive
 definite and preconditions it, and `solve_spd` runs one preconditioned
 conjugate gradient loop with it. A stiffness that assembly's local
 certificate does not cover (`SparseSymMatrix.certified`) is proven by
-the pivots of the `symmetric_factor` of its `full` matrix, which raises
-IndefiniteOperator on a negative pivot, the practical symptom of an
-insufficient penalty parameter. CG only checks: it raises the same
-error when it meets a direction of non-positive curvature, which it may
-never meet, so it is for a matrix already proven positive definite.
+the pivots of the `symmetric_factor` of its `full` matrix: a negative
+one raises IndefiniteOperator, the practical symptom of an insufficient
+penalty parameter. CG only checks: it raises the same error when it
+meets a direction of non-positive curvature, which it may never meet,
+so it is for a matrix already proven positive definite.
 
-The preconditioner adds three terms. The exact per-element block-Jacobi
-inverse of `block_jacobi_preconditioner`, read from the operator's
-element blocks, damps what varies within an element; an exact solve on
-continuous P1 over the same mesh corrects the smooth part, so the
-iterations do not grow as h -> 0. Neither reaches the continuous
-high-order part of the error at r >= 2, whose count grows with the
-penalty, so there a Jacobi sweep on continuous P_r, through the node map
-of `space.conforming_nodes`, is added too (an auxiliary-space term). At
+The preconditioner adds three terms, built from the operator and its
+space. The exact per-element block-Jacobi inverse of
+`block_jacobi_preconditioner`, read from the operator's element blocks,
+damps what varies within an element; an exact solve on continuous P1
+over the same mesh corrects the smooth part, so the iterations do not
+grow as h -> 0. Neither reaches the continuous high-order part of the
+error at r >= 2, whose count grows with the penalty, so there a Jacobi
+sweep on continuous P_r, through the node map of
+`space.conforming_nodes`, is added too (an auxiliary-space term). At
 r = 1 continuous P_r is the P1 coarse space itself, which the exact
-solve already covers, and the term is left out: it only made CG slower.
-Each term is symmetric positive semidefinite and the block-Jacobi term
-positive definite, so the sum is positive definite whenever the
-operator is.
+solve already covers, and neither the term nor its map is built: the
+term only made CG slower. Each term is symmetric positive semidefinite
+and the block-Jacobi term positive definite, so the sum is positive
+definite whenever the operator is.
 
-A certified matrix is factored without reading its pivots: the first
-access to `lu.U` makes scipy build and cache CSC copies of both L and U
-for the factor's life (about 230 MB at P3 on a perturbed n = 64 mesh).
+Only the proof reads pivots: the first access to `lu.U` makes scipy
+build and cache CSC copies of both L and U for the factor's life (about
+230 MB at P3 on a perturbed n = 64 mesh), so the proof drops its factor.
 """
 
 from dataclasses import dataclass
@@ -37,28 +38,24 @@ from scipy.sparse.linalg import splu
 
 from .assembly import SparseSymMatrix, _element_chunks
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
+from .space import DGSpace, conforming_nodes, p1_prolongation
 
 
 @dataclass
 class LinearSolveReport:
     iterations: int
     relative_residual: float
-    converged: bool
     # always "pcg"; the benchmark's traced solve counter still reads it
     method: str = "pcg"
 
 
-def symmetric_factor(matrix, certified: bool):
+def symmetric_factor(matrix):
     """Sparse LU of the symmetric `matrix` with a symmetric fill-reducing
-    ordering and diagonal pivots, certified positive definite.
+    ordering and diagonal pivots; its pivots are left unread.
 
-    A matrix not already proven (`certified`) is proven by its pivots:
-    when the row and column permutations agree, P A P^T = L D L^T with
-    D = diag(U), so by Sylvester's law of inertia `matrix` has as many
-    negative eigenvalues as U has negative pivots. Exact zeros of the
-    stored entries are left out of the factored pattern. Raises
-    SingularOperator on an exactly singular matrix and IndefiniteOperator
-    on an off-diagonal or negative pivot.
+    Exact zeros of the stored entries are left out of the factored
+    pattern. Raises SingularOperator on an exactly singular matrix and
+    IndefiniteOperator on an off-diagonal pivot.
     """
     csc = sparse.csc_matrix(matrix)
     csc.eliminate_zeros()
@@ -71,11 +68,6 @@ def symmetric_factor(matrix, certified: bool):
         raise IndefiniteOperator(
             "sparse LU needed an off-diagonal pivot, so the operator is "
             "not positive definite")
-    negative = 0 if certified else np.count_nonzero(lu.U.diagonal() < 0.0)
-    if negative:
-        raise IndefiniteOperator(
-            f"sparse LU met {negative} negative pivots, so the operator has "
-            f"{negative} negative eigenvalues (penalty too small?)")
     return lu
 
 
@@ -132,33 +124,39 @@ def _conforming_diagonal(a: SparseSymMatrix, node):
     return diag
 
 
-def two_level_preconditioner(a: SparseSymMatrix, prolongation, node):
+def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace):
     """Additive preconditioner B r + Pi D_c^-1 Pi^T r + P A_c^-1 P^T r
-    for `a`, proven positive definite first: CG iterations do not grow as
-    h -> 0 (Dobrev, Lazarov, Vassilevski & Zikatanov, NLAA 2006), nor
-    with the penalty at r >= 2 (Antonietti, Sarti, Verani & Zikatanov,
-    J. Sci. Comput. 2017).
+    for `a` on `space`, proven positive definite first: CG iterations do
+    not grow as h -> 0 (Dobrev, Lazarov, Vassilevski & Zikatanov, NLAA
+    2006), nor with the penalty at r >= 2 (Antonietti, Sarti, Verani &
+    Zikatanov, J. Sci. Comput. 2017).
 
     An `a` without assembly's certificate is proven by the pivots of the
-    `symmetric_factor` of `a.full()`, which raises IndefiniteOperator
-    otherwise; the factor is then dropped. B is
-    `block_jacobi_preconditioner`, P the `prolongation` (continuous P1 on
-    the same mesh, `space.p1_prolongation`) and A_c = P^T C P + P^T D P
+    `symmetric_factor` of `a.full()`, as CSR so that its CSC copy is not
+    made through COO: with equal row and column permutations,
+    P A P^T = L D L^T with D = diag(U), so by Sylvester's law of inertia
+    `a` has as many negative eigenvalues as U has negative pivots, and
+    any raises IndefiniteOperator. B is `block_jacobi_preconditioner`,
+    P is `space.p1_prolongation` (continuous P1) and A_c = P^T C P + P^T D P
     for a's couplings C and element blocks D, positive definite since P
     has full column rank, and factored as such. P^T is used as
     `prolongation.T`, a CSC view of P, so no transposed copy is kept.
 
-    Pi is the 0/1 gather from continuous P_r to DG given by the node map
-    `node` (`space.conforming_nodes`) and D_c = diag(Pi^T a Pi)
+    At r >= 2, Pi is the 0/1 gather from continuous P_r to DG given by
+    the node map of `space.conforming_nodes` and D_c = diag(Pi^T a Pi)
     (`_conforming_diagonal`): a Jacobi sweep on the conforming part of
-    the error, which neither B nor the P1 coarse space reaches. It is
-    used exactly when continuous P_r has more nodes than P has columns,
-    that is at r >= 2; at r = 1, Pi = P and the exact coarse solve
-    already covers that space.
+    the error, which neither B nor the P1 coarse space reaches. At
+    r = 1, Pi = P and the coarse solve covers that space: no term, no map.
     """
     if not a.certified:
-        symmetric_factor(a.full(), False)
+        negative = np.count_nonzero(
+            symmetric_factor(a.full().tocsr()).U.diagonal() < 0.0)
+        if negative:
+            raise IndefiniteOperator(
+                f"sparse LU met {negative} negative pivots, so the operator "
+                f"has {negative} negative eigenvalues (penalty too small?)")
     smoother = block_jacobi_preconditioner(a)
+    prolongation = p1_prolongation(space)
     restriction = prolongation.T
     # P^T (X P) as ((X P)^T P)^T for X = C, then D, one X P at a time:
     # scipy runs the CSC view (X P)^T times P as the CSR product of P^T
@@ -166,15 +164,16 @@ def two_level_preconditioner(a: SparseSymMatrix, prolongation, node):
     # a transient CSC copy of P is made, not one of X P
     coarse = ((a.csr @ prolongation).tocsr().T @ prolongation).T \
         + ((a.diagonal @ prolongation).tocsr().T @ prolongation).T
-    lu = symmetric_factor(coarse, True)
+    lu = symmetric_factor(coarse)
 
     def apply(r):
         out = smoother(r)
         out += prolongation @ lu.solve(restriction @ r)
         return out
 
-    if int(node.max()) + 1 == prolongation.shape[1]:
+    if space.degree < 2:
         return apply
+    node = conforming_nodes(space)
     inverse = 1.0 / _conforming_diagonal(a, node)
 
     def apply_conforming(r):
@@ -207,7 +206,7 @@ def solve_spd(a: SparseSymMatrix, b, preconditioner, tol: float = 1e-12,
         raise ValueError(f"rhs has shape {b.shape}, expected ({a.dim},)")
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return np.zeros_like(b), LinearSolveReport(0, 0.0, True)
+        return np.zeros_like(b), LinearSolveReport(0, 0.0)
     if max_iter is None:
         max_iter = 10 * a.dim
     a_max = None
@@ -250,7 +249,7 @@ def solve_spd(a: SparseSymMatrix, b, preconditioner, tol: float = 1e-12,
             a_max = a.max_abs()
         if rel <= tol or rel * norm_b <= 100.0 * np.finfo(float).eps * (
                 a_max * float(np.linalg.norm(x)) + norm_b):
-            return x, LinearSolveReport(it, rel, True)
-    report = LinearSolveReport(max_iter, rel, False)
+            return x, LinearSolveReport(it, rel)
+    report = LinearSolveReport(max_iter, rel)
     raise NotConverged(f"pcg solve did not reach tol {tol} in {max_iter} "
                        "iterations", report=report, x=x)

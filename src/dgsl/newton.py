@@ -9,9 +9,9 @@ one matrix product against its tables to the stiffness's. Each step's
 Jacobian (`NewtonKernel.jacobian`) holds the stiffness's own couplings
 beside new element blocks, the stiffness's plus the mass blocks, and
 lives only for the step's solve; the stiffness is never written. The
-preconditioner, built from the stiffness before the loop, keeps the
-inverses of its element blocks, the factored continuous P1 coarse
-matrix, and at r >= 2 the inverse diagonal of the stiffness on
+preconditioner, built from the stiffness and its space before the loop,
+keeps the inverses of its element blocks, the factored continuous P1
+coarse matrix, and at r >= 2 the inverse diagonal of the stiffness on
 continuous P_r with the node map that gathers it; it reads P^T through
 a view of P. The first two terms keep the step counts flat in h, the
 third in the penalty: without it the P3 ladder's four steps took
@@ -29,7 +29,8 @@ SignAssumptionViolated otherwise, before its step solves anything, and
 the converged iterate, which no Jacobian is built at, is swept once
 more by the same check. Steps are solved only as far as
 Newton needs (inexact Newton, `_forcing_term`); the stopping test reads
-the true residual.
+the true residual. A solve that stops short raises NotConverged or
+NewtonDiverged, so every returned report is that of a converged solve.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +43,7 @@ from .assembly import (AssemblyConfig, NewtonKernel, _nonlinear_load,
 from .errors import ConfigError, NewtonDiverged, NonFiniteValue, NotConverged
 from .linear_solver import solve_spd, two_level_preconditioner
 from .problems import Problem
-from .space import DGSpace, DGVector, conforming_nodes, p1_prolongation
+from .space import DGSpace, DGVector
 
 
 # stopping test: ||residual|| <= max(abs_tol, REL_TOL * initial residual),
@@ -72,7 +73,6 @@ class NewtonConfig:
 @dataclass
 class NewtonReport:
     residual_norms: List[float] = field(default_factory=list)
-    converged: bool = False
     linear_reports: list = field(default_factory=list)
 
     @property
@@ -108,8 +108,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
-    precondition = two_level_preconditioner(
-        stiffness, p1_prolongation(space), conforming_nodes(space))
+    precondition = two_level_preconditioner(stiffness, space)
     kernel = NewtonKernel(space, problem, cfg, stiffness)
 
     u = np.zeros(space.total_dofs) if start is None \
@@ -149,8 +148,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
         u, res, res_norm = trial, trial_res, trial_norm
         report.residual_norms.append(res_norm)
 
-    report.converged = res_norm <= threshold
-    if not report.converged:
+    if res_norm > threshold:
         raise NotConverged(
             f"newton used {MAX_ITERATIONS} iterations, residual "
             f"{res_norm:.3e} > {threshold:.3e}", report=report)

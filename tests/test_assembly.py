@@ -526,7 +526,7 @@ def test_pattern_stores_diagonal_blocks_and_no_other_zeros(mesh, r,
         return splu(csc, **options)
 
     monkeypatch.setattr(linear_solver, "splu", recording_splu)
-    linear_solver.symmetric_factor(a.full(), a.certified)
+    linear_solver.symmetric_factor(a.full())
     csc, = factored
     assert csc.nnz == np.count_nonzero(dense)
     assert np.array_equal(csc.toarray(), dense)

@@ -41,17 +41,12 @@ def direct_reference(a, b):
     return spsolve(a.full().tocsc(), b)
 
 
-def two_level(a, space):
-    return two_level_preconditioner(a, p1_prolongation(space),
-                                    conforming_nodes(space))
-
-
 def test_diagonal_system_solved_exactly(rng):
     d = rng.uniform(0.5, 4.0, 12)
     b = rng.standard_normal(12)
     a = as_matrix(np.diag(d), 3)
     x, report = solve_spd(a, b, block_jacobi_preconditioner(a), tol=1e-14)
-    assert report.converged and report.iterations == 1
+    assert report.iterations == 1
     assert_allclose(x, b / d, rtol=1e-14)
 
 
@@ -62,7 +57,7 @@ def test_manufactured_spd_system(rng):
     b = a @ x_star
     x, report = solve_spd(a, b, tol=1e-10,
                           preconditioner=block_jacobi_preconditioner(a))
-    assert report.converged and report.method == "pcg"
+    assert report.method == "pcg"
     assert np.linalg.norm(x - x_star) <= 1e-8 * np.linalg.norm(x_star)
     assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -84,7 +79,8 @@ def test_determinism_bitwise(rng):
     space = space_on(3, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
-    for build in (block_jacobi_preconditioner, lambda a: two_level(a, space)):
+    for build in (block_jacobi_preconditioner,
+                  lambda a: two_level_preconditioner(a, space)):
         x1, r1 = solve_spd(a, b, build(a), tol=1e-12)
         x2, r2 = solve_spd(a, b, build(a), tol=1e-12)
         assert x1.tobytes() == x2.tobytes()
@@ -98,9 +94,10 @@ def test_direct_and_pcg_agree(rng):
     x_ref = direct_reference(a, b)
     assert np.linalg.norm(x_ref - np.linalg.solve(a.full().toarray(), b)) \
         <= 1e-12 * np.linalg.norm(x_ref)
-    for precondition in (block_jacobi_preconditioner(a), two_level(a, space)):
+    for precondition in (block_jacobi_preconditioner(a),
+                         two_level_preconditioner(a, space)):
         x, report = solve_spd(a, b, precondition, tol=1e-13)
-        assert report.converged and report.method == "pcg"
+        assert report.method == "pcg"
         assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
@@ -122,12 +119,11 @@ def test_pcg_solve_accepted_at_rounding_floor(sine):
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=2000.0))
     u = np.zeros(kernel.stiffness.dim)
     b = -residual(kernel, u)
-    precondition = two_level(kernel.stiffness, space)
+    precondition = two_level_preconditioner(kernel.stiffness, space)
     jac = kernel.jacobian(u)
     a = CountingMatrix(jac.csr, jac.diagonal)
     x, report = solve_spd(a, b, precondition, tol=1e-12)
     x_ref = direct_reference(a, b)
-    assert report.converged
     assert report.relative_residual > 1e-12
     assert a.max_abs_reads == 1
     assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
@@ -140,7 +136,7 @@ def test_budget_exhaustion_raises_with_report(rng):
     with pytest.raises(NotConverged) as excinfo:
         solve_spd(a, b, block_jacobi_preconditioner(a), tol=1e-13, max_iter=3)
     report = excinfo.value.report
-    assert report is not None and not report.converged
+    assert report is not None
     assert report.iterations == 3
     assert excinfo.value.x is not None
 
@@ -150,7 +146,7 @@ def test_zero_rhs_short_circuits():
     a = assemble_bilinear(space, AssemblyConfig(penalty=10.0))
     x, report = solve_spd(a, np.zeros(a.dim), block_jacobi_preconditioner(a))
     assert not x.any()
-    assert report.converged and report.iterations == 0
+    assert report.iterations == 0
 
 
 def test_shape_mismatch_rejected():
@@ -164,13 +160,15 @@ def test_singular_matrix_raises_named_error(rng):
     dense = np.diag(rng.uniform(0.5, 4.0, 6))
     dense[2, 2] = 0.0  # a zero row makes the matrix exactly singular
     with pytest.raises(SingularOperator) as excinfo:
-        linear_solver.symmetric_factor(sparse.csr_matrix(dense), False)
+        linear_solver.symmetric_factor(sparse.csr_matrix(dense))
     assert isinstance(excinfo.value, DgslError)
-    # the preconditioner proves an uncertified matrix by that factor first
+    # the preconditioner proves an uncertified matrix by that factor
+    # first: here one on the two P1 elements of the n = 1 mesh, 6 dofs in
+    # two 3 x 3 blocks
+    space = space_on(1, 1)
+    assert space.total_dofs == 6
     with pytest.raises(SingularOperator):
-        two_level_preconditioner(as_matrix(dense, 2),
-                                 sparse.identity(6, format="csr"),
-                                 np.arange(6, dtype=np.int32))
+        two_level_preconditioner(as_matrix(dense, 3), space)
 
 
 def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
@@ -179,14 +177,13 @@ def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
     negative = int((eigvalsh(a.full().toarray()) < 0).sum())
     assert negative > 0 and not a.certified
     # Sylvester's law of inertia: one negative pivot per negative eigenvalue
-    with pytest.raises(IndefiniteOperator,
-                       match=f"met {negative} negative pivots"):
-        linear_solver.symmetric_factor(a.full(), a.certified)
+    lu = linear_solver.symmetric_factor(a.full())
+    assert np.count_nonzero(lu.U.diagonal() < 0) == negative
     # the preconditioner reads the pivots before its block-Jacobi
     # Cholesky, which would fail on a diagonal block here
     with pytest.raises(IndefiniteOperator,
                        match=f"met {negative} negative pivots"):
-        two_level(a, space)
+        two_level_preconditioner(a, space)
     with pytest.raises(IndefiniteOperator, match="diagonal block"):
         block_jacobi_preconditioner(a)
 
@@ -196,18 +193,13 @@ def test_symmetric_factor_is_certified_and_returned(rng, factor_reads):
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
     assert a.certified
-    lu = linear_solver.symmetric_factor(a.full(), a.certified)
-    assert factor_reads == []       # a certified matrix's pivots stay unread
+    lu = linear_solver.symmetric_factor(a.full())
+    assert factor_reads == []       # the factor reads no pivots itself
     assert np.array_equal(lu.perm_r, lu.perm_c)
     assert (lu.U.diagonal() > 0).all()
-    # the returned factor solves the system, and so does the factor of
-    # the same matrix without assembly's verdict, whose pivots are read
+    # the returned factor solves the system
     x_ref = direct_reference(a, b)
     assert np.linalg.norm(lu.solve(b) - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    factor_reads.clear()
-    proven = linear_solver.symmetric_factor(a.full(), False)
-    assert factor_reads == ["U"]
-    assert proven.solve(b).tobytes() == lu.solve(b).tobytes()
 
 
 def test_two_level_preconditioner_proves_an_uncertified_matrix(
@@ -218,11 +210,43 @@ def test_two_level_preconditioner_proves_an_uncertified_matrix(
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     r = rng.standard_normal(a.dim)
     factors = counting(monkeypatch, linear_solver, "splu")
-    certified = two_level(a, space)(r)
+    certified = two_level_preconditioner(a, space)(r)
     assert (len(factors), factor_reads) == (1, [])
-    uncertified = two_level(SparseSymMatrix(a.csr, a.diagonal), space)(r)
+    uncertified = two_level_preconditioner(
+        SparseSymMatrix(a.csr, a.diagonal), space)(r)
     assert (len(factors), factor_reads) == (3, ["U"])
     assert uncertified.tobytes() == certified.tobytes()
+
+
+def test_pivot_proof_factors_the_csc_of_its_matrix_through_csr(monkeypatch):
+    # the proof's CSC has the bytes of the matrix's own CSC copy, but is
+    # made through CSR: scipy converts a BSR matrix to CSC through COO,
+    # and the whole set-up, P included, then peaked at 11.5 times both
+    # parts' bytes, where it now peaks at 8.7; SuperLU's own arrays are
+    # not traced
+    space = space_on(48, 1)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=5.0))
+    assert not a.certified
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        two_level_preconditioner(a, space)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * matrix_bytes(a), peak / matrix_bytes(a)
+    factored = []
+    splu = linear_solver.splu
+    monkeypatch.setattr(linear_solver, "splu", lambda csc, **options:
+                        factored.append(csc) or splu(csc, **options))
+    two_level_preconditioner(a, space)
+    expected = sparse.csc_matrix(a.full())
+    expected.eliminate_zeros()
+    proof, _ = factored             # the proof's factor, then the coarse one
+    assert proof.shape == (a.dim, a.dim)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(proof, name).tobytes() == \
+            getattr(expected, name).tobytes(), name
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -248,7 +272,8 @@ def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
 def test_two_level_preconditioner_is_spd(r):
     space = dgsl.DGSpace(dgsl.build_perturbed(3, 0.2, seed=1), r)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
-    dense = np.column_stack([two_level(a, space)(e) for e in np.eye(a.dim)])
+    precondition = two_level_preconditioner(a, space)
+    dense = np.column_stack([precondition(e) for e in np.eye(a.dim)])
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
     assert eigvalsh(dense).min() > 0.0
 
@@ -258,13 +283,13 @@ def test_two_level_pcg_agrees_with_direct_solve(sine, rng, r):
     space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
     # Newton's preconditioner: built from the stiffness, applied to J
-    precondition = two_level(kernel.stiffness, space)
+    precondition = two_level_preconditioner(kernel.stiffness, space)
     u = rng.standard_normal(space.total_dofs)
     b = rng.standard_normal(space.total_dofs)
     jac = kernel.jacobian(u)
     x_dir = direct_reference(jac, b)
     x, report = solve_spd(jac, b, precondition, tol=1e-12)
-    assert report.converged and report.method == "pcg"
+    assert report.method == "pcg"
     assert np.linalg.norm(x - x_dir) <= 1e-9 * np.linalg.norm(x_dir)
 
 
@@ -272,7 +297,7 @@ def test_symmetric_factor_rejects_an_off_diagonal_pivot():
     # the zero diagonal of [[0, 1], [1, 0]] forces a row exchange
     swap = sparse.block_diag([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
     with pytest.raises(IndefiniteOperator, match="off-diagonal pivot"):
-        linear_solver.symmetric_factor(swap, False)
+        linear_solver.symmetric_factor(swap)
 
 
 def test_solve_spd_rejects_an_indefinite_preconditioner():
@@ -284,7 +309,8 @@ def test_solve_spd_rejects_an_indefinite_preconditioner():
 
 
 @pytest.mark.parametrize("r", [1, 3])
-def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch):
+def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch,
+                                                          factor_reads):
     # the coarse product reads P^T through views; every byte of the
     # coarse matrix, index order included, is that of P^T as a CSR copy
     space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
@@ -293,11 +319,10 @@ def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch):
     coarse = []
     factor = linear_solver.symmetric_factor
     monkeypatch.setattr(linear_solver, "symmetric_factor",
-                        lambda m, certified: coarse.append((m, certified))
-                        or factor(m, certified))
-    two_level_preconditioner(a, p, conforming_nodes(space))
-    (matrix, certified), = coarse
-    assert certified
+                        lambda m: coarse.append(m) or factor(m))
+    two_level_preconditioner(a, space)
+    matrix, = coarse
+    assert factor_reads == []       # a certified matrix's pivots stay unread
     expected = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
     for name in ("data", "indices", "indptr"):
         assert getattr(matrix, name).tobytes() == \
@@ -307,25 +332,32 @@ def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch):
 @pytest.mark.parametrize("r", [1, 3])
 def test_two_level_set_up_memory_over_its_matrix(r):
     # tracemalloc growth of one set-up over the stiffness's bytes, both
-    # parts, P and the node map built before; SuperLU's own arrays are
-    # not traced. With a kept CSR copy of P^T and all blocks inverted at
-    # once it kept 0.32 (P3) and 0.36 (P1) and peaked at 0.74 and 1.92;
-    # reading P^T through views of P and inverting in chunks, 0.25 and
-    # 0.24, and 0.65 and 1.54; with the coarse product formed part by
-    # part, P^T C P + P^T D P, 0.25 and 0.23, and 0.65 and 1.52
+    # parts, without the bytes of P and, at r >= 2, the node map, which
+    # the set-up builds; SuperLU's own arrays are not traced. With a
+    # kept CSR copy of P^T and all blocks inverted at once it kept 0.32
+    # (P3) and 0.36 (P1) and peaked at 0.74 and 1.92; reading P^T
+    # through views of P and inverting in chunks, 0.25 and 0.24, and
+    # 0.65 and 1.54; with the coarse product formed part by part,
+    # P^T C P + P^T D P, 0.25 and 0.23, and 0.65 and 1.52
     # (P^T (C P + D P) peaked at 0.73 and 1.89); with the Jacobi term on
-    # continuous P_r at P3, 0.26 and 0.64
+    # continuous P_r at P3, 0.26 and 0.64; with P and the map built
+    # inside the set-up, 0.26 and 0.62 (P3) and 0.23 and 1.52 (P1)
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
         else dgsl.DGSpace(dgsl.build_structured(128), 1)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
                          edge_degree=12 if r == 3 else None)
     a = assemble_bilinear(space, cfg)
-    p, node = p1_prolongation(space), conforming_nodes(space)
+    p = p1_prolongation(space)
+    own = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
+    if r >= 2:
+        own += conforming_nodes(space).nbytes
+    del p
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        built = two_level_preconditioner(a, p, node)
-        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        built = two_level_preconditioner(a, space)
+        kept, peak = (m - before - own
+                      for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     matrix = matrix_bytes(a)
@@ -352,12 +384,13 @@ def test_conforming_diagonal_is_that_of_the_gathered_matrix(sine, rng, r, mesh):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_conforming_term_is_used_exactly_at_r_of_2_and_more(r, monkeypatch):
     # at r = 1 continuous P1 is the coarse space itself, and the
-    # preconditioner is B + P A_c^-1 P^T alone
+    # preconditioner is B + P A_c^-1 P^T alone, built without a node map
     space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, seed=1), r)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
-    built = counting(monkeypatch, linear_solver, "_conforming_diagonal")
-    two_level(a, space)
-    assert len(built) == (r >= 2)
+    built = counting(monkeypatch, linear_solver, "conforming_nodes")
+    maps = counting(monkeypatch, linear_solver, "_conforming_diagonal")
+    two_level_preconditioner(a, space)
+    assert len(built) == len(maps) == (r >= 2)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -372,7 +405,8 @@ def test_cg_count_stays_flat_in_the_penalty(sine, r):
     for penalty in (100.0, 1000.0):
         kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=penalty))
         u = np.zeros(space.total_dofs)
+        precondition = two_level_preconditioner(kernel.stiffness, space)
         _, report = solve_spd(kernel.jacobian(u), -residual(kernel, u),
-                              two_level(kernel.stiffness, space), tol=1e-8)
+                              precondition, tol=1e-8)
         counts.append(report.iterations)
     assert counts[1] <= 1.3 * counts[0], counts

@@ -42,7 +42,6 @@ def test_linear_problem_takes_one_step_per_forcing_solve():
     cfg = AssemblyConfig(penalty=100.0)
     problem = linear_source_problem()
     u, report = solve_semilinear(space, problem, cfg)
-    assert report.converged
     assert report.iterations == 3
     kernel = NewtonKernel(space, problem, cfg)
     exact = spsolve(kernel.stiffness.full().tocsc(),
@@ -53,7 +52,6 @@ def test_linear_problem_takes_one_step_per_forcing_solve():
 def test_sine_problem_regression(sine):
     space = space_on(16, 1)
     u, report = solve_semilinear(space, sine, AssemblyConfig(penalty=100.0))
-    assert report.converged
     assert report.residual_norms[-1] <= 1e-10
     assert report.iterations <= 8
     # the returned field really solves the discrete system
@@ -223,7 +221,7 @@ def direct_steps(monkeypatch):
     as a reference for the preconditioned route."""
     monkeypatch.setattr(
         dgsl.newton, "solve_spd", lambda a, b, *args, **kwargs:
-        (spsolve(a.full().tocsc(), b), LinearSolveReport(1, 0.0, True)))
+        (spsolve(a.full().tocsc(), b), LinearSolveReport(1, 0.0)))
 
 
 def solve_sine(sine, n, r):
@@ -263,7 +261,6 @@ def test_jacobian_factored_once_per_solve(sine, monkeypatch,
 def test_certified_newton_solve_never_reads_the_factors(sine, factor_reads):
     # the one factor of a certified solve is the two-level coarse operator
     _, report = solve_sine(sine, 4, 3)
-    assert report.converged
     # every step ran PCG with the solve's one preconditioner
     assert [lin.method for lin in report.linear_reports] \
         == ["pcg"] * report.iterations
@@ -425,8 +422,7 @@ def test_backtracking_steps_back_from_non_finite_trial():
     space = space_on(8, 1)
     cfg = AssemblyConfig(penalty=100.0)
     u_ref, _ = solve_semilinear(space, flat, cfg)
-    u, report = solve_semilinear(space, guarded, cfg)
-    assert report.converged
+    u, _ = solve_semilinear(space, guarded, cfg)
     assert np.linalg.norm(u.coeffs - u_ref.coeffs) \
         <= 1e-10 * np.linalg.norm(u_ref.coeffs)
 
@@ -438,4 +434,3 @@ def test_newton_diverged_when_no_step_lowers_the_residual(sine, uphill_steps):
     report = info.value.report
     assert len(report.residual_norms) == 1
     assert len(report.linear_reports) == 1
-    assert not report.converged
