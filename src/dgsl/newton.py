@@ -10,13 +10,16 @@ Jacobian (`NewtonKernel.jacobian`) holds the stiffness's own couplings
 beside new element blocks, the stiffness's plus the mass blocks, and
 lives only for the step's solve; the stiffness is never written. The
 preconditioner, built from the stiffness and its space before the loop,
-keeps the inverses of its element blocks, the factored continuous P1
-coarse matrix, and at r >= 2 the inverse diagonal of the stiffness on
-continuous P_r with the node map that gathers it; it reads P^T through
-a view of P. The first two terms keep the step counts flat in h, the
-third in the penalty: without it the P3 ladder's four steps took
-36-37, 36-37, 80-85 and 35-37 CG iterations at every level, with it
-18-19, 18-19, 40-42 and 18-19.
+keeps the factored continuous P1 coarse matrix and, at r = 1, the
+inverses of the stiffness's element blocks; at r >= 2 it keeps the
+inverse diagonal of the stiffness and the float32 inverses of its
+vertex-patch blocks on continuous P_r, with the node map that gathers
+them. It reads P^T through a view of P. The coarse solve keeps the step
+counts flat in h, the patches in the penalty: with a Jacobi sweep on
+continuous P_r in their place, beside the element-block inverses, the
+P3 ladder's four steps took 18-19, 18-19, 40-42 and 18-19 CG
+iterations at every level, with the patches 11-12, 11-12, 26-29 and
+11-12.
 
 The paper proves the discrete problem well posed under the sign
 assumption N' >= 0, and only there is every Jacobian the stiffness plus

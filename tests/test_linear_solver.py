@@ -341,7 +341,9 @@ def test_two_level_set_up_memory_over_its_matrix(r):
     # P^T C P + P^T D P, 0.25 and 0.23, and 0.65 and 1.52
     # (P^T (C P + D P) peaked at 0.73 and 1.89); with the Jacobi term on
     # continuous P_r at P3, 0.26 and 0.64; with P and the map built
-    # inside the set-up, 0.26 and 0.62 (P3) and 0.23 and 1.52 (P1)
+    # inside the set-up, 0.26 and 0.62 (P3) and 0.23 and 1.52 (P1);
+    # with point Jacobi and float32 vertex patches at P3, built after
+    # the coarse factor in chunks of 512 star corners, 0.26 and 0.37
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
         else dgsl.DGSpace(dgsl.build_structured(128), 1)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
@@ -369,16 +371,62 @@ def test_two_level_set_up_memory_over_its_matrix(r):
 @pytest.mark.parametrize("mesh", list(MESH_KINDS))
 @pytest.mark.parametrize("r", [2, 3])
 def test_conforming_diagonal_is_that_of_the_gathered_matrix(sine, rng, r, mesh):
+    # the conforming term's diagonal blocks, one per vertex patch, are
+    # the principal submatrices of Pi^T A Pi on the patches' nodes
     space = dgsl.DGSpace(MESH_KINDS[mesh](), r)
     node = conforming_nodes(space)
     # oracle: Pi as an explicit 0/1 matrix, and Pi^T A Pi from A in full
     pi = sparse.csr_matrix((np.ones(len(node)), node, np.arange(len(node) + 1)))
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+    used = np.unique(space.mesh.triangles)
     for a in (kernel.stiffness,
               kernel.jacobian(rng.standard_normal(space.total_dofs))):
-        expected = (pi.T @ a.full() @ pi).diagonal()
-        assert_allclose(linear_solver._conforming_diagonal(a, node), expected,
-                        rtol=1e-13, atol=0)
+        gathered = (pi.T @ a.full() @ pi).toarray()
+        gather, groups = linear_solver._vertex_patches(a, space, node)
+        # one patch per used vertex, and together they cover every node
+        assert sum(len(inverse) for _, inverse in groups) == len(used)
+        assert np.array_equal(np.unique(gather), np.arange(len(gathered)))
+        for start, inverse in groups:
+            assert inverse.dtype == np.float32
+            patch = gather[start:start + inverse[..., 0].size] \
+                .reshape(inverse.shape[:2])
+            for g, stored in zip(patch, inverse):
+                expected = np.linalg.inv(gathered[np.ix_(g, g)])
+                # float32 rounding of each entry, 2^-24 relative
+                assert_allclose(stored, expected, rtol=6e-8,
+                                atol=1e-12 * np.abs(expected).max())
+
+
+def fan(valence):
+    """A fan of `valence` triangles around one vertex at the origin."""
+    angle = 2 * np.pi * np.arange(valence) / valence
+    vertices = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angle),
+                                                       np.sin(angle)])])
+    rim = np.arange(1, valence + 1)
+    return dgsl.TriMesh(vertices, np.column_stack(
+        [np.zeros(valence, dtype=int), rim, np.roll(rim, -1)]))
+
+
+def test_patch_storage_follows_the_squared_patch_sizes():
+    # one vertex of valence 48 has a patch of 145 nodes at P3, the 48
+    # around it 9 each: blocks padded to the largest size would keep
+    # 49 * 145^2 = 1,030,225 float32 values where 145^2 + 48 * 9^2 =
+    # 24,913 are needed; the bound leaves room for the Python objects
+    space = dgsl.DGSpace(fan(48), 3)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    node = conforming_nodes(space)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gather, groups = linear_solver._vertex_patches(a, space, node)
+        kept = tracemalloc.get_traced_memory()[0] - before - gather.nbytes
+    finally:
+        tracemalloc.stop()
+    widths = [inverse.shape[1] for _, inverse in groups
+              for _ in range(len(inverse))]
+    assert sorted(widths) == [9] * 48 + [145]
+    squares = sum(w * w for w in widths)
+    assert kept <= 1.1 * 4 * squares, kept / (4 * squares)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -388,9 +436,24 @@ def test_conforming_term_is_used_exactly_at_r_of_2_and_more(r, monkeypatch):
     space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, seed=1), r)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     built = counting(monkeypatch, linear_solver, "conforming_nodes")
-    maps = counting(monkeypatch, linear_solver, "_conforming_diagonal")
+    patches = counting(monkeypatch, linear_solver, "_vertex_patches")
     two_level_preconditioner(a, space)
-    assert len(built) == len(maps) == (r >= 2)
+    assert len(built) == len(patches) == (r >= 2)
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed"])
+def test_p1_preconditioner_is_block_jacobi_plus_the_coarse_solve(rng, mesh):
+    # at r = 1 the preconditioner applies B r + P A_c^-1 P^T r, in this
+    # order, bit for bit
+    space = dgsl.DGSpace(MESH_KINDS[mesh](), 1)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    r = rng.standard_normal(a.dim)
+    p = p1_prolongation(space)
+    coarse = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
+    expected = block_jacobi_preconditioner(a)(r)
+    expected += p @ linear_solver.symmetric_factor(coarse).solve(p.T @ r)
+    assert two_level_preconditioner(a, space)(r).tobytes() == \
+        expected.tobytes()
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -398,8 +461,9 @@ def test_cg_count_stays_flat_in_the_penalty(sine, r):
     # one Newton Jacobian on a perturbed n = 32 mesh, preconditioned as
     # Newton does, to 1e-8. B + P A_c^-1 P^T alone took 86, 171 and 245
     # (P2) and 93, 191 and 278 (P3) iterations at penalty 100, 1000 and
-    # 10000; with the Jacobi term on continuous P_r 29, 31 and 32, and
-    # 46, 48 and 51
+    # 10000; with a Jacobi term on continuous P_r 29, 31 and 32, and 46,
+    # 48 and 51; with D^-1 + P A_c^-1 P^T and the vertex patches 31, 32
+    # and 33, and 31, 32 and 33
     space = dgsl.DGSpace(dgsl.build_perturbed(32, 0.2, 42), r)
     counts = []
     for penalty in (100.0, 1000.0):
@@ -410,3 +474,18 @@ def test_cg_count_stays_flat_in_the_penalty(sine, r):
                               precondition, tol=1e-8)
         counts.append(report.iterations)
     assert counts[1] <= 1.3 * counts[0], counts
+
+
+def test_p3_cg_count_is_flat_in_h(sine):
+    # one P3 Newton Jacobian on perturbed meshes, to 1e-8: with a Jacobi
+    # term on continuous P_r it took 45-50 iterations at n = 16 and 32
+    counts = []
+    for n in (16, 32):
+        space = dgsl.DGSpace(dgsl.build_perturbed(n, 0.2, 42), 3)
+        kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+        u = np.zeros(space.total_dofs)
+        precondition = two_level_preconditioner(kernel.stiffness, space)
+        _, report = solve_spd(kernel.jacobian(u), -residual(kernel, u),
+                              precondition, tol=1e-8)
+        counts.append(report.iterations)
+    assert max(counts) <= 36 and abs(counts[1] - counts[0]) <= 3, counts
