@@ -16,8 +16,9 @@ REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SUPPORTED_DEGREES = (1, 2, 3)
 
 
-def _lattice_nodes(r):
-    return np.array([(i / r, j / r) for j in range(r + 1) for i in range(r + 1 - j)])
+def _lattice(r):
+    return np.array([(r - i - j, i, j) for j in range(r + 1)
+                     for i in range(r + 1 - j)])
 
 
 def _monomial_exponents(r):
@@ -49,6 +50,9 @@ class ReferenceBasis:
     degree : int
     nodes : ndarray, shape (dim, 2)
         Principal lattice nodes; for r = 1 these are the vertices.
+    lattice : int ndarray, shape (dim, 3)
+        r times each node's barycentric coordinates, column k that of
+        reference vertex k; the nodes are its last two columns over r.
     dim : int
         (r+1)(r+2)/2 basis functions.
     """
@@ -59,13 +63,15 @@ class ReferenceBasis:
                 f"bases cover degrees {SUPPORTED_DEGREES}, got {degree}"
             )
         self.degree = degree
-        self.nodes = _lattice_nodes(degree)
+        self.lattice = _lattice(degree)
+        self.nodes = self.lattice[:, 1:] / degree
         self.dim = len(self.nodes)
         self._exponents = _monomial_exponents(degree)
         vand = _monomial_values(self._exponents, self.nodes)
         # phi_i = sum_k coeffs[i, k] * monomial_k, with phi_i(node_j) = delta_ij
         self._coeffs = np.linalg.inv(vand).T
         self.nodes.setflags(write=False)
+        self.lattice.setflags(write=False)
 
     def values(self, points):
         """Basis values at reference points, shape (npts, dim)."""

@@ -13,17 +13,16 @@ so it is for a matrix already proven positive definite.
 The preconditioner adds two terms at r = 1 and three at r >= 2, built
 from the operator and its space. An exact solve on continuous P1 over
 the same mesh corrects the smooth part, so the iterations do not grow
-as h -> 0. At r = 1 the exact per-element block-Jacobi inverse of
-`block_jacobi_preconditioner`, read from the operator's element
-blocks, damps what varies within an element. At r >= 2 neither reaches
-the continuous high-order part of the error, whose count grows with
-the penalty, so there the smoother is the operator's diagonal alone
-(point Jacobi), beside an additive Schwarz sum over the vertex patches
-of continuous P_r, gathered through the node map of
-`space.conforming_nodes` (an auxiliary-space term). At r = 1
-continuous P_r is the P1 coarse space itself, which the exact solve
-already covers, and neither the patches nor their map is built. Each
-term is symmetric positive semidefinite and the smoother positive
+as h -> 0. At r = 1 the smoother B, one batched inverse of the
+operator's element blocks, damps what varies within an element. At
+r >= 2 neither reaches the continuous high-order part of the error,
+whose count grows with the penalty, so there the smoother is the
+operator's diagonal alone (point Jacobi), beside an additive Schwarz
+sum over the vertex patches of continuous P_r, gathered through the
+node map of `space.conforming_nodes` (an auxiliary-space term). At
+r = 1 continuous P_r is the P1 coarse space itself, which the exact
+solve already covers, and neither the patches nor their map is built.
+Each term is symmetric positive semidefinite and the smoother positive
 definite, so the sum is positive definite whenever the operator is.
 
 Only the proof reads pivots: the first access to `lu.U` makes scipy
@@ -37,7 +36,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import ELEMENT_CHUNK, SparseSymMatrix, _element_chunks
+from .assembly import ELEMENT_CHUNK, SparseSymMatrix
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
 from .space import DGSpace, conforming_nodes, p1_prolongation
 
@@ -72,33 +71,6 @@ def symmetric_factor(matrix):
     return lu
 
 
-def block_jacobi_preconditioner(a: SparseSymMatrix):
-    """Exact inverse of the element blocks of `a` (`a.diagonal`).
-
-    Blocks are small ((r+1)(r+2)/2 <= 10), so exact inverses are cheap.
-    They are checked and inverted one `ELEMENT_CHUNK` at a time into one
-    (E, D, D) array; LAPACK inverts each block on its own, so the chunks
-    do not change a bit. Raises IndefiniteOperator if any block is not
-    positive definite.
-    """
-    blocks = a.diagonal.data
-    inv = np.empty_like(blocks)
-    for chunk in _element_chunks(len(blocks)):
-        dense = blocks[chunk]
-        try:
-            np.linalg.cholesky(dense)
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteOperator(
-                "a diagonal block is not positive definite (penalty too "
-                "small?)") from exc
-        inv[chunk] = np.linalg.inv(dense)
-
-    def apply(r):
-        return np.einsum("bij,bj->bi", inv, r.reshape(len(inv), -1)).ravel()
-
-    return apply
-
-
 def _vertex_patches(a: SparseSymMatrix, space: DGSpace, node):
     """The inverse blocks of the additive Schwarz sum over the vertex
     patches of continuous P_r, for the 0/1 gather Pi of the node map
@@ -131,9 +103,8 @@ def _vertex_patches(a: SparseSymMatrix, space: DGSpace, node):
     r, d = space.degree, space.dofs_per_element
     mesh, blocks, couplings = space.mesh, a.diagonal.data, a.csr
     count = int(node.max()) + 1
-    lattice = np.rint(space.basis.nodes * r)
-    bary = np.column_stack([r - lattice.sum(axis=1), lattice])
-    local = np.array([np.flatnonzero(bary[:, k]) for k in range(3)])
+    lattice = space.basis.lattice
+    local = np.array([np.flatnonzero(lattice[:, k]) for k in range(3)])
     # entries[k, l]: the flat (D, D) block entries between the nodes of
     # corner k on the row element and of corner l on the column element
     entries = (local[:, None, :, None] * d + local[None, :, None, :]) \
@@ -256,7 +227,9 @@ def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace):
     P A P^T = L D L^T with D = diag(U), so by Sylvester's law of inertia
     `a` has as many negative eigenvalues as U has negative pivots, and
     any raises IndefiniteOperator. P A_c^-1 P^T is `_coarse_solve`. B is
-    `block_jacobi_preconditioner`, built before the coarse solve.
+    the inverse of a's element blocks, one batched `np.linalg.inv` made
+    before the coarse solve; each block is a principal submatrix of a
+    matrix proven positive definite, so it needs no check of its own.
 
     At r >= 2, D is the diagonal of `a`, Pi is the 0/1 gather from
     continuous P_r to DG given by the node map of
@@ -279,11 +252,12 @@ def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace):
                 f"sparse LU met {negative} negative pivots, so the operator "
                 f"has {negative} negative eigenvalues (penalty too small?)")
     if space.degree < 2:
-        smoother = block_jacobi_preconditioner(a)
+        inverse = np.linalg.inv(a.diagonal.data)
         coarse = _coarse_solve(a, space)
 
         def apply(r):
-            out = smoother(r)
+            out = np.einsum("bij,bj->bi", inverse,
+                            r.reshape(len(inverse), -1)).ravel()
             out += coarse(r)
             return out
 

@@ -15,11 +15,7 @@ inverses of the stiffness's element blocks; at r >= 2 it keeps the
 inverse diagonal of the stiffness and the float32 inverses of its
 vertex-patch blocks on continuous P_r, with the node map that gathers
 them. It reads P^T through a view of P. The coarse solve keeps the step
-counts flat in h, the patches in the penalty: with a Jacobi sweep on
-continuous P_r in their place, beside the element-block inverses, the
-P3 ladder's four steps took 18-19, 18-19, 40-42 and 18-19 CG
-iterations at every level, with the patches 11-12, 11-12, 26-29 and
-11-12.
+counts flat in h, the patches in the penalty.
 
 The paper proves the discrete problem well posed under the sign
 assumption N' >= 0, and only there is every Jacobian the stiffness plus

@@ -122,8 +122,7 @@ def p1_prolongation(space: DGSpace):
     place.
     """
     r, num = space.degree, space.num_elements
-    lattice = np.rint(space.basis.nodes * r)
-    bary = np.column_stack([r - lattice.sum(axis=1), lattice]) / r  # (D, 3)
+    bary = space.basis.lattice / r  # (D, 3)
     triangles = space.mesh.triangles
     column, columns = _vertex_columns(space.mesh)
     # indices, then indptr, then data, so that the temporaries of each
@@ -163,19 +162,18 @@ def conforming_nodes(space: DGSpace):
     r, d = space.degree, space.dofs_per_element
     mesh, edges = space.mesh, space.mesh.edges
     column, num_vertices = _vertex_columns(mesh)
-    # the local node at each integer lattice point (r x, r y)
-    position = {tuple(p): i for i, p in
-                enumerate(np.rint(space.basis.nodes * r).astype(int))}
-    ref = np.array([[0, 0], [1, 0], [0, 1]])
-    # along[k, t]: node t of local edge k, counted from its local vertex
-    # (k + 1) % 3 towards (k + 2) % 3
-    along = np.array([[position[tuple((r - t) * ref[(k + 1) % 3]
-                                      + t * ref[(k + 2) % 3])]
-                       for t in range(r + 1)] for k in range(3)])
-    inner = [i for (x, y), i in position.items() if x and y and x + y < r]
+    lattice = space.basis.lattice
+    # along[k, t]: node t of local edge k, where barycentric k is zero,
+    # counted from its local vertex (k + 1) % 3 towards (k + 2) % 3
+    along = np.empty((3, r + 1), dtype=np.intp)
+    for k in range(3):
+        on = np.flatnonzero(lattice[:, k] == 0)
+        along[k, lattice[on, (k + 2) % 3]] = on
+    inner = np.flatnonzero(lattice.all(axis=1))
 
     node = np.empty((space.num_elements, d), dtype=np.intp)
-    node[:, [position[tuple(r * v)] for v in ref]] = column[mesh.triangles]
+    # corner k is the node whose barycentric k is r
+    node[:, lattice.argmax(axis=0)] = column[mesh.triangles]
     # every side of every edge, in edge order; a side whose local
     # direction is flipped counts the edge's nodes from its other end
     edge, side = np.nonzero(edges.tri >= 0)

@@ -13,8 +13,7 @@ from scipy.sparse.linalg import spsolve
 import dgsl
 from dgsl import AssemblyConfig, assemble_bilinear, solve_spd
 from dgsl import linear_solver
-from dgsl.linear_solver import (block_jacobi_preconditioner,
-                                two_level_preconditioner)
+from dgsl.linear_solver import two_level_preconditioner
 from dgsl.space import conforming_nodes, p1_prolongation
 from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.newton import residual
@@ -36,6 +35,14 @@ def as_matrix(dense, block_size):
     return SparseSymMatrix(couplings, block_diagonal)
 
 
+def block_jacobi(a):
+    """r -> B r for B the exact inverses of the element blocks of `a`,
+    applied as the preconditioner applies them at r = 1."""
+    inverse = np.linalg.inv(a.diagonal.data)
+    return lambda r: np.einsum("bij,bj->bi", inverse,
+                               r.reshape(len(inverse), -1)).ravel()
+
+
 def direct_reference(a, b):
     """x with a x = b from scipy's sparse direct solver."""
     return spsolve(a.full().tocsc(), b)
@@ -45,7 +52,7 @@ def test_diagonal_system_solved_exactly(rng):
     d = rng.uniform(0.5, 4.0, 12)
     b = rng.standard_normal(12)
     a = as_matrix(np.diag(d), 3)
-    x, report = solve_spd(a, b, block_jacobi_preconditioner(a), tol=1e-14)
+    x, report = solve_spd(a, b, block_jacobi(a), tol=1e-14)
     assert report.iterations == 1
     assert_allclose(x, b / d, rtol=1e-14)
 
@@ -56,7 +63,7 @@ def test_manufactured_spd_system(rng):
     x_star = rng.standard_normal(a.dim)
     b = a @ x_star
     x, report = solve_spd(a, b, tol=1e-10,
-                          preconditioner=block_jacobi_preconditioner(a))
+                          preconditioner=block_jacobi(a))
     assert report.method == "pcg"
     assert np.linalg.norm(x - x_star) <= 1e-8 * np.linalg.norm(x_star)
     assert np.linalg.norm(b - a @ x) <= 1e-10 * np.linalg.norm(b)
@@ -69,8 +76,7 @@ def test_small_penalty_operator_is_detected_indefinite(rng):
     assert eigvalsh(a.full().toarray()).min() < 0
     # an SPD preconditioner (from the well-posed operator), so that CG's
     # own curvature check must catch it
-    spd = block_jacobi_preconditioner(
-        assemble_bilinear(space, AssemblyConfig(penalty=100.0)))
+    spd = block_jacobi(assemble_bilinear(space, AssemblyConfig(penalty=100.0)))
     with pytest.raises(IndefiniteOperator, match="non-positive curvature"):
         solve_spd(a, rng.standard_normal(a.dim), preconditioner=spd)
 
@@ -79,7 +85,7 @@ def test_determinism_bitwise(rng):
     space = space_on(3, 2)
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
-    for build in (block_jacobi_preconditioner,
+    for build in (block_jacobi,
                   lambda a: two_level_preconditioner(a, space)):
         x1, r1 = solve_spd(a, b, build(a), tol=1e-12)
         x2, r2 = solve_spd(a, b, build(a), tol=1e-12)
@@ -94,7 +100,7 @@ def test_direct_and_pcg_agree(rng):
     x_ref = direct_reference(a, b)
     assert np.linalg.norm(x_ref - np.linalg.solve(a.full().toarray(), b)) \
         <= 1e-12 * np.linalg.norm(x_ref)
-    for precondition in (block_jacobi_preconditioner(a),
+    for precondition in (block_jacobi(a),
                          two_level_preconditioner(a, space)):
         x, report = solve_spd(a, b, precondition, tol=1e-13)
         assert report.method == "pcg"
@@ -134,7 +140,7 @@ def test_budget_exhaustion_raises_with_report(rng):
     a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
     b = rng.standard_normal(a.dim)
     with pytest.raises(NotConverged) as excinfo:
-        solve_spd(a, b, block_jacobi_preconditioner(a), tol=1e-13, max_iter=3)
+        solve_spd(a, b, block_jacobi(a), tol=1e-13, max_iter=3)
     report = excinfo.value.report
     assert report is not None
     assert report.iterations == 3
@@ -144,7 +150,7 @@ def test_budget_exhaustion_raises_with_report(rng):
 def test_zero_rhs_short_circuits():
     space = space_on(2, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=10.0))
-    x, report = solve_spd(a, np.zeros(a.dim), block_jacobi_preconditioner(a))
+    x, report = solve_spd(a, np.zeros(a.dim), block_jacobi(a))
     assert not x.any()
     assert report.iterations == 0
 
@@ -153,7 +159,7 @@ def test_shape_mismatch_rejected():
     space = space_on(2, 1)
     a = assemble_bilinear(space, AssemblyConfig(penalty=10.0))
     with pytest.raises(ValueError):
-        solve_spd(a, np.zeros(a.dim + 1), block_jacobi_preconditioner(a))
+        solve_spd(a, np.zeros(a.dim + 1), block_jacobi(a))
 
 
 def test_singular_matrix_raises_named_error(rng):
@@ -179,13 +185,9 @@ def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
     # Sylvester's law of inertia: one negative pivot per negative eigenvalue
     lu = linear_solver.symmetric_factor(a.full())
     assert np.count_nonzero(lu.U.diagonal() < 0) == negative
-    # the preconditioner reads the pivots before its block-Jacobi
-    # Cholesky, which would fail on a diagonal block here
     with pytest.raises(IndefiniteOperator,
                        match=f"met {negative} negative pivots"):
         two_level_preconditioner(a, space)
-    with pytest.raises(IndefiniteOperator, match="diagonal block"):
-        block_jacobi_preconditioner(a)
 
 
 def test_symmetric_factor_is_certified_and_returned(rng, factor_reads):
@@ -257,7 +259,7 @@ def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
     kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
     a = kernel.jacobian(rng.standard_normal(space.total_dofs))
     dense = a.full().toarray()
-    apply = block_jacobi_preconditioner(a)
+    apply = block_jacobi(a)
     d = space.dofs_per_element
     nblocks = a.dim // d
     blocks = np.stack([dense[b * d:(b + 1) * d, b * d:(b + 1) * d]
@@ -450,10 +452,26 @@ def test_p1_preconditioner_is_block_jacobi_plus_the_coarse_solve(rng, mesh):
     r = rng.standard_normal(a.dim)
     p = p1_prolongation(space)
     coarse = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
-    expected = block_jacobi_preconditioner(a)(r)
+    expected = block_jacobi(a)(r)
     expected += p @ linear_solver.symmetric_factor(coarse).solve(p.T @ r)
     assert two_level_preconditioner(a, space)(r).tobytes() == \
         expected.tobytes()
+
+
+def test_a_certified_p1_stiffness_is_not_proven_again(monkeypatch):
+    # the certificate proves the stiffness positive definite, so every
+    # element block, a principal submatrix of it, is too, and B inverts
+    # the blocks unchecked; assembly's certificate makes Cholesky calls
+    # of its own, so they are counted from the first set-up on
+    spaces = [dgsl.DGSpace(mesh, 1) for mesh in (
+        dgsl.build_structured(8), dgsl.build_perturbed(8, 0.2, 3))]
+    stiffnesses = [assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+                   for space in spaces]
+    assert all(a.certified for a in stiffnesses)
+    choleskys = counting(monkeypatch, np.linalg, "cholesky")
+    for a, space in zip(stiffnesses, spaces):
+        two_level_preconditioner(a, space)
+    assert choleskys == []
 
 
 @pytest.mark.parametrize("r", [2, 3])

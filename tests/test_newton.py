@@ -324,7 +324,7 @@ def test_a_step_that_raises_leaves_the_stiffness_as_it_was(sine, kernels,
         inside.append(a.csr is stiffness.csr
                       and a.diagonal is not stiffness.diagonal
                       and part_bytes(stiffness) == assembled)
-        raise NotConverged("patched", report=LinearSolveReport(0, 1.0, False))
+        raise NotConverged("patched", report=LinearSolveReport(0, 1.0))
 
     monkeypatch.setattr(dgsl.newton, "solve_spd", failing)
     with pytest.raises(NotConverged, match="patched"):
