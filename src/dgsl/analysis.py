@@ -175,7 +175,7 @@ def elliptic_project(space: DGSpace, exact: ExactSolution,
     solved by two-level PCG."""
     a = assemble_bilinear(space, cfg)
     rhs = apply_bilinear_to_field(space, exact, cfg)
-    x, _ = solve_spd(a, rhs, two_level_preconditioner(a, space))
+    x, _ = solve_spd(a, rhs, two_level_preconditioner(a, space, cfg))
     return DGVector(space, x)
 
 

@@ -11,17 +11,22 @@ summed over all edges, with boundary-edge jumps [v] = v n and averages
 {grad v} = grad v. Edges are visited once each, writing the 2x2 block
 pattern of their two adjacent elements, so no term is double counted.
 
-Element integrals reduce to combinations of reference-element tensors
-contracted with per-element Jacobian data. Edge integrals contract the
-basis traces of `edge_traces` as batched matrix products, one edge chunk
-at a time; the chunk is sized by the element block
-(`_assembly_edge_chunk`: `EDGE_CHUNK` edges at P1, 9 / D^2 of that at
-D dofs per element), so it holds about as many block entries at every
-degree. The volume blocks are written into the element blocks one
-`ELEMENT_CHUNK` at a time, each edge chunk's (D, D) blocks go straight
-in after them, and the certificate computes the volume blocks of each
-edge chunk's sides only, so assembly's peak stays within 1.5 times its
-matrix, both parts, at P1-P3.
+On affine triangles every term is a reference integral times a few
+scalars of the geometry. Element integrals contract the reference
+stiffness tensor with each element's scaled metric det J J^-1 J^-T
+(`_scaled_metric`, one (E, 4) array per assembly). Edge integrals
+contract five cached reference tables per (plus, minus) pair of point
+sets with the penalty and each side's half_h J^-1 n (`_EdgeTables`,
+`_edge_blocks`), summed in one fixed order per edge; no basis trace is
+evaluated per edge. The edges are swept one chunk at a time; the chunk
+is sized by the element block (`_assembly_edge_chunk`: `EDGE_CHUNK`
+edges at P1, 9 / D^2 of that at D dofs per element), so it holds about
+as many block entries at every degree. The volume blocks are written
+into the element blocks one `ELEMENT_CHUNK` at a time, each edge
+chunk's (D, D) blocks go straight in after them, and the certificate
+forms the volume blocks of each edge chunk's sides from the scaled
+metric, so assembly's peak stays within 1.5 times its matrix, both
+parts, at P1-P3.
 
 The operator is kept in two element-block parts that share no entry
 (`SparseSymMatrix`): the couplings, a `bsr_matrix` with two (D, D)
@@ -40,6 +45,7 @@ without it is proven by its pivots when it is preconditioned
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,7 +55,7 @@ from scipy import sparse
 from .basis import ReferenceBasis
 from .errors import ConfigError, NonFiniteValue, SignAssumptionViolated
 from .quadrature import edge_rule, triangle_rule
-from .space import DGSpace, edge_traces
+from .space import DGSpace, edge_point_sets, edge_tables
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,28 @@ class AssemblyConfig:
 
     def resolved_edge_degree(self, r):
         return self.edge_degree if self.edge_degree is not None else 2 * r + 2
+
+    def check_exactness(self, r):
+        """Raise ConfigError, naming the least allowed degree, when a rule
+        under-integrates the bilinear form at degree r: the edge rule must
+        be exact to degree 2r - 1, that of the flux {grad w} . [v], and
+        the volume rule to 2r - 2, that of the stiffness. The exactness
+        is the rule's own, which rounds the requested degree up to an odd
+        one. The source and the nonlinearity are left under-integrated
+        by design."""
+        for key, rule, degree, need in (
+                ("edge_degree", edge_rule, self.resolved_edge_degree(r),
+                 2 * r - 1),
+                ("volume_degree", triangle_rule,
+                 self.resolved_volume_degree(r), 2 * r - 2)):
+            exact = rule(degree).exactness_degree
+            if exact < need:
+                least = next(k for k in itertools.count(1)
+                             if rule(k).exactness_degree >= need)
+                raise ConfigError(
+                    f"{key} = {degree} gives a rule exact to degree {exact}, "
+                    f"below the {need} the bilinear form needs at r = {r}; "
+                    f"the least allowed {key} is {least}")
 
 
 @dataclass(frozen=True)
@@ -154,14 +182,20 @@ def _volume_tables(r, degree):
     return _VolumeTables(r, degree)
 
 
-def _volume_stiffness_blocks(space, vol, select=slice(None)):
+def _scaled_metric(space, select=slice(None)):
+    """det J J^-1 J^-T (m, 4) on the elements `select` picks: times
+    `stiff_ref` it gives their volume stiffness blocks."""
     # grad phi_i . grad phi_j contracts the reference tensor with
     # invJ invJ^T per element; det converts reference to physical measure.
     inv = space.inv_jacobians[select]
     metric = np.einsum("eab,ecb->eac", inv, inv)
+    return space.dets[select, None] * metric.reshape(-1, 4)
+
+
+def _volume_stiffness_blocks(space, vol, select=slice(None)):
     d = space.dofs_per_element
-    scaled = space.dets[select, None] * metric.reshape(-1, 4)
-    return (scaled @ vol.stiff_ref.reshape(4, d * d)).reshape(-1, d, d)
+    return (_scaled_metric(space, select)
+            @ vol.stiff_ref.reshape(4, d * d)).reshape(-1, d, d)
 
 
 # edges per chunk of the norms' edge terms, and of assembly at P1: a
@@ -193,31 +227,91 @@ def _element_chunks(count):
             for lo in range(0, count, ELEMENT_CHUNK))
 
 
-def _edge_blocks(space, cfg, select=slice(None)):
-    """Flux and penalty blocks of the `select`ed edges as (m, 2, D, 2, D):
-    entry [m, t, i, s, j] couples test function i on side t with trial
-    function j on side s (side 0 plus, side 1 minus)."""
-    rule = edge_rule(cfg.resolved_edge_degree(space.degree))
-    edges = space.mesh.edges
-    values, grads = edge_traces(space, rule.points, select)
-    m, _, q, d = values.shape
+class _EdgeTables:
+    """Reference edge blocks at one degree and edge rule. An edge whose
+    plus and minus sides read the point sets p and m (`edge_point_sets`;
+    a missing side's set 6 has zero traces) has the block
 
-    # jump[m, q, (s, i)] = sign_s phi_i on side s; flux pairs jumps with
-    # normal derivatives, whose averages weigh 1/2 inside
-    values[:, 1] *= -1.0
-    jump = values.transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
-    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal[select]) \
-        .transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
-    half_h = (np.where(edges.boundary[select], 1.0, 0.5)
-              * edges.length[select])[:, None, None]
-    # one product over the stacked quadrature points gives
-    # J^T W (penalty J - h G) + G^T W (-h J): the penalty term and both
-    # symmetric flux terms
-    left = np.concatenate([jump, normal_grad], axis=1) \
-        * np.tile(rule.weights, 2)[:, None]
-    right = np.concatenate([cfg.penalty * jump - half_h * normal_grad,
-                            -half_h * jump], axis=1)
-    return (left.transpose(0, 2, 1) @ right).reshape(m, 2, d, 2, d)
+        penalty T_0 + sum_{s, a} half_h (J_s^-1 n)_a T_{1 + 2 s + a}
+
+    over its (plus, minus) dofs: T_0 = J^T W J pairs the jumps J, and
+    T_{1+2s+a} = -(J^T W G + G^T W J) pairs them with the reference
+    gradients G along axis a on side s, which J_s^-1 n turns into normal
+    derivatives. A pair's five tables are built the first time an edge
+    reads them, so a mesh keeps only the pairs it has (7 of the 42 on
+    structured and perturbed meshes)."""
+
+    def __init__(self, r, degree):
+        rule = edge_rule(degree)
+        values, grads, _ = edge_tables(r, tuple(rule.points))
+        q, d = values.shape[1:]
+        self.values = np.concatenate([values, np.zeros((1, q, d))])
+        self.grads = np.concatenate([grads, np.zeros((1, q, d, 2))])
+        self.weights = rule.weights
+        self.row = np.full(49, -1, dtype=np.intp)
+        self.tables = np.empty((5, 0, 4 * d * d))
+
+    def _pair(self, pair):
+        plus, minus = divmod(int(pair), 7)
+        q, d = self.values.shape[1:]
+        jump = np.hstack([self.values[plus], -self.values[minus]])
+        # gradient[s, a]: side s's reference gradients along axis a
+        gradient = np.zeros((2, 2, q, 2 * d))
+        gradient[0, :, :, :d] = self.grads[plus].transpose(2, 0, 1)
+        gradient[1, :, :, d:] = self.grads[minus].transpose(2, 0, 1)
+        weighted = jump.T * self.weights
+        flux = weighted @ gradient.reshape(4, q, 2 * d)
+        return np.concatenate([(weighted @ jump)[None],
+                               -(flux + flux.transpose(0, 2, 1))]) \
+            .reshape(5, -1)
+
+    def __call__(self, pairs):
+        """(tables, rows): the five flattened tables of the (plus, minus)
+        `pairs`, each 7 p + m, are tables[:, rows]."""
+        rows = self.row[pairs]
+        if (rows < 0).any():
+            new = np.unique(pairs[rows < 0])
+            self.row[new] = self.tables.shape[1] + np.arange(len(new))
+            self.tables = np.concatenate(
+                [self.tables, np.stack([self._pair(p) for p in new], axis=1)],
+                axis=1)
+            rows = self.row[pairs]
+        return self.tables, rows
+
+
+@functools.lru_cache(maxsize=None)
+def _edge_tables(r, degree):
+    return _EdgeTables(r, degree)
+
+
+def _edge_blocks(space, cfg, select=slice(None), degree=None):
+    """Flux and penalty blocks of the `select`ed edges as (m, 2, D, 2, D)
+    for the Lagrange basis of `degree` (default the space's), with the
+    edge rule `cfg` resolves at the space's degree: entry [m, t, i, s, j]
+    couples test function i on side t with trial function j on side s
+    (side 0 plus, side 1 minus). Each block sums its terms in one fixed
+    order, so a chunk's blocks do not depend on the chunk."""
+    r = space.degree
+    table = _edge_tables(degree or r, cfg.resolved_edge_degree(r))
+    edges = space.mesh.edges
+    tri = edges.tri[select]
+    sets = edge_point_sets(space, select)
+    tables, rows = table(7 * sets[:, 0] + sets[:, 1])
+    # half_h (J_s^-1 n)_a; a missing side (-1) reads the last element's
+    # J^-1, which its zero tables discard
+    half_h = np.where(edges.boundary[select], 1.0, 0.5) * edges.length[select]
+    inv, normal = space.inv_jacobians[tri], edges.normal[select]
+    scale = inv[..., 0] * normal[:, None, None, 0] \
+        + inv[..., 1] * normal[:, None, None, 1]
+    scale = (scale * half_h[:, None, None]).reshape(-1, 4).T
+    blocks = tables[0][rows]
+    blocks *= cfg.penalty
+    for k in range(4):
+        term = tables[1 + k][rows]
+        term *= scale[k, :, None]
+        blocks += term
+    d = table.values.shape[2]
+    return blocks.reshape(-1, 2, d, 2, d)
 
 
 # relative shift each local block must survive: far above the rounding
@@ -269,6 +363,7 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     one (D, D) block per element in `diagonal` and two per interior edge
     in `csr`, each stored in full and each block row in column order."""
     r = space.degree
+    cfg.check_exactness(r)
     vol = _volume_tables(r, cfg.resolved_volume_degree(r))
     edges, num = space.mesh.edges, space.num_elements
 
@@ -293,9 +388,10 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
     del sides, block_rows, block_cols, order
 
     d, n = space.dofs_per_element, space.total_dofs
+    scaled, stiff_ref = _scaled_metric(space), vol.stiff_ref.reshape(4, d * d)
     diagonal = np.empty((num, d, d))
     for chunk in _element_chunks(num):
-        diagonal[chunk] = _volume_stiffness_blocks(space, vol, chunk)
+        diagonal[chunk] = (scaled[chunk] @ stiff_ref).reshape(-1, d, d)
     data = np.empty((len(indices), d, d))
     certified, placed = True, 0
     for chunk in _edge_chunks(len(edges), _assembly_edge_chunk(d)):
@@ -304,7 +400,7 @@ def assemble_bilinear(space: DGSpace, cfg: AssemblyConfig) -> SparseSymMatrix:
         if certified:
             # a third of each side's volume block; a missing side (-1)
             # reads the last element's, which the certificate skips
-            third = _volume_stiffness_blocks(space, vol, tri.ravel())
+            third = scaled[tri.ravel()] @ stiff_ref
             third /= 3.0
             certified = _local_certificate(
                 tri, blocks, third.reshape(len(tri), 2, d, d))

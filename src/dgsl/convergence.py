@@ -62,7 +62,7 @@ class RunConfig:
         # the basis, AssemblyConfig and the quadrature rules own the
         # degree, penalty and quadrature-degree rules
         ReferenceBasis(self.degree)
-        self.assembly_config()
+        self.assembly_config().check_exactness(self.degree)
         try:
             exact = get_problem(self.problem).exact
         except KeyError as exc:

@@ -10,20 +10,23 @@ penalty parameter. CG only checks: it raises the same error when it
 meets a direction of non-positive curvature, which it may never meet,
 so it is for a matrix already proven positive definite.
 
-The preconditioner adds two terms at r = 1 and three at r >= 2, built
-from the operator and its space. An exact solve on continuous P1 over
-the same mesh corrects the smooth part, so the iterations do not grow
-as h -> 0. At r = 1 the smoother B, one batched inverse of the
-operator's element blocks, damps what varies within an element. At
-r >= 2 neither reaches the continuous high-order part of the error,
-whose count grows with the penalty, so there the smoother is the
-operator's diagonal alone (point Jacobi), beside an additive Schwarz
-sum over the vertex patches of continuous P_r, gathered through the
-node map of `space.conforming_nodes` (an auxiliary-space term). At
-r = 1 continuous P_r is the P1 coarse space itself, which the exact
-solve already covers, and neither the patches nor their map is built.
-Each term is symmetric positive semidefinite and the smoother positive
-definite, so the sum is positive definite whenever the operator is.
+The preconditioner adds a smoother on DG to one correction on a
+continuous space, built from the operator, its space and the form that
+assembled it. An exact solve on continuous P1 over the same mesh, whose
+matrix is summed from the mesh, corrects the smooth part, so the
+iterations do not grow as h -> 0. At r = 1 the smoother B, one batched
+inverse of the operator's element blocks, damps what varies within an
+element, and the P1 solve is the correction. At r >= 2 neither reaches
+the continuous high-order part of the error, whose count grows with
+the penalty, so there the smoother is the operator's diagonal alone
+(point Jacobi), and the correction acts on continuous P_r, gathered
+through the node map of `space.conforming_nodes` (an auxiliary-space
+term): an additive Schwarz sum over its vertex patches plus the P1
+solve, reached through the interpolation I from P1 to P_r. At r = 1
+continuous P_r is the P1 coarse space itself, and neither the patches
+nor their map is built. Each term is symmetric positive semidefinite
+and the smoother positive definite, so the sum is positive definite
+whenever the operator is.
 
 Only the proof reads pivots: the first access to `lu.U` makes scipy
 build and cache CSC copies of both L and U for the factor's life (about
@@ -36,9 +39,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import ELEMENT_CHUNK, SparseSymMatrix
+from .assembly import (ELEMENT_CHUNK, AssemblyConfig, SparseSymMatrix,
+                       _block_diagonal, _edge_blocks, _scaled_metric,
+                       _volume_tables)
 from .errors import IndefiniteOperator, NotConverged, SingularOperator
-from .space import DGSpace, conforming_nodes, p1_prolongation
+from .space import (DGSpace, _vertex_columns, conforming_nodes,
+                    p1_interpolation, p1_prolongation)
 
 
 @dataclass
@@ -71,6 +77,22 @@ def symmetric_factor(matrix):
     return lu
 
 
+def _spd_inverse(blocks):
+    """The inverses of the symmetric positive definite `blocks` (n, s, s),
+    symmetrized, through their Cholesky factors L: L^-1 by forward
+    substitution one row at a time, then L^-T L^-1."""
+    lower = np.linalg.cholesky(blocks)
+    solved = np.zeros_like(lower)
+    for i in range(blocks.shape[1]):
+        solved[:, i, i] = 1.0
+        solved[:, i, :i] -= (lower[:, i, None, :i] @ solved[:, :i, :i])[:, 0]
+        solved[:, i, :i + 1] /= lower[:, i, i, None]
+    inverse = solved.transpose(0, 2, 1) @ solved
+    inverse += inverse.transpose(0, 2, 1)
+    inverse *= 0.5
+    return inverse
+
+
 def _vertex_patches(a: SparseSymMatrix, space: DGSpace, node):
     """The inverse blocks of the additive Schwarz sum over the vertex
     patches of continuous P_r, for the 0/1 gather Pi of the node map
@@ -86,11 +108,11 @@ def _vertex_patches(a: SparseSymMatrix, space: DGSpace, node):
     coupling blocks of the star's interior edges, each of which pairs
     two star elements through their corners at v (two star elements
     share no other edge). Neither Pi nor Pi^T a Pi is formed. The blocks
-    are summed by `bincount`, inverted in float64 and symmetrized one
-    chunk of star corners at a time, and kept in float32. A chunk holds
-    `ELEMENT_CHUNK` corners scaled by 9 / m^2 for m patch nodes per
-    corner (2048 at P2, 512 at P3), so its entries stay far below the
-    matrix on the small meshes too.
+    are summed by `bincount`, inverted in float64 through their Cholesky
+    factors (`_spd_inverse`) one chunk of star corners at a time, and
+    kept in float32. A chunk holds `ELEMENT_CHUNK` corners scaled by
+    9 / m^2 for m patch nodes per corner (2048 at P2, 512 at P3), so its
+    entries stay far below the matrix on the small meshes too.
 
     Returns (gather, groups). The patches are stored by size, then by
     vertex: `gather`, int32, lists their nodes, patch after patch, and
@@ -184,10 +206,7 @@ def _vertex_patches(a: SparseSymMatrix, space: DGSpace, node):
         for s in np.unique(width[lo:hi]):
             run = np.flatnonzero(width[lo:hi] == s)
             part = slice(offset[run[0]], offset[run[-1] + 1])
-            inverted = np.linalg.inv(flat[part].reshape(-1, s, s))
-            inverted += inverted.transpose(0, 2, 1)
-            inverted *= 0.5
-            kept[part] = inverted.ravel()
+            kept[part] = _spd_inverse(flat[part].reshape(-1, s, s)).ravel()
     sizes, firsts, counts = np.unique(width, return_index=True,
                                       return_counts=True)
     return gather, [(int(node_start[f]), inverse[block_start[f]:block_start[
@@ -195,28 +214,43 @@ def _vertex_patches(a: SparseSymMatrix, space: DGSpace, node):
             sizes.tolist(), firsts.tolist(), counts.tolist())]
 
 
-def _coarse_solve(a: SparseSymMatrix, space: DGSpace):
-    """r -> P A_c^-1 P^T r for P = `space.p1_prolongation` (continuous
-    P1) and A_c = P^T C P + P^T D P for a's couplings C and element
-    blocks D, positive definite since P has full column rank, and
-    factored as such. P^T is used as `prolongation.T`, a CSC view of P,
-    so no transposed copy is kept."""
-    prolongation = p1_prolongation(space)
-    restriction = prolongation.T
-    # P^T (X P) as ((X P)^T P)^T for X = C, then D, one X P at a time:
-    # scipy runs the CSC view (X P)^T times P as the CSR product of P^T
-    # and X P, so each has the bytes a CSR copy of P^T gives, while only
-    # a transient CSC copy of P is made, not one of X P
-    coarse = ((a.csr @ prolongation).tocsr().T @ prolongation).T \
-        + ((a.diagonal @ prolongation).tocsr().T @ prolongation).T
+def _coarse_solve(space: DGSpace, cfg: AssemblyConfig, transfer):
+    """x -> T A_c^-1 T^T x for the `transfer` T (P at r = 1, I at
+    r >= 2) and A_c the continuous P1 form on the used vertices, numbered
+    as `p1_prolongation`'s columns, summed from the mesh: the P1 volume
+    stiffness of each element and the P1 blocks of each boundary edge,
+    with the penalty and edge rule of `cfg`, which assembled the
+    operator. A continuous P1 field has no jump on an interior edge, so
+    this is P^T A P for the stiffness A whenever the edge rule integrates
+    P1 x P1 (`AssemblyConfig.check_exactness`); no entry lies outside
+    the vertex adjacency. Positive definite when A is, and factored as
+    such. T^T is used as `transfer.T`, a CSC view, so no transposed copy
+    is kept."""
+    mesh = space.mesh
+    column, columns = _vertex_columns(mesh)
+    boundary = np.flatnonzero(mesh.edges.boundary)
+    # (3, 3) blocks over element corners: each element's, then each
+    # boundary edge's on its element
+    corners = column[mesh.triangles]
+    corners = np.concatenate([corners, corners[mesh.edges.tri[boundary, 0]]])
+    blocks = np.concatenate([
+        _scaled_metric(space) @ _volume_tables(1, 1).stiff_ref.reshape(4, 9),
+        _edge_blocks(space, cfg, boundary, degree=1)[:, 0, :, 0, :]
+        .reshape(-1, 9)])
+    coarse = sparse.csr_matrix(
+        (blocks.ravel(), (np.repeat(corners, 3, axis=1).ravel(),
+                          np.tile(corners, 3).ravel())),
+        shape=(columns, columns))
     lu = symmetric_factor(coarse)
-    return lambda r: prolongation @ lu.solve(restriction @ r)
+    restriction = transfer.T
+    return lambda x: transfer @ lu.solve(restriction @ x)
 
 
-def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace):
-    """Additive preconditioner for `a` on `space`, proven positive
-    definite first: B r + P A_c^-1 P^T r at r = 1 and
-    D^-1 r + Pi S Pi^T r + P A_c^-1 P^T r at r >= 2. CG iterations do
+def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace,
+                             cfg: AssemblyConfig):
+    """Additive preconditioner for `a`, assembled on `space` with `cfg`,
+    proven positive definite first: B r + P A_c^-1 P^T r at r = 1 and
+    D^-1 r + Pi (S + I A_c^-1 I^T) Pi^T r at r >= 2. CG iterations do
     not grow as h -> 0 (Dobrev, Lazarov, Vassilevski & Zikatanov, NLAA
     2006), nor with the penalty at r >= 2 (Antonietti, Sarti, Verani &
     Zikatanov, J. Sci. Comput. 2017).
@@ -226,23 +260,27 @@ def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace):
     made through COO: with equal row and column permutations,
     P A P^T = L D L^T with D = diag(U), so by Sylvester's law of inertia
     `a` has as many negative eigenvalues as U has negative pivots, and
-    any raises IndefiniteOperator. P A_c^-1 P^T is `_coarse_solve`. B is
-    the inverse of a's element blocks, one batched `np.linalg.inv` made
-    before the coarse solve; each block is a principal submatrix of a
-    matrix proven positive definite, so it needs no check of its own.
+    any raises IndefiniteOperator. A_c is the continuous P1 form that
+    `_coarse_solve` sums from the mesh and `cfg`. B is the inverse of
+    a's element blocks, one batched `np.linalg.inv` made before the
+    coarse solve and applied as one block-diagonal matrix; each block is
+    a principal submatrix of a matrix proven positive definite, so it
+    needs no check of its own.
 
     At r >= 2, D is the diagonal of `a`, Pi is the 0/1 gather from
     continuous P_r to DG given by the node map of
-    `space.conforming_nodes`, and S is the additive Schwarz sum of the
-    inverses of Pi^T a Pi on the vertex patches (`_vertex_patches`;
-    Pavarino, Numer. Math. 1994; Schoeberl, Melenk, Pechstein &
-    Zaglmayr, IMA J. Numer. Anal. 2008): the patches solve the
-    conforming part of the error, which neither a smoother on DG nor
-    the P1 coarse space reaches, so the smoother need not invert the
-    element blocks. S is applied in float32, one batched product per
-    patch size; its blocks are symmetric, so M stays symmetric. At
-    r = 1, Pi = P and the coarse solve covers that space: no patches,
-    no map.
+    `space.conforming_nodes`, I = `space.p1_interpolation` maps
+    continuous P1 to continuous P_r (P = Pi I, so no P is built), and S
+    is the additive Schwarz sum of the inverses of Pi^T a Pi on the
+    vertex patches (`_vertex_patches`; Pavarino, Numer. Math. 1994;
+    Schoeberl, Melenk, Pechstein & Zaglmayr, IMA J. Numer. Anal. 2008):
+    the patches solve the conforming part of the error, which neither a
+    smoother on DG nor the P1 coarse space reaches, so the smoother need
+    not invert the element blocks. Both corrections act on continuous
+    P_r, through one Pi^T and one Pi. S is applied in float32, one
+    batched product per patch size; its blocks are symmetric, so M
+    stays symmetric. At r = 1, Pi = P and the coarse solve covers that
+    space: no patches, no map.
     """
     if not a.certified:
         negative = np.count_nonzero(
@@ -252,35 +290,36 @@ def two_level_preconditioner(a: SparseSymMatrix, space: DGSpace):
                 f"sparse LU met {negative} negative pivots, so the operator "
                 f"has {negative} negative eigenvalues (penalty too small?)")
     if space.degree < 2:
-        inverse = np.linalg.inv(a.diagonal.data)
-        coarse = _coarse_solve(a, space)
+        smoother = _block_diagonal(np.linalg.inv(a.diagonal.data))
+        coarse = _coarse_solve(space, cfg, p1_prolongation(space))
 
         def apply(r):
-            out = np.einsum("bij,bj->bi", inverse,
-                            r.reshape(len(inverse), -1)).ravel()
+            out = smoother @ r
             out += coarse(r)
             return out
 
         return apply
-    coarse = _coarse_solve(a, space)
+    node = conforming_nodes(space)
+    coarse = _coarse_solve(space, cfg, p1_interpolation(space, node))
     inverse_diagonal = 1.0 / np.diagonal(a.diagonal.data, axis1=1,
                                          axis2=2).ravel()
-    node = conforming_nodes(space)
     gather, groups = _vertex_patches(a, space, node)
 
     def apply_patches(r):
         out = r * inverse_diagonal
-        out += coarse(r)
-        # Pi^T r on every patch's nodes, then each patch's solve; node
-        # and gather both reach every continuous node
-        local = np.take(np.bincount(node, r), gather).astype(np.float32)
+        # Pi^T r, then each patch's solve and the coarse solve on it;
+        # node and gather both reach every continuous node
+        restricted = np.bincount(node, r)
+        local = np.take(restricted, gather).astype(np.float32)
         solved = np.empty_like(local)
         for start, inverse in groups:
             shape = inverse.shape[:2] + (1,)
             part = slice(start, start + inverse[..., 0].size)
             np.matmul(inverse, local[part].reshape(shape),
                       out=solved[part].reshape(shape))
-        out += np.take(np.bincount(gather, solved), node)
+        continuous = coarse(restricted)
+        continuous += np.bincount(gather, solved)
+        out += np.take(continuous, node)
         return out
 
     return apply_patches

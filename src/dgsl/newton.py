@@ -107,7 +107,7 @@ def solve_semilinear(space: DGSpace, problem: Problem, cfg: AssemblyConfig,
     """
     ncfg = ncfg or NewtonConfig()
     stiffness = assemble_bilinear(space, cfg)
-    precondition = two_level_preconditioner(stiffness, space)
+    precondition = two_level_preconditioner(stiffness, space, cfg)
     kernel = NewtonKernel(space, problem, cfg, stiffness)
 
     u = np.zeros(space.total_dofs) if start is None \

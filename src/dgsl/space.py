@@ -8,8 +8,10 @@ discontinuity is structural.
 Edge terms read the six (local edge, flipped) reference tables that
 `edge_tables` caches per degree and edge rule: `edge_traces` gives the
 basis traces on selected edges, `edge_fields` a field's traces on
-selected edges. Both decode each side's (local edge, flipped) point set
-here, so callers sweep edge chunks without knowing the encoding.
+selected edges, and `edge_point_sets` the point set each side reads,
+which assembly's edge tables are indexed by. Each side's (local edge,
+flipped) point set is decoded here, so callers sweep edge chunks
+without knowing the encoding.
 """
 
 import functools
@@ -138,6 +140,31 @@ def p1_prolongation(space: DGSpace):
     return p
 
 
+def p1_interpolation(space: DGSpace, node):
+    """Sparse (continuous P_r nodes, used vertices) matrix I that maps the
+    vertex values of a continuous P1 field to its continuous P_r
+    interpolant, for the node map `node` of `conforming_nodes`: the rows
+    of `p1_prolongation` over the continuous nodes, so that P = I[node],
+    built without P. Every DG node that `node` maps to c has the same
+    row of P, so whichever one the scatter below keeps, I has the same
+    bytes."""
+    d = space.dofs_per_element
+    bary = space.basis.lattice / space.degree  # (D, 3)
+    column, columns = _vertex_columns(space.mesh)
+    some = np.empty(int(node.max()) + 1, dtype=np.intp)
+    some[node] = np.arange(len(node))
+    element, local = np.divmod(some, d)
+    weights = bary[local]
+    keep = weights != 0
+    indptr = np.zeros(len(some) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), dtype=np.int32, out=indptr[1:])
+    i = sparse.csr_matrix((weights[keep],
+                           column[space.mesh.triangles[element]][keep],
+                           indptr), shape=(len(some), columns))
+    i.sort_indices()
+    return i
+
+
 def _vertex_columns(mesh: TriMesh):
     """(int32 vertex -> column map, number of columns): the vertices some
     triangle uses, numbered in index order; an unused vertex maps to the
@@ -209,6 +236,15 @@ def edge_tables(degree, t):
     return tables
 
 
+def edge_point_sets(space: DGSpace, select=slice(None)):
+    """(m, 2) int: the point set each side of the edges `select` picks
+    reads in `edge_tables`, 2 k + flipped for local edge k, and 6 on a
+    missing side."""
+    edges = space.mesh.edges
+    return np.where(edges.tri[select] >= 0,
+                    2 * edges.local[select] + edges.flipped[select], 6)
+
+
 def edge_traces(space: DGSpace, params, select=slice(None), gradients=True):
     """Basis traces on both sides of the edges `select` picks (default all).
 
@@ -245,8 +281,7 @@ def edge_fields(v: DGVector, params, select=slice(None)):
     tri = edges.tri[select]
     # a missing side (tri = -1) takes set 6, which sorts last and stays
     # zero, so its gradient maps to zero too
-    combo = np.where(tri >= 0, 2 * edges.local[select] + edges.flipped[select],
-                     6).ravel()
+    combo = edge_point_sets(space, select).ravel()
     order = np.argsort(combo, kind="stable")
     starts = np.searchsorted(combo[order], np.arange(7))
     present = order[:starts[6]]

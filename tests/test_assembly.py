@@ -32,10 +32,12 @@ from dgsl.errors import (ConfigError, NonFiniteValue, PerturbationFoldover,
 from dgsl.newton import residual
 from dgsl.problems import Problem
 from dgsl.properties import polynomial_field
-from dgsl.quadrature import MAX_TRIANGLE_DEGREE, edge_rule, triangle_rule
-from dgsl.space import edge_traces
+from dgsl.quadrature import (MAX_EDGE_DEGREE, MAX_TRIANGLE_DEGREE, edge_rule,
+                             triangle_rule)
+from dgsl.space import edge_point_sets, edge_traces
 
-from conftest import matrix_bytes, part_bytes, space_on, weak_form_load
+from conftest import (MESH_KINDS, matrix_bytes, part_bytes, space_on,
+                      weak_form_load)
 
 
 def traces_by_inverse_map(space, v, params):
@@ -540,6 +542,89 @@ def test_bilinear_matches_coo_oracle(mesh, r):
     a = assemble_bilinear(space, cfg).full().toarray()
     oracle = oracle_bilinear(space, cfg).toarray()
     assert np.abs(a - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
+def quadrature_edge_blocks(space, cfg, select=slice(None)):
+    """The flux and penalty blocks of the `select`ed edges, laid out as
+    `_edge_blocks`' (m, 2, D, 2, D), from the basis traces at the edge
+    rule's points: one product per edge over the stacked points gives
+    J^T W (penalty J - h G) + G^T W (-h J), for the jumps J and the
+    normal derivatives G. The reference of the table kernel."""
+    rule = edge_rule(cfg.resolved_edge_degree(space.degree))
+    edges = space.mesh.edges
+    values, grads = edge_traces(space, rule.points, select)
+    m, _, q, d = values.shape
+    values[:, 1] *= -1.0
+    jump = values.transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
+    normal_grad = np.einsum("msqia,ma->msqi", grads, edges.normal[select]) \
+        .transpose(0, 2, 1, 3).reshape(m, q, 2 * d)
+    half_h = (np.where(edges.boundary[select], 1.0, 0.5)
+              * edges.length[select])[:, None, None]
+    left = np.concatenate([jump, normal_grad], axis=1) \
+        * np.tile(rule.weights, 2)[:, None]
+    right = np.concatenate([cfg.penalty * jump - half_h * normal_grad,
+                            -half_h * jump], axis=1)
+    return (left.transpose(0, 2, 1) @ right).reshape(m, 2, d, 2, d)
+
+
+def rotated_corners(mesh, seed):
+    """`mesh` with each triangle's corners rotated at random, which keeps
+    it counterclockwise: its edges' sides read every (plus, minus) pair
+    of point sets that such a mesh can give."""
+    shift = np.random.default_rng(seed).integers(0, 3, mesh.num_triangles)
+    corner = (np.arange(3) + shift[:, None]) % 3
+    return dgsl.TriMesh(mesh.vertices,
+                        np.take_along_axis(mesh.triangles, corner, axis=1))
+
+
+@pytest.mark.parametrize("mesh", ["structured", "perturbed", "rotated",
+                                  "unused vertex"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_table_edge_blocks_match_the_quadrature_blocks(r, mesh):
+    grid = rotated_corners(dgsl.build_perturbed(6, 0.2, 3), 1) \
+        if mesh == "rotated" else MESH_KINDS[mesh]()
+    space = dgsl.DGSpace(grid, r)
+    sets = edge_point_sets(space)
+    pairs = len(np.unique(7 * sets[:, 0] + sets[:, 1]))
+    assert pairs == 24 if mesh == "rotated" else pairs <= 7
+    for cfg in (AssemblyConfig(penalty=37.0),
+                AssemblyConfig(penalty=100.0, edge_degree=12)):
+        expected = quadrature_edge_blocks(space, cfg)
+        got = _edge_blocks(space, cfg)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        # a selection reads the same blocks
+        picked = np.flatnonzero(grid.edges.boundary)[::2]
+        assert np.array_equal(_edge_blocks(space, cfg, picked), got[picked])
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.sampled_from([1, 2, 3]), edge=st.integers(1, MAX_EDGE_DEGREE),
+       volume=st.integers(1, MAX_TRIANGLE_DEGREE))
+def test_rules_that_under_integrate_the_form_are_refused(r, edge, volume):
+    # the flux {grad w} . [v] has degree 2r - 1 on an edge and the
+    # stiffness 2r - 2 on an element; a rule's exactness is its own, odd
+    cfg = AssemblyConfig(penalty=100.0, volume_degree=volume,
+                         edge_degree=edge)
+    weak = []
+    if edge_rule(edge).exactness_degree < 2 * r - 1:
+        weak.append(("edge_degree", 2 * r - 1, edge_rule))
+    if triangle_rule(volume).exactness_degree < 2 * r - 2:
+        weak.append(("volume_degree", 2 * r - 2, triangle_rule))
+    space = space_on(1, r)
+    run = dict(degree=r, levels=(2, 4), volume_degree=volume,
+               edge_degree=edge)
+    if not weak:
+        assemble_bilinear(space, cfg)
+        RunConfig(**run)
+        return
+    key, need, rule = weak[0]
+    least = next(k for k in range(1, 21) if rule(k).exactness_degree >= need)
+    message = f"the least allowed {key} is {least}"
+    with pytest.raises(ConfigError, match=message):
+        assemble_bilinear(space, cfg)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**run)
 
 
 def whole_array_operator(space, cfg):

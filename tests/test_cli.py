@@ -323,6 +323,9 @@ BAD_INPUTS = {
     "verify_nan_penalty": ["verify", "--set", "penalty=nan"],
     "verify_unknown_key": ["verify", "--set", "foo=1"],
     "removed_newton_key": ["run", "--set", "newton.damping=off"],
+    # two Gauss points under-integrate the P3 flux, which has degree 5
+    "under_integrating_edge_rule": ["run", "--set", "degree=3",
+                                    "--set", "quad.edge_degree=3"],
     # {mesh} is a file whose triangle line holds an index of 2^63 + 1
     "mesh_index_past_int64": ["run", "--set", "mesh.kind=files",
                               "--set", "mesh.levels={mesh}"],

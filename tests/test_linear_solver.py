@@ -14,7 +14,7 @@ import dgsl
 from dgsl import AssemblyConfig, assemble_bilinear, solve_spd
 from dgsl import linear_solver
 from dgsl.linear_solver import two_level_preconditioner
-from dgsl.space import conforming_nodes, p1_prolongation
+from dgsl.space import conforming_nodes, p1_interpolation, p1_prolongation
 from dgsl.assembly import NewtonKernel, SparseSymMatrix
 from dgsl.newton import residual
 from dgsl.errors import DgslError, IndefiniteOperator, NotConverged, \
@@ -37,10 +37,10 @@ def as_matrix(dense, block_size):
 
 def block_jacobi(a):
     """r -> B r for B the exact inverses of the element blocks of `a`,
-    applied as the preconditioner applies them at r = 1."""
-    inverse = np.linalg.inv(a.diagonal.data)
-    return lambda r: np.einsum("bij,bj->bi", inverse,
-                               r.reshape(len(inverse), -1)).ravel()
+    applied as the preconditioner applies them at r = 1: one
+    block-diagonal matrix."""
+    inverse = dgsl.assembly._block_diagonal(np.linalg.inv(a.diagonal.data))
+    return lambda r: inverse @ r
 
 
 def direct_reference(a, b):
@@ -82,11 +82,11 @@ def test_small_penalty_operator_is_detected_indefinite(rng):
 
 
 def test_determinism_bitwise(rng):
-    space = space_on(3, 2)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    space, cfg = space_on(3, 2), AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
     b = rng.standard_normal(a.dim)
     for build in (block_jacobi,
-                  lambda a: two_level_preconditioner(a, space)):
+                  lambda a: two_level_preconditioner(a, space, cfg)):
         x1, r1 = solve_spd(a, b, build(a), tol=1e-12)
         x2, r2 = solve_spd(a, b, build(a), tol=1e-12)
         assert x1.tobytes() == x2.tobytes()
@@ -94,14 +94,14 @@ def test_determinism_bitwise(rng):
 
 
 def test_direct_and_pcg_agree(rng):
-    space = space_on(3, 1)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    space, cfg = space_on(3, 1), AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
     b = rng.standard_normal(a.dim)
     x_ref = direct_reference(a, b)
     assert np.linalg.norm(x_ref - np.linalg.solve(a.full().toarray(), b)) \
         <= 1e-12 * np.linalg.norm(x_ref)
     for precondition in (block_jacobi(a),
-                         two_level_preconditioner(a, space)):
+                         two_level_preconditioner(a, space, cfg)):
         x, report = solve_spd(a, b, precondition, tol=1e-13)
         assert report.method == "pcg"
         assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
@@ -121,11 +121,11 @@ def test_pcg_solve_accepted_at_rounding_floor(sine):
     # at penalty 2000 the Newton system's residual cannot reach 1e-12 in
     # double precision; the backward-error test must accept it, reading
     # max |a_ij| once
-    space = space_on(16, 1)
-    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=2000.0))
+    space, cfg = space_on(16, 1), AssemblyConfig(penalty=2000.0)
+    kernel = NewtonKernel(space, sine, cfg)
     u = np.zeros(kernel.stiffness.dim)
     b = -residual(kernel, u)
-    precondition = two_level_preconditioner(kernel.stiffness, space)
+    precondition = two_level_preconditioner(kernel.stiffness, space, cfg)
     jac = kernel.jacobian(u)
     a = CountingMatrix(jac.csr, jac.diagonal)
     x, report = solve_spd(a, b, precondition, tol=1e-12)
@@ -174,12 +174,13 @@ def test_singular_matrix_raises_named_error(rng):
     space = space_on(1, 1)
     assert space.total_dofs == 6
     with pytest.raises(SingularOperator):
-        two_level_preconditioner(as_matrix(dense, 3), space)
+        two_level_preconditioner(as_matrix(dense, 3), space,
+                                 AssemblyConfig(penalty=100.0))
 
 
 def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
-    space = space_on(4, 2)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=0.01))
+    space, cfg = space_on(4, 2), AssemblyConfig(penalty=0.01)
+    a = assemble_bilinear(space, cfg)
     negative = int((eigvalsh(a.full().toarray()) < 0).sum())
     assert negative > 0 and not a.certified
     # Sylvester's law of inertia: one negative pivot per negative eigenvalue
@@ -187,7 +188,7 @@ def test_small_penalty_operator_is_detected_indefinite_by_direct_solver():
     assert np.count_nonzero(lu.U.diagonal() < 0) == negative
     with pytest.raises(IndefiniteOperator,
                        match=f"met {negative} negative pivots"):
-        two_level_preconditioner(a, space)
+        two_level_preconditioner(a, space, cfg)
 
 
 def test_symmetric_factor_is_certified_and_returned(rng, factor_reads):
@@ -208,14 +209,14 @@ def test_two_level_preconditioner_proves_an_uncertified_matrix(
         rng, monkeypatch, factor_reads):
     # the proof is one fine factor whose pivots are read; it changes
     # nothing in the preconditioner built afterwards
-    space = space_on(4, 2)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    space, cfg = space_on(4, 2), AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
     r = rng.standard_normal(a.dim)
     factors = counting(monkeypatch, linear_solver, "splu")
-    certified = two_level_preconditioner(a, space)(r)
+    certified = two_level_preconditioner(a, space, cfg)(r)
     assert (len(factors), factor_reads) == (1, [])
     uncertified = two_level_preconditioner(
-        SparseSymMatrix(a.csr, a.diagonal), space)(r)
+        SparseSymMatrix(a.csr, a.diagonal), space, cfg)(r)
     assert (len(factors), factor_reads) == (3, ["U"])
     assert uncertified.tobytes() == certified.tobytes()
 
@@ -226,13 +227,13 @@ def test_pivot_proof_factors_the_csc_of_its_matrix_through_csr(monkeypatch):
     # and the whole set-up, P included, then peaked at 11.5 times both
     # parts' bytes, where it now peaks at 8.7; SuperLU's own arrays are
     # not traced
-    space = space_on(48, 1)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=5.0))
+    space, cfg = space_on(48, 1), AssemblyConfig(penalty=5.0)
+    a = assemble_bilinear(space, cfg)
     assert not a.certified
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        two_level_preconditioner(a, space)
+        two_level_preconditioner(a, space, cfg)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -241,7 +242,7 @@ def test_pivot_proof_factors_the_csc_of_its_matrix_through_csr(monkeypatch):
     splu = linear_solver.splu
     monkeypatch.setattr(linear_solver, "splu", lambda csc, **options:
                         factored.append(csc) or splu(csc, **options))
-    two_level_preconditioner(a, space)
+    two_level_preconditioner(a, space, cfg)
     expected = sparse.csc_matrix(a.full())
     expected.eliminate_zeros()
     proof, _ = factored             # the proof's factor, then the coarse one
@@ -273,8 +274,9 @@ def test_block_jacobi_blocks_match_dense_slices(sine, r, rng):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_two_level_preconditioner_is_spd(r):
     space = dgsl.DGSpace(dgsl.build_perturbed(3, 0.2, seed=1), r)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
-    precondition = two_level_preconditioner(a, space)
+    cfg = AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
+    precondition = two_level_preconditioner(a, space, cfg)
     dense = np.column_stack([precondition(e) for e in np.eye(a.dim)])
     assert np.abs(dense - dense.T).max() <= 1e-12 * np.abs(dense).max()
     assert eigvalsh(dense).min() > 0.0
@@ -283,9 +285,10 @@ def test_two_level_preconditioner_is_spd(r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_two_level_pcg_agrees_with_direct_solve(sine, rng, r):
     space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
-    kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+    cfg = AssemblyConfig(penalty=100.0)
+    kernel = NewtonKernel(space, sine, cfg)
     # Newton's preconditioner: built from the stiffness, applied to J
-    precondition = two_level_preconditioner(kernel.stiffness, space)
+    precondition = two_level_preconditioner(kernel.stiffness, space, cfg)
     u = rng.standard_normal(space.total_dofs)
     b = rng.standard_normal(space.total_dofs)
     jac = kernel.jacobian(u)
@@ -310,32 +313,40 @@ def test_solve_spd_rejects_an_indefinite_preconditioner():
         linear_solver.solve_spd(a, b, lambda r: -r)
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_coarse_matrix_has_the_bytes_of_a_transposed_copy(r, monkeypatch,
-                                                          factor_reads):
-    # the coarse product reads P^T through views; every byte of the
-    # coarse matrix, index order included, is that of P^T as a CSR copy
-    space = dgsl.DGSpace(dgsl.build_perturbed(8, 0.2, seed=2), r)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
-    p = p1_prolongation(space)
+@pytest.mark.parametrize("mesh", list(MESH_KINDS))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_coarse_matrix_is_the_galerkin_product_on_the_vertex_pattern(
+        r, mesh, monkeypatch, factor_reads):
+    # the continuous P1 form summed from the mesh is P^T A P up to
+    # rounding, and holds no entry between vertices that share no
+    # element, where the product kept the rounding residue of the
+    # interior-edge terms
+    space = dgsl.DGSpace(MESH_KINDS[mesh](), r)
+    cfg = AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
     coarse = []
     factor = linear_solver.symmetric_factor
     monkeypatch.setattr(linear_solver, "symmetric_factor",
                         lambda m: coarse.append(m) or factor(m))
-    two_level_preconditioner(a, space)
+    two_level_preconditioner(a, space, cfg)
     matrix, = coarse
     assert factor_reads == []       # a certified matrix's pivots stay unread
-    expected = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
-    for name in ("data", "indices", "indptr"):
-        assert getattr(matrix, name).tobytes() == \
-            getattr(expected, name).tobytes(), name
+    p = p1_prolongation(space)
+    expected = (p.T @ a.full() @ p).toarray()
+    got = matrix.toarray()
+    assert np.abs(got - expected).max() <= 5e-15 * np.abs(expected).max()
+    corners = np.unique(space.mesh.triangles, return_inverse=True)[1] \
+        .reshape(-1, 3)
+    adjacent = np.zeros_like(got, dtype=bool)
+    adjacent[corners[:, :, None], corners[:, None, :]] = True
+    assert not got[~adjacent].any()
 
 
 @pytest.mark.parametrize("r", [1, 3])
 def test_two_level_set_up_memory_over_its_matrix(r):
     # tracemalloc growth of one set-up over the stiffness's bytes, both
-    # parts, without the bytes of P and, at r >= 2, the node map, which
-    # the set-up builds; SuperLU's own arrays are not traced. With a
+    # parts, without the bytes of what the set-up builds to transfer with
+    # (P at r = 1, the node map and I at r >= 2); SuperLU's own arrays are not traced. With a
     # kept CSR copy of P^T and all blocks inverted at once it kept 0.32
     # (P3) and 0.36 (P1) and peaked at 0.74 and 1.92; reading P^T
     # through views of P and inverting in chunks, 0.25 and 0.24, and
@@ -345,21 +356,29 @@ def test_two_level_set_up_memory_over_its_matrix(r):
     # continuous P_r at P3, 0.26 and 0.64; with P and the map built
     # inside the set-up, 0.26 and 0.62 (P3) and 0.23 and 1.52 (P1);
     # with point Jacobi and float32 vertex patches at P3, built after
-    # the coarse factor in chunks of 512 star corners, 0.26 and 0.37
+    # the coarse factor in chunks of 512 star corners, 0.26 and 0.37;
+    # with the coarse matrix summed from the mesh, I in place of P at P3
+    # and the patches inverted through Cholesky, 0.26 and 0.38 (P3) and
+    # 0.25 and 1.26 (P1)
     space = dgsl.DGSpace(dgsl.build_perturbed(64, 0.2, 42), 3) if r == 3 \
         else dgsl.DGSpace(dgsl.build_structured(128), 1)
     cfg = AssemblyConfig(penalty=100.0, volume_degree=14 if r == 3 else None,
                          edge_degree=12 if r == 3 else None)
     a = assemble_bilinear(space, cfg)
-    p = p1_prolongation(space)
-    own = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
     if r >= 2:
-        own += conforming_nodes(space).nbytes
-    del p
+        node = conforming_nodes(space)
+        transfer = p1_interpolation(space, node)
+        own = node.nbytes
+    else:
+        transfer = p1_prolongation(space)
+        own = 0
+    own += sum(array.nbytes for array in (
+        transfer.data, transfer.indices, transfer.indptr))
+    del transfer
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        built = two_level_preconditioner(a, space)
+        built = two_level_preconditioner(a, space, cfg)
         kept, peak = (m - before - own
                       for m in tracemalloc.get_traced_memory())
     finally:
@@ -436,10 +455,11 @@ def test_conforming_term_is_used_exactly_at_r_of_2_and_more(r, monkeypatch):
     # at r = 1 continuous P1 is the coarse space itself, and the
     # preconditioner is B + P A_c^-1 P^T alone, built without a node map
     space = dgsl.DGSpace(dgsl.build_perturbed(4, 0.2, seed=1), r)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    cfg = AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
     built = counting(monkeypatch, linear_solver, "conforming_nodes")
     patches = counting(monkeypatch, linear_solver, "_vertex_patches")
-    two_level_preconditioner(a, space)
+    two_level_preconditioner(a, space, cfg)
     assert len(built) == len(patches) == (r >= 2)
 
 
@@ -448,14 +468,64 @@ def test_p1_preconditioner_is_block_jacobi_plus_the_coarse_solve(rng, mesh):
     # at r = 1 the preconditioner applies B r + P A_c^-1 P^T r, in this
     # order, bit for bit
     space = dgsl.DGSpace(MESH_KINDS[mesh](), 1)
-    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    cfg = AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
     r = rng.standard_normal(a.dim)
-    p = p1_prolongation(space)
-    coarse = p.T.tocsr() @ (a.csr @ p) + p.T.tocsr() @ (a.diagonal @ p)
     expected = block_jacobi(a)(r)
-    expected += p @ linear_solver.symmetric_factor(coarse).solve(p.T @ r)
-    assert two_level_preconditioner(a, space)(r).tobytes() == \
+    expected += linear_solver._coarse_solve(space, cfg,
+                                            p1_prolongation(space))(r)
+    assert two_level_preconditioner(a, space, cfg)(r).tobytes() == \
         expected.tobytes()
+
+
+@pytest.mark.parametrize("mesh", list(MESH_KINDS))
+@pytest.mark.parametrize("r", [2, 3])
+def test_one_continuous_correction_is_the_three_term_preconditioner(
+        rng, r, mesh):
+    # D^-1 r + Pi (S + I A_c^-1 I^T) Pi^T r against the three terms
+    # D^-1 r + Pi S Pi^T r + P A_c^-1 P^T r, each applied on its own
+    # with P built, and the patches' float32 products as the
+    # preconditioner makes them
+    space = dgsl.DGSpace(MESH_KINDS[mesh](), r)
+    cfg = AssemblyConfig(penalty=100.0)
+    a = assemble_bilinear(space, cfg)
+    node = conforming_nodes(space)
+    gather, groups = linear_solver._vertex_patches(a, space, node)
+    coarse = linear_solver._coarse_solve(space, cfg, p1_prolongation(space))
+    for r_ in rng.standard_normal((3, a.dim)):
+        local = np.bincount(node, r_)[gather].astype(np.float32)
+        solved = np.concatenate([
+            (inverse @ local[start:start + inverse[..., 0].size]
+             .reshape(inverse.shape[:2] + (1,))).ravel()
+            for start, inverse in groups])
+        expected = r_ / np.diagonal(a.diagonal.data, axis1=1,
+                                    axis2=2).ravel()
+        expected += np.bincount(gather, solved)[node]
+        expected += coarse(r_)
+        got = two_level_preconditioner(a, space, cfg)(r_)
+        assert np.abs(got - expected).max() \
+            <= 1e-13 * np.abs(expected).max()
+
+
+def test_patch_inverses_match_an_lu_inverse_before_the_float32_cast(
+        monkeypatch):
+    # the Cholesky route against np.linalg.inv on every patch block of a
+    # P3 stiffness, in float64
+    space = dgsl.DGSpace(dgsl.build_perturbed(6, 0.2, seed=3), 3)
+    a = assemble_bilinear(space, AssemblyConfig(penalty=100.0))
+    seen = []
+    spd_inverse = linear_solver._spd_inverse
+    monkeypatch.setattr(linear_solver, "_spd_inverse", lambda blocks: seen.append(
+        (blocks.copy(), spd_inverse(blocks))) or seen[-1][1])
+    linear_solver._vertex_patches(a, space, conforming_nodes(space))
+    assert sum(len(blocks) for blocks, _ in seen) \
+        == len(np.unique(space.mesh.triangles))
+    for blocks, inverse in seen:
+        assert inverse.dtype == np.float64
+        assert np.array_equal(inverse, inverse.transpose(0, 2, 1))
+        expected = np.linalg.inv(blocks)
+        assert np.abs(inverse - expected).max() \
+            <= 1e-13 * np.abs(expected).max()
 
 
 def test_a_certified_p1_stiffness_is_not_proven_again(monkeypatch):
@@ -465,12 +535,12 @@ def test_a_certified_p1_stiffness_is_not_proven_again(monkeypatch):
     # of its own, so they are counted from the first set-up on
     spaces = [dgsl.DGSpace(mesh, 1) for mesh in (
         dgsl.build_structured(8), dgsl.build_perturbed(8, 0.2, 3))]
-    stiffnesses = [assemble_bilinear(space, AssemblyConfig(penalty=100.0))
-                   for space in spaces]
+    cfg = AssemblyConfig(penalty=100.0)
+    stiffnesses = [assemble_bilinear(space, cfg) for space in spaces]
     assert all(a.certified for a in stiffnesses)
     choleskys = counting(monkeypatch, np.linalg, "cholesky")
     for a, space in zip(stiffnesses, spaces):
-        two_level_preconditioner(a, space)
+        two_level_preconditioner(a, space, cfg)
     assert choleskys == []
 
 
@@ -485,9 +555,10 @@ def test_cg_count_stays_flat_in_the_penalty(sine, r):
     space = dgsl.DGSpace(dgsl.build_perturbed(32, 0.2, 42), r)
     counts = []
     for penalty in (100.0, 1000.0):
-        kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=penalty))
+        cfg = AssemblyConfig(penalty=penalty)
+        kernel = NewtonKernel(space, sine, cfg)
         u = np.zeros(space.total_dofs)
-        precondition = two_level_preconditioner(kernel.stiffness, space)
+        precondition = two_level_preconditioner(kernel.stiffness, space, cfg)
         _, report = solve_spd(kernel.jacobian(u), -residual(kernel, u),
                               precondition, tol=1e-8)
         counts.append(report.iterations)
@@ -500,9 +571,10 @@ def test_p3_cg_count_is_flat_in_h(sine):
     counts = []
     for n in (16, 32):
         space = dgsl.DGSpace(dgsl.build_perturbed(n, 0.2, 42), 3)
-        kernel = NewtonKernel(space, sine, AssemblyConfig(penalty=100.0))
+        cfg = AssemblyConfig(penalty=100.0)
+        kernel = NewtonKernel(space, sine, cfg)
         u = np.zeros(space.total_dofs)
-        precondition = two_level_preconditioner(kernel.stiffness, space)
+        precondition = two_level_preconditioner(kernel.stiffness, space, cfg)
         _, report = solve_spd(kernel.jacobian(u), -residual(kernel, u),
                               precondition, tol=1e-8)
         counts.append(report.iterations)

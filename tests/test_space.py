@@ -15,7 +15,8 @@ from dgsl.analysis import l2_error, observed_orders
 from dgsl.basis import edge_reference_points
 from dgsl.errors import DegenerateElement
 from dgsl.properties import bilinear_consistency
-from dgsl.space import conforming_nodes, edge_traces, p1_prolongation
+from dgsl.space import (conforming_nodes, edge_traces, p1_interpolation,
+                        p1_prolongation)
 
 from conftest import MESH_KINDS, space_on
 
@@ -318,6 +319,22 @@ def test_p1_prolongation_peak_stays_within_a_quarter_above_its_bytes(r):
         tracemalloc.stop()
     size = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes
     assert peak <= 1.25 * size, peak / size
+
+
+@pytest.mark.parametrize("mesh", list(MESH_KINDS))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_p1_interpolation_gathered_by_the_node_map_is_the_prolongation(
+        r, mesh):
+    # P = I[node], byte for byte: every DG node of one continuous node
+    # holds one row of P
+    space = dgsl.DGSpace(MESH_KINDS[mesh](), r)
+    node = conforming_nodes(space)
+    i, p = p1_interpolation(space, node), p1_prolongation(space)
+    assert i.shape == (node.max() + 1, p.shape[1])
+    gathered = i[node]
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(gathered, name), getattr(p, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("mesh", list(MESH_KINDS))
